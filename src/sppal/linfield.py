@@ -13,13 +13,13 @@ SPL = 20*log10(|p| / (sqrt(2)*20e-6 Pa)).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy import special
 
+from ._quad import azimuthal_ladder, gauss_legendre, trapezoid_weights
 from .errors import NumericalFailureError, ParameterDomainError
-from .medium import Medium
+from .medium import Medium, absorption_coeff
 from .radiator import SourceKind, SourceProfile, first_local_max, piston_profile, PistonSpec
 
 P_REF_RMS = 20e-6
@@ -113,14 +113,6 @@ class EquivalenceRatio:
         return complex(v0) * self.linear
 
 
-def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
-    w = np.zeros_like(x)
-    dx = np.diff(x)
-    w[:-1] += 0.5 * dx
-    w[1:] += 0.5 * dx
-    return w
-
-
 def _radial_weights(x: np.ndarray) -> np.ndarray:
     """Quadrature weights on the profile grid.
 
@@ -136,12 +128,7 @@ def _radial_weights(x: np.ndarray) -> np.ndarray:
         w[1::2] = 4.0
         w[0] = w[-1] = 1.0
         return w * (h / 3.0)
-    return _trapezoid_weights(x)
-
-
-@lru_cache(maxsize=64)
-def _gauss_legendre(order: int):
-    return np.polynomial.legendre.leggauss(order)
+    return trapezoid_weights(x)
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +149,13 @@ def _rayleigh_onaxis(profile: SourceProfile, medium: Medium, f: float,
 
 def _rayleigh_offaxis(profile: SourceProfile, medium: Medium, f: float,
                       rho: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Off-axis field by radial trapezoid x adaptive Gauss-Legendre azimuth.
+    """Off-axis field by radial Simpson x adaptive Gauss-Legendre azimuth.
 
-    The azimuthal order doubles until successive estimates agree within
-    the 0.05 dB refinement rule (with an absolute floor so pattern nulls
-    do not stall convergence).
+    The radial rule is :func:`_radial_weights` (composite Simpson on the
+    uniform odd-count profile grids, trapezoid otherwise).  The azimuthal
+    order doubles from 32 until successive estimates agree within the
+    0.05 dB refinement rule (with an absolute floor so pattern nulls do
+    not stall convergence).
     """
     kc = medium.complex_wavenumber(f)
     omega = 2.0 * np.pi * f
@@ -175,23 +164,10 @@ def _rayleigh_offaxis(profile: SourceProfile, medium: Medium, f: float,
     scale = medium.density * medium.sound_speed * np.max(np.abs(profile.velocity))
     floor = 1e-10 * max(scale, 1e-300)
 
-    out = np.zeros(rho.shape, dtype=complex)
-    todo = np.arange(rho.size)
-    prev = None
-    order = 32
-    while todo.size:
-        if order > _MAX_AZIMUTHAL_ORDER:
-            raise NumericalFailureError(
-                f"azimuthal quadrature failed to converge within "
-                f"{REFINE_DB} dB at order {_MAX_AZIMUTHAL_ORDER} "
-                f"(f = {f:.6g} Hz, {todo.size} points left)"
-            )
-        x, wgl = _gauss_legendre(order)
-        phi_w = wgl * (np.pi / 2.0)
-        cosphi = np.cos(0.5 * np.pi * (x + 1.0))
+    def partial(todo, cosphi, phi_w):
         cur = np.empty(todo.size, dtype=complex)
         # chunk so the (pts, r, phi) block stays within memory budget
-        block = max(1, int(4e6 / (r.size * order)))
+        block = max(1, int(4e6 / (r.size * cosphi.size)))
         for s in range(0, todo.size, block):
             idx = todo[s:s + block]
             rr = rho[idx][:, None, None]
@@ -203,15 +179,10 @@ def _rayleigh_offaxis(profile: SourceProfile, medium: Medium, f: float,
             cur[s:s + block] = azim @ wv
         # factor 2: integrand symmetric about phi = pi
         cur *= 1j * omega * medium.density / (2.0 * np.pi) * 2.0
-        if prev is not None:
-            done = np.abs(cur - prev) <= _REL_TOL * np.abs(cur) + floor
-            out[todo[done]] = cur[done]
-            todo = todo[~done]
-            prev = cur[~done]
-        else:
-            prev = cur
-        order *= 2
-    return out
+        return cur
+
+    return azimuthal_ladder(partial, rho.size, 32, _MAX_AZIMUTHAL_ORDER, _REL_TOL,
+                            floor, f"azimuthal quadrature (f = {f:.6g} Hz)")
 
 
 def rayleigh_field(profile: SourceProfile, medium: Medium, f: float,
@@ -252,8 +223,6 @@ def axial_piston_pressure(spec: PistonSpec, medium: Medium, f: float, z):
     if np.any(z < 0):
         raise ParameterDomainError("z must be >= 0")
     k = medium.wavenumber(f)
-    from .medium import absorption_coeff
-
     alpha = absorption_coeff(medium, f)
     ra = np.sqrt(z ** 2 + spec.radius_a ** 2)
     p = (medium.density * medium.sound_speed * spec.normal_velocity
@@ -368,7 +337,7 @@ def equivalence_ratio(sp_profile: SourceProfile, medium: Medium, f: float,
 
 def _panel_nodes(edges: np.ndarray, per_panel: int = 16):
     """Composite Gauss-Legendre nodes/weights over consecutive panels."""
-    x, w = _gauss_legendre(per_panel)
+    x, w = gauss_legendre(per_panel)
     lo = edges[:-1][:, None]
     hi = edges[1:][:, None]
     nodes = 0.5 * (hi - lo) * (x[None, :] + 1.0) + lo
@@ -388,8 +357,7 @@ def _spectrum_sum(wk, kz, bmat, z_arr):
 
 
 def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
-                  rho_obs, z_obs, include_evanescent: bool = True,
-                  skirt_cut_db: float | None = None) -> np.ndarray:
+                  rho_obs, z_obs, skirt_cut_db: float | None = None) -> np.ndarray:
     """Field of an axisymmetric source on a dense (z, rho) grid.
 
     Evaluates the angular-spectrum form of the Rayleigh integral,
@@ -452,6 +420,14 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
                 yield lo_idx, hi_idx, hi
             lo_idx = hi_idx
 
+    def spectrum(lo_idx, hi_idx, sel, krho, jac):
+        """Field of the k_r nodes ``krho`` (weights ``jac``) on one z block."""
+        kz = -1j * np.sqrt(krho.astype(complex) ** 2 - kc * kc)
+        vh = special.j0(np.outer(krho, r_src)) @ w_src
+        wk = pref * vh * (krho / kz) * jac
+        bmat = special.j0(np.outer(rho_obs[sel], krho))
+        return _spectrum_sum(wk, kz, bmat, z_sorted[lo_idx:hi_idx])
+
     # propagating branch, k_r = k0 sin(theta), with fine panels at the tip
     for lo_idx, hi_idx, z_hi in block_slices():
         if sin_cut < 1.0:
@@ -465,49 +441,33 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
         main = np.linspace(0.0, 0.98 * np.pi / 2.0, n_pan + 1)
         tip = np.linspace(0.98 * np.pi / 2.0, np.pi / 2.0, 17)[1:]
         theta, w_th = _panel_nodes(np.concatenate([main, tip]))
-        krho = k0 * np.sin(theta)
-        jac = k0 * np.cos(theta) * w_th
-        kz = -1j * np.sqrt(krho.astype(complex) ** 2 - kc * kc)
-        vh = special.j0(np.outer(krho, r_src)) @ w_src
-        wk = pref * vh * (krho / kz) * jac
-        bmat = special.j0(np.outer(rho_obs[sel], krho))
-        vals = _spectrum_sum(wk, kz, bmat, z_sorted[lo_idx:hi_idx])
-        block = out_sorted[lo_idx:hi_idx]
-        block[:, sel] = vals
-        out_sorted[lo_idx:hi_idx] = block
+        out_sorted[lo_idx:hi_idx, sel] = spectrum(
+            lo_idx, hi_idx, sel, k0 * np.sin(theta), k0 * np.cos(theta) * w_th)
 
-    if include_evanescent:
-        u_cap = float(np.arccosh(4.0))
-        for lo_idx, hi_idx, z_hi in block_slices():
-            z_lo = z_sorted[lo_idx]
-            u_max = min(u_cap, float(np.arcsinh(18.0 / (k0 * max(z_lo, 1e-9)))))
-            if u_max <= 1e-6:
-                continue
-            # radial reach of the reactive field: near the plane it hugs
-            # the aperture; the lateral (small-kappa) part spans the grid
-            if skirt_cut_db is not None and u_max >= 0.5:
-                rho_cut = min(rho_max, 2.0 * a + 4.0 * lam)
-            else:
-                rho_cut = rho_max
-            sel = rho_obs <= rho_cut * (1.0 + 1e-12)
-            span = (np.cosh(u_max) - 1.0) * k0 * rho_cut
-            n_pan = int(np.ceil(span / 10.0)) + 8
-            fine_end = min(0.06, 0.5 * u_max)
-            u_edges = np.concatenate([
-                np.linspace(0.0, fine_end, 7),
-                np.linspace(fine_end, u_max, n_pan + 1)[1:],
-            ])
-            u, w_u = _panel_nodes(u_edges)
-            krho = k0 * np.cosh(u)
-            jac = k0 * np.sinh(u) * w_u
-            kz = -1j * np.sqrt(krho.astype(complex) ** 2 - kc * kc)
-            vh = special.j0(np.outer(krho, r_src)) @ w_src
-            wk = pref * vh * (krho / kz) * jac
-            bmat = special.j0(np.outer(rho_obs[sel], krho))
-            corr = _spectrum_sum(wk, kz, bmat, z_sorted[lo_idx:hi_idx])
-            block = out_sorted[lo_idx:hi_idx]
-            block[:, sel] += corr
-            out_sorted[lo_idx:hi_idx] = block
+    # evanescent branch, k_r = k0 cosh(u)
+    u_cap = float(np.arccosh(4.0))
+    for lo_idx, hi_idx, _ in block_slices():
+        z_lo = z_sorted[lo_idx]
+        u_max = min(u_cap, float(np.arcsinh(18.0 / (k0 * max(z_lo, 1e-9)))))
+        if u_max <= 1e-6:
+            continue
+        # radial reach of the reactive field: near the plane it hugs
+        # the aperture; the lateral (small-kappa) part spans the grid
+        if skirt_cut_db is not None and u_max >= 0.5:
+            rho_cut = min(rho_max, 2.0 * a + 4.0 * lam)
+        else:
+            rho_cut = rho_max
+        sel = rho_obs <= rho_cut * (1.0 + 1e-12)
+        span = (np.cosh(u_max) - 1.0) * k0 * rho_cut
+        n_pan = int(np.ceil(span / 10.0)) + 8
+        fine_end = min(0.06, 0.5 * u_max)
+        u_edges = np.concatenate([
+            np.linspace(0.0, fine_end, 7),
+            np.linspace(fine_end, u_max, n_pan + 1)[1:],
+        ])
+        u, w_u = _panel_nodes(u_edges)
+        out_sorted[lo_idx:hi_idx, sel] += spectrum(
+            lo_idx, hi_idx, sel, k0 * np.cosh(u), k0 * np.sinh(u) * w_u)
 
     out = np.empty_like(out_sorted)
     out[order] = out_sorted

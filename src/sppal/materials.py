@@ -2,8 +2,7 @@
 
 Built-ins cover the three material classes the device uses: an aluminium
 alloy (plates, horns, front masses), a stainless steel (back masses) and
-a hard piezoceramic of the PZT class.  Entries can be overridden or
-extended through the run configuration.
+a hard piezoceramic of the PZT class.
 """
 
 from __future__ import annotations

@@ -81,10 +81,6 @@ class Medium:
         """Lossy wavenumber k - i*alpha for the exp(+i w t) convention."""
         return self.wavenumber(f) - 1j * absorption_coeff(self, f)
 
-    def with_beta(self, beta: float) -> "Medium":
-        """Copy of this medium with a different nonlinearity coefficient."""
-        return replace(self, beta=beta)
-
     def lossless(self) -> "Medium":
         """Copy of this medium with atmospheric absorption switched off."""
         return replace(self, absorption_model="none")

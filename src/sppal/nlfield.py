@@ -27,23 +27,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BoundaryPeakWarning,
-    NumericalFailureError,
-    ParameterDomainError,
-    TruncationTailWarning,
-)
-from .linfield import (
-    FieldCurve,
-    FieldPoint,
-    _gauss_legendre,
-    axial_piston_pressure,
-    pressure_grid,
-    spl_db,
-)
+from ._quad import azimuthal_ladder, parabolic_peak, simpson_weights
+from .errors import BoundaryPeakWarning, ParameterDomainError, TruncationTailWarning
+from .linfield import FieldCurve, FieldPoint, pressure_grid
 from .medium import Medium, absorption_coeff
 from .radiator import PistonSpec, SourceKind, SourceProfile
 
+#: geometric growth of the axial step beyond the near zone of
+#: structured (non-piston) pairs
+_AXIAL_STRETCH = 1.02
 _MAX_GREEN_ORDER = 512
 
 
@@ -115,11 +107,9 @@ class SolverSettings:
     beat_safety: float = 2.6
     truncation_db: float = 60.0
     radial_factor: float = 4.0
-    stretch: float = 1.02
     z_max_cap: float = 30.0
     tail_warn_fraction: float = 0.01
     refine_db: float = 0.05
-    include_evanescent: bool = True
 
 
 @dataclass
@@ -149,45 +139,6 @@ class VolumeGrid:
     @property
     def n_cells(self) -> int:
         return self.z_nodes.size * self.r_nodes.size
-
-
-def _trapz_weights(x: np.ndarray) -> np.ndarray:
-    w = np.zeros_like(x)
-    if x.size > 1:
-        dx = np.diff(x)
-        w[:-1] += 0.5 * dx
-        w[1:] += 0.5 * dx
-    return w
-
-
-def _quad_weights(x: np.ndarray) -> np.ndarray:
-    """Composite Simpson weights on a (possibly non-uniform) grid.
-
-    Integrates the quadratic through consecutive node triples; needs the
-    spacing ratio of adjacent intervals below 2 to keep weights
-    positive, which the grid builders guarantee.  Falls back to a
-    trapezoid panel at the end for an odd interval count.
-    """
-    n = x.size
-    if n < 3:
-        return _trapz_weights(x)
-    w = np.zeros_like(x)
-    i = 0
-    while i + 2 < n or (i + 2 == n):
-        if i + 2 > n - 1:
-            break
-        h1 = x[i + 1] - x[i]
-        h2 = x[i + 2] - x[i + 1]
-        big_h = h1 + h2
-        w[i] += big_h * (2.0 * h1 - h2) / (6.0 * h1)
-        w[i + 1] += big_h ** 3 / (6.0 * h1 * h2)
-        w[i + 2] += big_h * (2.0 * h2 - h1) / (6.0 * h2)
-        i += 2
-    if i == n - 2:  # one interval left
-        h = x[-1] - x[-2]
-        w[-2] += 0.5 * h
-        w[-1] += 0.5 * h
-    return w
 
 
 def build_volume_grid(pair: PrimaryPair, medium: Medium,
@@ -253,7 +204,7 @@ def build_volume_grid(pair: PrimaryPair, medium: Medium,
         elif z < z_near:
             dz = dz_near
         else:
-            dz = min(dz * st.stretch, dz_cap)
+            dz = min(dz * _AXIAL_STRETCH, dz_cap)
         z_list.append(z + dz)
     z_nodes = np.asarray(z_list)
 
@@ -272,9 +223,9 @@ def build_volume_grid(pair: PrimaryPair, medium: Medium,
         r_nodes.append(r)
     r_nodes = np.asarray(r_nodes)
 
-    wz = _quad_weights(z_nodes)
+    wz = simpson_weights(z_nodes)
     wz[0] += z_nodes[0]  # strip between the source plane and the first node
-    wr = _quad_weights(r_nodes)
+    wr = simpson_weights(r_nodes)
     wr[0] += r_nodes[0]
     wr[-1] += drr / 2.0
 
@@ -305,13 +256,11 @@ class QuasilinearSolver:
         g = self.grid
         skirt = self.settings.truncation_db / 2.0 + 10.0
         p1 = pressure_grid(pair.profile_1, medium, pair.f_u1, g.r_nodes, g.z_nodes,
-                           include_evanescent=self.settings.include_evanescent,
                            skirt_cut_db=skirt)
         if primary_carrier is not None:
             p2 = primary_carrier
         else:
             p2 = pressure_grid(pair.profile_2, medium, pair.f_u2, g.r_nodes, g.z_nodes,
-                               include_evanescent=self.settings.include_evanescent,
                                skirt_cut_db=skirt)
         self.primary_carrier = p2
 
@@ -391,28 +340,19 @@ class QuasilinearSolver:
         dz2 = (z_obs - self._cell_z) ** 2
         base = dz2 + rho_obs ** 2 + self._cell_r2
         cross = 2.0 * rho_obs * self._cell_r
-        prev = None
-        order = 16
-        while order <= _MAX_GREEN_ORDER:
-            x, wgl = _gauss_legendre(order)
-            cosphi = np.cos(0.5 * np.pi * (x + 1.0))
-            wphi = wgl * (np.pi / 2.0)
+
+        def partial(todo, cosphi, wphi):
             acc = 0.0 + 0.0j
             for cp, wp in zip(cosphi, wphi):
                 bigr = np.sqrt(base - cross * cp)
                 acc += wp * np.sum(self._cell_sw * np.exp(-1j * self._k_audio * bigr)
                                    / (4.0 * np.pi * bigr))
-            cur = 2.0 * acc  # symmetry about phi = pi
-            if prev is not None:
-                tol = (10.0 ** (self.settings.refine_db / 20.0) - 1.0)
-                if abs(cur - prev) <= tol * abs(cur) + 1e-30:
-                    return complex(cur)
-            prev = cur
-            order *= 2
-        raise NumericalFailureError(
-            f"azimuthal Green quadrature failed to converge at order "
-            f"{_MAX_GREEN_ORDER} (rho={rho_obs:.4g}, z={z_obs:.4g})"
-        )
+            return np.array([2.0 * acc])  # symmetry about phi = pi
+
+        tol = 10.0 ** (self.settings.refine_db / 20.0) - 1.0
+        return complex(azimuthal_ladder(
+            partial, 1, 16, _MAX_GREEN_ORDER, tol, 1e-30,
+            f"azimuthal Green quadrature (rho={rho_obs:.4g}, z={z_obs:.4g})")[0])
 
     def propagation_curve(self, z_grid) -> FieldCurve:
         z = np.asarray(z_grid, dtype=float)
@@ -437,13 +377,6 @@ class QuasilinearSolver:
                                 "f_u2": self.pair.f_u2})
 
 
-def quasilinear_pressure(pair: PrimaryPair, medium: Medium, pt: FieldPoint,
-                         grid: VolumeGrid | None = None,
-                         settings: SolverSettings | None = None) -> complex:
-    """Difference-frequency pressure at one observation point."""
-    return QuasilinearSolver(pair, medium, settings, grid).pressure(pt)
-
-
 def audio_propagation_curve(pair: PrimaryPair, medium: Medium, z_grid,
                             settings: SolverSettings | None = None) -> FieldCurve:
     """On-axis audio pressure over an axial grid."""
@@ -463,8 +396,6 @@ def find_audio_cd(curve: FieldCurve) -> AudioCd:
     :class:`BoundaryPeakWarning` (the grid was too short) and returns
     the boundary sample.
     """
-    from .transducer import _parabolic_peak
-
     spl = curve.spl
     i = int(np.argmax(spl))
     z = curve.abscissa
@@ -475,7 +406,7 @@ def find_audio_cd(curve: FieldCurve) -> AudioCd:
             stacklevel=2,
         )
         return AudioCd(distance=float(z[i]), spl=float(spl[i]))
-    z_pk, s_pk = _parabolic_peak(z, spl, i)
+    z_pk, s_pk = parabolic_peak(z, spl, i)
     return AudioCd(distance=z_pk, spl=s_pk)
 
 

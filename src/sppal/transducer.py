@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._quad import parabolic_peak
 from .errors import (
     InfeasibleDesignError,
     NoDualResonanceError,
@@ -94,10 +95,6 @@ class TransducerSpec:
                 f"{self.config.value} configuration needs {want} piezo stack(s), "
                 f"got {n_piezo}"
             )
-
-    @property
-    def total_length(self) -> float:
-        return float(sum(s.length for s in self.segments))
 
     @property
     def tip_radius(self) -> float:
@@ -204,7 +201,7 @@ def _default_materials() -> dict:
 
 
 def build_stack(config: StackConfig, r_p: float, l_p: float, r_h: float,
-                x, materials: dict | None = None, drive_voltage: float = 1.0,
+                x, drive_voltage: float = 1.0,
                 f_u0: float | None = None) -> TransducerSpec:
     """Assemble the segment stack of a half- or full-wavelength transducer.
 
@@ -216,9 +213,7 @@ def build_stack(config: StackConfig, r_p: float, l_p: float, r_h: float,
     radial-wavelength band (lambda_r/8, lambda_r/4) when ``f_u0`` is
     given.
     """
-    mats = dict(_default_materials())
-    if materials:
-        mats.update({k: get_material(v) for k, v in materials.items()})
+    mats = _default_materials()
     x = [float(v) for v in np.atleast_1d(x)]
     want = 3 if config is StackConfig.HALF else 4
     if len(x) != want:
@@ -275,7 +270,7 @@ def langevin_initial_lengths(f_u0: float, config: StackConfig,
     """
     if f_u0 <= 0:
         raise ParameterDomainError("f_u0 must be positive")
-    mats = dict(_default_materials())
+    mats = _default_materials()
     if materials:
         mats.update({k: get_material(v) for k, v in materials.items()})
     omega = 2.0 * np.pi * f_u0
@@ -318,17 +313,14 @@ def _segment_chain(seg: Segment, omega: np.ndarray):
         t[:, 1, 1] = np.cos(kl)
         return t, np.zeros((n, 2), dtype=complex)
 
-    pz = mat.piezo
-    s33e = pz.s33_e * (1.0 - 1j * eta)
-    eps_t = pz.eps33_s + pz.d33 ** 2 / s33e
-    k33sq = pz.d33 ** 2 / (s33e * eps_t)
-    s33d = s33e * (1.0 - k33sq)
-    c = 1.0 / np.sqrt(mat.density * s33d)
+    # piezo relations evaluated on the lossy compliance
+    pz = replace(mat.piezo, s33_e=mat.piezo.s33_e * (1.0 - 1j * eta))
+    c = 1.0 / np.sqrt(mat.density * pz.s33_d)
     k = omega / c
     zc = mat.density * c * seg.area
     kl = k * seg.length
     c0 = pz.eps33_s * seg.area / seg.length
-    n_ratio = seg.drive_sign * pz.d33 * seg.area / (s33e * seg.length)
+    n_ratio = seg.drive_sign * pz.d33 * seg.area / (pz.s33_e * seg.length)
 
     a11 = zc / (1j * np.tan(kl)) - n_ratio ** 2 / (1j * omega * c0)
     a12 = zc / (1j * np.sin(kl)) - n_ratio ** 2 / (1j * omega * c0)
@@ -419,28 +411,6 @@ def plate_load_impedance(plate: PlateSpec, mode: ModeShape, er: EquivalenceRatio
 # Feature extraction, objectives, screening
 # ---------------------------------------------------------------------------
 
-def _parabolic_peak(x: np.ndarray, y: np.ndarray, i: int) -> tuple:
-    """Sub-grid vertex of the parabola through samples i-1, i, i+1.
-
-    Coordinates are centred on the middle sample before solving, which
-    keeps the vertex free of catastrophic cancellation at large x.
-    """
-    if i == 0 or i == x.size - 1:
-        return float(x[i]), float(y[i])
-    h0 = x[i - 1] - x[i]
-    h2 = x[i + 1] - x[i]
-    y0, y1, y2 = y[i - 1], y[i], y[i + 1]
-    denom = h0 * h2 * (h0 - h2)
-    a = (h2 * (y0 - y1) - h0 * (y2 - y1)) / denom
-    if a == 0:
-        return float(x[i]), float(y1)
-    b = (h0 ** 2 * (y2 - y1) - h2 ** 2 * (y0 - y1)) / denom
-    tv = -b / (2.0 * a)
-    if not h0 <= tv <= h2:
-        return float(x[i]), float(y1)
-    return float(x[i] + tv), float(y1 + a * tv ** 2 + b * tv)
-
-
 def extract_dr_features(frf: Frf) -> DrFeatures:
     """Two highest interior peaks of |v| and the local minimum between them.
 
@@ -464,10 +434,10 @@ def extract_dr_features(frf: Frf) -> DrFeatures:
     order = np.argsort(mag[interior], kind="stable")[::-1]
     picked = sorted(interior[order[:2]])
     i1, i2 = int(picked[0]), int(picked[1])
-    f_r1, v_r1 = _parabolic_peak(f, mag, i1)
-    f_r2, v_r2 = _parabolic_peak(f, mag, i2)
+    f_r1, v_r1 = parabolic_peak(f, mag, i1)
+    f_r2, v_r2 = parabolic_peak(f, mag, i2)
     im = i1 + int(np.argmin(mag[i1:i2 + 1]))
-    f_m, v_m = _parabolic_peak(f, -mag, im)
+    f_m, v_m = parabolic_peak(f, -mag, im)
     v_m = -v_m
     v_m = min(v_m, v_r1, v_r2)
     if not f_r1 < f_m < f_r2:

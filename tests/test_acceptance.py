@@ -13,6 +13,7 @@ import pytest
 from scipy import special
 from scipy.optimize import brentq
 
+from sppal import _quad
 from sppal import linfield as lf
 from sppal import nlfield as nl
 from sppal import optimizer as opt
@@ -127,8 +128,8 @@ def test_05_bilinearity(air):
     dz = air.wavelength(f2) / 12.0
     z_nodes = np.arange(dz / 2.0, 0.1, dz)
     r_nodes = np.arange(dz / 2.0, 0.04, dz)
-    grid = nl.VolumeGrid(z_nodes, r_nodes, nl._quad_weights(z_nodes),
-                         nl._quad_weights(r_nodes), 60.0)
+    grid = nl.VolumeGrid(z_nodes, r_nodes, _quad.simpson_weights(z_nodes),
+                         _quad.simpson_weights(r_nodes), 60.0)
 
     def audio(v1, v2):
         pair = nl.PrimaryPair(
@@ -168,10 +169,10 @@ def test_06_quasilinear_oracle(air):
     dr = lam / 10.0
     z_nodes = np.arange(dz / 2, z_cap, dz)
     r_nodes = np.arange(dr / 2, r_cap, dr)
-    wz = nl._quad_weights(z_nodes)
+    wz = _quad.simpson_weights(z_nodes)
     wz[0] += z_nodes[0]
     wz[-1] += z_cap - z_nodes[-1]
-    wr = nl._quad_weights(r_nodes)
+    wr = _quad.simpson_weights(r_nodes)
     wr[0] += r_nodes[0]
     wr[-1] += r_cap - r_nodes[-1]
     grid = nl.VolumeGrid(z_nodes, r_nodes, wz, wr, 60.0)

@@ -1,0 +1,59 @@
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from sppal import _quad
+from sppal.errors import NumericalFailureError
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "sppal"
+
+
+def test_no_private_imports_across_modules():
+    # shared helpers live in sppal._quad under public names; importing a
+    # module's private helper from another module (at any nesting depth)
+    # is a layering leak
+    leaks = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ImportFrom) or node.level == 0:
+                continue
+            for alias in node.names:
+                name = alias.name
+                if name.startswith("_") and not name.endswith("__"):
+                    leaks.append(f"{path.name}:{node.lineno} "
+                                 f"from .{node.module or ''} import {name}")
+    assert not leaks, leaks
+
+
+@pytest.mark.parametrize("n", [3, 4, 9, 10])
+def test_simpson_weights_on_nonuniform_grid(n):
+    # adjacent spacing ratio stays below 2, as the grid builders guarantee
+    x = np.cumsum(0.1 * 1.3 ** np.arange(n)) - 0.1
+    w = _quad.simpson_weights(x)
+    assert np.all(w > 0)
+    assert w.sum() == pytest.approx(x[-1] - x[0], rel=1e-13)
+    if n % 2 == 1:  # no trapezoid end panel: quadratics are exact
+        exact = (x[-1] ** 3 - x[0] ** 3) / 3.0
+        assert w @ x ** 2 == pytest.approx(exact, rel=1e-13)
+
+
+def test_azimuthal_ladder_failure_retires_settled_points():
+    calls = []
+    settled = {0, 2}
+
+    def partial(todo, cosphi, wphi):
+        calls.append((cosphi.size, todo.copy()))
+        # settled points return a constant; the others grow with the
+        # order and never pass the relative test
+        return np.array([1.0 if i in settled else float(cosphi.size) ** 2
+                         for i in todo], dtype=complex)
+
+    with pytest.raises(NumericalFailureError, match="probe integral"):
+        _quad.azimuthal_ladder(partial, 4, 4, 32, 0.01, 0.0, "probe integral")
+    assert [order for order, _ in calls] == [4, 8, 16, 32]
+    assert calls[0][1].tolist() == [0, 1, 2, 3]
+    assert calls[1][1].tolist() == [0, 1, 2, 3]
+    for _, todo in calls[2:]:
+        assert todo.tolist() == [1, 3]
