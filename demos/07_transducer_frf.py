@@ -15,7 +15,7 @@ air = build_medium()
 params = optimizer.DesignParams(
     d_uc=0.45, f_u0=60e3, mode_m=8, config=transducer.StackConfig.FULL,
     r_p=9e-3, l_p=8e-3, r_h=0.75e-3)
-ctx = optimizer.DesignContext.get(params, air)
+ctx = optimizer.DesignContext(params, air)
 x0, bounds = transducer.langevin_initial_lengths(60e3, params.config, 8e-3)
 print("initial segment lengths [mm]:", np.round(x0 * 1e3, 2))
 

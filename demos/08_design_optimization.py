@@ -17,8 +17,9 @@ params = optimizer.DesignParams(
     d_uc=0.45, f_u0=60e3, mode_m=8, config=transducer.StackConfig.FULL,
     r_p=9e-3, l_p=8e-3, r_h=0.75e-3)
 
+ctx = optimizer.DesignContext(params, air)  # built once, used by every step
 cfg = optimizer.NsgaConfig(pop=16, generations=8, seed=1)
-front = optimizer.optimize_lengths(params, air, cfg)
+front = optimizer.optimize_lengths(ctx, cfg)
 print(f"Pareto front: {len(front.points)} designs")
 print("   F1 [m/s/V]    F2 [Hz]   lengths [mm]")
 for p in front.sorted_by_f2()[:8]:
@@ -33,7 +34,7 @@ print(f"\nselected design: F1 = {knee.objectives[0]:.4f}, "
 
 coarse = nlfield.SolverSettings(ppw_axial=10, audio_ppw=16, truncation_db=50,
                                 tail_warn_fraction=0.1)
-cap = optimizer.audio_capability(knee, air, [500.0, 1000.0, 2000.0],
+cap = optimizer.audio_capability(knee, ctx, [500.0, 1000.0, 2000.0],
                                  drive_voltage=20.0, settings=coarse)
 print(f"carrier at the upper resonance: {cap.carrier_hz/1e3:.2f} kHz")
 print("f_a [Hz]   audio SPL at its critical distance [dB]   D_ac [m]")

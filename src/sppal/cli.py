@@ -151,12 +151,7 @@ def _cmd_er(cfg: RunConfig, out: Path, meta: dict, formats) -> list:
     er = [linfield.equivalence_ratio(profile, medium, f, src["d_uc_m"]).er_db
           for f in freqs]
     cols = {"f_hz": freqs, "er_db": np.asarray(er)}
-    written = []
-    if "csv" in formats:
-        written.append(io.write_csv(out / "er.csv", cols, meta))
-    if "json" in formats:
-        written.append(io.write_json(out / "er.json", cols, meta))
-    return written
+    return io.write_columns(out / "er", cols, meta, formats)
 
 
 def _cmd_audio_pc(cfg: RunConfig, out: Path, meta: dict, formats) -> list:
@@ -193,12 +188,7 @@ def _cmd_audio_fr(cfg: RunConfig, out: Path, meta: dict, formats) -> list:
         spl[i] = cd.spl
         d_ac[i] = cd.distance
     cols = {"f_a_hz": f_grid, "spl_db": spl, "d_ac_m": d_ac}
-    written = []
-    if "csv" in formats:
-        written.append(io.write_csv(out / "audio_fr.csv", cols, meta))
-    if "json" in formats:
-        written.append(io.write_json(out / "audio_fr.json", cols, meta))
-    return written
+    return io.write_columns(out / "audio_fr", cols, meta, formats)
 
 
 def _cmd_cd_contour(cfg: RunConfig, out: Path, meta: dict, formats) -> list:
@@ -206,7 +196,7 @@ def _cmd_cd_contour(cfg: RunConfig, out: Path, meta: dict, formats) -> list:
     opt = cfg.block("optimizer")
     pairb = cfg.block("pair")
     f_a = pairb["f_audio_hz"] if pairb["f_audio_hz"] is not None else 1000.0
-    v = pairb["v1_ms"][0] if isinstance(pairb["v1_ms"], (list, tuple)) else 0.1
+    v = abs(complex(*pairb["v1_ms"]))
     contour = optimizer.audio_cd_contour(opt["sweep_d_uc_m"],
                                          opt["sweep_f_u0_hz"], f_a, v, medium,
                                          _solver_settings(cfg))
@@ -248,9 +238,8 @@ def _nsga_config(cfg: RunConfig, seed_override=None) -> optimizer.NsgaConfig:
 
 def _cmd_pareto(cfg: RunConfig, out: Path, meta: dict, formats,
                 seed=None) -> list:
-    medium = cfg.medium()
-    params = _opt_params(cfg)
-    front = optimizer.optimize_lengths(params, medium, _nsga_config(cfg, seed))
+    ctx = optimizer.DesignContext(_opt_params(cfg), cfg.medium())
+    front = optimizer.optimize_lengths(ctx, _nsga_config(cfg, seed))
     pts = front.sorted_by_f2()
     cols = {
         "f1_ms": [p.objectives[0] for p in pts],
@@ -259,12 +248,7 @@ def _cmd_pareto(cfg: RunConfig, out: Path, meta: dict, formats,
         "x_m": [";".join(f"{v:.9e}" for v in p.x) for p in pts],
         "flags": ["|".join(p.flags) for p in pts],
     }
-    written = []
-    if "csv" in formats:
-        written.append(io.write_csv(out / "pareto.csv", cols, meta))
-    if "json" in formats:
-        written.append(io.write_json(out / "pareto.json", cols, meta))
-    return written
+    return io.write_columns(out / "pareto", cols, meta, formats)
 
 
 def _cmd_sweep(cfg: RunConfig, out: Path, meta: dict, formats,

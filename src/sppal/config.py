@@ -161,6 +161,13 @@ def _validate_block(name: str, schema: dict, given: dict, errors: list) -> dict:
     return out
 
 
+def _is_complex_pair(v) -> bool:
+    """A complex value given as [re, im]: two numbers, not booleans."""
+    return (isinstance(v, (list, tuple)) and len(v) == 2
+            and all(isinstance(c, (int, float)) and not isinstance(c, bool)
+                    for c in v))
+
+
 def _semantic_checks(resolved: dict, errors: list, provided=()):
     med = resolved["medium"]
     if not -20.0 <= med["temperature_c"] <= 50.0:
@@ -189,6 +196,11 @@ def _semantic_checks(resolved: dict, errors: list, provided=()):
         if src["kind"] == "piston" and src["radius_m"] is None:
             if src["d_uc_m"] is None or src["f_u0_hz"] is None:
                 errors.append("source.radius_m: required (or give d_uc_m + f_u0_hz)")
+
+    for block, key in (("source", "velocity_ms"), ("pair", "v1_ms"),
+                       ("pair", "v2_ms")):
+        if not _is_complex_pair(resolved[block][key]):
+            errors.append(f"{block}.{key}: must be [re, im], two numbers")
 
     pair = resolved["pair"]
     sur = pair.get("surrogate")

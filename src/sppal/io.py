@@ -111,27 +111,26 @@ def curve_columns(curve: FieldCurve) -> dict:
     }
 
 
+def write_columns(path_base, columns: dict, meta: dict | None = None,
+                  formats=("csv", "json")) -> list:
+    """Write named columns as ``<path_base>.csv`` and/or ``<path_base>.json``."""
+    written = []
+    if "csv" in formats:
+        written.append(write_csv(f"{path_base}.csv", columns, meta))
+    if "json" in formats:
+        written.append(write_json(f"{path_base}.json", columns, meta))
+    return written
+
+
 def write_curve(path_base, curve: FieldCurve, medium_state: dict,
                 meta: dict | None = None, formats=("csv", "json")) -> list:
     """Write a field curve as CSV and/or JSON next to each other."""
-    written = []
     full_meta = dict(meta or {})
     full_meta.setdefault("f_hz", curve.f)
     full_meta.setdefault("kind", curve.kind)
     full_meta.setdefault("medium", medium_state)
     full_meta.update({k: v for k, v in curve.meta.items()})
-    if "csv" in formats:
-        written.append(write_csv(str(path_base) + ".csv",
-                                 curve_columns(curve), full_meta))
-    if "json" in formats:
-        payload = {
-            "abscissa": curve.abscissa,
-            "re_p": curve.pressure.real,
-            "im_p": curve.pressure.imag,
-            "spl_db": curve.spl,
-        }
-        written.append(write_json(str(path_base) + ".json", payload, full_meta))
-    return written
+    return write_columns(path_base, curve_columns(curve), full_meta, formats)
 
 
 def write_matrix_csv(path, row_labels, col_labels, matrix, corner: str,

@@ -37,10 +37,6 @@ class DesignParams:
     r_h: float         # horn end radius [m]
     plate_material: str = "aluminum"
 
-    def key(self) -> tuple:
-        return (self.d_uc, self.f_u0, self.mode_m, self.config.value,
-                self.r_p, self.l_p, self.r_h, self.plate_material)
-
 
 @dataclass
 class DesignPoint:
@@ -65,24 +61,22 @@ class ParetoFront:
 
     def __post_init__(self):
         f = np.array([p.objectives for p in self.points])
-        if len(self.points) > 1 and _any_dominated(f):
+        if len(self.points) > 1 and _dominance(f).any():
             raise ParameterDomainError("front contains dominated points")
 
     def sorted_by_f2(self) -> list:
         return sorted(self.points, key=lambda p: (p.objectives[1], p.objectives[0]))
 
 
-def _any_dominated(f: np.ndarray) -> bool:
-    n = f.shape[0]
-    for i in range(n):
-        for j in range(n):
-            if i != j and _dominates(f[j], f[i]):
-                return True
-    return False
+def _dominance(f: np.ndarray) -> np.ndarray:
+    """Matrix d with d[i, j] True iff point i Pareto-dominates point j
+    (minimization): no objective worse and at least one better."""
+    a, b = f[:, None, :], f[None, :, :]
+    return np.all(a <= b, axis=2) & np.any(a < b, axis=2)
 
 
 def _dominates(fa, fb) -> bool:
-    """True if fa Pareto-dominates fb (minimization)."""
+    """True if fa Pareto-dominates fb (scalar form of ``_dominance``)."""
     return bool(np.all(fa <= fb) and np.any(fa < fb))
 
 
@@ -91,21 +85,19 @@ def _dominates(fa, fb) -> bool:
 # ---------------------------------------------------------------------------
 
 class DesignContext:
-    """Per-parameter-set state reused across evaluations.
+    """Per-cell state shared by every evaluation of one parameter set.
 
-    Everything that depends only on the discrete parameters (plate
-    sizing, mode shape, equivalence ratio, load impedance, frequency
-    grid) is computed once; only the segment lengths vary inside the
-    optimization loop.
+    Everything that depends only on the discrete parameters and the
+    medium (plate sizing, mode shape, equivalence ratio, load impedance,
+    frequency grid) is computed once; only the segment lengths and the
+    drive voltage vary.  The caller builds one context per cell and
+    passes it to ``evaluate_design``, ``optimize_lengths`` and
+    ``audio_capability``.
     """
 
-    _cache: dict = {}
-
-    def __init__(self, params: DesignParams, medium: Medium,
-                 drive_voltage: float = 1.0):
+    def __init__(self, params: DesignParams, medium: Medium):
         self.params = params
         self.medium = medium
-        self.drive_voltage = drive_voltage
         self.plate = radiator.size_plate_for(params.f_u0, params.d_uc,
                                              params.mode_m, params.plate_material,
                                              medium)
@@ -122,27 +114,15 @@ class DesignContext:
                                                     self.er, medium, self.freqs)
         self.band_width = float(self.freqs[-1] - self.freqs[0])
 
-    @classmethod
-    def get(cls, params: DesignParams, medium: Medium,
-            drive_voltage: float = 1.0) -> "DesignContext":
-        key = (params.key(), id(medium), drive_voltage)
-        ctx = cls._cache.get(key)
-        if ctx is None:
-            ctx = cls(params, medium, drive_voltage)
-            if len(cls._cache) > 16:
-                cls._cache.clear()
-            cls._cache[key] = ctx
-        return ctx
-
-    def frf(self, x) -> transducer.Frf:
+    def frf(self, x, drive_voltage: float = 1.0) -> transducer.Frf:
         spec = transducer.build_stack(self.params.config, self.params.r_p,
                                       self.params.l_p, self.params.r_h, x,
-                                      drive_voltage=self.drive_voltage,
+                                      drive_voltage=drive_voltage,
                                       f_u0=self.params.f_u0)
         return transducer.frf_transfer_matrix(spec, self.load, self.freqs)
 
 
-def evaluate_design(params: DesignParams, x, medium: Medium) -> DesignPoint:
+def evaluate_design(ctx: DesignContext, x) -> DesignPoint:
     """Objectives of one candidate: stack -> FRF -> dual-resonance features.
 
     Designs without a dual resonance (or with infeasible geometry) get
@@ -150,7 +130,7 @@ def evaluate_design(params: DesignParams, x, medium: Medium) -> DesignPoint:
     optimizer runs never abort.
     """
     x = np.asarray(x, dtype=float)
-    ctx = DesignContext.get(params, medium)
+    params = ctx.params
     try:
         frf = ctx.frf(x)
         feats = transducer.extract_dr_features(frf)
@@ -201,19 +181,11 @@ class NsgaResult:
 
 def _non_dominated_sort(f: np.ndarray) -> list:
     """Fronts of indices, best first (standard fast sort, minimization)."""
-    n = f.shape[0]
-    dominated_by = [[] for _ in range(n)]
-    domination_count = np.zeros(n, dtype=int)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _dominates(f[i], f[j]):
-                dominated_by[i].append(j)
-                domination_count[j] += 1
-            elif _dominates(f[j], f[i]):
-                dominated_by[j].append(i)
-                domination_count[i] += 1
+    d = _dominance(f)
+    dominated_by = [np.flatnonzero(row).tolist() for row in d]
+    domination_count = d.sum(axis=0)
     fronts = []
-    current = [i for i in range(n) if domination_count[i] == 0]
+    current = [i for i in range(f.shape[0]) if domination_count[i] == 0]
     while current:
         fronts.append(current)
         nxt = []
@@ -326,21 +298,15 @@ def _pareto_mask_2d(f: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _archive_update(arch_x, arch_f, new_x, new_f, cap=100000):
+def _archive_update(arch_x, arch_f, new_x, new_f):
     """Merge candidates into the non-dominated archive.
 
-    The archive is effectively unbounded for the problem sizes used here,
-    so the dominated hypervolume of the archive never decreases between
-    generations; the cap is only a memory guard.
+    The archive is unbounded, so its dominated hypervolume never
+    decreases between generations.
     """
     xs = list(arch_x) + list(new_x)
     fs = list(arch_f) + list(new_f)
-    f_arr = np.array(fs)
-    idx = list(np.flatnonzero(_pareto_mask_2d(f_arr)))
-    if len(idx) > cap:
-        d = _crowding_distance(f_arr[idx])
-        keep = np.argsort(d, kind="stable")[::-1][:cap]
-        idx = [idx[i] for i in sorted(keep)]
+    idx = np.flatnonzero(_pareto_mask_2d(np.array(fs)))
     return [xs[i] for i in idx], [fs[i] for i in idx]
 
 
@@ -423,19 +389,19 @@ def nsga2(evaluate, bounds, config: NsgaConfig,
                       hv_history=np.array(hv_hist), n_evaluations=n_eval)
 
 
-def optimize_lengths(params: DesignParams, medium: Medium,
-                     config: NsgaConfig) -> ParetoFront:
-    """NSGA-II over the segment lengths of one design-parameter cell."""
-    x0, bounds = transducer.langevin_initial_lengths(
+def optimize_lengths(ctx: DesignContext, config: NsgaConfig) -> ParetoFront:
+    """NSGA-II over the segment lengths of one design-parameter cell.
+
+    The archive NSGA-II returns is already mutually non-dominated and
+    free of duplicates, and so is any subset of it.
+    """
+    params = ctx.params
+    _, bounds = transducer.langevin_initial_lengths(
         params.f_u0, params.config, params.l_p)
-    result = nsga2(lambda x: evaluate_design(params, x, medium).objectives,
-                   bounds, config)
-    pts = [evaluate_design(params, x, medium) for x in result.x]
+    result = nsga2(lambda x: evaluate_design(ctx, x).objectives, bounds, config)
+    pts = [evaluate_design(ctx, x) for x in result.x]
     feasible = [p for p in pts if p.feasible]
-    chosen = feasible if feasible else pts
-    f = np.array([p.objectives for p in chosen])
-    fronts = _non_dominated_sort(f)
-    return ParetoFront([chosen[i] for i in fronts[0]])
+    return ParetoFront(feasible if feasible else pts)
 
 
 # ---------------------------------------------------------------------------
@@ -454,23 +420,28 @@ class AudioCapability:
     carrier_hz: float
 
 
-def audio_capability(design: DesignPoint, medium: Medium, f_a_grid,
+def audio_capability(design: DesignPoint, ctx: DesignContext, f_a_grid,
                      drive_voltage: float = 1.0,
                      settings: nlfield.SolverSettings | None = None) -> AudioCapability:
     """End-to-end audio prediction of an optimized design.
 
-    Per audio frequency: transducer centre velocities at the LSB-AM
-    primaries (carrier at the upper resonance), converted to effective
-    piston velocities through the equivalence ratio at each primary
-    frequency, then the quasilinear field and its critical distance.
+    ``ctx`` is the context of the design's own cell.  Per audio
+    frequency: transducer centre velocities at the LSB-AM primaries
+    (carrier at the upper resonance), converted to effective piston
+    velocities through the equivalence ratio at each primary frequency,
+    then the quasilinear field and its critical distance.
     """
+    if design.params != ctx.params:
+        raise ParameterDomainError(
+            f"design {design.params} does not belong to the context of "
+            f"{ctx.params}")
+    medium = ctx.medium
     f_a_grid = np.atleast_1d(np.asarray(f_a_grid, dtype=float))
-    ctx = DesignContext.get(design.params, medium, drive_voltage)
     try:
-        frf = ctx.frf(design.x)
+        frf = ctx.frf(design.x, drive_voltage)
         feats = transducer.extract_dr_features(frf)
     except (NoDualResonanceError, InfeasibleDesignError, ParameterDomainError) as e:
-        raise type(e)(f"design {design.params.key()}: {e}") from e
+        raise type(e)(f"design {design.params}: {e}") from e
 
     f_carrier = feats.f_r2  # higher resonance carries the LSB-AM carrier
     a = ctx.plate.radius_a
@@ -620,7 +591,8 @@ def design_sweep(grid: dict | None, medium: Medium, nsga: NsgaConfig,
     for i_cell, params in enumerate(cells):
         cell_cfg = replace(nsga, seed=nsga.seed + i_cell)
         try:
-            front = optimize_lengths(params, medium, cell_cfg)
+            ctx = DesignContext(params, medium)
+            front = optimize_lengths(ctx, cell_cfg)
         except (InfeasibleDesignError, ParameterDomainError) as e:
             rows.append(SweepRow(params, None, None, None, None, None,
                                  ("cell_infeasible", str(type(e).__name__))))
@@ -631,8 +603,7 @@ def design_sweep(grid: dict | None, medium: Medium, nsga: NsgaConfig,
                                  ("no_design_in_window",)))
             continue
         try:
-            cap = audio_capability(knee, medium, f_a_grid, drive_voltage,
-                                   settings)
+            cap = audio_capability(knee, ctx, f_a_grid, drive_voltage, settings)
         except (NoDualResonanceError, ParameterDomainError) as e:
             rows.append(SweepRow(params, knee.x, knee.objectives,
                                  knee.derived.get("f_dist"), None, None,

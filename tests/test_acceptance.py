@@ -407,8 +407,9 @@ def test_11_nsga2(air):
                               config=td.StackConfig.FULL, r_p=9e-3,
                               l_p=8e-3, r_h=0.75e-3)
     run_cfg = opt.NsgaConfig(pop=12, generations=5, seed=2)
-    front = opt.optimize_lengths(params, air, run_cfg)
-    front_b = opt.optimize_lengths(params, air, run_cfg)
+    ctx = opt.DesignContext(params, air)
+    front = opt.optimize_lengths(ctx, run_cfg)
+    front_b = opt.optimize_lengths(ctx, run_cfg)
     same = all(np.array_equal(p.x, q.x) and p.objectives == q.objectives
                for p, q in zip(front.points, front_b.points))
     pts = front.sorted_by_f2()

@@ -60,6 +60,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="line"):
             load_config(p)
 
+    @pytest.mark.parametrize("block, key, value", [
+        ("source", "velocity_ms", 0.1),
+        ("pair", "v1_ms", [0.1]),
+        ("pair", "v2_ms", ["0.1", 0.0]),
+        ("pair", "v1_ms", [True, 0.0]),
+    ])
+    def test_velocity_must_be_re_im_pair(self, block, key, value):
+        raw = {"pair": {"f_carrier_hz": 60e3}}
+        raw.setdefault(block, {})[key] = value
+        with pytest.raises(ConfigError, match=rf"{block}\.{key}: must be \[re, im\]"):
+            validate_config(raw)
+
     def test_missing_block_for_command(self, tmp_path):
         cfg = write_cfg(tmp_path, {"pair": {"f_carrier_hz": 60e3}})
         rc = main(["pc", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -67,6 +79,30 @@ class TestConfig:
 
 
 class TestCommands:
+    def test_runtime_error_exits_1(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {
+            "source": {"kind": "piston", "radius_m": 0.05, "f_u0_hz": 60e3},
+        })
+        assert main(["er", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "error [er]" in capsys.readouterr().err
+
+    def test_cd_contour_uses_velocity_magnitude(self, tmp_path):
+        data = []
+        for v1 in ([0.0, 0.1], [0.1, 0.0]):
+            cfg = write_cfg(tmp_path, {
+                "pair": {"f_carrier_hz": 60e3, "f_audio_hz": 1000.0,
+                         "v1_ms": v1},
+                "optimizer": {"sweep_d_uc_m": [0.45], "sweep_f_u0_hz": [60e3]},
+                "solver": COARSE_SOLVER,
+            })
+            out = tmp_path / f"cd{len(data)}"
+            rc = main(["cd-contour", "--config", str(cfg), "--out", str(out)])
+            doc = json.loads((out / "cd_contour.json").read_text())
+            del doc["meta"]
+            data.append((rc, doc))
+        assert data[0] == data[1]
+        assert np.isfinite(data[0][1]["l_pa_c_db"][0][0])
+
     def test_pc_piston_peak_near_cd(self, tmp_path):
         cfg = write_cfg(tmp_path, {
             "medium": {"absorption": "none"},

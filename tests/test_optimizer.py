@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,33 @@ def bi_objective(x):
     return (x[0] ** 2, (x[0] - 2.0) ** 2)
 
 
+def pairwise_sort(f):
+    """Fast non-dominated sort (Deb et al. 2002) on the scalar oracle."""
+    n = f.shape[0]
+    dominated_by = [[] for _ in range(n)]
+    count = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if opt._dominates(f[i], f[j]):
+                dominated_by[i].append(j)
+                count[j] += 1
+            elif opt._dominates(f[j], f[i]):
+                dominated_by[j].append(i)
+                count[i] += 1
+    fronts = []
+    current = [i for i in range(n) if count[i] == 0]
+    while current:
+        fronts.append(current)
+        nxt = []
+        for i in current:
+            for j in dominated_by[i]:
+                count[j] -= 1
+                if count[j] == 0:
+                    nxt.append(j)
+        current = nxt
+    return fronts
+
+
 COARSE = nl.SolverSettings(ppw_axial=8, ppw_radial=8, audio_ppw=12,
                            truncation_db=45, z_max_cap=2.0)
 
@@ -20,6 +49,11 @@ def cell_params():
     return opt.DesignParams(d_uc=0.45, f_u0=60e3, mode_m=8,
                             config=td.StackConfig.FULL,
                             r_p=9e-3, l_p=8e-3, r_h=0.75e-3)
+
+
+@pytest.fixture(scope="module")
+def cell_ctx(std_air, cell_params):
+    return opt.DesignContext(cell_params, std_air)
 
 
 class TestNsga2:
@@ -55,6 +89,18 @@ class TestNsga2:
                 if i != j:
                     assert not opt._dominates(f[j], f[i])
 
+    def test_sort_matches_pairwise_reference(self):
+        # objectives on a coarse integer lattice give ties in one
+        # objective and exact duplicates; fronts and their order must match
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            n = int(rng.integers(1, 50))
+            f = rng.integers(0, 7, size=(n, 2)).astype(float)
+            assert opt._non_dominated_sort(f) == pairwise_sort(f)
+            d = opt._dominance(f)
+            assert all(d[i, j] == opt._dominates(f[i], f[j])
+                       for i in range(n) for j in range(n))
+
     def test_config_validation(self):
         with pytest.raises(ParameterDomainError):
             opt.NsgaConfig(pop=7)
@@ -72,30 +118,35 @@ class TestNsga2:
 
 
 class TestEvaluateDesign:
-    def test_deterministic(self, std_air, cell_params):
+    def test_deterministic(self, cell_ctx, cell_params):
         x0, _ = td.langevin_initial_lengths(60e3, cell_params.config, 8e-3)
-        p1 = opt.evaluate_design(cell_params, x0, std_air)
-        p2 = opt.evaluate_design(cell_params, x0, std_air)
+        p1 = opt.evaluate_design(cell_ctx, x0)
+        p2 = opt.evaluate_design(cell_ctx, x0)
         assert p1.objectives == p2.objectives
 
-    def test_reference_design_has_dual_resonance(self, std_air, cell_params):
+    def test_reference_design_has_dual_resonance(self, cell_ctx, cell_params):
         x0, _ = td.langevin_initial_lengths(60e3, cell_params.config, 8e-3)
-        pt = opt.evaluate_design(cell_params, x0, std_air)
+        pt = opt.evaluate_design(cell_ctx, x0)
         assert pt.feasible
         assert pt.objectives[0] < 0
         assert "f_dist" in pt.derived
 
-    def test_penalty_dominated_by_feasible(self, std_air, cell_params):
+    def test_penalty_dominated_by_feasible(self, cell_ctx, cell_params):
         x0, _ = td.langevin_initial_lengths(60e3, cell_params.config, 8e-3)
-        feasible = opt.evaluate_design(cell_params, x0, std_air)
+        feasible = opt.evaluate_design(cell_ctx, x0)
         # absurd lengths: chain evaluates but no dual resonance in band
-        penalty = opt.evaluate_design(cell_params,
-                                      np.array([1e-4, 1e-4, 1e-4, 1e-4]),
-                                      std_air)
+        penalty = opt.evaluate_design(cell_ctx,
+                                      np.array([1e-4, 1e-4, 1e-4, 1e-4]))
         if not penalty.feasible:
             assert penalty.objectives[0] == 0.0
             assert opt._dominates(np.array(feasible.objectives),
                                   np.array(penalty.objectives))
+
+    def test_audio_capability_rejects_foreign_design(self, cell_ctx, cell_params):
+        other = opt.DesignPoint(replace(cell_params, r_p=11e-3), np.ones(4),
+                                (-1.0, 1000.0))
+        with pytest.raises(ParameterDomainError, match="does not belong"):
+            opt.audio_capability(other, cell_ctx, [1000.0])
 
     def test_pareto_front_rejects_dominated(self, cell_params):
         good = opt.DesignPoint(cell_params, np.ones(4), (-2.0, 1000.0))
@@ -132,9 +183,9 @@ class TestKneeSelection:
 
 @pytest.mark.slow
 class TestDesignPipeline:
-    def test_optimize_and_audio_capability(self, std_air, cell_params):
+    def test_optimize_and_audio_capability(self, cell_ctx):
         cfg = opt.NsgaConfig(pop=12, generations=4, seed=3)
-        front = opt.optimize_lengths(cell_params, std_air, cfg)
+        front = opt.optimize_lengths(cell_ctx, cfg)
         assert len(front.points) >= 1
         # trade-off shape: sorted by F2 ascending, F1 non-increasing
         pts = front.sorted_by_f2()
@@ -143,18 +194,18 @@ class TestDesignPipeline:
 
         knee = opt.select_knee(front, (800.0, 8000.0))
         assert knee is not None
-        cap = opt.audio_capability(knee, std_air, [1000.0], settings=COARSE)
+        cap = opt.audio_capability(knee, cell_ctx, [1000.0], settings=COARSE)
         assert cap.carrier_hz == pytest.approx(knee.derived["f_r2"], rel=1e-6)
         assert np.isfinite(cap.peak_spl)
         assert cap.d_ac_at_peak > 0
 
-    def test_vanishing_drive_guard(self, std_air, cell_params):
+    def test_vanishing_drive_guard(self, cell_ctx):
         # effective velocities below the guard floor produce -inf SPL
         # rather than a numerical failure
         cfg = opt.NsgaConfig(pop=12, generations=4, seed=3)
-        front = opt.optimize_lengths(cell_params, std_air, cfg)
+        front = opt.optimize_lengths(cell_ctx, cfg)
         knee = opt.select_knee(front, (800.0, 8000.0))
-        cap = opt.audio_capability(knee, std_air, [1000.0],
+        cap = opt.audio_capability(knee, cell_ctx, [1000.0],
                                    drive_voltage=1e-30, settings=COARSE)
         assert cap.peak_spl == -np.inf
 
@@ -169,6 +220,27 @@ class TestDesignPipeline:
                               settings=COARSE, f_dist_window=(800.0, 8000.0))
         assert r1.table() == r2.table()
         assert len(r1.rows) == 1
+
+    def test_sweep_builds_one_context_per_cell(self, std_air, monkeypatch):
+        # the drive voltage only scales the response: the NSGA-II run and
+        # the audio pipeline of a cell share one context at any voltage
+        built = []
+        init = opt.DesignContext.__init__
+
+        def counting_init(self, params, *args, **kwargs):
+            built.append(params)
+            init(self, params, *args, **kwargs)
+
+        monkeypatch.setattr(opt.DesignContext, "__init__", counting_init)
+        grid = {"d_uc": (0.45,), "f_u0": (40e3, 60e3), "mode_m": (8,),
+                "config": (td.StackConfig.FULL,), "r_p": (9e-3,),
+                "r_h": (0.75e-3,)}
+        res = opt.design_sweep(grid, std_air,
+                               opt.NsgaConfig(pop=8, generations=2, seed=0),
+                               f_a_grid=[1000.0], drive_voltage=2.0,
+                               settings=COARSE, f_dist_window=(800.0, 8000.0))
+        assert any(r.l_pa_c is not None for r in res.rows)
+        assert built == [r.params for r in res.rows]
 
     def test_sweep_records_window_miss(self, std_air):
         grid = {"d_uc": (0.45,), "f_u0": (60e3,), "mode_m": (8,),
