@@ -16,7 +16,7 @@ d_uc = (0.35, 0.45)
 f_u2 = (40e3, 60e3, 90e3)
 coarse = nlfield.SolverSettings(ppw_axial=10, ppw_radial=8, audio_ppw=16,
                                 tail_warn_fraction=0.05)
-contour = optimizer.audio_cd_contour(d_uc, f_u2, 1e3, 0.1, air,
+contour = optimizer.audio_cd_contour(d_uc, f_u2, 1e3, 0.1, 0.1, air,
                                      settings=coarse)
 
 print("critical audio SPL [dB] (rows: D_uc, cols: f_u2)")

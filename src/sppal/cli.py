@@ -196,10 +196,11 @@ def _cmd_cd_contour(cfg: RunConfig, out: Path, meta: dict, formats) -> list:
     opt = cfg.block("optimizer")
     pairb = cfg.block("pair")
     f_a = pairb["f_audio_hz"] if pairb["f_audio_hz"] is not None else 1000.0
-    v = abs(complex(*pairb["v1_ms"]))
     contour = optimizer.audio_cd_contour(opt["sweep_d_uc_m"],
-                                         opt["sweep_f_u0_hz"], f_a, v, medium,
-                                         _solver_settings(cfg))
+                                         opt["sweep_f_u0_hz"], f_a,
+                                         abs(complex(*pairb["v1_ms"])),
+                                         abs(complex(*pairb["v2_ms"])),
+                                         medium, _solver_settings(cfg))
     written = []
     if "csv" in formats:
         for name, mat in (("l_pa_c_db", contour.l_pa_c),

@@ -89,10 +89,10 @@ class DesignContext:
 
     Everything that depends only on the discrete parameters and the
     medium (plate sizing, mode shape, equivalence ratio, load impedance,
-    frequency grid) is computed once; only the segment lengths and the
-    drive voltage vary.  The caller builds one context per cell and
-    passes it to ``evaluate_design``, ``optimize_lengths`` and
-    ``audio_capability``.
+    frequency grid, length bounds, transducer chain terms) is computed
+    once; only the segment lengths and the drive voltage vary.  The
+    caller builds one context per cell and passes it to
+    ``evaluate_design``, ``optimize_lengths`` and ``audio_capability``.
     """
 
     def __init__(self, params: DesignParams, medium: Medium):
@@ -113,13 +113,20 @@ class DesignContext:
         self.load = transducer.plate_load_impedance(self.plate, self.mode,
                                                     self.er, medium, self.freqs)
         self.band_width = float(self.freqs[-1] - self.freqs[0])
+        x0, self.bounds = transducer.langevin_initial_lengths(
+            params.f_u0, params.config, params.l_p)
+        # the chain terms of the cell's layout; built without f_u0, so the
+        # piezo radial-band check stays with each candidate in ``frf``
+        layout = transducer.build_stack(params.config, params.r_p, params.l_p,
+                                        params.r_h, x0)
+        self.chain = transducer.StackChain(layout.segments, self.freqs)
 
     def frf(self, x, drive_voltage: float = 1.0) -> transducer.Frf:
         spec = transducer.build_stack(self.params.config, self.params.r_p,
                                       self.params.l_p, self.params.r_h, x,
                                       drive_voltage=drive_voltage,
                                       f_u0=self.params.f_u0)
-        return transducer.frf_transfer_matrix(spec, self.load, self.freqs)
+        return self.chain.frf(spec, self.load)
 
 
 def evaluate_design(ctx: DesignContext, x) -> DesignPoint:
@@ -395,10 +402,8 @@ def optimize_lengths(ctx: DesignContext, config: NsgaConfig) -> ParetoFront:
     The archive NSGA-II returns is already mutually non-dominated and
     free of duplicates, and so is any subset of it.
     """
-    params = ctx.params
-    _, bounds = transducer.langevin_initial_lengths(
-        params.f_u0, params.config, params.l_p)
-    result = nsga2(lambda x: evaluate_design(ctx, x).objectives, bounds, config)
+    result = nsga2(lambda x: evaluate_design(ctx, x).objectives, ctx.bounds,
+                   config)
     pts = [evaluate_design(ctx, x) for x in result.x]
     feasible = [p for p in pts if p.feasible]
     return ParetoFront(feasible if feasible else pts)
@@ -627,14 +632,15 @@ class CdContour:
     f_a: float
 
 
-def audio_cd_contour(d_uc_grid, f_u2_grid, f_a: float, v: float,
+def audio_cd_contour(d_uc_grid, f_u2_grid, f_a: float, v1: float, v2: float,
                      medium: Medium,
                      settings: nlfield.SolverSettings | None = None,
                      z_span=(0.05, 3.0), n_z: int = 40) -> CdContour:
     """Piston reference map: critical audio SPL and distance per cell.
 
-    Both primary velocities are set to ``v``; the aperture of each cell
-    follows from its critical-distance relation.
+    The sideband f_u2 - f_a is driven at velocity ``v1``, the carrier
+    f_u2 at ``v2``; the aperture of each cell follows from its
+    critical-distance relation.
     """
     d_uc_grid = np.asarray(d_uc_grid, dtype=float)
     f_u2_grid = np.asarray(f_u2_grid, dtype=float)
@@ -646,9 +652,10 @@ def audio_cd_contour(d_uc_grid, f_u2_grid, f_a: float, v: float,
         for j, fu2 in enumerate(f_u2_grid):
             a = radiator.aperture_for_cd(duc, fu2, medium)
             n = radiator.radial_sample_count(a, fu2, medium)
-            prof = radiator.piston_profile(radiator.PistonSpec(a, v), n)
-            pair = nlfield.PrimaryPair(*nlfield.lsb_am_pair(fu2, f_a),
-                                       prof, prof)
+            pair = nlfield.PrimaryPair(
+                *nlfield.lsb_am_pair(fu2, f_a),
+                radiator.piston_profile(radiator.PistonSpec(a, v1), n),
+                radiator.piston_profile(radiator.PistonSpec(a, v2), n))
             solver = nlfield.QuasilinearSolver(pair, medium, settings=settings)
             z = np.geomspace(z_span[0], max(z_span[1], 2.5 * duc), n_z)
             with warnings.catch_warnings():

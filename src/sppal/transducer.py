@@ -290,96 +290,128 @@ def langevin_initial_lengths(f_u0: float, config: StackConfig,
 # ---------------------------------------------------------------------------
 # Transfer-matrix chain
 # ---------------------------------------------------------------------------
+# State convention: [F, v] with F the compressive force transmitted in +x
+# and v the particle velocity; [F, v]_left = T [F, v]_right + s*V for each
+# segment.  Losses enter through the complex modulus E(1 + i*eta).
 
-def _segment_chain(seg: Segment, omega: np.ndarray):
-    """Chain matrix (and drive vector) of one segment over all frequencies.
+def _elastic_wave(seg: Segment, omega: np.ndarray) -> tuple:
+    """Complex wavenumber and characteristic impedance of an elastic rod.
 
-    State convention: [F, v] with F the compressive force transmitted in
-    +x and v the particle velocity; [F, v]_left = T [F, v]_right + s*V.
-    Losses enter through the complex modulus E(1 + i*eta).
+    Its chain is [[cos kl, i Zc sin kl], [i sin kl / Zc, cos kl]], with
+    no drive vector.
     """
-    n = omega.size
     mat = seg.material
-    eta = mat.loss_factor
-    if not seg.is_piezo:
-        c = mat.rod_speed * np.sqrt(1.0 + 1j * eta)
-        k = omega / c
-        zc = mat.density * c * seg.area
-        kl = k * seg.length
-        t = np.empty((n, 2, 2), dtype=complex)
-        t[:, 0, 0] = np.cos(kl)
-        t[:, 0, 1] = 1j * zc * np.sin(kl)
-        t[:, 1, 0] = 1j * np.sin(kl) / zc
-        t[:, 1, 1] = np.cos(kl)
-        return t, np.zeros((n, 2), dtype=complex)
+    c = mat.rod_speed * np.sqrt(1.0 + 1j * mat.loss_factor)
+    return omega / c, mat.density * c * seg.area
 
+
+def _piezo_chain(seg: Segment, omega: np.ndarray) -> tuple:
+    """Mason chain entries (T00, T01, T10, T11) and drive vector (s0, s1)
+    of a voltage-driven piezo segment."""
+    mat = seg.material
     # piezo relations evaluated on the lossy compliance
-    pz = replace(mat.piezo, s33_e=mat.piezo.s33_e * (1.0 - 1j * eta))
+    pz = replace(mat.piezo, s33_e=mat.piezo.s33_e * (1.0 - 1j * mat.loss_factor))
     c = 1.0 / np.sqrt(mat.density * pz.s33_d)
-    k = omega / c
     zc = mat.density * c * seg.area
-    kl = k * seg.length
+    kl = omega / c * seg.length
     c0 = pz.eps33_s * seg.area / seg.length
     n_ratio = seg.drive_sign * pz.d33 * seg.area / (pz.s33_e * seg.length)
 
     a11 = zc / (1j * np.tan(kl)) - n_ratio ** 2 / (1j * omega * c0)
     a12 = zc / (1j * np.sin(kl)) - n_ratio ** 2 / (1j * omega * c0)
-    t = np.empty((n, 2, 2), dtype=complex)
-    t[:, 0, 0] = a11 / a12
-    t[:, 0, 1] = (a11 ** 2 - a12 ** 2) / a12
-    t[:, 1, 0] = 1.0 / a12
-    t[:, 1, 1] = a11 / a12
-    s = np.empty((n, 2), dtype=complex)
-    s[:, 0] = n_ratio * (1.0 - a11 / a12)
-    s[:, 1] = -n_ratio / a12
-    return t, s
+    t00 = a11 / a12
+    return (t00, (a11 ** 2 - a12 ** 2) / a12, 1.0 / a12, t00,
+            n_ratio * (1.0 - t00), -n_ratio / a12)
 
 
 def segment_matrix(seg: Segment, f) -> np.ndarray:
     """Chain matrix of a segment at frequency grid ``f`` (piezo included)."""
     omega = 2.0 * np.pi * np.atleast_1d(np.asarray(f, dtype=float))
-    t, _ = _segment_chain(seg, omega)
-    return t
+    if seg.is_piezo:
+        t00, t01, t10, t11 = _piezo_chain(seg, omega)[:4]
+    else:
+        k, zc = _elastic_wave(seg, omega)
+        cos, sin = np.cos(k * seg.length), np.sin(k * seg.length)
+        t00, t01, t10, t11 = cos, 1j * zc * sin, 1j * sin / zc, cos
+    return np.stack([np.stack([t00, t01], axis=-1),
+                     np.stack([t10, t11], axis=-1)], axis=-2)
+
+
+def _layout(seg: Segment) -> tuple:
+    """What a segment's chain terms depend on, besides an elastic length."""
+    return (seg.material, seg.radius, seg.is_piezo, seg.drive_sign,
+            seg.length if seg.is_piezo else None)
+
+
+class StackChain:
+    """Length-independent chain terms of one segment layout on one grid.
+
+    A piezo segment keeps its whole Mason chain, since its length is part
+    of the layout; an elastic segment keeps its complex wavenumber and
+    characteristic impedance.  A stack with this layout then costs only
+    the cos/sin of k*l of its elastic segments, shared between segments
+    of one material and one length (the two horn halves).
+    """
+
+    def __init__(self, segments, freqs):
+        self.freqs = np.asarray(freqs, dtype=float)
+        omega = 2.0 * np.pi * self.freqs
+        self._layouts = tuple(_layout(s) for s in segments)
+        self._terms = tuple(_piezo_chain(s, omega) if s.is_piezo
+                            else _elastic_wave(s, omega) for s in segments)
+
+    def frf(self, spec: TransducerSpec, z_load) -> Frf:
+        """Plate-interface velocity of ``spec`` (this chain's layout) under
+        the load impedance ``z_load`` (scalar or array over the grid).
+
+        The back face is free (F = 0) and the front face feeds the load
+        (F = Z_L v), so only row 0 of the chain product and component 0
+        of the drive vector enter: they are propagated back-to-front.
+        Frequencies where the chain is numerically singular are filled by
+        interpolation from their neighbours.
+        """
+        if tuple(_layout(s) for s in spec.segments) != self._layouts:
+            raise ParameterDomainError("stack layout differs from the chain's")
+        r0, r1, s0 = 1.0, 0.0, 0.0
+        trig = {}
+        for seg, terms in zip(spec.segments, self._terms):
+            if seg.is_piezo:
+                t00, t01, t10, t11, d0, d1 = terms
+                s0 = s0 + (r0 * d0 + r1 * d1)
+                r0, r1 = r0 * t00 + r1 * t10, r0 * t01 + r1 * t11
+                continue
+            k, zc = terms
+            key = (seg.material, seg.length)
+            if key not in trig:
+                trig[key] = np.cos(k * seg.length), np.sin(k * seg.length)
+            cos, sin = trig[key]
+            r0, r1 = (r0 * cos + r1 * (1j * sin / zc),
+                      r0 * (1j * zc * sin) + r1 * cos)
+
+        # 0 = F_back = (T00 Z_L + T01) v_front + s0 * V
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = -s0 / (r0 * z_load + r1) * spec.drive_voltage
+        bad = ~np.isfinite(v)
+        if np.any(bad):
+            good = ~bad
+            if not np.any(good):
+                raise ParameterDomainError("transfer-matrix chain singular everywhere")
+            v[bad] = (np.interp(self.freqs[bad], self.freqs[good], v[good].real)
+                      + 1j * np.interp(self.freqs[bad], self.freqs[good],
+                                       v[good].imag))
+        return Frf(self.freqs, v)
 
 
 def frf_transfer_matrix(spec: TransducerSpec, load, freqs) -> Frf:
     """Plate-interface velocity of the stack under voltage drive.
 
-    The segment chains compose back-to-front; the back face is free
-    (F = 0) and the front face feeds the load impedance (F = Z_L v).
     ``load`` may be a scalar, an array over ``freqs`` or a callable
-    f -> Z.  Frequencies where the chain is numerically singular are
-    flagged and filled by interpolation from their neighbours.
+    f -> Z.  See :meth:`StackChain.frf`; a design loop that varies only
+    the elastic lengths builds its :class:`StackChain` once instead.
     """
     freqs = np.asarray(freqs, dtype=float)
-    omega = 2.0 * np.pi * freqs
-    if callable(load):
-        z_load = np.asarray(load(freqs), dtype=complex)
-    else:
-        z_load = np.broadcast_to(np.asarray(load, dtype=complex), freqs.shape)
-
-    t_tot = np.zeros((freqs.size, 2, 2), dtype=complex)
-    t_tot[:, 0, 0] = 1.0
-    t_tot[:, 1, 1] = 1.0
-    s_tot = np.zeros((freqs.size, 2), dtype=complex)
-    for seg in spec.segments:
-        t_seg, s_seg = _segment_chain(seg, omega)
-        s_tot = s_tot + np.einsum("nij,nj->ni", t_tot, s_seg)
-        t_tot = np.einsum("nij,njk->nik", t_tot, t_seg)
-
-    # 0 = F_back = (T00 Z_L + T01) v_front + s0 * V
-    denom = t_tot[:, 0, 0] * z_load + t_tot[:, 0, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = -s_tot[:, 0] / denom * spec.drive_voltage
-    bad = ~np.isfinite(v)
-    if np.any(bad):
-        good = ~bad
-        if not np.any(good):
-            raise ParameterDomainError("transfer-matrix chain singular everywhere")
-        v = v.copy()
-        v[bad] = (np.interp(freqs[bad], freqs[good], v[good].real)
-                  + 1j * np.interp(freqs[bad], freqs[good], v[good].imag))
-    return Frf(freqs, v)
+    z_load = np.asarray(load(freqs) if callable(load) else load, dtype=complex)
+    return StackChain(spec.segments, freqs).frf(spec, z_load)
 
 
 def plate_load_impedance(plate: PlateSpec, mode: ModeShape, er: EquivalenceRatio,

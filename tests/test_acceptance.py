@@ -80,7 +80,7 @@ def test_03_contour_delta(air):
     t0 = time.time()
     contour = opt.audio_cd_contour(
         (0.30, 0.35, 0.40, 0.45), (40e3, 50e3, 60e3, 75e3, 90e3),
-        1e3, 0.1, air)
+        1e3, 0.1, 0.1, air)
     elapsed = time.time() - t0
 
     def level_at(fi, d_target=0.45):

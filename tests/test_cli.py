@@ -103,6 +103,24 @@ class TestCommands:
         assert data[0] == data[1]
         assert np.isfinite(data[0][1]["l_pa_c_db"][0][0])
 
+    def test_cd_contour_drives_carrier_with_v2(self, tmp_path):
+        # the audio pressure is linear in the carrier velocity: five times
+        # v2 adds 20*log10(5) dB and leaves the critical distance in place
+        docs = []
+        for v2 in ([0.1, 0.0], [0.5, 0.0]):
+            cfg = write_cfg(tmp_path, {
+                "pair": {"f_carrier_hz": 60e3, "f_audio_hz": 1000.0,
+                         "v1_ms": [0.1, 0.0], "v2_ms": v2},
+                "optimizer": {"sweep_d_uc_m": [0.45], "sweep_f_u0_hz": [60e3]},
+                "solver": COARSE_SOLVER,
+            })
+            out = tmp_path / f"cd{len(docs)}"
+            assert main(["cd-contour", "--config", str(cfg), "--out", str(out)]) == 0
+            docs.append(json.loads((out / "cd_contour.json").read_text()))
+        lift = docs[1]["l_pa_c_db"][0][0] - docs[0]["l_pa_c_db"][0][0]
+        assert lift == pytest.approx(20.0 * np.log10(5.0), abs=1e-6)
+        assert docs[1]["d_ac_m"] == docs[0]["d_ac_m"]
+
     def test_pc_piston_peak_near_cd(self, tmp_path):
         cfg = write_cfg(tmp_path, {
             "medium": {"absorption": "none"},

@@ -6,7 +6,11 @@ import pytest
 from sppal import nlfield as nl
 from sppal import optimizer as opt
 from sppal import transducer as td
-from sppal.errors import ParameterDomainError
+from sppal.errors import (
+    InfeasibleDesignError,
+    NoDualResonanceError,
+    ParameterDomainError,
+)
 
 
 def bi_objective(x):
@@ -38,6 +42,53 @@ def pairwise_sort(f):
                     nxt.append(j)
         current = nxt
     return fronts
+
+
+def oracle_segment(seg, omega):
+    """Full 2x2 chain matrix and drive vector of one segment."""
+    n = omega.size
+    mat = seg.material
+    eta = mat.loss_factor
+    if not seg.is_piezo:
+        c = mat.rod_speed * np.sqrt(1.0 + 1j * eta)
+        zc = mat.density * c * seg.area
+        kl = omega / c * seg.length
+        t = np.empty((n, 2, 2), dtype=complex)
+        t[:, 0, 0] = np.cos(kl)
+        t[:, 0, 1] = 1j * zc * np.sin(kl)
+        t[:, 1, 0] = 1j * np.sin(kl) / zc
+        t[:, 1, 1] = np.cos(kl)
+        return t, np.zeros((n, 2), dtype=complex)
+    pz = replace(mat.piezo, s33_e=mat.piezo.s33_e * (1.0 - 1j * eta))
+    c = 1.0 / np.sqrt(mat.density * pz.s33_d)
+    zc = mat.density * c * seg.area
+    kl = omega / c * seg.length
+    c0 = pz.eps33_s * seg.area / seg.length
+    n_ratio = seg.drive_sign * pz.d33 * seg.area / (pz.s33_e * seg.length)
+    a11 = zc / (1j * np.tan(kl)) - n_ratio ** 2 / (1j * omega * c0)
+    a12 = zc / (1j * np.sin(kl)) - n_ratio ** 2 / (1j * omega * c0)
+    t = np.empty((n, 2, 2), dtype=complex)
+    t[:, 0, 0] = t[:, 1, 1] = a11 / a12
+    t[:, 0, 1] = (a11 ** 2 - a12 ** 2) / a12
+    t[:, 1, 0] = 1.0 / a12
+    s = np.empty((n, 2), dtype=complex)
+    s[:, 0] = n_ratio * (1.0 - a11 / a12)
+    s[:, 1] = -n_ratio / a12
+    return t, s
+
+
+def oracle_frf(spec, z_load, freqs):
+    """Plate velocity from the full 2x2 chain product: F_back = 0."""
+    omega = 2.0 * np.pi * freqs
+    t_tot = np.broadcast_to(np.eye(2, dtype=complex), (freqs.size, 2, 2))
+    s_tot = np.zeros((freqs.size, 2), dtype=complex)
+    for seg in spec.segments:
+        t_seg, s_seg = oracle_segment(seg, omega)
+        s_tot = s_tot + np.einsum("nij,nj->ni", t_tot, s_seg)
+        t_tot = np.einsum("nij,njk->nik", t_tot, t_seg)
+    v = -s_tot[:, 0] / (t_tot[:, 0, 0] * z_load + t_tot[:, 0, 1])
+    assert np.all(np.isfinite(v))
+    return td.Frf(freqs, v * spec.drive_voltage)
 
 
 COARSE = nl.SolverSettings(ppw_axial=8, ppw_radial=8, audio_ppw=12,
@@ -153,6 +204,79 @@ class TestEvaluateDesign:
         bad = opt.DesignPoint(cell_params, np.ones(4), (-1.0, 2000.0))
         with pytest.raises(ParameterDomainError):
             opt.ParetoFront([good, bad])
+
+
+class TestRow0Chain:
+    """The row-0 chain against the full 2x2 matrix product."""
+
+    @staticmethod
+    def stack(params, config, x, drive_voltage=1.0):
+        return td.build_stack(config, params.r_p, params.l_p, params.r_h, x,
+                              drive_voltage=drive_voltage, f_u0=params.f_u0)
+
+    @pytest.mark.parametrize("config", list(td.StackConfig))
+    def test_matches_full_matrix_oracle(self, cell_ctx, cell_params, config):
+        _, (lo, hi) = td.langevin_initial_lengths(60e3, config, 8e-3)
+        rng = np.random.default_rng(5)
+        for x in lo + (hi - lo) * rng.random((4, lo.size)):
+            spec = self.stack(cell_params, config, x, drive_voltage=1.7)
+            want = oracle_frf(spec, cell_ctx.load, cell_ctx.freqs).center_velocity
+            got = td.frf_transfer_matrix(spec, cell_ctx.load,
+                                         cell_ctx.freqs).center_velocity
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+    def test_context_frf_is_frf_transfer_matrix(self, cell_ctx, cell_params):
+        lo, hi = cell_ctx.bounds
+        for x in (lo, hi, 0.5 * (lo + hi)):
+            spec = self.stack(cell_params, cell_params.config, x, 2.5)
+            want = td.frf_transfer_matrix(spec, cell_ctx.load, cell_ctx.freqs)
+            got = cell_ctx.frf(x, 2.5)
+            assert np.array_equal(got.freqs, want.freqs)
+            assert np.array_equal(got.center_velocity, want.center_velocity)
+
+    def test_chain_rejects_other_layout(self, cell_ctx, cell_params):
+        x0, _ = td.langevin_initial_lengths(60e3, td.StackConfig.HALF, 8e-3)
+        half = self.stack(cell_params, td.StackConfig.HALF, x0)
+        with pytest.raises(ParameterDomainError, match="layout"):
+            cell_ctx.chain.frf(half, cell_ctx.load)
+        wider = self.stack(replace(cell_params, r_p=11e-3), cell_params.config,
+                           cell_ctx.bounds[0])
+        with pytest.raises(ParameterDomainError, match="layout"):
+            cell_ctx.chain.frf(wider, cell_ctx.load)
+
+    def test_seeded_front_matches_oracle_evaluator(self, cell_ctx, cell_params):
+        # the reference cell and NSGA-II run of acceptance criterion 11
+        def oracle_objectives(x):
+            try:
+                spec = self.stack(cell_params, cell_params.config, x)
+                frf = oracle_frf(spec, cell_ctx.load, cell_ctx.freqs)
+                return td.objectives(td.extract_dr_features(frf))
+            except (NoDualResonanceError, InfeasibleDesignError,
+                    ParameterDomainError):
+                return (0.0, cell_ctx.band_width)
+
+        cfg = opt.NsgaConfig(pop=12, generations=5, seed=2)
+        _, bounds = td.langevin_initial_lengths(60e3, cell_params.config, 8e-3)
+        want = opt.nsga2(oracle_objectives, bounds, cfg)
+        got = opt.nsga2(lambda x: opt.evaluate_design(cell_ctx, x).objectives,
+                        bounds, cfg)
+        assert np.array_equal(got.x, want.x)
+        assert np.allclose(got.f, want.f, rtol=1e-12, atol=0.0)
+
+    def test_radial_band_rejected_per_evaluation(self, std_air, cell_params):
+        # a 9 mm piezo is outside its radial band at 40 kHz: the cell still
+        # builds, every candidate is infeasible, and a sweep finds no design
+        params = replace(cell_params, f_u0=40e3)
+        ctx = opt.DesignContext(params, std_air)
+        lo, hi = ctx.bounds
+        assert opt.evaluate_design(ctx, 0.5 * (lo + hi)).flags == ("infeasible",)
+        grid = {"d_uc": (params.d_uc,), "f_u0": (params.f_u0,),
+                "mode_m": (params.mode_m,), "config": (params.config,),
+                "r_p": (params.r_p,), "r_h": (params.r_h,)}
+        res = opt.design_sweep(grid, std_air,
+                               opt.NsgaConfig(pop=8, generations=1, seed=0),
+                               l_p=params.l_p, f_a_grid=[1000.0])
+        assert [r.flags for r in res.rows] == [("no_design_in_window",)]
 
 
 class TestKneeSelection:
