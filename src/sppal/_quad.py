@@ -4,7 +4,7 @@ One home for each rule: trapezoid and non-uniform composite Simpson
 weights, the cached Gauss-Legendre node table, the three-point parabolic
 peak refinement, and the adaptive azimuthal ladder that evaluates
 axisymmetric integrals over phi in [0, pi] at doubling Gauss-Legendre
-orders until successive estimates agree.
+orders until successive estimates agree within ``REFINE_DB``.
 """
 
 from __future__ import annotations
@@ -14,6 +14,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalFailureError
+
+#: refinement rule for adaptive quadrature: successive orders must agree
+#: within this many dB
+REFINE_DB = 0.05
+_REL_TOL = 10.0 ** (REFINE_DB / 20.0) - 1.0
 
 
 def trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -80,16 +85,16 @@ def parabolic_peak(x: np.ndarray, y: np.ndarray, i: int) -> tuple:
 
 
 def azimuthal_ladder(partial, n_points: int, start_order: int, max_order: int,
-                     rel_tol: float, abs_floor: float, what: str) -> np.ndarray:
+                     abs_floor: float, what: str) -> np.ndarray:
     """Adaptive Gauss-Legendre integration over phi in [0, pi] for many points.
 
     ``partial(todo, cosphi, wphi)`` returns the complex estimates of the
     points indexed by ``todo`` for the azimuthal nodes ``cos(phi)`` and
     weights ``wphi``.  The order starts at ``start_order`` and doubles; a
     point is retired once two successive estimates agree within
-    ``rel_tol * |cur| + abs_floor`` and is not evaluated again.  Raises
-    :class:`NumericalFailureError` naming ``what`` when an order above
-    ``max_order`` would be needed.
+    ``REFINE_DB`` (relative) plus ``abs_floor`` and is not evaluated
+    again.  Raises :class:`NumericalFailureError` naming ``what`` when an
+    order above ``max_order`` would be needed.
     """
     out = np.zeros(n_points, dtype=complex)
     todo = np.arange(n_points)
@@ -99,14 +104,14 @@ def azimuthal_ladder(partial, n_points: int, start_order: int, max_order: int,
         if order > max_order:
             raise NumericalFailureError(
                 f"{what} failed to converge within relative tolerance "
-                f"{rel_tol:.3g} at order {max_order} ({todo.size} points left)"
+                f"{_REL_TOL:.3g} at order {max_order} ({todo.size} points left)"
             )
         x, wgl = gauss_legendre(order)
         cosphi = np.cos(0.5 * np.pi * (x + 1.0))
         wphi = wgl * (np.pi / 2.0)
         cur = partial(todo, cosphi, wphi)
         if prev is not None:
-            done = np.abs(cur - prev) <= rel_tol * np.abs(cur) + abs_floor
+            done = np.abs(cur - prev) <= _REL_TOL * np.abs(cur) + abs_floor
             out[todo[done]] = cur[done]
             todo = todo[~done]
             prev = cur[~done]

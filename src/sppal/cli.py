@@ -54,9 +54,8 @@ def _solver_settings(cfg: RunConfig) -> nlfield.SolverSettings:
     s = cfg.block("solver")
     return nlfield.SolverSettings(
         ppw_axial=s["ppw_axial"], ppw_radial=s["ppw_radial"],
-        audio_ppw=s["audio_ppw"], beat_safety=s["beat_safety"],
-        truncation_db=s["truncation_db"], radial_factor=s["radial_factor"],
-        tail_warn_fraction=s["tail_warn_fraction"], refine_db=s["refine_db"],
+        audio_ppw=s["audio_ppw"], truncation_db=s["truncation_db"],
+        tail_warn_fraction=s["tail_warn_fraction"],
     )
 
 
@@ -230,11 +229,8 @@ def _opt_params(cfg: RunConfig) -> optimizer.DesignParams:
 def _nsga_config(cfg: RunConfig, seed_override=None) -> optimizer.NsgaConfig:
     o = cfg.block("optimizer")
     seed = seed_override if seed_override is not None else o["seed"]
-    return optimizer.NsgaConfig(
-        pop=o["pop"], generations=o["generations"], seed=int(seed),
-        crossover_rate=o["crossover_rate"], eta_crossover=o["eta_crossover"],
-        eta_mutation=o["eta_mutation"], mutation_rate=o["mutation_rate"],
-    )
+    return optimizer.NsgaConfig(pop=o["pop"], generations=o["generations"],
+                                seed=int(seed))
 
 
 def _cmd_pareto(cfg: RunConfig, out: Path, meta: dict, formats,

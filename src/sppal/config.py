@@ -2,19 +2,25 @@
 
 All physical quantities are SI with unit-suffixed field names.  Unknown
 fields are errors (never silently ignored) and semantic validation
-reports every violated rule at once.
+reports every violated rule at once.  Defaults the library also has are
+read from the library (``SolverSettings``, ``NsgaConfig``, the sweep
+grid, window and ``design_sweep`` arguments), never restated.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
 from .medium import Medium, build_medium
+from .nlfield import SolverSettings
+from .optimizer import DEFAULT_SWEEP_GRID, F_DIST_WINDOW, NsgaConfig, design_sweep
 
 _REQUIRED = object()
+_SWEEP_ARGS = inspect.signature(design_sweep).parameters
 
 # block -> field -> default (_REQUIRED marks mandatory-on-use fields)
 _SCHEMA = {
@@ -45,14 +51,11 @@ _SCHEMA = {
         "surrogate": None,           # nested block, see _SURROGATE_SCHEMA
     },
     "solver": {
-        "ppw_axial": 12.0,
-        "ppw_radial": 10.0,
-        "audio_ppw": 24.0,
-        "beat_safety": 2.6,
-        "truncation_db": 60.0,
-        "radial_factor": 4.0,
-        "tail_warn_fraction": 0.01,
-        "refine_db": 0.05,
+        "ppw_axial": SolverSettings.ppw_axial,
+        "ppw_radial": SolverSettings.ppw_radial,
+        "audio_ppw": SolverSettings.audio_ppw,
+        "truncation_db": SolverSettings.truncation_db,
+        "tail_warn_fraction": SolverSettings.tail_warn_fraction,
         "z_start_m": 0.05,
         "z_stop_m": 2.0,
         "z_points": 60,
@@ -64,29 +67,25 @@ _SCHEMA = {
         "f_points": 41,
     },
     "optimizer": {
-        "pop": 24,
-        "generations": 20,
-        "seed": 0,
-        "crossover_rate": 0.9,
-        "eta_crossover": 15.0,
-        "eta_mutation": 20.0,
-        "mutation_rate": None,
+        "pop": NsgaConfig.pop,
+        "generations": NsgaConfig.generations,
+        "seed": NsgaConfig.seed,
         "d_uc_m": 0.45,
         "f_u0_hz": 60e3,
         "mode_m": 8,
         "config": "full",
         "r_p_m": 9e-3,
-        "l_p_m": 8e-3,
+        "l_p_m": _SWEEP_ARGS["l_p"].default,
         "r_h_m": 0.75e-3,
-        "f_dist_window_hz": [800.0, 1250.0],
-        "drive_voltage_v": 1.0,
-        "sweep_d_uc_m": [0.30, 0.35, 0.40, 0.45],
-        "sweep_f_u0_hz": [40e3, 50e3, 60e3, 75e3, 90e3],
-        "sweep_mode_m": [6, 8],
-        "sweep_config": ["half", "full"],
-        "sweep_r_p_m": [7e-3, 9e-3, 11e-3, 13e-3],
-        "sweep_r_h_m": [0.75e-3, 1.00e-3, 1.25e-3, 1.50e-3],
-        "sweep_f_a_hz": [500.0, 1000.0, 2000.0],
+        "f_dist_window_hz": list(F_DIST_WINDOW),
+        "drive_voltage_v": _SWEEP_ARGS["drive_voltage"].default,
+        "sweep_d_uc_m": list(DEFAULT_SWEEP_GRID["d_uc"]),
+        "sweep_f_u0_hz": list(DEFAULT_SWEEP_GRID["f_u0"]),
+        "sweep_mode_m": list(DEFAULT_SWEEP_GRID["mode_m"]),
+        "sweep_config": [c.value for c in DEFAULT_SWEEP_GRID["config"]],
+        "sweep_r_p_m": list(DEFAULT_SWEEP_GRID["r_p"]),
+        "sweep_r_h_m": list(DEFAULT_SWEEP_GRID["r_h"]),
+        "sweep_f_a_hz": list(_SWEEP_ARGS["f_a_grid"].default),
     },
     "cr": {
         "modal_freqs_hz": [],

@@ -26,11 +26,6 @@ P_REF_RMS = 20e-6
 #: range multiple of z1 beyond which beam patterns may use the analytic
 #: far-field directivity kernel instead of full quadrature
 FARFIELD_RANGE_FACTOR = 20.0
-#: refinement rule for adaptive quadrature: successive orders must agree
-#: within this many dB
-REFINE_DB = 0.05
-
-_REL_TOL = 10.0 ** (REFINE_DB / 20.0) - 1.0
 _MAX_AZIMUTHAL_ORDER = 4096
 
 
@@ -153,9 +148,9 @@ def _rayleigh_offaxis(profile: SourceProfile, medium: Medium, f: float,
 
     The radial rule is :func:`_radial_weights` (composite Simpson on the
     uniform odd-count profile grids, trapezoid otherwise).  The azimuthal
-    order doubles from 32 until successive estimates agree within the
-    0.05 dB refinement rule (with an absolute floor so pattern nulls do
-    not stall convergence).
+    order doubles from 32 until successive estimates agree within
+    ``_quad.REFINE_DB`` (with an absolute floor so pattern nulls do not
+    stall convergence).
     """
     kc = medium.complex_wavenumber(f)
     omega = 2.0 * np.pi * f
@@ -181,8 +176,8 @@ def _rayleigh_offaxis(profile: SourceProfile, medium: Medium, f: float,
         cur *= 1j * omega * medium.density / (2.0 * np.pi) * 2.0
         return cur
 
-    return azimuthal_ladder(partial, rho.size, 32, _MAX_AZIMUTHAL_ORDER, _REL_TOL,
-                            floor, f"azimuthal quadrature (f = {f:.6g} Hz)")
+    return azimuthal_ladder(partial, rho.size, 32, _MAX_AZIMUTHAL_ORDER, floor,
+                            f"azimuthal quadrature (f = {f:.6g} Hz)")
 
 
 def rayleigh_field(profile: SourceProfile, medium: Medium, f: float,

@@ -29,13 +29,18 @@ import numpy as np
 
 from ._quad import azimuthal_ladder, parabolic_peak, simpson_weights
 from .errors import BoundaryPeakWarning, ParameterDomainError, TruncationTailWarning
-from .linfield import FieldCurve, FieldPoint, pressure_grid
+from .linfield import FieldCurve, pressure_grid
 from .medium import Medium, absorption_coeff
 from .radiator import PistonSpec, SourceKind, SourceProfile
 
 #: geometric growth of the axial step beyond the near zone of
 #: structured (non-piston) pairs
 _AXIAL_STRETCH = 1.02
+#: piston pairs: the product's interference beat reaches ~2 k a r'/z^2
+#: at the beam edge (r' ~ a), twice the on-axis rate, hence the factor
+_BEAT_SAFETY = 2.6
+#: radial extent of the volume grid in beam radii
+_RADIAL_FACTOR = 4.0
 _MAX_GREEN_ORDER = 512
 
 
@@ -95,21 +100,15 @@ class SolverSettings:
     ``ppw_axial``/``ppw_radial``: grid points per primary wavelength in
     the collimated near zone; ``audio_ppw``: cap on far-zone axial steps
     in audio wavelengths; ``truncation_db``: the axial domain ends where
-    the primary product has fallen this far below its maximum;
-    ``radial_factor``: radial extent in beam radii.
+    the primary product has fallen this far below its maximum.
     """
 
     ppw_axial: float = 12.0
     ppw_radial: float = 10.0
     audio_ppw: float = 24.0
-    # the product's interference beat reaches ~2 k a r'/z^2 at the beam
-    # edge (r' ~ a), twice the on-axis rate, hence the factor
-    beat_safety: float = 2.6
     truncation_db: float = 60.0
-    radial_factor: float = 4.0
     z_max_cap: float = 30.0
     tail_warn_fraction: float = 0.01
-    refine_db: float = 0.05
 
 
 @dataclass
@@ -150,7 +149,7 @@ def build_volume_grid(pair: PrimaryPair, medium: Medium,
     stretching beyond, capped at lambda_a/audio_ppw; the domain ends
     where the estimated primary product drops ``truncation_db`` below
     its maximum.  Radially: lambda_u/ppw_radial out to
-    ``radial_factor`` aperture radii, then stretched to cover the
+    ``_RADIAL_FACTOR`` aperture radii, then stretched to cover the
     diffraction-spread beam at the domain end.
     """
     st = settings or SolverSettings()
@@ -199,7 +198,7 @@ def build_volume_grid(pair: PrimaryPair, medium: Medium,
     while z_list[-1] < z_max:
         z = z_list[-1]
         if compact:
-            rate = k_a + st.beat_safety * k_u * min(1.0, (a / z) ** 2)
+            rate = k_a + _BEAT_SAFETY * k_u * min(1.0, (a / z) ** 2)
             dz = min(2.0 * np.pi / rate / st.ppw_axial, dz_cap)
         elif z < z_near:
             dz = dz_near
@@ -210,10 +209,10 @@ def build_volume_grid(pair: PrimaryPair, medium: Medium,
 
     # radial nodes: uniform core + stretched outer zone
     dr = lam_u / st.ppw_radial
-    r_core = st.radial_factor * a
+    r_core = _RADIAL_FACTOR * a
     r_nodes = list(np.arange(dr / 2.0, r_core, dr))
     sin_bw = min(0.61 * lam_u / a, 0.5)
-    r_max = st.radial_factor * (a + z_max * sin_bw) / 2.0
+    r_max = _RADIAL_FACTOR * (a + z_max * sin_bw) / 2.0
     r_max = max(r_max, r_core)
     r = r_nodes[-1]
     drr = dr
@@ -320,9 +319,6 @@ class QuasilinearSolver:
             self._check_tail(float(np.max(np.abs(out))), float(z[np.argmax(np.abs(out))]))
         return out
 
-    def pressure(self, pt: FieldPoint) -> complex:
-        return complex(self.pressures(pt.rho, pt.z)[0])
-
     def _on_axis_many(self, z_obs: np.ndarray) -> np.ndarray:
         out = np.empty(z_obs.size, dtype=complex)
         chunk = max(1, int(8e6 / max(self._cell_sw.size, 1)))
@@ -349,9 +345,8 @@ class QuasilinearSolver:
                                    / (4.0 * np.pi * bigr))
             return np.array([2.0 * acc])  # symmetry about phi = pi
 
-        tol = 10.0 ** (self.settings.refine_db / 20.0) - 1.0
         return complex(azimuthal_ladder(
-            partial, 1, 16, _MAX_GREEN_ORDER, tol, 1e-30,
+            partial, 1, 16, _MAX_GREEN_ORDER, 1e-30,
             f"azimuthal Green quadrature (rho={rho_obs:.4g}, z={z_obs:.4g})")[0])
 
     def propagation_curve(self, z_grid) -> FieldCurve:

@@ -159,15 +159,18 @@ def evaluate_design(ctx: DesignContext, x) -> DesignPoint:
 # NSGA-II
 # ---------------------------------------------------------------------------
 
+#: variation operators: SBX crossover probability and distribution index,
+#: polynomial-mutation distribution index (the mutation rate is 1/n_var)
+_CROSSOVER_RATE = 0.9
+_ETA_CROSSOVER = 15.0
+_ETA_MUTATION = 20.0
+
+
 @dataclass(frozen=True)
 class NsgaConfig:
-    pop: int = 40
-    generations: int = 50
+    pop: int = 24
+    generations: int = 20
     seed: int = 0
-    crossover_rate: float = 0.9
-    eta_crossover: float = 15.0
-    eta_mutation: float = 20.0
-    mutation_rate: float | None = None  # default 1/n_variables
 
     def __post_init__(self):
         if self.pop < 8 or self.pop % 2:
@@ -332,7 +335,7 @@ def nsga2(evaluate, bounds, config: NsgaConfig,
     if lo.shape != hi.shape or np.any(lo >= hi):
         raise ParameterDomainError("bounds must satisfy lo < hi elementwise")
     n_var = lo.size
-    rate = config.mutation_rate if config.mutation_rate is not None else 1.0 / n_var
+    rate = 1.0 / n_var
     rng = np.random.default_rng(config.seed)
 
     pop_x = lo + (hi - lo) * rng.random((config.pop, n_var))
@@ -363,12 +366,12 @@ def nsga2(evaluate, bounds, config: NsgaConfig,
         child_x = []
         while len(child_x) < config.pop:
             pa, pb = pop_x[tourney()], pop_x[tourney()]
-            if rng.random() < config.crossover_rate:
-                c1, c2 = _sbx_crossover(pa, pb, lo, hi, config.eta_crossover, rng)
+            if rng.random() < _CROSSOVER_RATE:
+                c1, c2 = _sbx_crossover(pa, pb, lo, hi, _ETA_CROSSOVER, rng)
             else:
                 c1, c2 = pa.copy(), pb.copy()
-            c1 = _polynomial_mutation(c1, lo, hi, config.eta_mutation, rate, rng)
-            c2 = _polynomial_mutation(c2, lo, hi, config.eta_mutation, rate, rng)
+            c1 = _polynomial_mutation(c1, lo, hi, _ETA_MUTATION, rate, rng)
+            c2 = _polynomial_mutation(c2, lo, hi, _ETA_MUTATION, rate, rng)
             child_x.extend([c1, c2])
         child_x = np.array(child_x[:config.pop])
         child_f = np.array([evaluate(x) for x in child_x], dtype=float)
@@ -400,11 +403,18 @@ def optimize_lengths(ctx: DesignContext, config: NsgaConfig) -> ParetoFront:
     """NSGA-II over the segment lengths of one design-parameter cell.
 
     The archive NSGA-II returns is already mutually non-dominated and
-    free of duplicates, and so is any subset of it.
+    free of duplicates, and so is any subset of it.  Its points are the
+    ``DesignPoint``s of NSGA-II's own evaluations, keyed by design vector.
     """
-    result = nsga2(lambda x: evaluate_design(ctx, x).objectives, ctx.bounds,
-                   config)
-    pts = [evaluate_design(ctx, x) for x in result.x]
+    points = {}
+
+    def evaluate(x):
+        p = evaluate_design(ctx, x)
+        points[x.tobytes()] = p
+        return p.objectives
+
+    result = nsga2(evaluate, ctx.bounds, config)
+    pts = [points[x.tobytes()] for x in result.x]
     feasible = [p for p in pts if p.feasible]
     return ParetoFront(feasible if feasible else pts)
 
@@ -634,8 +644,7 @@ class CdContour:
 
 def audio_cd_contour(d_uc_grid, f_u2_grid, f_a: float, v1: float, v2: float,
                      medium: Medium,
-                     settings: nlfield.SolverSettings | None = None,
-                     z_span=(0.05, 3.0), n_z: int = 40) -> CdContour:
+                     settings: nlfield.SolverSettings | None = None) -> CdContour:
     """Piston reference map: critical audio SPL and distance per cell.
 
     The sideband f_u2 - f_a is driven at velocity ``v1``, the carrier
@@ -657,7 +666,7 @@ def audio_cd_contour(d_uc_grid, f_u2_grid, f_a: float, v1: float, v2: float,
                 radiator.piston_profile(radiator.PistonSpec(a, v1), n),
                 radiator.piston_profile(radiator.PistonSpec(a, v2), n))
             solver = nlfield.QuasilinearSolver(pair, medium, settings=settings)
-            z = np.geomspace(z_span[0], max(z_span[1], 2.5 * duc), n_z)
+            z = np.geomspace(0.05, max(3.0, 2.5 * duc), 40)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", nlfield.BoundaryPeakWarning)
                 cd = nlfield.find_audio_cd(solver.propagation_curve(z))

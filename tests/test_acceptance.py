@@ -76,6 +76,7 @@ def test_02_z1_identity(air0):
             f"worst |argmax-z1| = {worst:.2f} grid steps (<=1)")
 
 
+@pytest.mark.slow
 def test_03_contour_delta(air):
     t0 = time.time()
     contour = opt.audio_cd_contour(
@@ -158,6 +159,7 @@ def test_05_bilinearity(air):
             f"worst relative deviation {worst:.2e} (<1e-9)")
 
 
+@pytest.mark.slow
 def test_06_quasilinear_oracle(air):
     t0 = time.time()
     a, f2, f_a = 0.012, 60e3, 2e3

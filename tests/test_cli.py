@@ -1,8 +1,11 @@
+import inspect
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from sppal import nlfield, optimizer
 from sppal.cli import main
 from sppal.config import load_config, validate_config
 from sppal.errors import ConfigError
@@ -39,6 +42,37 @@ class TestConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="unknown field"):
             validate_config({"medium": {"temprature_c": 20.0}})
+        # options folded into library constants are rejected, not ignored
+        for block, key in (("solver", "beat_safety"), ("solver", "radial_factor"),
+                           ("solver", "refine_db"), ("optimizer", "crossover_rate"),
+                           ("optimizer", "eta_crossover"),
+                           ("optimizer", "eta_mutation"),
+                           ("optimizer", "mutation_rate")):
+            with pytest.raises(ConfigError, match=rf"{block}\.{key}: unknown field"):
+                validate_config({block: {key: 1.0}})
+
+    def test_defaults_are_the_library_defaults(self):
+        cfg = validate_config({})
+        solver, opt = cfg.block("solver"), cfg.block("optimizer")
+        lib = nlfield.SolverSettings()
+        shared = {f.name for f in fields(lib)} & set(solver)
+        assert shared == {"ppw_axial", "ppw_radial", "audio_ppw",
+                          "truncation_db", "tail_warn_fraction"}
+        assert {k: solver[k] for k in shared} == {k: getattr(lib, k) for k in shared}
+        nsga = optimizer.NsgaConfig()
+        assert ((opt["pop"], opt["generations"], opt["seed"])
+                == (nsga.pop, nsga.generations, nsga.seed))
+        grid = optimizer.DEFAULT_SWEEP_GRID
+        for key, name in (("d_uc", "sweep_d_uc_m"), ("f_u0", "sweep_f_u0_hz"),
+                          ("mode_m", "sweep_mode_m"), ("r_p", "sweep_r_p_m"),
+                          ("r_h", "sweep_r_h_m")):
+            assert opt[name] == list(grid[key])
+        assert opt["sweep_config"] == [c.value for c in grid["config"]]
+        assert tuple(opt["f_dist_window_hz"]) == optimizer.F_DIST_WINDOW
+        sweep = inspect.signature(optimizer.design_sweep).parameters
+        assert opt["l_p_m"] == sweep["l_p"].default
+        assert opt["drive_voltage_v"] == sweep["drive_voltage"].default
+        assert tuple(opt["sweep_f_a_hz"]) == tuple(sweep["f_a_grid"].default)
 
     def test_unknown_block_rejected(self):
         with pytest.raises(ConfigError, match="unknown block"):

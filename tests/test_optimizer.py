@@ -205,6 +205,26 @@ class TestEvaluateDesign:
         with pytest.raises(ParameterDomainError):
             opt.ParetoFront([good, bad])
 
+    def test_front_reuses_nsga2_evaluations(self, cell_ctx, monkeypatch):
+        # every candidate is evaluated once, by NSGA-II itself; the front
+        # is built from those evaluations, not from a second pass
+        calls = []
+        evaluate = opt.evaluate_design
+
+        def counting(ctx, x):
+            calls.append(x)
+            return evaluate(ctx, x)
+
+        monkeypatch.setattr(opt, "evaluate_design", counting)
+        cfg = opt.NsgaConfig(pop=8, generations=3, seed=5)
+        front = opt.optimize_lengths(cell_ctx, cfg)
+        assert len(calls) == cfg.pop * (cfg.generations + 1)
+        monkeypatch.undo()
+        for p in front.points:
+            again = opt.evaluate_design(cell_ctx, p.x)
+            assert (again.objectives, again.derived, again.flags) == (
+                p.objectives, p.derived, p.flags)
+
 
 class TestRow0Chain:
     """The row-0 chain against the full 2x2 matrix product."""

@@ -51,7 +51,7 @@ def test_azimuthal_ladder_failure_retires_settled_points():
                          for i in todo], dtype=complex)
 
     with pytest.raises(NumericalFailureError, match="probe integral"):
-        _quad.azimuthal_ladder(partial, 4, 4, 32, 0.01, 0.0, "probe integral")
+        _quad.azimuthal_ladder(partial, 4, 4, 32, 0.0, "probe integral")
     assert [order for order, _ in calls] == [4, 8, 16, 32]
     assert calls[0][1].tolist() == [0, 1, 2, 3]
     assert calls[1][1].tolist() == [0, 1, 2, 3]
