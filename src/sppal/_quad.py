@@ -1,10 +1,11 @@
 """Quadrature building blocks shared by the field solvers.
 
 One home for each rule: trapezoid and non-uniform composite Simpson
-weights, the cached Gauss-Legendre node table, the three-point parabolic
-peak refinement, and the adaptive azimuthal ladder that evaluates
+weights, the cached Gauss-Legendre node table, the radial-wavenumber
+nodes of the Hankel-domain field integrals, the three-point parabolic peak refinement, the ``REFINE_DB``
+refinement test, and the adaptive azimuthal ladder that evaluates
 axisymmetric integrals over phi in [0, pi] at doubling Gauss-Legendre
-orders until successive estimates agree within ``REFINE_DB``.
+orders until successive estimates pass that test.
 """
 
 from __future__ import annotations
@@ -62,6 +63,57 @@ def gauss_legendre(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
+def _panel_nodes(edges: np.ndarray):
+    """Composite 16-point Gauss-Legendre nodes/weights over consecutive panels."""
+    x, w = gauss_legendre(16)
+    lo = edges[:-1][:, None]
+    hi = edges[1:][:, None]
+    nodes = 0.5 * (hi - lo) * (x[None, :] + 1.0) + lo
+    wts = 0.5 * (hi - lo) * w[None, :]
+    return nodes.ravel(), wts.ravel()
+
+
+def wavenumber_nodes(k0: float, n_panels: int, u_span=None) -> tuple:
+    """Radial wavenumbers k_r and their integration weights dk_r.
+
+    The two substitutions of the Hankel-domain (angular-spectrum) field
+    integrals, each on 16-point Gauss-Legendre panels:
+
+    * ``u_span`` None: the propagating branch k_r = k0 sin(theta), theta
+      in [0, pi/2], on ``n_panels`` panels up to 0.98 pi/2 and 16 finer
+      tip panels beyond, where k_r/k_z peaks;
+    * ``u_span = (u_lo, u_hi)``: the evanescent branch k_r = k0 cosh(u)
+      on ``n_panels`` panels over [u_lo, u_hi]; a branch that starts at
+      u = 0 gets six finer panels up to min(0.06, u_hi/2) first, since
+      under absorption k_z turns complex just past k_r = k0.
+    """
+    if u_span is None:
+        main = np.linspace(0.0, 0.98 * np.pi / 2.0, n_panels + 1)
+        tip = np.linspace(0.98 * np.pi / 2.0, np.pi / 2.0, 17)[1:]
+        theta, w_th = _panel_nodes(np.concatenate([main, tip]))
+        return k0 * np.sin(theta), k0 * np.cos(theta) * w_th
+    u_lo, u_hi = u_span
+    if u_lo == 0.0:
+        fine_end = min(0.06, 0.5 * u_hi)
+        edges = np.concatenate([
+            np.linspace(0.0, fine_end, 7),
+            np.linspace(fine_end, u_hi, n_panels + 1)[1:],
+        ])
+    else:
+        edges = np.linspace(u_lo, u_hi, n_panels + 1)
+    u, w_u = _panel_nodes(edges)
+    return k0 * np.cosh(u), k0 * np.sinh(u) * w_u
+
+
+def refined(step, value, abs_floor: float = 0.0):
+    """True where a refinement ``step`` moved ``value`` by at most ``REFINE_DB``.
+
+    The test is relative to the refined value (plus ``abs_floor``), on the
+    complex difference, so it bounds phase as well as level changes.
+    """
+    return np.abs(step) <= _REL_TOL * np.abs(value) + abs_floor
+
+
 def parabolic_peak(x: np.ndarray, y: np.ndarray, i: int) -> tuple:
     """Sub-grid vertex of the parabola through samples i-1, i, i+1.
 
@@ -91,10 +143,10 @@ def azimuthal_ladder(partial, n_points: int, start_order: int, max_order: int,
     ``partial(todo, cosphi, wphi)`` returns the complex estimates of the
     points indexed by ``todo`` for the azimuthal nodes ``cos(phi)`` and
     weights ``wphi``.  The order starts at ``start_order`` and doubles; a
-    point is retired once two successive estimates agree within
-    ``REFINE_DB`` (relative) plus ``abs_floor`` and is not evaluated
-    again.  Raises :class:`NumericalFailureError` naming ``what`` when an
-    order above ``max_order`` would be needed.
+    point is retired once two successive estimates pass :func:`refined`
+    with ``abs_floor`` and is not evaluated again.  Raises
+    :class:`NumericalFailureError` naming ``what`` when an order above
+    ``max_order`` would be needed.
     """
     out = np.zeros(n_points, dtype=complex)
     todo = np.arange(n_points)
@@ -111,7 +163,7 @@ def azimuthal_ladder(partial, n_points: int, start_order: int, max_order: int,
         wphi = wgl * (np.pi / 2.0)
         cur = partial(todo, cosphi, wphi)
         if prev is not None:
-            done = np.abs(cur - prev) <= _REL_TOL * np.abs(cur) + abs_floor
+            done = refined(cur - prev, cur, abs_floor)
             out[todo[done]] = cur[done]
             todo = todo[~done]
             prev = cur[~done]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from ._quad import azimuthal_ladder, gauss_legendre, trapezoid_weights
+from ._quad import azimuthal_ladder, trapezoid_weights, wavenumber_nodes
 from .errors import NumericalFailureError, ParameterDomainError
 from .medium import Medium, absorption_coeff
 from .radiator import SourceKind, SourceProfile, first_local_max, piston_profile, PistonSpec
@@ -330,16 +330,6 @@ def equivalence_ratio(sp_profile: SourceProfile, medium: Medium, f: float,
 # Dense-grid evaluator (wavenumber-domain form of the same Rayleigh field)
 # ---------------------------------------------------------------------------
 
-def _panel_nodes(edges: np.ndarray, per_panel: int = 16):
-    """Composite Gauss-Legendre nodes/weights over consecutive panels."""
-    x, w = gauss_legendre(per_panel)
-    lo = edges[:-1][:, None]
-    hi = edges[1:][:, None]
-    nodes = 0.5 * (hi - lo) * (x[None, :] + 1.0) + lo
-    wts = 0.5 * (hi - lo) * w[None, :]
-    return nodes.ravel(), wts.ravel()
-
-
 def _spectrum_sum(wk, kz, bmat, z_arr):
     """Accumulate B @ (wk * exp(-i kz z)) over a block of z planes."""
     out = np.empty((z_arr.size, bmat.shape[0]), dtype=complex)
@@ -433,11 +423,8 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
         sel = rho_obs <= rho_cut * (1.0 + 1e-12)
         phase_scale = k0 * np.hypot(z_hi, rho_cut)
         n_pan = max(24, int(np.ceil(phase_scale / 12.0)))
-        main = np.linspace(0.0, 0.98 * np.pi / 2.0, n_pan + 1)
-        tip = np.linspace(0.98 * np.pi / 2.0, np.pi / 2.0, 17)[1:]
-        theta, w_th = _panel_nodes(np.concatenate([main, tip]))
         out_sorted[lo_idx:hi_idx, sel] = spectrum(
-            lo_idx, hi_idx, sel, k0 * np.sin(theta), k0 * np.cos(theta) * w_th)
+            lo_idx, hi_idx, sel, *wavenumber_nodes(k0, n_pan))
 
     # evanescent branch, k_r = k0 cosh(u)
     u_cap = float(np.arccosh(4.0))
@@ -455,14 +442,8 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
         sel = rho_obs <= rho_cut * (1.0 + 1e-12)
         span = (np.cosh(u_max) - 1.0) * k0 * rho_cut
         n_pan = int(np.ceil(span / 10.0)) + 8
-        fine_end = min(0.06, 0.5 * u_max)
-        u_edges = np.concatenate([
-            np.linspace(0.0, fine_end, 7),
-            np.linspace(fine_end, u_max, n_pan + 1)[1:],
-        ])
-        u, w_u = _panel_nodes(u_edges)
         out_sorted[lo_idx:hi_idx, sel] += spectrum(
-            lo_idx, hi_idx, sel, k0 * np.cosh(u), k0 * np.sinh(u) * w_u)
+            lo_idx, hi_idx, sel, *wavenumber_nodes(k0, n_pan, (0.0, u_max)))
 
     out = np.empty_like(out_sorted)
     out[order] = out_sorted

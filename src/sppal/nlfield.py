@@ -15,20 +15,39 @@ carrier velocity and conjugate-linear in the sideband velocity).
 
 The volume integral exploits axisymmetry: primaries are evaluated once
 on an (r', z') quadrature grid (dense near the source, geometrically
-stretched beyond the collimation zone) and the azimuthal part of the
-Green's function is handled analytically on axis or by adaptive
-quadrature off axis.
+stretched beyond the collimation zone), and the sum over its cells is
+taken in the radial wavenumber (Hankel) domain, the spectral quasilinear
+approach of Cervenka & Bednarik (JASA 146, 2019).  The Sommerfeld
+identity and the ring addition theorem give
+
+    p(rho, z) = 1/2 Int (k_r / (i k_z)) J0(k_r rho)
+                Sum_z' exp(-i k_z |z - z'|) Q(k_r, z') dk_r,
+
+where Q(k_r, z') is the Hankel transform of the weighted source slab at
+z', one matrix product for all slabs.  The z' sum is one forward and one
+backward recursion over the source planes, and the k_r integral runs on
+the propagating and evanescent substitutions of
+:func:`linfield.pressure_grid`, with an evanescent cutoff that doubles
+until it moves each point by less than ``_quad.REFINE_DB``.  Every
+observation point, on or off axis, costs the same few matrix products.
 """
 
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
-from ._quad import azimuthal_ladder, parabolic_peak, simpson_weights
-from .errors import BoundaryPeakWarning, ParameterDomainError, TruncationTailWarning
+from ._quad import REFINE_DB, parabolic_peak, refined, simpson_weights, wavenumber_nodes
+from .errors import (
+    BoundaryPeakWarning,
+    NumericalFailureError,
+    ParameterDomainError,
+    TruncationTailWarning,
+)
 from .linfield import FieldCurve, pressure_grid
 from .medium import Medium, absorption_coeff
 from .radiator import PistonSpec, SourceKind, SourceProfile
@@ -41,7 +60,8 @@ _AXIAL_STRETCH = 1.02
 _BEAT_SAFETY = 2.6
 #: radial extent of the volume grid in beam radii
 _RADIAL_FACTOR = 4.0
-_MAX_GREEN_ORDER = 512
+
+_log = logging.getLogger(__name__)
 
 
 def lsb_am_pair(f_carrier: float, f_audio: float) -> tuple:
@@ -239,8 +259,9 @@ class QuasilinearSolver:
     """Caches the primary product on a volume grid and evaluates audio points.
 
     The costly part (primary fields on the quadrature grid) happens once
-    per pair; observation points are then independent sums, evaluated in
-    a fixed order so results do not depend on request batching.
+    per pair; observation points are then evaluated in the radial
+    wavenumber (Hankel) domain, one spectral solve per node set, in a
+    fixed order so results do not depend on request batching.
     """
 
     def __init__(self, pair: PrimaryPair, medium: Medium,
@@ -271,15 +292,19 @@ class QuasilinearSolver:
         self._k_audio = medium.complex_wavenumber(pair.f_a)
         self._tail_scale = self._estimate_tail()
 
-        # flattened cell arrays with negligible cells dropped: the bound on
-        # the discarded total is n_cells * 1e-9 of the peak weighted cell
-        sw_flat = self._sw.ravel()
-        keep = np.abs(sw_flat) > 1e-9 * np.max(np.abs(sw_flat))
-        zz, rr = np.meshgrid(g.z_nodes, g.r_nodes, indexing="ij")
-        self._cell_z = zz.ravel()[keep]
-        self._cell_r = rr.ravel()[keep]
-        self._cell_r2 = self._cell_r ** 2
-        self._cell_sw = sw_flat[keep]
+        # the two quadrature parts of the volume sum stacked as real rows,
+        # so one real GEMM gives the Hankel transform of every slab
+        self._sw_ri = np.concatenate([self._sw.real, self._sw.imag])
+        # radial wavenumbers the grid resolves: the cell nearest the axis
+        # spans [0, 2 r_0]; past the sampling wavenumber 2 pi / h the
+        # transform of the sampled source repeats itself.  The product of
+        # two fields whose propagating spectra end at k_1 and k_2 has its
+        # own end at k_1 + k_2, so up to the lower of that and the Nyquist
+        # wavenumber pi / h every band still carries source structure.
+        h_r = min(2.0 * g.r_nodes[0], float(np.min(np.diff(g.r_nodes), initial=np.inf)))
+        self._k_sampling = 2.0 * np.pi / h_r
+        self._k_resolved = min(
+            medium.wavenumber(pair.f_u1) + medium.wavenumber(pair.f_u2), np.pi / h_r)
 
     def _estimate_tail(self) -> float:
         """Crude upper estimate of the source strength beyond the domain."""
@@ -304,50 +329,130 @@ class QuasilinearSolver:
             )
 
     def pressures(self, rho, z) -> np.ndarray:
-        """Audio pressure at (rho, z) observation arrays."""
+        """Audio pressure at (rho, z) observation arrays of one shape.
+
+        Each point's value depends only on the grid and on its own
+        (rho, z), never on the other points of the request.
+        """
         rho = np.atleast_1d(np.asarray(rho, dtype=float))
         z = np.atleast_1d(np.asarray(z, dtype=float))
+        if rho.shape != z.shape:
+            raise ParameterDomainError(
+                f"rho and z must have one shape, got {rho.shape} and {z.shape}")
+        if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(z))):
+            raise ParameterDomainError("observation points must be finite")
+        if np.any(rho < 0):
+            raise ParameterDomainError("observation points need rho >= 0")
         if np.any(z < 0):
             raise ParameterDomainError("observation points need z >= 0")
-        out = np.empty(rho.shape, dtype=complex)
-        on = rho == 0.0
-        if np.any(on):
-            out[on] = self._on_axis_many(z[on])
-        for i in np.flatnonzero(~on):
-            out[i] = self._off_axis(rho[i], z[i])
+        g = self.grid
+        rho_f, z_f = rho.ravel(), z.ravel()
+        out = np.zeros(rho_f.size, dtype=complex)
+        # node sets are sized from the grid and each point's own extent
+        reach = np.maximum(rho_f, g.r_nodes[-1]) + g.r_nodes[-1]
+        extent = np.hypot(np.maximum(z_f, g.z_nodes[-1]), reach)
+        n_prop = np.maximum(24, np.ceil(self._k_audio.real * extent / 12.0)).astype(int)
+        nodes, cutoff = 0, 0.0
+        for key in sorted(set(zip(n_prop.tolist(), reach.tolist()))):
+            idx = np.flatnonzero((n_prop == key[0]) & (reach == key[1]))
+            n_k, k_top = self._spectral(idx, rho_f, z_f, out, *key)
+            nodes, cutoff = nodes + n_k, max(cutoff, k_top)
+        _log.debug("audio field: grid %d x %d (n_z x n_r), %d k_r nodes, "
+                   "cutoff %.6g 1/m for %d points", g.z_nodes.size, g.r_nodes.size,
+                   nodes, cutoff, out.size)
+        out = out.reshape(rho.shape)
         if out.size:
-            self._check_tail(float(np.max(np.abs(out))), float(z[np.argmax(np.abs(out))]))
+            i_max = int(np.argmax(np.abs(out)))
+            self._check_tail(float(np.abs(out.flat[i_max])), float(z.flat[i_max]))
         return out
 
-    def _on_axis_many(self, z_obs: np.ndarray) -> np.ndarray:
-        out = np.empty(z_obs.size, dtype=complex)
-        chunk = max(1, int(8e6 / max(self._cell_sw.size, 1)))
-        for s in range(0, z_obs.size, chunk):
-            zz = z_obs[s:s + chunk, None]
-            bigr = np.sqrt((zz - self._cell_z[None, :]) ** 2 + self._cell_r2[None, :])
-            kern = np.exp(-1j * self._k_audio * bigr) / (4.0 * np.pi * bigr)
-            kern *= self._cell_sw[None, :]
-            # row-wise pairwise summation: identical results regardless of
-            # how observation points are batched
-            out[s:s + chunk] = 2.0 * np.pi * kern.sum(axis=1)
+    def _spectral(self, idx, rho, z, out, n_prop: int, reach: float) -> tuple:
+        """Hankel-domain sum for the points ``idx`` that share one node set.
+
+        The propagating branch comes first.  The evanescent cutoff then
+        doubles: band m adds k_r in [2^(m-1) k_a, 2^m k_a] on 16-point
+        panels of at most 20 rad of J0(k_r rho) J0(k_r r') phase.  Once the
+        cutoff covers the source structure the grid holds (the virtual
+        source's own spectrum, k_1 + k_2, or the radial Nyquist wavenumber
+        if lower), a point retires at the first band that moves it by at
+        most ``REFINE_DB`` (:func:`_quad.refined`); a point still moving
+        when the next band would pass the radial grid's sampling
+        wavenumber raises :class:`NumericalFailureError`.  Adds into
+        ``out[idx]``; returns the node count evaluated and the highest
+        cutoff reached.
+        """
+        k_a = self._k_audio.real
+        todo = idx
+        n_k, k_top, m = 0, 0.0, 0
+        while todo.size:
+            if m == 0:
+                kr, jac = wavenumber_nodes(k_a, n_prop)
+            else:
+                k_top = k_a * 2.0 ** m
+                if k_top > self._k_sampling:
+                    i = todo[0]
+                    raise NumericalFailureError(
+                        f"audio field at (rho={rho[i]:.6g} m, z={z[i]:.6g} m) still moves "
+                        f"by more than {REFINE_DB} dB at k_r = {k_top / 2.0:.6g} 1/m, "
+                        f"the last cutoff below the grid's radial sampling wavenumber "
+                        f"{self._k_sampling:.6g} 1/m ({todo.size} points left)")
+                u_span = (float(np.arccosh(2.0 ** (m - 1))), float(np.arccosh(2.0 ** m)))
+                n_pan = int(np.ceil(k_top / 2.0 * reach / 20.0))
+                kr, jac = wavenumber_nodes(k_a, n_pan, u_span)
+            band = self._band(kr, jac, rho[todo], z[todo])
+            out[todo] += band
+            n_k += kr.size
+            if k_top >= self._k_resolved:
+                todo = todo[~refined(band, out[todo])]
+            m += 1
+        return n_k, k_top
+
+    def _band(self, kr, jac, rho, z) -> np.ndarray:
+        """Contribution of the k_r nodes ``kr`` (weights ``jac``) at (rho, z).
+
+        p = 1/2 Int (k_r / (i k_z)) J0(k_r rho) S(k_r, z) dk_r with
+        S = Sum_z' exp(-i k_z |z - z'|) Q(k_r, z') and Q = _sw @ J0(k_r r'):
+        a forward sweep over the source planes carries the planes below
+        the point, a backward sweep those above, each multiplying its
+        accumulator by exp(-i k_z dz) per step.  A plane exactly at z is
+        split half to each sweep, i.e. counted once with no propagation
+        factor.  Nodes go in fixed blocks and every per-point reduction is
+        a row sum, so a point's value does not depend on the others.
+        """
+        g = self.grid
+        zn = g.z_nodes
+        n_z = zn.size
+        kc = self._k_audio
+        lo = np.searchsorted(zn, z, side="left") - 1   # nearest plane below
+        hi = np.searchsorted(zn, z, side="right")      # nearest plane above
+        on = np.flatnonzero(hi - lo == 2)
+        keep_lo, row_lo = np.unique(lo, return_inverse=True)
+        keep_hi, row_hi = np.unique(hi, return_inverse=True)
+        # a side without planes gets a zero accumulator and a zero path
+        dz_lo = np.where(lo >= 0, z - zn[np.maximum(lo, 0)], 0.0)
+        dz_hi = np.where(hi < n_z, zn[np.minimum(hi, n_z - 1)] - z, 0.0)
+        # the grids repeat many plane spacings: one exponential per value
+        gaps, gap_row = np.unique(np.diff(zn), return_inverse=True)
+        out = np.zeros(z.size, dtype=complex)
+        # about 1e6 values per (plane, node) array
+        block = max(1, int(1e6 / n_z))
+        for s in range(0, kr.size, block):
+            k_b = kr[s:s + block]
+            kz = -1j * np.sqrt(k_b.astype(complex) ** 2 - kc * kc)
+            q2 = self._sw_ri @ special.j0(np.outer(g.r_nodes, k_b))
+            q = np.empty((n_z, k_b.size), dtype=complex)
+            q.real, q.imag = q2[:n_z], q2[n_z:]
+            del q2
+            step = np.exp(-1j * np.outer(gaps, kz))
+            fwd = _sweep(q, step, gap_row, keep_lo, range(n_z))
+            bwd = _sweep(q, step, gap_row, keep_hi, range(n_z - 1, -1, -1))
+            spec = (fwd[row_lo] * np.exp(-1j * np.outer(dz_lo, kz))
+                    + bwd[row_hi] * np.exp(-1j * np.outer(dz_hi, kz)))
+            spec[on] += q[lo[on] + 1]
+            spec *= (0.5 * k_b / (1j * kz) * jac[s:s + block]
+                     * special.j0(np.outer(rho, k_b)))
+            out += spec.sum(axis=1)
         return out
-
-    def _off_axis(self, rho_obs: float, z_obs: float) -> complex:
-        dz2 = (z_obs - self._cell_z) ** 2
-        base = dz2 + rho_obs ** 2 + self._cell_r2
-        cross = 2.0 * rho_obs * self._cell_r
-
-        def partial(todo, cosphi, wphi):
-            acc = 0.0 + 0.0j
-            for cp, wp in zip(cosphi, wphi):
-                bigr = np.sqrt(base - cross * cp)
-                acc += wp * np.sum(self._cell_sw * np.exp(-1j * self._k_audio * bigr)
-                                   / (4.0 * np.pi * bigr))
-            return np.array([2.0 * acc])  # symmetry about phi = pi
-
-        return complex(azimuthal_ladder(
-            partial, 1, 16, _MAX_GREEN_ORDER, 1e-30,
-            f"azimuthal Green quadrature (rho={rho_obs:.4g}, z={z_obs:.4g})")[0])
 
     def propagation_curve(self, z_grid) -> FieldCurve:
         z = np.asarray(z_grid, dtype=float)
@@ -370,6 +475,29 @@ class QuasilinearSolver:
         return FieldCurve(theta, p, self.pair.f_a, kind="audio_beam",
                           meta={"range_m": r, "f_u1": self.pair.f_u1,
                                 "f_u2": self.pair.f_u2})
+
+
+def _sweep(q, step, gap_row, keep, planes) -> np.ndarray:
+    """One recursion over the source planes of a Hankel-domain sum.
+
+    Visits ``planes`` in order, multiplying the accumulator by
+    exp(-i k_z dz) (row ``gap_row[i]`` of ``step`` for the gap between
+    planes i and i + 1) before adding plane j's spectrum ``q[j]``.  Row r
+    of the result is the accumulator after plane ``keep[r]``; entries of
+    ``keep`` outside the grid (no plane on that side) stay zero.
+    """
+    out = np.zeros((keep.size, q.shape[1]), dtype=complex)
+    rows = {int(j): r for r, j in enumerate(keep)}
+    acc = np.zeros(q.shape[1], dtype=complex)
+    prev = None
+    for j in planes:
+        if prev is not None:
+            acc *= step[gap_row[min(j, prev)]]
+        acc += q[j]
+        if j in rows:
+            out[rows[j]] = acc
+        prev = j
+    return out
 
 
 def audio_propagation_curve(pair: PrimaryPair, medium: Medium, z_grid,

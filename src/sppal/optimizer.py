@@ -649,7 +649,10 @@ def audio_cd_contour(d_uc_grid, f_u2_grid, f_a: float, v1: float, v2: float,
 
     The sideband f_u2 - f_a is driven at velocity ``v1``, the carrier
     f_u2 at ``v2``; the aperture of each cell follows from its
-    critical-distance relation.
+    critical-distance relation.  The audio pressure is v1 * v2 times
+    that of a unit drive, so each cell is solved once at unit drive:
+    the critical distance is then exactly independent of the drive
+    levels, which only lift the level by 20 log10|v1 v2| dB.
     """
     d_uc_grid = np.asarray(d_uc_grid, dtype=float)
     f_u2_grid = np.asarray(f_u2_grid, dtype=float)
@@ -657,20 +660,20 @@ def audio_cd_contour(d_uc_grid, f_u2_grid, f_a: float, v1: float, v2: float,
     l_pa = np.empty(shape)
     d_ac = np.empty(shape)
     ap = np.empty(shape)
+    with np.errstate(divide="ignore"):
+        drive_db = 20.0 * np.log10(abs(v1 * v2))
     for i, duc in enumerate(d_uc_grid):
         for j, fu2 in enumerate(f_u2_grid):
             a = radiator.aperture_for_cd(duc, fu2, medium)
             n = radiator.radial_sample_count(a, fu2, medium)
-            pair = nlfield.PrimaryPair(
-                *nlfield.lsb_am_pair(fu2, f_a),
-                radiator.piston_profile(radiator.PistonSpec(a, v1), n),
-                radiator.piston_profile(radiator.PistonSpec(a, v2), n))
+            unit = radiator.piston_profile(radiator.PistonSpec(a, 1.0), n)
+            pair = nlfield.PrimaryPair(*nlfield.lsb_am_pair(fu2, f_a), unit, unit)
             solver = nlfield.QuasilinearSolver(pair, medium, settings=settings)
             z = np.geomspace(0.05, max(3.0, 2.5 * duc), 40)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", nlfield.BoundaryPeakWarning)
                 cd = nlfield.find_audio_cd(solver.propagation_curve(z))
-            l_pa[i, j] = cd.spl
+            l_pa[i, j] = cd.spl + drive_db
             d_ac[i, j] = cd.distance
             ap[i, j] = a
     return CdContour(d_uc=d_uc_grid, f_u2=f_u2_grid, l_pa_c=l_pa,

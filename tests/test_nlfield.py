@@ -1,16 +1,22 @@
+import logging
 import warnings
 
 import numpy as np
 import pytest
 
+from sppal import _quad
 from sppal import linfield as lf
 from sppal import nlfield as nl
 from sppal import radiator as rad
 from sppal.errors import (
     BoundaryPeakWarning,
+    NumericalFailureError,
     ParameterDomainError,
     TruncationTailWarning,
 )
+
+#: the golden check's tolerance on audio SPL columns [dB]
+SPL_TOL_DB = 0.01
 
 
 def desk_pair(medium, v1=0.1, v2=0.1, f2=60e3, f_a=2e3, a=0.012):
@@ -32,6 +38,30 @@ def desk_settings():
 @pytest.fixture(scope="module")
 def desk_solver(std_air, desk_settings):
     return nl.QuasilinearSolver(desk_pair(std_air), std_air, desk_settings)
+
+
+def pointwise_pressure(solver, rho, z, order=64):
+    """The volume sum cell by cell, as the solver did before its Hankel path.
+
+    On axis the azimuthal integral of every ring is exact; off axis it is
+    a fixed Gauss-Legendre rule over phi in [0, pi], doubled by symmetry.
+    """
+    g = solver.grid
+    zz, rr = np.meshgrid(g.z_nodes, g.r_nodes, indexing="ij")
+    cz, cr, sw = zz.ravel(), rr.ravel(), solver._sw.ravel()
+    k = solver._k_audio
+
+    def ring_sum(bigr):
+        return np.sum(sw * np.exp(-1j * k * bigr) / (4.0 * np.pi * bigr))
+
+    if rho == 0.0:
+        return 2.0 * np.pi * ring_sum(np.sqrt((z - cz) ** 2 + cr ** 2))
+    x, w = _quad.gauss_legendre(order)
+    acc = 0.0 + 0.0j
+    for cp, wp in zip(np.cos(0.5 * np.pi * (x + 1.0)), w * (np.pi / 2.0)):
+        acc += wp * ring_sum(np.sqrt((z - cz) ** 2 + rho ** 2 + cr ** 2
+                                     - 2.0 * rho * cr * cp))
+    return 2.0 * acc
 
 
 class TestLsbAm:
@@ -153,6 +183,69 @@ class TestQuasilinearBasics:
         batch = desk_solver.pressures(np.zeros(3), z)
         single = np.array([desk_solver.pressures([0.0], [zz])[0] for zz in z])
         np.testing.assert_array_equal(batch, single)
+
+    @pytest.mark.parametrize("rho, z", [
+        ([0.0], [np.nan]),
+        ([np.nan], [0.05]),
+        ([0.01], [np.inf]),
+        ([-0.01], [0.05]),
+        ([0.0, 0.01], [0.05]),
+        ([0.0], [-0.05]),
+    ])
+    def test_bad_points_rejected(self, desk_solver, rho, z):
+        with pytest.raises(ParameterDomainError):
+            desk_solver.pressures(rho, z)
+
+
+class TestSpectralPath:
+    """The Hankel-domain sum against the cell-by-cell volume sum."""
+
+    @pytest.mark.parametrize("rho, z", [
+        # on axis: inside the source domain (which ends near 0.153 m)
+        # and beyond it
+        (0.0, 0.01), (0.0, 0.05), (0.0, 0.08), (0.0, 0.11), (0.0, 0.3),
+        # off axis: inside the domain, inside and outside the beam
+        (0.005, 0.05), (0.02, 0.02), (0.03, 0.1), (0.05, 0.2),
+    ])
+    def test_matches_pointwise_sum(self, desk_solver, rho, z):
+        got = desk_solver.pressures([rho], [z])[0]
+        want = pointwise_pressure(desk_solver, rho, z)
+        assert abs(20.0 * np.log10(abs(got) / abs(want))) <= SPL_TOL_DB
+
+    @pytest.mark.parametrize("rho", [0.0, 0.004])
+    def test_point_on_source_plane(self, desk_solver, rho):
+        z0 = desk_solver.grid.z_nodes[40]
+        p = desk_solver.pressures(np.full(3, rho), [z0, z0 + 1e-9, z0 - 1e-9])
+        np.testing.assert_allclose(p[1:], p[0], rtol=1e-6)
+        want = pointwise_pressure(desk_solver, rho, z0)
+        assert abs(20.0 * np.log10(abs(p[0]) / abs(want))) <= SPL_TOL_DB
+
+    def test_off_axis_independent_of_batch(self, desk_solver):
+        alone = desk_solver.pressures([0.02], [0.05])
+        mixed = desk_solver.pressures([0.0, 0.02, 0.3, 0.01],
+                                      [0.08, 0.05, 0.1, 0.12])
+        np.testing.assert_array_equal(alone, mixed[1:2])
+
+    def test_unresolved_point_raises(self, lossless_air):
+        # a point on the ring of a one-cell grid: every band of the
+        # doubling cutoff adds about as much as the last
+        g = nl.VolumeGrid([0.02], [0.002], [1e-3], [1e-4], 60.0)
+        s = nl.QuasilinearSolver(desk_pair(lossless_air), lossless_air, grid=g)
+        with pytest.raises(NumericalFailureError, match=r"rho=0\.002 m, z=0\.02 m"):
+            s.pressures([0.0, 0.002], [1.0, 0.02])
+
+    def test_debug_record_per_call(self, desk_solver, caplog):
+        with caplog.at_level(logging.WARNING, logger="sppal.nlfield"):
+            desk_solver.pressures([0.0], [0.08])
+        assert not caplog.records
+        with caplog.at_level(logging.DEBUG, logger="sppal.nlfield"):
+            desk_solver.pressures([0.0, 0.02], [0.08, 0.05])
+        (rec,) = [r for r in caplog.records if r.name == "sppal.nlfield"]
+        g = desk_solver.grid
+        msg = rec.getMessage()
+        assert rec.levelno == logging.DEBUG
+        assert f"grid {g.z_nodes.size} x {g.r_nodes.size}" in msg
+        assert "k_r nodes" in msg and "cutoff" in msg
 
 
 class TestAudioCurves:

@@ -57,3 +57,24 @@ def test_azimuthal_ladder_failure_retires_settled_points():
     assert calls[1][1].tolist() == [0, 1, 2, 3]
     for _, todo in calls[2:]:
         assert todo.tolist() == [1, 3]
+
+
+@pytest.mark.parametrize("u_span", [None, (0.0, 1.3), (1.3, 2.1)])
+def test_wavenumber_nodes_cover_their_branch(u_span):
+    # the weights are dk_r: they sum to the k_r interval of the branch,
+    # and the k_r nodes stay inside it in ascending order
+    k0 = 18.3
+    kr, w = _quad.wavenumber_nodes(k0, 5, u_span)
+    lo, hi = (0.0, k0) if u_span is None else (k0 * np.cosh(u_span[0]),
+                                               k0 * np.cosh(u_span[1]))
+    assert np.all(np.diff(kr) > 0) and lo <= kr[0] and kr[-1] <= hi
+    assert w.sum() == pytest.approx(hi - lo, rel=1e-13)
+    # 16-point panels: a smooth integrand such as k_r^3 is exact
+    assert w @ kr ** 3 == pytest.approx((hi ** 4 - lo ** 4) / 4.0, rel=1e-12)
+
+
+def test_refined_is_the_refine_db_rule():
+    tol = 10.0 ** (_quad.REFINE_DB / 20.0) - 1.0
+    value = np.array([1.0, 1.0, 2.0j])
+    step = np.array([0.99 * tol, 1.01 * tol, 1.98j * tol])
+    assert _quad.refined(step, value).tolist() == [True, False, True]
