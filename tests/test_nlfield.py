@@ -41,7 +41,7 @@ def desk_solver(std_air, desk_settings):
 
 
 def pointwise_pressure(solver, rho, z, order=64):
-    """The volume sum cell by cell, as the solver did before its Hankel path.
+    """The volume sum cell by cell, which the Hankel-domain path must match.
 
     On axis the azimuthal integral of every ring is exact; off axis it is
     a fixed Gauss-Legendre rule over phi in [0, pi], doubled by symmetry.
