@@ -10,7 +10,6 @@ resolved configuration and seed so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -22,8 +21,6 @@ from .config import COMMAND_BLOCKS, RunConfig, load_config, require_blocks
 from .errors import ConfigError, SppalError, TruncationTailWarning
 from .medium import Medium
 from .transducer import PzgKind, StackConfig
-
-THREADS_ENV = "SPPAL_THREADS"
 
 
 def _medium_state(cfg: RunConfig) -> dict:
@@ -75,13 +72,10 @@ def _pair_from_config(cfg: RunConfig, medium: Medium, f_a: float):
     f_u1, f_u2 = nlfield.lsb_am_pair(p["f_carrier_hz"], f_a)
     sur = p["surrogate"]
     if sur is not None:
-        freqs = np.arange(min(f_u1, sur["f_r2_hz"]) - 5e3,
-                          max(f_u2, sur["f_r2_hz"]) + 5e3, 10.0)
-        frf = transducer.pzg_frf(PzgKind(sur["kind"]), sur["gain"],
-                                 sur["f_r1_hz"] or 0.0, sur["f_r2_hz"],
-                                 sur["f_anti_hz"], sur["loss_factor"], freqs)
-        v1 = frf.interp(f_u1)
-        v2 = frf.interp(f_u2)
+        v1, v2 = transducer.pzg_frf(PzgKind(sur["kind"]), sur["gain"],
+                                    sur["f_r1_hz"] or 0.0, sur["f_r2_hz"],
+                                    sur["f_anti_hz"], sur["loss_factor"],
+                                    [f_u1, f_u2]).center_velocity
     else:
         v1 = complex(*p["v1_ms"])
         v2 = complex(*p["v2_ms"])
@@ -332,15 +326,6 @@ def dispatch(command: str, cfg: RunConfig, out_dir, formats=("csv", "json"),
     return status, written, caught
 
 
-def _set_threads(n: int | None):
-    if n is None:
-        n = int(os.environ.get(THREADS_ENV, "0")) or None
-    if n is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="sppal",
@@ -350,12 +335,10 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, metavar="PATH")
     parser.add_argument("--out", default=None, metavar="DIR")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--format", choices=("csv", "json", "both"),
                         default="both")
     args = parser.parse_args(argv)
 
-    _set_threads(args.threads)
     try:
         cfg = load_config(args.config)
         require_blocks(cfg, args.command, cfg.raw)

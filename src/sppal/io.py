@@ -44,15 +44,13 @@ def _version_block() -> dict:
             "scipy": scipy.__version__}
 
 
-def metadata_block(config: dict | None, seed=None, extra: dict | None = None) -> dict:
+def metadata_block(config: dict | None, seed=None) -> dict:
     meta = {"versions": _version_block()}
     if config is not None:
         meta["config_hash"] = config_hash(config)
         meta["config"] = config
     if seed is not None:
         meta["seed"] = int(seed)
-    if extra:
-        meta.update(extra)
     return meta
 
 

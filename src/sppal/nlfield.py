@@ -13,12 +13,14 @@ the sideband (f1) conjugated; this keeps the source phase matched to
 the outgoing audio wave (the resulting audio amplitude is linear in the
 carrier velocity and conjugate-linear in the sideband velocity).
 
-The volume integral exploits axisymmetry: primaries are evaluated once
-on an (r', z') quadrature grid (dense near the source, geometrically
-stretched beyond the collimation zone), and the sum over its cells is
-taken in the radial wavenumber (Hankel) domain, the spectral quasilinear
-approach of Cervenka & Bednarik (JASA 146, 2019).  The Sommerfeld
-identity and the ring addition theorem give
+The primaries are rigid pistons (for a plate, its equivalence-ratio
+piston).  The volume integral exploits axisymmetry: primaries are
+evaluated once on an (r', z') quadrature grid whose axial steps follow
+the interference beat of the two piston fields, which slows with
+distance, and the sum over its cells is taken in the radial wavenumber
+(Hankel) domain, the spectral quasilinear approach of Cervenka &
+Bednarik (JASA 146, 2019).  The Sommerfeld identity and the ring
+addition theorem give
 
     p(rho, z) = 1/2 Int (k_r / (i k_z)) J0(k_r rho)
                 Sum_z' exp(-i k_z |z - z'|) Q(k_r, z') dk_r,
@@ -50,12 +52,9 @@ from .errors import (
 )
 from .linfield import FieldCurve, pressure_grid
 from .medium import Medium, absorption_coeff
-from .radiator import PistonSpec, SourceKind, SourceProfile
+from .radiator import SourceKind, SourceProfile
 
-#: geometric growth of the axial step beyond the near zone of
-#: structured (non-piston) pairs
-_AXIAL_STRETCH = 1.02
-#: piston pairs: the product's interference beat reaches ~2 k a r'/z^2
+#: the product's interference beat reaches ~2 k a r'/z^2
 #: at the beam edge (r' ~ a), twice the on-axis rate, hence the factor
 _BEAT_SAFETY = 2.6
 #: radial extent of the volume grid in beam radii
@@ -75,10 +74,11 @@ def lsb_am_pair(f_carrier: float, f_audio: float) -> tuple:
 
 @dataclass(frozen=True)
 class PrimaryPair:
-    """Two primary beams radiated from one aperture.
+    """Two primary beams radiated from one rigid-piston aperture.
 
     ``f_u1`` is the (lower) sideband, ``f_u2`` the carrier; the audio
-    frequency is their difference.
+    frequency is their difference.  Both profiles must be pistons: a
+    plate enters through its equivalence-ratio piston.
     """
 
     f_u1: float
@@ -89,6 +89,10 @@ class PrimaryPair:
     def __post_init__(self):
         if not 0.0 < self.f_u1 < self.f_u2:
             raise ParameterDomainError("primary pair needs f_u2 > f_u1 > 0")
+        for prof in (self.profile_1, self.profile_2):
+            if prof.kind is not SourceKind.PISTON:
+                raise ParameterDomainError(
+                    f"primary profiles must be pistons, got {prof.kind.value}")
         if not np.isclose(self.profile_1.radius_a, self.profile_2.radius_a):
             raise ParameterDomainError("primary profiles must share one aperture")
 
@@ -117,9 +121,11 @@ class AudioCd:
 class SolverSettings:
     """Quadrature controls for the virtual-source volume integral.
 
-    ``ppw_axial``/``ppw_radial``: grid points per primary wavelength in
-    the collimated near zone; ``audio_ppw``: cap on far-zone axial steps
-    in audio wavelengths; ``truncation_db``: the axial domain ends where
+    ``ppw_axial``: axial grid points per period of the primary
+    product's interference beat (about lambda_u/2.6 next to the source,
+    slowing as (a/z)^2 beyond the aperture scale); ``ppw_radial``: radial grid points per
+    primary wavelength; ``audio_ppw``: cap on far-zone axial steps in
+    audio wavelengths; ``truncation_db``: the axial domain ends where
     the primary product has fallen this far below its maximum.
     """
 
@@ -135,9 +141,9 @@ class SolverSettings:
 class VolumeGrid:
     """Quadrature nodes and weights for the axisymmetric virtual-source volume.
 
-    ``weight(z_i, r_j)`` is ``wz[i] * wr[j] * r[j]``; the azimuthal 2*pi
-    (on axis) or the azimuthal kernel (off axis) is applied by the
-    solver.
+    ``weight(z_i, r_j)`` is ``wz[i] * wr[j] * r[j]``; the azimuthal
+    integral is left to the solver, whose Hankel transform carries it
+    for every observation point.
     """
 
     z_nodes: np.ndarray
@@ -164,13 +170,13 @@ def build_volume_grid(pair: PrimaryPair, medium: Medium,
                       settings: SolverSettings | None = None) -> VolumeGrid:
     """Quadrature grid sized from the primary-field geometry.
 
-    Axially: steps of lambda_u/ppw_axial through the collimated zone
-    (the primary interference structure must be resolved), geometric
-    stretching beyond, capped at lambda_a/audio_ppw; the domain ends
-    where the estimated primary product drops ``truncation_db`` below
-    its maximum.  Radially: lambda_u/ppw_radial out to
-    ``_RADIAL_FACTOR`` aperture radii, then stretched to cover the
-    diffraction-spread beam at the domain end.
+    Axially: ``ppw_axial`` steps per period of the product's
+    interference beat, which slows as (a/z)^2 past the aperture scale,
+    capped at lambda_a/audio_ppw; the domain ends where the on-axis
+    envelope of the primary product drops ``truncation_db`` below its
+    maximum.  Radially: lambda_u/ppw_radial out to ``_RADIAL_FACTOR``
+    aperture radii, then stretched to cover the diffraction-spread beam
+    at the domain end.
     """
     st = settings or SolverSettings()
     a = pair.radius_a
@@ -183,29 +189,16 @@ def build_volume_grid(pair: PrimaryPair, medium: Medium,
     z1 = a * a / lam_u - lam_u / 4.0 if a > lam_u / 2.0 else 0.0
     z_near = max(z1, 2.0 * a, 4.0 * lam_u)
     dz_near = lam_u / st.ppw_axial
-    # piston pairs: the product's interference beat slows as (a/z)^2, so
-    # the step can grow once past the aperture scale; structured profiles
-    # (plate modes) radiate conical components whose beat persists, so
-    # they keep the conservative uniform near-zone step
-    compact = (pair.profile_1.kind is SourceKind.PISTON
-               and pair.profile_2.kind is SourceKind.PISTON)
 
-    # axial extent from the closed-form on-axis product envelope
-    def mean_abs_velocity(profile):
-        r, v = profile.radii, np.abs(profile.velocity)
-        return max(np.trapezoid(v * r, r) * 2.0 / a ** 2, 1e-30)
-
+    # axial extent from the closed-form on-axis piston envelope; the
+    # drive velocities scale it uniformly and cancel in rel_db
     zp = np.geomspace(max(dz_near, 1e-4), st.z_max_cap, 1200)
     env = np.ones_like(zp)
-    for f_i, prof in ((pair.f_u1, pair.profile_1), (pair.f_u2, pair.profile_2)):
-        spec = PistonSpec(a, mean_abs_velocity(prof))
+    for f_i in (pair.f_u1, pair.f_u2):
         # envelope of |p|: clip the oscillating sine factor to 1
-        lam_i = c0 / f_i
-        k_i = 2 * np.pi / lam_i
+        k_i = 2 * np.pi / (c0 / f_i)
         amp = np.minimum(1.0, k_i / 2.0 * (np.sqrt(zp ** 2 + a ** 2) - zp))
-        rho_c = medium.density * c0
-        env = env * (2 * rho_c * np.abs(spec.normal_velocity) * amp
-                     * np.exp(-absorption_coeff(medium, f_i) * zp))
+        env = env * amp * np.exp(-absorption_coeff(medium, f_i) * zp)
     rel_db = 20.0 * np.log10(env / np.max(env))
     above = np.flatnonzero(rel_db >= -st.truncation_db)
     z_max = min(float(zp[above[-1]]) if above.size else z_near * 4.0, st.z_max_cap)
@@ -214,17 +207,10 @@ def build_volume_grid(pair: PrimaryPair, medium: Medium,
     # march the axial nodes
     dz_cap = lam_a / st.audio_ppw
     z_list = [dz_near / 2.0]
-    dz = dz_near
     while z_list[-1] < z_max:
         z = z_list[-1]
-        if compact:
-            rate = k_a + _BEAT_SAFETY * k_u * min(1.0, (a / z) ** 2)
-            dz = min(2.0 * np.pi / rate / st.ppw_axial, dz_cap)
-        elif z < z_near:
-            dz = dz_near
-        else:
-            dz = min(dz * _AXIAL_STRETCH, dz_cap)
-        z_list.append(z + dz)
+        rate = k_a + _BEAT_SAFETY * k_u * min(1.0, (a / z) ** 2)
+        z_list.append(z + min(2.0 * np.pi / rate / st.ppw_axial, dz_cap))
     z_nodes = np.asarray(z_list)
 
     # radial nodes: uniform core + stretched outer zone

@@ -405,12 +405,12 @@ class StackChain:
 def frf_transfer_matrix(spec: TransducerSpec, load, freqs) -> Frf:
     """Plate-interface velocity of the stack under voltage drive.
 
-    ``load`` may be a scalar, an array over ``freqs`` or a callable
-    f -> Z.  See :meth:`StackChain.frf`; a design loop that varies only
-    the elastic lengths builds its :class:`StackChain` once instead.
+    ``load`` is a scalar or an array over ``freqs``.  See
+    :meth:`StackChain.frf`; a design loop that varies only the elastic
+    lengths builds its :class:`StackChain` once instead.
     """
     freqs = np.asarray(freqs, dtype=float)
-    z_load = np.asarray(load(freqs) if callable(load) else load, dtype=complex)
+    z_load = np.asarray(load, dtype=complex)
     return StackChain(spec.segments, freqs).frf(spec, z_load)
 
 

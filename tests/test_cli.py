@@ -5,7 +5,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from sppal import nlfield, optimizer
+from sppal import cli, nlfield, optimizer
+from sppal import transducer as td
 from sppal.cli import main
 from sppal.config import load_config, validate_config
 from sppal.errors import ConfigError
@@ -211,8 +212,6 @@ class TestCommands:
 
         # single-resonance surrogate with the carrier velocity matched:
         # the dual-resonance device lifts the low audio band
-        import sppal.transducer as td
-
         freqs = __import__("numpy").arange(55e3, 62e3, 10.0)
         dr = td.pzg_frf(td.PzgKind.DR, 4e11, 58.6e3, 60e3, 59.3e3, 0.05, freqs)
         sr_gain = abs(dr.interp(60e3)) / abs(
@@ -229,6 +228,20 @@ class TestCommands:
         _, rows_sr = read_csv(out_sr / "audio_fr.csv")
         for row_dr, row_sr in zip(rows, rows_sr):
             assert float(row_dr[1]) > float(row_sr[1])
+
+    def test_surrogate_velocities_exact_off_grid(self):
+        # 1234.5 Hz puts the sideband between the 10 Hz nodes a sampled
+        # response would interpolate over; the pair must carry the
+        # closed-form pole-zero response at both primaries
+        sur = {"kind": "DR", "gain": 4e11, "f_r1_hz": 58.6e3, "f_r2_hz": 60e3,
+               "f_anti_hz": 59.3e3, "loss_factor": 0.05}
+        cfg = validate_config({"pair": {"f_carrier_hz": 60e3, "surrogate": sur}})
+        pair = cli._pair_from_config(cfg, cfg.medium(), 1234.5)
+        assert pair.f_u1 == 60e3 - 1234.5
+        for f, prof in ((pair.f_u1, pair.profile_1), (pair.f_u2, pair.profile_2)):
+            (want,) = td.pzg_frf(td.PzgKind.DR, 4e11, 58.6e3, 60e3, 59.3e3,
+                                 0.05, [f]).center_velocity
+            assert prof.velocity[0] == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_cr_screen(self, tmp_path):
         cfg = write_cfg(tmp_path, {

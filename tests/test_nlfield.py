@@ -92,6 +92,17 @@ class TestPrimaryPair:
         with pytest.raises(ParameterDomainError):
             nl.PrimaryPair(59e3, 60e3, p1, p2)
 
+    @pytest.mark.parametrize("policy", [rad.StepPolicy.STANDARD, rad.StepPolicy.NONE])
+    def test_plate_profiles_rejected(self, policy):
+        # the audio field is that of the equivalence-ratio piston: a
+        # stepped- or flat-plate profile is refused, on either primary
+        mode = rad.plate_mode_shape(rad.PlateSpec(0.0508, 0.00099, 70e9, 0.33, 2700, 8))
+        plate = rad.stepped_profile(mode, 0.1, policy)
+        piston = rad.piston_profile(rad.PistonSpec(mode.radius_a, 0.1), 65)
+        for p1, p2 in ((plate, piston), (piston, plate)):
+            with pytest.raises(ParameterDomainError, match="pistons"):
+                nl.PrimaryPair(59e3, 60e3, p1, p2)
+
 
 class TestVolumeGrid:
     def test_truncation_extends_domain(self, std_air):

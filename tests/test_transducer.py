@@ -219,7 +219,7 @@ class TestTransferMatrix:
             td.frf_transfer_matrix(spec, 0.0, freqs).center_velocity))]
         f_mass = freqs[np.argmax(np.abs(
             td.frf_transfer_matrix(
-                spec, lambda f: 1j * 2 * np.pi * f * 0.005, freqs
+                spec, 1j * 2 * np.pi * freqs * 0.005, freqs
             ).center_velocity))]
         assert f_mass < f_free
 
