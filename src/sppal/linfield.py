@@ -291,19 +291,23 @@ def beam_pattern(profile: SourceProfile, medium: Medium, f: float, r: float,
                             "source": profile.descriptor()})
 
 
-def piston_radiation_impedance(a: float, f: float, medium: Medium) -> complex:
+def piston_radiation_impedance(a: float, f, medium: Medium) -> complex | np.ndarray:
     """Mechanical radiation impedance of a baffled piston (N s/m).
 
     Z = rho0*c0*pi*a^2 * (R1(2ka) + i*X1(2ka)) with the standard
     resistance and reactance functions built on J1 and the Struve
-    function H1.
+    function H1.  ``f`` is a frequency or an array of them; a scalar
+    gives a ``complex``.
     """
-    if a <= 0 or f <= 0:
+    f_arr = np.asarray(f, dtype=float)
+    if a <= 0 or np.any(f_arr <= 0):
         raise ParameterDomainError("a and f must be positive")
-    x = 2.0 * medium.wavenumber(f) * a
-    r1 = 1.0 - 2.0 * special.j1(x) / x
-    x1 = 2.0 * special.struve(1, x) / x
-    return medium.density * medium.sound_speed * np.pi * a * a * complex(r1, x1)
+    x = 2.0 * medium.wavenumber(f_arr) * a
+    z = np.empty(x.shape, dtype=complex)
+    z.real = 1.0 - 2.0 * special.j1(x) / x
+    z.imag = 2.0 * special.struve(1, x) / x
+    z *= medium.density * medium.sound_speed * np.pi * a * a
+    return complex(z) if z.ndim == 0 else z
 
 
 def equivalence_ratio(sp_profile: SourceProfile, medium: Medium, f: float,

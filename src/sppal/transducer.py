@@ -294,15 +294,40 @@ def langevin_initial_lengths(f_u0: float, config: StackConfig,
 # and v the particle velocity; [F, v]_left = T [F, v]_right + s*V for each
 # segment.  Losses enter through the complex modulus E(1 + i*eta).
 
+def _cos_sin(a: np.ndarray, b: np.ndarray) -> tuple:
+    """cos and sin of the complex angle a + i*b in real arithmetic.
+
+    cos(a + ib) = cos a cosh b - i sin a sinh b and
+    sin(a + ib) = sin a cosh b + i cos a sinh b: one real cos, sin and
+    expm1 per element.  With m = expm1(|b|), cosh b = (1 + m + 1/(1 + m)) / 2
+    and |sinh b| = m (1 + 1/(1 + m)) / 2, so the imaginary parts, which
+    carry the material loss, keep full relative precision at small b,
+    where (e^b - e^-b) / 2 would not.
+    """
+    m = np.expm1(np.abs(b))
+    inv = 1.0 / (1.0 + m)
+    cosh = 0.5 * (1.0 + m + inv)
+    sinh = np.copysign(0.5 * m * (1.0 + inv), b)
+    cos_a, sin_a = np.cos(a), np.sin(a)
+    cos = np.empty(np.shape(a), dtype=complex)
+    sin = np.empty_like(cos)
+    cos.real, cos.imag = cos_a * cosh, -(sin_a * sinh)
+    sin.real, sin.imag = sin_a * cosh, cos_a * sinh
+    return cos, sin
+
+
 def _elastic_wave(seg: Segment, omega: np.ndarray) -> tuple:
-    """Complex wavenumber and characteristic impedance of an elastic rod.
+    """Length-independent chain terms of an elastic rod: the real and
+    imaginary parts of its complex wavenumber k, i*Zc and i/Zc.
 
     Its chain is [[cos kl, i Zc sin kl], [i sin kl / Zc, cos kl]], with
     no drive vector.
     """
     mat = seg.material
     c = mat.rod_speed * np.sqrt(1.0 + 1j * mat.loss_factor)
-    return omega / c, mat.density * c * seg.area
+    k = omega / c
+    zc = mat.density * c * seg.area
+    return k.real, k.imag, 1j * zc, 1j / zc
 
 
 def _piezo_chain(seg: Segment, omega: np.ndarray) -> tuple:
@@ -330,9 +355,9 @@ def segment_matrix(seg: Segment, f) -> np.ndarray:
     if seg.is_piezo:
         t00, t01, t10, t11 = _piezo_chain(seg, omega)[:4]
     else:
-        k, zc = _elastic_wave(seg, omega)
-        cos, sin = np.cos(k * seg.length), np.sin(k * seg.length)
-        t00, t01, t10, t11 = cos, 1j * zc * sin, 1j * sin / zc, cos
+        k_re, k_im, i_zc, i_over_zc = _elastic_wave(seg, omega)
+        cos, sin = _cos_sin(k_re * seg.length, k_im * seg.length)
+        t00, t01, t10, t11 = cos, i_zc * sin, i_over_zc * sin, cos
     return np.stack([np.stack([t00, t01], axis=-1),
                      np.stack([t10, t11], axis=-1)], axis=-2)
 
@@ -347,10 +372,10 @@ class StackChain:
     """Length-independent chain terms of one segment layout on one grid.
 
     A piezo segment keeps its whole Mason chain, since its length is part
-    of the layout; an elastic segment keeps its complex wavenumber and
-    characteristic impedance.  A stack with this layout then costs only
-    the cos/sin of k*l of its elastic segments, shared between segments
-    of one material and one length (the two horn halves).
+    of the layout; an elastic segment keeps the real and imaginary parts
+    of its wavenumber, i*Zc and i/Zc.  A stack with this layout then
+    costs only a real cos, sin and expm1 per distinct elastic length (the
+    two horn halves share theirs) and the row-0 products.
     """
 
     def __init__(self, segments, freqs):
@@ -380,13 +405,13 @@ class StackChain:
                 s0 = s0 + (r0 * d0 + r1 * d1)
                 r0, r1 = r0 * t00 + r1 * t10, r0 * t01 + r1 * t11
                 continue
-            k, zc = terms
+            k_re, k_im, i_zc, i_over_zc = terms
             key = (seg.material, seg.length)
             if key not in trig:
-                trig[key] = np.cos(k * seg.length), np.sin(k * seg.length)
+                trig[key] = _cos_sin(k_re * seg.length, k_im * seg.length)
             cos, sin = trig[key]
-            r0, r1 = (r0 * cos + r1 * (1j * sin / zc),
-                      r0 * (1j * zc * sin) + r1 * cos)
+            r0, r1 = (r0 * cos + r1 * (sin * i_over_zc),
+                      r0 * (sin * i_zc) + r1 * cos)
 
         # 0 = F_back = (T00 Z_L + T01) v_front + s0 * V
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -432,8 +457,7 @@ def plate_load_impedance(plate: PlateSpec, mode: ModeShape, er: EquivalenceRatio
     w_m = 2.0 * np.pi * mode.natural_frequency
     k_eff = m_eff * w_m ** 2
     er_sq = er.linear ** 2
-    z_rad = np.array([piston_radiation_impedance(plate.radius_a, f, medium)
-                      for f in np.atleast_1d(freqs)])
+    z_rad = piston_radiation_impedance(plate.radius_a, np.atleast_1d(freqs), medium)
     z = (1j * omega * m_eff + k_eff * (1.0 + 1j * plate.loss_factor) / (1j * omega)
          + er_sq * z_rad)
     return z

@@ -185,6 +185,21 @@ class TestRadiationImpedance:
         assert z.real / z0 == pytest.approx(ka ** 2 / 2.0, rel=1e-3)
         assert z.imag / z0 == pytest.approx(8.0 * ka / (3.0 * np.pi), rel=1e-3)
 
+    def test_array_equals_scalar_loop(self, std_air):
+        # the reference cell's load grid: 0.8-1.2 f_u0 in 10 Hz steps
+        plate = rad.size_plate_for(60e3, 0.45, 8, "aluminum", std_air)
+        f = np.arange(0.8 * 60e3, 1.2 * 60e3, 10.0)
+        z = lf.piston_radiation_impedance(plate.radius_a, f, std_air)
+        loop = [lf.piston_radiation_impedance(plate.radius_a, fi, std_air)
+                for fi in f]
+        assert all(type(zi) is complex for zi in loop)
+        assert np.array_equal(z, np.array(loop))
+
+    def test_nonpositive_frequency_rejected(self, std_air):
+        for f in (0.0, -1.0, np.array([1e3, 0.0, 2e3])):
+            with pytest.raises(ParameterDomainError):
+                lf.piston_radiation_impedance(0.01, f, std_air)
+
     def test_positive_parts_sweep(self, std_air):
         a = 0.02
         for ka in np.linspace(0.05, 50.0, 120):

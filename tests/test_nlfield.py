@@ -283,6 +283,19 @@ class TestAudioCurves:
         np.testing.assert_allclose(c2.spl - c1.spl, 20 * np.log10(4.0),
                                    atol=1e-9)
 
+    @pytest.mark.filterwarnings("ignore::sppal.errors.TruncationTailWarning")
+    def test_near_zone_grid_convergence(self, std_air):
+        # the golden audio-pc case: doubling both grid densities moves the
+        # on-axis SPL at z = 0.0385 m by about 0.1 dB
+        pair = desk_pair(std_air, v1=0.1 + 0.02j, v2=0.08 - 0.03j)
+        z = np.geomspace(0.01, 0.5, 30)[10:11]
+        base = nl.SolverSettings()
+        fine = nl.SolverSettings(ppw_axial=2 * base.ppw_axial,
+                                 ppw_radial=2 * base.ppw_radial)
+        spl = [nl.audio_propagation_curve(pair, std_air, z, s).spl[0]
+               for s in (base, fine)]
+        assert abs(spl[1] - spl[0]) <= 0.15
+
     def test_curve_grid_validation(self, desk_solver):
         with pytest.raises(ParameterDomainError):
             desk_solver.propagation_curve([])

@@ -102,6 +102,25 @@ class TestInitialLengths:
         assert np.sum(xf) / np.sum(xh) == pytest.approx(2.0, rel=1e-12)
 
 
+class TestComplexTrig:
+    """The chain's real-arithmetic cos/sin of a complex angle."""
+
+    A = np.concatenate([np.arange(-4, 9) * (np.pi / 2),
+                        np.arange(-4, 8) * (np.pi / 2) + 0.37, [1e-9, 123.4]])
+
+    @pytest.mark.parametrize("b", [0.0, 1e-3, -1e-3, 1.0, -1.0, 10.0, -10.0,
+                                   1e-6, -5e-4])
+    def test_matches_complex_cos_sin(self, b):
+        # real parts within 4 eps cosh b; the imaginary parts, which carry a
+        # lossy rod's damping, within 4 eps |sinh b| (<= 4 eps cosh b)
+        a = self.A
+        cos, sin = td._cos_sin(a, np.full_like(a, b))
+        eps = np.finfo(float).eps
+        for got, want in ((cos, np.cos(a + 1j * b)), (sin, np.sin(a + 1j * b))):
+            assert np.max(np.abs(got.real - want.real)) <= 4 * eps * np.cosh(b)
+            assert np.max(np.abs(got.imag - want.imag)) <= 4 * eps * abs(np.sinh(b))
+
+
 class TestTransferMatrix:
     def test_half_wave_rod_resonance(self):
         # uniform free-free rod driven through vanishing piezo coupling:
