@@ -44,7 +44,8 @@ def _build_source_profile(cfg: RunConfig, medium: Medium, f: float):
     v = complex(*src["velocity_ms"])
     policy = radiator.StepPolicy(src["steps"])
     n = radiator.radial_sample_count(plate.radius_a, f, medium)
-    return radiator.stepped_profile(mode, v, policy, n_samples=max(n, 513))
+    return radiator.stepped_profile(mode, v, policy,
+                                    n_samples=max(n, radiator.MIN_PLATE_SAMPLES))
 
 
 def _solver_settings(cfg: RunConfig) -> nlfield.SolverSettings:
@@ -336,7 +337,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, metavar="DIR")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--format", choices=("csv", "json", "both"),
-                        default="both")
+                        help="default: the configuration's output.formats")
     args = parser.parse_args(argv)
 
     try:
@@ -347,8 +348,10 @@ def main(argv=None) -> int:
         return 2
 
     out_dir = args.out or cfg.block("output")["directory"]
-    formats = (cfg.block("output")["formats"] if args.format == "both"
-               else (args.format,))
+    if args.format is None:
+        formats = cfg.block("output")["formats"]
+    else:
+        formats = ("csv", "json") if args.format == "both" else (args.format,)
     try:
         status, written, caught = dispatch(args.command, cfg, out_dir,
                                            formats, seed=args.seed)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from ._quad import azimuthal_ladder, trapezoid_weights, wavenumber_nodes
+from ._quad import azimuthal_ladder, simpson_weights, wavenumber_nodes
 from .errors import NumericalFailureError, ParameterDomainError
 from .medium import Medium, absorption_coeff
 from .radiator import SourceKind, SourceProfile, first_local_max, piston_profile, PistonSpec
@@ -108,24 +108,6 @@ class EquivalenceRatio:
         return complex(v0) * self.linear
 
 
-def _radial_weights(x: np.ndarray) -> np.ndarray:
-    """Quadrature weights on the profile grid.
-
-    Uniform grids with an odd point count get composite Simpson weights
-    (the accuracy near on-axis pressure nulls needs better than
-    trapezoid); anything else falls back to the trapezoid rule.
-    """
-    n = x.size
-    dx = np.diff(x)
-    if n >= 3 and n % 2 == 1 and np.allclose(dx, dx[0], rtol=1e-8):
-        h = dx[0]
-        w = np.full(n, 2.0)
-        w[1::2] = 4.0
-        w[0] = w[-1] = 1.0
-        return w * (h / 3.0)
-    return trapezoid_weights(x)
-
-
 # ---------------------------------------------------------------------------
 # Rayleigh quadrature
 # ---------------------------------------------------------------------------
@@ -136,7 +118,7 @@ def _rayleigh_onaxis(profile: SourceProfile, medium: Medium, f: float,
     kc = medium.complex_wavenumber(f)
     omega = 2.0 * np.pi * f
     r = profile.radii
-    w = _radial_weights(r) * r * profile.velocity
+    w = simpson_weights(r) * r * profile.velocity
     bigr = np.sqrt(z[:, None] ** 2 + r[None, :] ** 2)
     kern = np.exp(-1j * kc * bigr) / bigr
     return 1j * omega * medium.density * (kern @ w)
@@ -146,8 +128,8 @@ def _rayleigh_offaxis(profile: SourceProfile, medium: Medium, f: float,
                       rho: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Off-axis field by radial Simpson x adaptive Gauss-Legendre azimuth.
 
-    The radial rule is :func:`_radial_weights` (composite Simpson on the
-    uniform odd-count profile grids, trapezoid otherwise).  The azimuthal
+    The radial rule is :func:`_quad.simpson_weights` (composite Simpson,
+    with one trapezoid end panel on an even point count).  The azimuthal
     order doubles from 32 until successive estimates agree within
     ``_quad.REFINE_DB`` (with an absolute floor so pattern nulls do not
     stall convergence).
@@ -155,7 +137,7 @@ def _rayleigh_offaxis(profile: SourceProfile, medium: Medium, f: float,
     kc = medium.complex_wavenumber(f)
     omega = 2.0 * np.pi * f
     r = profile.radii
-    wv = _radial_weights(r) * r * profile.velocity
+    wv = simpson_weights(r) * r * profile.velocity
     scale = medium.density * medium.sound_speed * np.max(np.abs(profile.velocity))
     floor = 1e-10 * max(scale, 1e-300)
 
@@ -250,7 +232,7 @@ def farfield_pressure(profile: SourceProfile, medium: Medium, f: float,
     k = medium.wavenumber(f)
     omega = 2.0 * np.pi * f
     rr = profile.radii
-    wv = _radial_weights(rr) * rr * profile.velocity
+    wv = simpson_weights(rr) * rr * profile.velocity
     b = special.j0(np.outer(k * np.abs(np.sin(theta)), rr))
     h = b @ wv
     return 1j * omega * medium.density * np.exp(-1j * kc * r) / r * h
@@ -379,7 +361,7 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
     lam = medium.wavelength(f)
     a = profile.radius_a
     r_src = profile.radii
-    w_src = _radial_weights(r_src) * r_src * profile.velocity
+    w_src = simpson_weights(r_src) * r_src * profile.velocity
     rho_max = float(np.max(rho_obs)) if rho_obs.size else 0.0
     pref = medium.density * omega
 

@@ -150,7 +150,6 @@ class VolumeGrid:
     r_nodes: np.ndarray
     wz: np.ndarray
     wr: np.ndarray
-    truncation_db: float
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -236,7 +235,6 @@ def build_volume_grid(pair: PrimaryPair, medium: Medium,
 
     return VolumeGrid(
         z_nodes=z_nodes, r_nodes=r_nodes, wz=wz, wr=wr,
-        truncation_db=st.truncation_db,
         meta={"z1": z1, "z_max": z_max, "lam_u": lam_u, "lam_a": lam_a},
     )
 
@@ -272,11 +270,13 @@ class QuasilinearSolver:
 
         omega_a = 2.0 * np.pi * pair.f_a
         coef = medium.beta * omega_a ** 2 / (medium.density * medium.sound_speed ** 4)
-        # phase-matched virtual source: carrier times conjugated sideband
-        self._source = coef * np.conj(p1) * p2
-        self._sw = self._source * (g.wz[:, None] * (g.wr * g.r_nodes)[None, :])
+        # phase-matched virtual source: carrier times conjugated sideband;
+        # weighted in place by the volume quadrature once the tail is read
+        sw = coef * np.conj(p1) * p2
+        self._tail_scale = self._estimate_tail(sw[-1, :])
+        sw *= g.wz[:, None] * (g.wr * g.r_nodes)[None, :]
+        self._sw = sw
         self._k_audio = medium.complex_wavenumber(pair.f_a)
-        self._tail_scale = self._estimate_tail()
 
         # the two quadrature parts of the volume sum stacked as real rows,
         # so one real GEMM gives the Hankel transform of every slab
@@ -292,13 +292,14 @@ class QuasilinearSolver:
         self._k_resolved = min(
             medium.wavenumber(pair.f_u1) + medium.wavenumber(pair.f_u2), np.pi / h_r)
 
-    def _estimate_tail(self) -> float:
-        """Crude upper estimate of the source strength beyond the domain."""
+    def _estimate_tail(self, last_row: np.ndarray) -> float:
+        """Crude upper estimate of the source strength beyond the domain,
+        from the source on the last axial plane."""
         g = self.grid
         alpha_sum = (absorption_coeff(self.medium, self.pair.f_u1)
                      + absorption_coeff(self.medium, self.pair.f_u2))
         decay_len = 1.0 / (alpha_sum + 2.0 / g.z_nodes[-1])
-        last = np.abs(self._source[-1, :]) @ (g.wr * g.r_nodes)
+        last = np.abs(last_row) @ (g.wr * g.r_nodes)
         return float(last * 2.0 * np.pi * decay_len)
 
     def _check_tail(self, p_ref: float, z_obs: float):

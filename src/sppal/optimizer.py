@@ -103,8 +103,8 @@ class DesignContext:
                                              medium)
         self.mode = radiator.plate_mode_shape(self.plate)
         n = radiator.radial_sample_count(self.plate.radius_a, params.f_u0, medium)
-        self.sp_profile = radiator.stepped_profile(self.mode, 1.0,
-                                                   n_samples=max(n, 513))
+        self.sp_profile = radiator.stepped_profile(
+            self.mode, 1.0, n_samples=max(n, radiator.MIN_PLATE_SAMPLES))
         self.er = linfield.equivalence_ratio(self.sp_profile, medium,
                                              params.f_u0, params.d_uc)
         # peak search band around the nominal frequency
@@ -271,52 +271,29 @@ def hypervolume_2d(f: np.ndarray, ref: tuple) -> float:
     pts = f[np.all(f <= np.asarray(ref), axis=1)]
     if pts.size == 0:
         return 0.0
-    nd = pts[_pareto_mask_2d(pts)]
-    order = np.argsort(nd[:, 0], kind="stable")
-    nd = nd[order]
+    # in (f1, f2) order every dominated point has f2 >= the running minimum
     hv = 0.0
     prev_f2 = ref[1]
-    for f1, f2 in nd:
+    for f1, f2 in pts[np.lexsort((pts[:, 1], pts[:, 0]))]:
         if f2 < prev_f2:
             hv += (ref[0] - f1) * (prev_f2 - f2)
             prev_f2 = f2
     return float(hv)
 
 
-def _pareto_mask_2d(f: np.ndarray) -> np.ndarray:
-    """Boolean mask of the non-dominated subset (2 objectives, vectorized).
-
-    Sort by (f1, f2); a point survives iff its f2 beats every earlier
-    point's f2 (strictly for distinct f1, dedup on exact ties).
-    """
-    n = f.shape[0]
-    order = np.lexsort((f[:, 1], f[:, 0]))
-    fs = f[order]
-    keep_sorted = np.zeros(n, dtype=bool)
-    best_f2 = np.inf
-    prev = None
-    for i in range(n):
-        f1, f2 = fs[i]
-        if (f1, f2) == prev:
-            continue  # exact duplicate
-        if f2 < best_f2:
-            keep_sorted[i] = True
-            best_f2 = f2
-        prev = (f1, f2)
-    mask = np.zeros(n, dtype=bool)
-    mask[order] = keep_sorted
-    return mask
-
-
 def _archive_update(arch_x, arch_f, new_x, new_f):
     """Merge candidates into the non-dominated archive.
 
     The archive is unbounded, so its dominated hypervolume never
-    decreases between generations.
+    decreases between generations.  Of exact duplicates the first is
+    kept; survivors stay in input order.
     """
     xs = list(arch_x) + list(new_x)
     fs = list(arch_f) + list(new_f)
-    idx = np.flatnonzero(_pareto_mask_2d(np.array(fs)))
+    f = np.array(fs)
+    same = np.all(f[:, None, :] == f[None, :, :], axis=2)
+    keep = ~_dominance(f).any(axis=0) & ~np.tril(same, -1).any(axis=1)
+    idx = np.flatnonzero(keep)
     return [xs[i] for i in idx], [fs[i] for i in idx]
 
 

@@ -26,6 +26,9 @@ from .medium import Medium
 #: radial grid rule: samples per air wavelength at the operating frequency
 SAMPLES_PER_WAVELENGTH = 16
 MIN_RADIAL_SAMPLES = 64
+#: floor on stepped-plate profile samples, so each annular step keeps
+#: enough nodes; odd for composite Simpson weights
+MIN_PLATE_SAMPLES = 513
 
 
 class Boundary(enum.Enum):

@@ -421,9 +421,7 @@ class StackChain:
             good = ~bad
             if not np.any(good):
                 raise ParameterDomainError("transfer-matrix chain singular everywhere")
-            v[bad] = (np.interp(self.freqs[bad], self.freqs[good], v[good].real)
-                      + 1j * np.interp(self.freqs[bad], self.freqs[good],
-                                       v[good].imag))
+            v[bad] = Frf(self.freqs[good], v[good]).interp(self.freqs[bad])
         return Frf(self.freqs, v)
 
 

@@ -130,7 +130,7 @@ def test_05_bilinearity(air):
     z_nodes = np.arange(dz / 2.0, 0.1, dz)
     r_nodes = np.arange(dz / 2.0, 0.04, dz)
     grid = nl.VolumeGrid(z_nodes, r_nodes, _quad.simpson_weights(z_nodes),
-                         _quad.simpson_weights(r_nodes), 60.0)
+                         _quad.simpson_weights(r_nodes))
 
     def audio(v1, v2):
         pair = nl.PrimaryPair(
@@ -177,7 +177,7 @@ def test_06_quasilinear_oracle(air):
     wr = _quad.simpson_weights(r_nodes)
     wr[0] += r_nodes[0]
     wr[-1] += r_cap - r_nodes[-1]
-    grid = nl.VolumeGrid(z_nodes, r_nodes, wz, wr, 60.0)
+    grid = nl.VolumeGrid(z_nodes, r_nodes, wz, wr)
     pair = nl.PrimaryPair(f1, f2, piston(a, 0.1, f2, air),
                           piston(a, 0.1, f2, air))
     solver = nl.QuasilinearSolver(pair, air, grid=grid)

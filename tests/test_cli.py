@@ -253,6 +253,20 @@ class TestCommands:
         doc = json.loads((out / "cr_screen.json").read_text())
         assert doc["flagged_f_a_hz"] == [400.0, 2000.0, 5000.0]
 
+    @pytest.mark.parametrize("flag, written", [
+        ([], ["cr_screen.csv"]),
+        (["--format", "both"], ["cr_screen.csv", "cr_screen.json"]),
+        (["--format", "json"], ["cr_screen.json"]),
+    ])
+    def test_format_flag_overrides_config(self, tmp_path, flag, written):
+        cfg = write_cfg(tmp_path, {
+            "cr": {"modal_freqs_hz": [400.0], "audio_band_hz": [100.0, 6000.0]},
+            "output": {"formats": ["csv"]},
+        })
+        out = tmp_path / "out"
+        assert main(["cr-screen", "--config", str(cfg), "--out", str(out), *flag]) == 0
+        assert sorted(p.name for p in out.iterdir()) == written
+
     def test_pareto_reproducible(self, tmp_path):
         cfg = write_cfg(tmp_path, {
             "optimizer": {"pop": 8, "generations": 2, "seed": 5,

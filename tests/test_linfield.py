@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from sppal import _quad
 from sppal import linfield as lf
 from sppal import radiator as rad
 from sppal.errors import ParameterDomainError
@@ -62,7 +63,7 @@ class TestRayleighQuadrature:
         # brute reference: dense azimuthal trapezoid
         kc = std_air.complex_wavenumber(60e3)
         r = piston_60k.radii
-        w = lf._radial_weights(r) * r * piston_60k.velocity
+        w = _quad.simpson_weights(r) * r * piston_60k.velocity
         phi = np.linspace(0.0, np.pi, 16385)
         bigr = np.sqrt(0.3 ** 2 + 0.05 ** 2 + r[:, None] ** 2
                        - 2 * 0.05 * r[:, None] * np.cos(phi[None, :]))

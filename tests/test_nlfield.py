@@ -121,7 +121,7 @@ class TestVolumeGrid:
 
     def test_validation(self):
         with pytest.raises(ParameterDomainError):
-            nl.VolumeGrid([0.1], [0.01], [-1.0], [0.1], 60.0)
+            nl.VolumeGrid([0.1], [0.01], [-1.0], [0.1])
 
 
 class TestQuasilinearBasics:
@@ -163,7 +163,7 @@ class TestQuasilinearBasics:
     def test_single_cell_analytic_limit(self, lossless_air):
         # one tiny cell: the solver must reproduce q * G * dV directly
         pair = desk_pair(lossless_air)
-        g = nl.VolumeGrid([0.02], [0.002], [1e-3], [1e-4], 60.0)
+        g = nl.VolumeGrid([0.02], [0.002], [1e-3], [1e-4])
         s = nl.QuasilinearSolver(pair, lossless_air, grid=g)
         p1 = lf.pressure_grid(pair.profile_1, lossless_air, pair.f_u1,
                               g.r_nodes, g.z_nodes)[0, 0]
@@ -240,7 +240,7 @@ class TestSpectralPath:
     def test_unresolved_point_raises(self, lossless_air):
         # a point on the ring of a one-cell grid: every band of the
         # doubling cutoff adds about as much as the last
-        g = nl.VolumeGrid([0.02], [0.002], [1e-3], [1e-4], 60.0)
+        g = nl.VolumeGrid([0.02], [0.002], [1e-3], [1e-4])
         s = nl.QuasilinearSolver(desk_pair(lossless_air), lossless_air, grid=g)
         with pytest.raises(NumericalFailureError, match=r"rho=0\.002 m, z=0\.02 m"):
             s.pressures([0.0, 0.002], [1.0, 0.02])

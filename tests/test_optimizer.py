@@ -142,8 +142,10 @@ class TestNsga2:
 
     def test_sort_matches_pairwise_reference(self):
         # objectives on a coarse integer lattice give ties in one
-        # objective and exact duplicates; fronts and their order must match
+        # objective and exact duplicates; fronts and their order, the
+        # archive and the hypervolume must match the pairwise oracle
         rng = np.random.default_rng(3)
+        ref = (6.0, 5.0)
         for _ in range(300):
             n = int(rng.integers(1, 50))
             f = rng.integers(0, 7, size=(n, 2)).astype(float)
@@ -151,6 +153,21 @@ class TestNsga2:
             d = opt._dominance(f)
             assert all(d[i, j] == opt._dominates(f[i], f[j])
                        for i in range(n) for j in range(n))
+            # archive: undominated points, the first of exact duplicates,
+            # in input order, whatever the split into archive and new
+            want = [i for i in range(n)
+                    if not any(opt._dominates(f[j], f[i]) for j in range(n))
+                    and not any(np.array_equal(f[j], f[i]) for j in range(i))]
+            k = int(rng.integers(0, n + 1))
+            x = np.arange(n, dtype=float)[:, None]
+            xs, fs = opt._archive_update(list(x[:k]), list(f[:k]), x[k:], f[k:])
+            assert [int(v[0]) for v in xs] == want
+            assert np.array_equal(np.array(fs), f[want])
+            # hypervolume: unit lattice cells [x, x+1] x [y, y+1] below ref
+            # covered by some point
+            cells = sum(any(p[0] <= cx and p[1] <= cy for p in f)
+                        for cx in range(int(ref[0])) for cy in range(int(ref[1])))
+            assert opt.hypervolume_2d(f, ref) == float(cells)
 
     def test_config_validation(self):
         with pytest.raises(ParameterDomainError):

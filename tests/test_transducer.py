@@ -167,6 +167,20 @@ class TestTransferMatrix:
         v2 = td.frf_transfer_matrix(spec2, 0.0, freqs).center_velocity
         np.testing.assert_allclose(v2, 2.0 * v1, rtol=1e-12)
 
+    def test_singular_frequency_filled_from_neighbours(self):
+        spec = td.build_stack(td.StackConfig.HALF, 9e-3, 8e-3, 1e-3,
+                              [0.015, 0.015, 0.02])
+        freqs = np.linspace(55e3, 55.4e3, 5)
+        chain = td.StackChain(spec.segments, freqs)
+        load = np.full(freqs.size, 50.0 + 20.0j)
+        clean = chain.frf(spec, load).center_velocity
+        load[2] = np.nan
+        v = chain.frf(spec, load).center_velocity
+        assert np.array_equal(np.delete(v, 2), np.delete(clean, 2))
+        assert v[2] == pytest.approx(0.5 * (clean[1] + clean[3]), rel=1e-12)
+        with pytest.raises(ParameterDomainError, match="singular everywhere"):
+            chain.frf(spec, np.full(freqs.size, np.nan + 0j))
+
     def test_sandwich_against_impedance_recursion(self):
         # independent oracle: transmission-line impedance recursion with the
         # Mason shunt (voltage-driven piezo = acoustic line + extra shunt)
