@@ -2,10 +2,11 @@
 
 One home for each rule: trapezoid and non-uniform composite Simpson
 weights, the cached Gauss-Legendre node table, the radial-wavenumber
-nodes of the Hankel-domain field integrals, the three-point parabolic peak refinement, the ``REFINE_DB``
-refinement test, and the adaptive azimuthal ladder that evaluates
-axisymmetric integrals over phi in [0, pi] at doubling Gauss-Legendre
-orders until successive estimates pass that test.
+nodes of the Hankel-domain field integrals and their plane-to-plane
+propagation factors, the three-point parabolic peak refinement, the
+``REFINE_DB`` refinement test, and the adaptive azimuthal ladder that
+evaluates axisymmetric integrals over phi in [0, pi] at doubling
+Gauss-Legendre orders until successive estimates pass that test.
 """
 
 from __future__ import annotations
@@ -103,6 +104,19 @@ def wavenumber_nodes(k0: float, n_panels: int, u_span=None) -> tuple:
         edges = np.linspace(u_lo, u_hi, n_panels + 1)
     u, w_u = _panel_nodes(edges)
     return k0 * np.cosh(u), k0 * np.sinh(u) * w_u
+
+
+def plane_steps(z: np.ndarray, kz: np.ndarray) -> tuple:
+    """Propagation factors between consecutive planes ``z``.
+
+    Returns ``(step, gap_row)``: row ``gap_row[j]`` of ``step`` holds
+    exp(-i k_z (z[j+1] - z[j])) for every ``kz``.  The axial grids repeat
+    a few spacings many times, so there is one exponential per distinct
+    gap; a recursion over the planes multiplies by these rows instead of
+    evaluating exp(-i k_z z) on every plane.
+    """
+    gaps, gap_row = np.unique(np.diff(z), return_inverse=True)
+    return np.exp(-1j * np.outer(gaps, kz)), gap_row
 
 
 def refined(step, value, abs_floor: float = 0.0):

@@ -13,11 +13,12 @@ SPL = 20*log10(|p| / (sqrt(2)*20e-6 Pa)).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 from scipy import special
 
-from ._quad import azimuthal_ladder, simpson_weights, wavenumber_nodes
+from ._quad import azimuthal_ladder, plane_steps, simpson_weights, wavenumber_nodes
 from .errors import NumericalFailureError, ParameterDomainError
 from .medium import Medium, absorption_coeff
 from .radiator import SourceKind, SourceProfile, first_local_max, piston_profile, PistonSpec
@@ -317,13 +318,30 @@ def equivalence_ratio(sp_profile: SourceProfile, medium: Medium, f: float,
 # ---------------------------------------------------------------------------
 
 def _spectrum_sum(wk, kz, bmat, z_arr):
-    """Accumulate B @ (wk * exp(-i kz z)) over a block of z planes."""
+    """B @ (wk * exp(-i kz z)) on each z plane of a block, as (planes, rows of B).
+
+    The plane factors follow from the block's first plane by recursion,
+    exp(-i kz z_j) = exp(-i kz z_{j-1}) exp(-i kz dz), with one exponential
+    per distinct gap dz (:func:`_quad.plane_steps`).  Each chunk of planes
+    is one real product, its real and imaginary spectra stacked as rows.
+    """
+    step, gap_row = plane_steps(z_arr, kz)
     out = np.empty((z_arr.size, bmat.shape[0]), dtype=complex)
-    chunk = max(1, int(4e6 / max(kz.size, 1)))
+    ew = wk * np.exp(-1j * kz * z_arr[0])
+    # about 1e6 (plane, node) values per chunk, in one buffer per block
+    chunk = max(1, int(1e6 / kz.size))
+    buf = np.empty((2 * min(chunk, z_arr.size), kz.size))
     for s in range(0, z_arr.size, chunk):
-        zz = z_arr[s:s + chunk]
-        ew = wk[:, None] * np.exp(np.outer(-1j * kz, zz))  # (n_k, nz)
-        out[s:s + chunk] = (bmat @ ew.real + 1j * (bmat @ ew.imag)).T
+        n = min(chunk, z_arr.size - s)
+        ri = buf[:2 * n]
+        for j in range(n):
+            if s or j:
+                ew *= step[gap_row[s + j - 1]]
+            ri[j] = ew.real
+            ri[n + j] = ew.imag
+        prod = ri @ bmat.T
+        out[s:s + n].real = prod[:n]
+        out[s:s + n].imag = prod[n:]
     return out
 
 
@@ -337,20 +355,34 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
     :func:`rayleigh_pressure` pointwise; intended for the dense volume
     grids of the nonlinear solver where pointwise quadrature would be
     prohibitive.  Absorption enters through the complex wavenumber.
+    ``rho_obs`` must be finite and >= 0, ``z_obs`` non-empty, finite and
+    > 0 (:class:`ParameterDomainError` otherwise).
 
     Cost controls: z planes are processed in blocks of doubling axial
     extent so the quadrature order tracks each block's oscillation
     count.  The evanescent branch is blocked the same way with a
     per-block spectral cutoff exp(-kappa*z) ~ 1e-8 and a global cap at
     4*k0 (fields closer than ~lambda/4 to the source plane lose a few
-    percent of their reactive part).  ``skirt_cut_db`` (opt-in, piston
-    sources only) zeroes grid columns where the piston directivity
-    envelope bounds the field below that level re the beam axis; callers
-    integrating the two-beam product use it to skip cells that cannot
-    matter at their truncation budget.
+    percent of their reactive part).  Consecutive blocks with the same
+    k_r nodes (near the source, several sit at the 24-panel floor) share
+    one k_z, source transform and set of J0(k_r rho) rows, evaluated once
+    for the widest column set of the run.  Within a block, exp(-i k_z z)
+    is the previous plane's factor times exp(-i k_z dz), one exponential
+    per distinct plane gap, and each chunk of planes is one real matrix
+    product.  ``skirt_cut_db`` (opt-in, piston sources only) zeroes grid
+    columns where the piston directivity envelope bounds the field below
+    that level re the beam axis; callers integrating the two-beam
+    product use it to skip cells that cannot matter at their truncation
+    budget.
     """
     rho_obs = np.asarray(rho_obs, dtype=float)
     z_obs = np.asarray(z_obs, dtype=float)
+    if z_obs.size == 0:
+        raise ParameterDomainError("grid evaluator needs at least one z plane")
+    if not (np.all(np.isfinite(rho_obs)) and np.all(np.isfinite(z_obs))):
+        raise ParameterDomainError("grid points must be finite")
+    if np.any(rho_obs < 0):
+        raise ParameterDomainError("grid evaluator needs rho >= 0")
     if np.any(z_obs <= 0):
         raise ParameterDomainError("grid evaluator needs z > 0")
     order = np.argsort(z_obs, kind="stable")
@@ -391,15 +423,33 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
                 yield lo_idx, hi_idx, hi
             lo_idx = hi_idx
 
-    def spectrum(lo_idx, hi_idx, sel, krho, jac):
-        """Field of the k_r nodes ``krho`` (weights ``jac``) on one z block."""
+    def add_run(node_args, run):
+        """Add the field of a run of (lo_idx, hi_idx, sel) blocks that
+        share the k_r nodes ``wavenumber_nodes(k0, *node_args)``: one
+        spectrum, on the union of the blocks' column masks."""
+        krho, jac = wavenumber_nodes(k0, *node_args)
         kz = -1j * np.sqrt(krho.astype(complex) ** 2 - kc * kc)
         vh = special.j0(np.outer(krho, r_src)) @ w_src
         wk = pref * vh * (krho / kz) * jac
-        bmat = special.j0(np.outer(rho_obs[sel], krho))
-        return _spectrum_sum(wk, kz, bmat, z_sorted[lo_idx:hi_idx])
+        union = np.logical_or.reduce([sel for _, _, sel in run])
+        bmat = np.outer(rho_obs[union], krho)
+        special.j0(bmat, out=bmat)
+        for lo_idx, hi_idx, sel in run:
+            rows = sel[union]
+            out_sorted[lo_idx:hi_idx, sel] += _spectrum_sum(
+                wk, kz, bmat if rows.all() else bmat[rows], z_sorted[lo_idx:hi_idx])
+
+    def add_fields(blocks):
+        """Add the field of each (lo_idx, hi_idx, sel, node args) block.
+
+        Each run is its own call, so its J0 rows are freed before the
+        next run allocates its own.
+        """
+        for node_args, run in groupby(blocks, key=lambda b: b[3]):
+            add_run(node_args, [b[:3] for b in run])
 
     # propagating branch, k_r = k0 sin(theta), with fine panels at the tip
+    blocks = []
     for lo_idx, hi_idx, z_hi in block_slices():
         if sin_cut < 1.0:
             tan_cut = sin_cut / np.sqrt(1.0 - sin_cut ** 2)
@@ -409,11 +459,12 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
         sel = rho_obs <= rho_cut * (1.0 + 1e-12)
         phase_scale = k0 * np.hypot(z_hi, rho_cut)
         n_pan = max(24, int(np.ceil(phase_scale / 12.0)))
-        out_sorted[lo_idx:hi_idx, sel] = spectrum(
-            lo_idx, hi_idx, sel, *wavenumber_nodes(k0, n_pan))
+        blocks.append((lo_idx, hi_idx, sel, (n_pan,)))
+    add_fields(blocks)
 
     # evanescent branch, k_r = k0 cosh(u)
     u_cap = float(np.arccosh(4.0))
+    blocks = []
     for lo_idx, hi_idx, _ in block_slices():
         z_lo = z_sorted[lo_idx]
         u_max = min(u_cap, float(np.arcsinh(18.0 / (k0 * max(z_lo, 1e-9)))))
@@ -428,8 +479,8 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
         sel = rho_obs <= rho_cut * (1.0 + 1e-12)
         span = (np.cosh(u_max) - 1.0) * k0 * rho_cut
         n_pan = int(np.ceil(span / 10.0)) + 8
-        out_sorted[lo_idx:hi_idx, sel] += spectrum(
-            lo_idx, hi_idx, sel, *wavenumber_nodes(k0, n_pan, (0.0, u_max)))
+        blocks.append((lo_idx, hi_idx, sel, (n_pan, (0.0, u_max))))
+    add_fields(blocks)
 
     out = np.empty_like(out_sorted)
     out[order] = out_sorted

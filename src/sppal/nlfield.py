@@ -43,7 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from ._quad import REFINE_DB, parabolic_peak, refined, simpson_weights, wavenumber_nodes
+from ._quad import (REFINE_DB, parabolic_peak, plane_steps, refined, simpson_weights,
+                    wavenumber_nodes)
 from .errors import (
     BoundaryPeakWarning,
     NumericalFailureError,
@@ -418,8 +419,6 @@ class QuasilinearSolver:
         # a side without planes gets a zero accumulator and a zero path
         dz_lo = np.where(lo >= 0, z - zn[np.maximum(lo, 0)], 0.0)
         dz_hi = np.where(hi < n_z, zn[np.minimum(hi, n_z - 1)] - z, 0.0)
-        # the grids repeat many plane spacings: one exponential per value
-        gaps, gap_row = np.unique(np.diff(zn), return_inverse=True)
         out = np.zeros(z.size, dtype=complex)
         # about 1e6 values per (plane, node) array
         block = max(1, int(1e6 / n_z))
@@ -430,7 +429,7 @@ class QuasilinearSolver:
             q = np.empty((n_z, k_b.size), dtype=complex)
             q.real, q.imag = q2[:n_z], q2[n_z:]
             del q2
-            step = np.exp(-1j * np.outer(gaps, kz))
+            step, gap_row = plane_steps(zn, kz)
             fwd = _sweep(q, step, gap_row, keep_lo, range(n_z))
             bwd = _sweep(q, step, gap_row, keep_hi, range(n_z - 1, -1, -1))
             spec = (fwd[row_lo] * np.exp(-1j * np.outer(dz_lo, kz))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._quad import parabolic_peak
+from ._quad import parabolic_peak, trapezoid_weights
 from .errors import (
     InfeasibleDesignError,
     NoDualResonanceError,
@@ -451,7 +451,7 @@ def plate_load_impedance(plate: PlateSpec, mode: ModeShape, er: EquivalenceRatio
     freqs = np.asarray(freqs, dtype=float)
     omega = 2.0 * np.pi * freqs
     r, w = mode.radii, mode.deflection
-    m_eff = plate.density * plate.thickness * 2.0 * np.pi * np.trapezoid(w * w * r, r)
+    m_eff = plate.density * plate.thickness * 2.0 * np.pi * (trapezoid_weights(r) @ (w * w * r))
     w_m = 2.0 * np.pi * mode.natural_frequency
     k_eff = m_eff * w_m ** 2
     er_sq = er.linear ** 2

@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python tests/golden/regenerate.py [case ...]
     PYTHONPATH=src python tests/golden/regenerate.py --out DIR
+    PYTHONPATH=src python tests/golden/regenerate.py --diff [case ...]
 
 Runs each case's ``config.json`` through ``sppal.cli.dispatch`` with BLAS
 pinned to one thread (the last digits of BLAS products depend on the
@@ -14,6 +15,12 @@ which, with its tolerance and the reason, in CHANGES.md.
 With ``--out DIR`` every case runs into ``DIR/<case>/`` instead and the
 exit statuses go to ``DIR/status.json``; ``tests/test_golden.py`` runs
 it that way and leaves the expected files alone.
+
+With ``--diff`` the cases run into a temporary directory and a table of
+the largest absolute and relative (to the column's largest magnitude)
+deviation of every numeric column from the committed files is printed,
+naming every text column that changed; nothing is written.  It gives the per-file, per-column figures CHANGES.md
+lists when a change moves the expected files.
 """
 
 from __future__ import annotations
@@ -25,11 +32,13 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import json  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
+from golden_csv import deviations, format_deviations  # noqa: E402
 from sppal import cli  # noqa: E402
 from sppal.config import load_config  # noqa: E402
 
@@ -58,6 +67,13 @@ def main(args) -> int:
         out = Path(args[1])
         status = {name: run_case(name, out / name)[0] for name in sorted(manifest["cases"])}
         (out / "status.json").write_text(json.dumps(status) + "\n")
+        return 0
+    if args[:1] == ["--diff"]:
+        names = args[1:] or sorted(manifest["cases"])
+        with tempfile.TemporaryDirectory() as tmp:
+            for name in names:
+                run_case(name, Path(tmp) / name)
+            print(format_deviations(deviations(GOLDEN, tmp, names)))
         return 0
     for name in args or sorted(manifest["cases"]):
         case_dir = GOLDEN / name

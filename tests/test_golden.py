@@ -27,36 +27,11 @@ import numpy as np
 import pytest
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+sys.path.insert(0, str(GOLDEN))
+from golden_csv import deviations, format_deviations, parse_csv  # noqa: E402
+
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
 CASES = sorted(MANIFEST["cases"])
-_SKIP_META = ("config", "config_hash", "versions")
-
-
-def parse_csv(text: str) -> tuple:
-    """(metadata lines kept for comparison, column names, columns).
-
-    Each column is (values, numeric, cells): ``values`` a float array
-    with NaN where a cell is not a number, ``numeric`` its mask, and
-    ``cells`` the raw strings, compared as text where not numeric.
-    """
-    lines = text.splitlines()
-    meta = [ln for ln in lines
-            if ln.startswith("#") and ln[2:].split(":", 1)[0] not in _SKIP_META]
-    body = [ln.split(",") for ln in lines if not ln.startswith("#")]
-    names, rows = body[0], body[1:]
-    columns = {}
-    for j, name in enumerate(names):
-        cells = [row[j] for row in rows]
-        values = np.full(len(cells), np.nan)
-        numeric = np.zeros(len(cells), dtype=bool)
-        for i, cell in enumerate(cells):
-            try:
-                values[i] = float(cell)
-                numeric[i] = True
-            except ValueError:
-                pass
-        columns[name] = (values, numeric, cells)
-    return meta, names, columns
 
 
 def mismatches(expected: tuple, actual: tuple, tolerance: dict) -> list:
@@ -147,3 +122,34 @@ def test_one_ulp_is_caught():
                         f"{name}/{fname}: {col}[{i}] moved unnoticed"
                     checked += 1
     assert checked > 900
+
+
+def test_deviation_table_of_two_directories(tmp_path):
+    """``regenerate.py --diff`` reports the largest absolute and relative
+    move of every numeric column, and flags changed text and what cannot
+    be compared."""
+    header = "# sppal: demo\n# config_hash: {}\n"
+    files = {
+        "expected": {"a.csv": "x,spl_db,label\n1.0,60.0,on\n2.0,-50.0,off\n3.0,nan,on\n",
+                     "b.csv": "x,y\n1.0,2.0\n", "gone.csv": "x\n1.0\n"},
+        "actual": {"a.csv": "x,spl_db,label\n1.0,60.5,on\n2.0,-50.0,off\n3.0,nan,off\n",
+                   "b.csv": "x,y\n1.0,n/a\n"},
+    }
+    for side, content in files.items():
+        case = tmp_path / side / "case"
+        case.mkdir(parents=True)
+        for i, (fname, body) in enumerate(content.items()):
+            (case / fname).write_text(header.format(i) + body)
+    rows = deviations(tmp_path / "expected", tmp_path / "actual", ["case"])
+    assert rows == [
+        ("case/a.csv", "x", 0.0, 0.0),
+        ("case/a.csv", "spl_db", 0.5, 0.5 / 60.0),
+        ("case/a.csv", "label", None, None),
+        ("case/b.csv", "x", 0.0, 0.0),
+        ("case/b.csv", "y", None, None),
+        ("case/gone.csv", "(file on one side only)", None, None),
+    ]
+    table = format_deviations(rows).splitlines()
+    assert table[0].split() == ["file", "column", "max_abs", "rel_max"]
+    assert table[2].split() == ["case/a.csv", "spl_db", "0.5", "0.00833"]
+    assert table[5].split() == ["case/b.csv", "y", "differs"]

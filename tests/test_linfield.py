@@ -262,6 +262,126 @@ class TestPressureGrid:
         assert np.max(np.abs(lf.spl_db(f1) - lf.spl_db(f2))) < 0.05
 
 
+def _parent_pressure_grid(profile, medium, f, rho_obs, z_obs, skirt_cut_db=None):
+    """The dense-grid evaluator as it was before the plane recursion: every
+    block evaluates its own node set and exp(-i k_z z) on every plane, and
+    sums it with two products on the real and imaginary parts."""
+    rho_obs = np.asarray(rho_obs, dtype=float)
+    z_obs = np.asarray(z_obs, dtype=float)
+    order = np.argsort(z_obs, kind="stable")
+    z_sorted = z_obs[order]
+    k0, kc = medium.wavenumber(f), medium.complex_wavenumber(f)
+    lam, a, r_src = medium.wavelength(f), profile.radius_a, profile.radii
+    w_src = _quad.simpson_weights(r_src) * r_src * profile.velocity
+    rho_max = float(np.max(rho_obs))
+    pref = medium.density * 2.0 * np.pi * f
+    sin_cut = 1.0
+    if skirt_cut_db is not None and profile.kind is rad.SourceKind.PISTON:
+        x_cut = (1.6 * 10.0 ** (skirt_cut_db / 20.0)) ** (2.0 / 3.0)
+        sin_cut = min(1.0, x_cut / (k0 * a))
+    out = np.zeros((z_sorted.size, rho_obs.size), dtype=complex)
+    edges = [float(z_sorted[-1])]
+    while edges[-1] > max(2.0 * lam, float(z_sorted[0]) * 1.5):
+        edges.append(edges[-1] / 2.0)
+    edges = [0.0] + edges[::-1]
+    blocks, lo_idx = [], 0
+    for hi in edges[1:]:
+        hi_idx = int(np.searchsorted(z_sorted, hi, side="right"))
+        if hi_idx > lo_idx:
+            blocks.append((lo_idx, hi_idx, hi))
+        lo_idx = hi_idx
+
+    def spectrum(lo_idx, hi_idx, sel, krho, jac):
+        kz = -1j * np.sqrt(krho.astype(complex) ** 2 - kc * kc)
+        vh = special.j0(np.outer(krho, r_src)) @ w_src
+        wk = pref * vh * (krho / kz) * jac
+        bmat = special.j0(np.outer(rho_obs[sel], krho))
+        ew = wk[:, None] * np.exp(np.outer(-1j * kz, z_sorted[lo_idx:hi_idx]))
+        return (bmat @ ew.real + 1j * (bmat @ ew.imag)).T
+
+    for lo_idx, hi_idx, z_hi in blocks:
+        rho_cut = rho_max
+        if sin_cut < 1.0:
+            rho_cut = min(rho_max, a + z_hi * sin_cut / np.sqrt(1.0 - sin_cut ** 2))
+        sel = rho_obs <= rho_cut * (1.0 + 1e-12)
+        n_pan = max(24, int(np.ceil(k0 * np.hypot(z_hi, rho_cut) / 12.0)))
+        out[lo_idx:hi_idx, sel] = spectrum(lo_idx, hi_idx, sel,
+                                           *_quad.wavenumber_nodes(k0, n_pan))
+    for lo_idx, hi_idx, _ in blocks:
+        u_max = min(float(np.arccosh(4.0)),
+                    float(np.arcsinh(18.0 / (k0 * max(z_sorted[lo_idx], 1e-9)))))
+        if u_max <= 1e-6:
+            continue
+        rho_cut = rho_max
+        if skirt_cut_db is not None and u_max >= 0.5:
+            rho_cut = min(rho_max, 2.0 * a + 4.0 * lam)
+        sel = rho_obs <= rho_cut * (1.0 + 1e-12)
+        n_pan = int(np.ceil((np.cosh(u_max) - 1.0) * k0 * rho_cut / 10.0)) + 8
+        out[lo_idx:hi_idx, sel] += spectrum(
+            lo_idx, hi_idx, sel, *_quad.wavenumber_nodes(k0, n_pan, (0.0, u_max)))
+    result = np.empty_like(out)
+    result[order] = out
+    return result
+
+
+class TestPressureGridRecursion:
+    """The plane recursion, the stacked product and the shared node sets
+    against the per-plane evaluation they replace."""
+
+    # one-plane blocks (0.05, 0.4), a duplicate plane (0.41), planes out of
+    # order, a uniform run of repeated gaps and, past 2.5 m, a far block
+    # of 300 planes on about 7600 nodes, which takes three plane chunks
+    Z = np.concatenate([[0.41, 0.003, 0.0031, 0.05, 0.4, 0.41, 0.42],
+                        np.linspace(0.6, 0.8, 41), np.linspace(2.6, 5.0, 300)])
+    RHO = np.array([0.0, 0.004, 0.011, 0.02, 0.035, 0.06, 0.15, 0.4])
+
+    @pytest.mark.parametrize("source, skirt", [("piston", None), ("piston", 40.0),
+                                               ("plate", None)])
+    def test_matches_per_plane_evaluation(self, std_air, piston_60k, stepped_60k,
+                                          source, skirt):
+        profile = piston_60k if source == "piston" else stepped_60k
+        got = lf.pressure_grid(profile, std_air, 60e3, self.RHO, self.Z, skirt)
+        want = _parent_pressure_grid(profile, std_air, 60e3, self.RHO, self.Z, skirt)
+        assert got.shape == want.shape
+        col_max = np.max(np.abs(want), axis=0)
+        assert np.all(np.abs(got - want) <= 1e-12 * col_max)
+        assert np.array_equal(got[0], got[5])  # the duplicate plane
+
+    def test_each_bessel_pair_evaluated_once(self, std_air, piston_60k, monkeypatch):
+        # every propagating block of this grid sits at the 24-panel floor,
+        # so six blocks share one node set: its J0(k_r rho) rows and its
+        # source transform J0(k_r r') are each evaluated once
+        seen = []
+
+        def j0(x, **kwargs):
+            seen.append(np.array(x, copy=True).ravel())
+            return special.j0(x, **kwargs)
+
+        monkeypatch.setattr(lf, "special", type("Special", (), {"j0": staticmethod(j0)}))
+        z = np.concatenate([[0.004], np.geomspace(0.008, 0.2, 12)])
+        rho = 0.0037 * np.sqrt(np.arange(1.0, 13.0))
+        lf.pressure_grid(piston_60k, std_air, 60e3, rho, z)
+        kr, _ = _quad.wavenumber_nodes(std_air.wavenumber(60e3), 24)
+        seen = np.sort(np.concatenate(seen))
+        for pairs in (np.outer(rho, kr), np.outer(kr, piston_60k.radii[1:])):
+            count = (np.searchsorted(seen, pairs.ravel(), side="right")
+                     - np.searchsorted(seen, pairs.ravel(), side="left"))
+            assert np.all(count == 1)
+
+    @pytest.mark.parametrize("rho, z", [
+        ([0.0, 0.01], [0.1, np.nan]),
+        ([0.0, np.nan], [0.1, 0.2]),
+        ([0.0, 0.01], [0.1, np.inf]),
+        ([0.0, np.inf], [0.1, 0.2]),
+        ([0.0, 0.01], []),
+        ([0.0, -0.01], [0.1, 0.2]),
+        ([0.0, 0.01], [0.0, 0.2]),
+    ])
+    def test_rejects_bad_points(self, std_air, piston_60k, rho, z):
+        with pytest.raises(ParameterDomainError):
+            lf.pressure_grid(piston_60k, std_air, 60e3, rho, z)
+
+
 class TestFieldCurve:
     def test_validation(self):
         with pytest.raises(ParameterDomainError):

@@ -73,6 +73,16 @@ def test_wavenumber_nodes_cover_their_branch(u_span):
     assert w @ kr ** 3 == pytest.approx((hi ** 4 - lo ** 4) / 4.0, rel=1e-12)
 
 
+def test_plane_steps_one_exponential_per_gap():
+    # binary fractions keep the repeated gaps exactly equal
+    z = np.array([0.25, 0.75, 1.25, 1.25, 2.0])
+    kz = np.array([2.0, 3.0 - 0.5j])
+    step, gap_row = _quad.plane_steps(z, kz)
+    assert step.shape == (3, 2)  # gaps 0, 0.5 and 0.75
+    assert np.array_equal(step[gap_row], np.exp(-1j * np.outer(np.diff(z), kz)))
+    assert np.array_equal(step[gap_row[2]], [1.0, 1.0])
+
+
 def test_refined_is_the_refine_db_rule():
     tol = 10.0 ** (_quad.REFINE_DB / 20.0) - 1.0
     value = np.array([1.0, 1.0, 2.0j])
