@@ -23,7 +23,19 @@ from .errors import (
     SppalError,
     TruncationTailWarning,
 )
-from .medium import Medium, absorption_coeff, absorption_coeff_db, build_medium
+
+_MEDIUM_NAMES = ("Medium", "build_medium", "absorption_coeff", "absorption_coeff_db")
+
+
+def __getattr__(name: str):
+    # the medium's names load on first use (PEP 562), so that
+    # ``import sppal`` loads no numpy and ``python -m sppal`` can pin the
+    # BLAS threads before numpy does
+    if name in _MEDIUM_NAMES:
+        from . import medium
+        return getattr(medium, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

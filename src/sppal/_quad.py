@@ -6,21 +6,26 @@ nodes of the Hankel-domain field integrals and their plane-to-plane
 propagation factors, the three-point parabolic peak refinement, the
 ``REFINE_DB`` refinement test, and the adaptive azimuthal ladder that
 evaluates axisymmetric integrals over phi in [0, pi] at doubling
-Gauss-Legendre orders until successive estimates pass that test.
+Gauss-Legendre orders until successive estimates pass that test; and the
+one scalar root finder, Brent's method (:func:`brentq`), which the plate
+eigenvalues, nodal radii and thickness sizing share.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericalFailureError
+from .errors import NumericalFailureError, ParameterDomainError
 
 #: refinement rule for adaptive quadrature: successive orders must agree
 #: within this many dB
 REFINE_DB = 0.05
 _REL_TOL = 10.0 ** (REFINE_DB / 20.0) - 1.0
+#: smallest relative tolerance :func:`brentq` accepts
+_BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
 
 
 def trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -185,3 +190,82 @@ def azimuthal_ladder(partial, n_points: int, start_order: int, max_order: int,
             prev = cur
         order *= 2
     return out
+
+
+def brentq(f, a: float, b: float, args=(), xtol: float = 2e-12,
+           rtol: float = _BRENT_RTOL, maxiter: int = 100) -> float:
+    """Root of ``f(x, *args)`` in the sign-changing bracket [a, b].
+
+    Brent's method (Brent 1973, *Algorithms for Minimization without
+    Derivatives*, ch. 4) in the form of scipy's ``Zeros/brentq.c``,
+    line for line: the same floating-point operations in the same order,
+    so the root is bit-identical to scipy's ``brentq``.  The
+    result is within ``xtol + rtol*|x|`` of a root.  An unbracketed
+    interval, ``xtol <= 0`` or ``rtol < 4*eps`` raise
+    :class:`ParameterDomainError`; a non-finite ``f`` or ``maxiter``
+    iterations without convergence raise :class:`NumericalFailureError`.
+    """
+    if not xtol > 0.0:
+        raise ParameterDomainError(f"brentq: xtol must be positive, got {xtol:g}")
+    if not rtol >= _BRENT_RTOL:
+        raise ParameterDomainError(f"brentq: rtol {rtol:g} below 4*eps = {_BRENT_RTOL:g}")
+
+    def call(x: float) -> float:
+        fx = float(f(x, *args))
+        if not math.isfinite(fx):
+            raise NumericalFailureError(f"brentq: f({x!r}) = {fx}")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ParameterDomainError(
+            f"brentq: f({xpre!r}) = {fpre:g} and f({xcur!r}) = {fcur:g} "
+            "must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2.0  # the tolerance is 2*delta
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C gets inf or nan here, which bisects
+                stry = math.nan
+            bound = 3.0 * abs(sbis) - delta
+            if 2.0 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = call(xcur)
+    raise NumericalFailureError(
+        f"brentq: no convergence in {maxiter} iterations; last x = {xcur!r}, "
+        f"f(x) = {fcur:g}")

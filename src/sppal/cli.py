@@ -364,6 +364,3 @@ def main(argv=None) -> int:
         print(f"warning: {msg}", file=sys.stderr)
     return status
 
-
-if __name__ == "__main__":
-    sys.exit(main())

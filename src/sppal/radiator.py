@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
+from ._quad import brentq
 from .errors import InfeasibleDesignError, NumericalFailureError, ParameterDomainError
 from .materials import Material, get_material
 from .medium import Medium
@@ -210,8 +211,7 @@ def _mode_eigenvalues(boundary: Boundary, nu: float, n_roots: int) -> tuple:
     while len(roots) < n_roots and lam < 40.0 * (n_roots + 2):
         nxt = char(lam + step, nu)
         if np.isfinite(prev) and np.isfinite(nxt) and prev * nxt < 0:
-            roots.append(optimize.brentq(char, lam, lam + step, args=(nu,),
-                                         xtol=1e-13, rtol=1e-15))
+            roots.append(brentq(char, lam, lam + step, args=(nu,), xtol=1e-13, rtol=1e-15))
         lam += step
         prev = nxt
     if len(roots) < n_roots:
@@ -280,7 +280,7 @@ def plate_mode_shape(spec: PlateSpec, n_samples: int | None = None) -> ModeShape
     r = np.linspace(0.0, a, int(n_samples))
     w = _mode_profile(lam_sel, spec.boundary, r / a)
 
-    # interior zeros by sign change + bisection on the analytic profile
+    # interior zeros by sign change + Brent's method on the analytic profile
     rho_scan = np.linspace(0.0, 1.0, 4096)
     w_fine = _mode_profile(lam_sel, spec.boundary, rho_scan)
 
@@ -289,7 +289,7 @@ def plate_mode_shape(spec: PlateSpec, n_samples: int | None = None) -> ModeShape
 
     nodal = []
     for i in np.flatnonzero(np.sign(w_fine[:-1]) * np.sign(w_fine[1:]) < 0):
-        nodal.append(a * optimize.brentq(w_at, rho_scan[i], rho_scan[i + 1], xtol=1e-14))
+        nodal.append(a * brentq(w_at, rho_scan[i], rho_scan[i + 1], xtol=1e-14))
     nodal = [x for x in nodal if 0.0 < x < a]
 
     return ModeShape(radii=r, deflection=w, nodal_radii=tuple(nodal),
@@ -302,8 +302,8 @@ def size_plate_for(f_u0: float, d_uc: float, mode_m: int, material,
     """Size a plate so its m-th axisymmetric mode lands on ``f_u0``.
 
     The radius comes from the critical-distance relation
-    (:func:`aperture_for_cd`); the thickness is solved by bisection so
-    the natural frequency reproduces ``f_u0``.
+    (:func:`aperture_for_cd`); the thickness is solved by Brent's method
+    so the natural frequency reproduces ``f_u0``.
     """
     if f_u0 <= 0 or d_uc <= 0:
         raise ParameterDomainError("f_u0 and d_uc must be positive")
@@ -323,7 +323,7 @@ def size_plate_for(f_u0: float, d_uc: float, mode_m: int, material,
             f"no thickness in (0, a/5] reaches {f_u0} Hz for mode {mode_m} "
             f"(a = {a:.4g} m)"
         )
-    thickness = optimize.brentq(freq_err, t_lo, t_hi, xtol=1e-15, rtol=1e-14)
+    thickness = brentq(freq_err, t_lo, t_hi, xtol=1e-15, rtol=1e-14)
     return PlateSpec(a, float(thickness), mat.youngs_modulus, mat.poisson_ratio,
                      mat.density, mode_m, mat.loss_factor, boundary)
 

@@ -1,6 +1,10 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,3 +314,41 @@ class TestSweepCli:
         assert len(rows) == 1
         row = dict(zip(header, rows[0]))
         assert row["flags"] in ("", "no_design_in_window")
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_child(code: str, *args) -> str:
+    """Run ``code`` in a fresh interpreter with ``src`` on the path; its stdout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          check=True, capture_output=True, text=True, timeout=300).stdout
+
+
+def test_import_sppal_loads_no_numpy():
+    # the package exports load lazily, so the CLI entry point can pin the
+    # BLAS threads before numpy starts
+    code = "import sys, sppal; print('numpy' in sys.modules, sppal.Medium.__module__)"
+    assert _run_child(code).split() == ["False", "sppal.medium"]
+
+
+def test_golden_runs_import_no_scipy_optimize(tmp_path):
+    # a child process: this one imports scipy.optimize for its oracles
+    code = """
+import json, sys
+from pathlib import Path
+from sppal import cli
+from sppal.config import load_config
+golden, out = Path(sys.argv[1]), Path(sys.argv[2])
+statuses = [cli.dispatch(command, load_config(golden / case / "config.json"), out / case,
+                         ("csv",))[0]
+            for case, command in (("pareto_full", "pareto"), ("audio_pc", "audio-pc"))]
+print(json.dumps({"statuses": statuses, "scipy": sorted(
+    m for m in sys.modules if m.startswith("scipy.") and m.count(".") == 1)}))
+"""
+    report = json.loads(_run_child(code, ROOT / "tests" / "golden", tmp_path))
+    assert report["statuses"] == [0, 3]
+    assert "scipy.optimize" not in report["scipy"]
+    assert "scipy.special" in report["scipy"]

@@ -29,6 +29,7 @@ import pytest
 GOLDEN = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(GOLDEN))
 from golden_csv import deviations, format_deviations, parse_csv  # noqa: E402
+from sppal.__main__ import BLAS_THREAD_VARS  # noqa: E402
 
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
 CASES = sorted(MANIFEST["cases"])
@@ -95,6 +96,21 @@ def test_golden_case(name, golden_run):
                           parse_csv((out / name / fname).read_text()),
                           case["tolerance"].get(fname, {}))
         assert not diff, f"{name}/{fname}: " + "; ".join(diff)
+
+
+def test_cli_entry_pins_blas_threads(tmp_path):
+    """``python -m sppal`` with no thread variable set writes the golden
+    bytes: the entry point pins BLAS to one thread before numpy loads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "sppal", "audio-pc", "--config",
+                           str(GOLDEN / "audio_pc" / "config.json"), "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == MANIFEST["cases"]["audio_pc"]["status"], proc.stderr
+    diff = mismatches(parse_csv((GOLDEN / "audio_pc" / "audio_pc.csv").read_text()),
+                      parse_csv((tmp_path / "audio_pc.csv").read_text()), {})
+    assert not diff, "; ".join(diff)
 
 
 def test_one_ulp_is_caught():

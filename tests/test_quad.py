@@ -1,11 +1,15 @@
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from sppal import _quad
-from sppal.errors import NumericalFailureError
+from sppal import radiator as rad
+from sppal.errors import InfeasibleDesignError, NumericalFailureError, ParameterDomainError
+from sppal.materials import BUILTIN_MATERIALS
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sppal"
 
@@ -88,3 +92,157 @@ def test_refined_is_the_refine_db_rule():
     value = np.array([1.0, 1.0, 2.0j])
     step = np.array([0.99 * tol, 1.01 * tol, 1.98j * tol])
     assert _quad.refined(step, value).tolist() == [True, False, True]
+
+
+# ---------------------------------------------------------------------------
+# brentq: bit for bit against scipy.optimize.brentq, the independent oracle
+# ---------------------------------------------------------------------------
+
+def _both_root_finders(monkeypatch, run):
+    """``run()`` with radiator's roots from ``_quad.brentq``, then from scipy's.
+
+    The eigenvalue caches are emptied around each pass, so the second pass
+    solves every root again.
+    """
+    caches = (rad._mode_eigenvalues, rad._eigenvalue_for_mode)
+    results = []
+    for finder in (_quad.brentq, optimize.brentq):
+        with monkeypatch.context() as m:
+            m.setattr(rad, "brentq", finder)
+            for cache in caches:
+                cache.cache_clear()
+            results.append(run())
+    for cache in caches:
+        cache.cache_clear()
+    return results
+
+
+@pytest.mark.parametrize("boundary", list(rad.Boundary))
+def test_brentq_plate_eigenvalues_match_scipy(monkeypatch, boundary):
+    # roots of _free_char / _clamped_char, bracketed as _mode_eigenvalues does
+    def run():
+        return [rad._mode_eigenvalues(boundary, float(nu), 12)
+                for nu in np.linspace(0.2, 0.4, 21)]
+
+    ours, scipys = _both_root_finders(monkeypatch, run)
+    assert ours == scipys
+
+
+@pytest.mark.parametrize("boundary", list(rad.Boundary))
+def test_brentq_nodal_radii_match_scipy(monkeypatch, boundary):
+    def run():
+        shapes = [rad.plate_mode_shape(rad.PlateSpec(0.05, 0.001, 70e9, 0.33, 2700, m,
+                                                     boundary=boundary))
+                  for m in range(1, 11)]
+        return [(s.eigenvalue, s.nodal_radii) for s in shapes]
+
+    ours, scipys = _both_root_finders(monkeypatch, run)
+    assert ours == scipys
+
+
+def test_brentq_plate_sizing_matches_scipy(monkeypatch, std_air):
+    def run():
+        out = []
+        for f_u0 in (40e3, 60e3, 90e3):
+            for d_uc in (0.3, 0.45):
+                for mode in (1, 4, 8):
+                    for material in BUILTIN_MATERIALS:
+                        try:
+                            out.append(rad.size_plate_for(f_u0, d_uc, mode, material,
+                                                          std_air).thickness)
+                        except InfeasibleDesignError:
+                            out.append(None)
+        return out
+
+    ours, scipys = _both_root_finders(monkeypatch, run)
+    assert sum(t is not None for t in ours) > 20
+    assert ours == scipys
+
+
+def _recorded(f):
+    """``f`` that appends every abscissa it is called at to ``.xs``."""
+    def g(x, *args):
+        g.xs.append(x)
+        return f(x, *args)
+    g.xs = []
+    return g
+
+
+@pytest.mark.parametrize("tols", [{}, {"xtol": 1e-13, "rtol": 1e-15}])
+def test_brentq_random_brackets_match_scipy(tols):
+    # same root and the same sequence of evaluations
+    rng = np.random.default_rng(7)
+    compared = 0
+    for _ in range(400):
+        c = rng.normal(size=3)
+        s = rng.uniform(0.1, 5.0)
+
+        def f(x, c=c, s=s):
+            return math.sin(s * x) + 0.1 * c[0] * x ** 3 + c[1] * x + c[2]
+
+        a, b = sorted(rng.uniform(-5.0, 5.0, 2))
+        if not f(a) * f(b) < 0.0:
+            continue
+        ours, scipys = _recorded(f), _recorded(f)
+        assert _quad.brentq(ours, a, b, **tols) == optimize.brentq(scipys, a, b, **tols)
+        assert ours.xs == scipys.xs
+        compared += 1
+    assert compared > 100
+
+
+def test_brentq_underflowing_extrapolation_bisects_as_scipy():
+    # f values near 1e-300 make the extrapolation's denominator underflow
+    # to zero, where C divides to inf or nan and then bisects
+    def f(x):
+        return 1e-300 * (x - 0.3) ** 3
+
+    ours, scipys = _recorded(f), _recorded(f)
+    assert _quad.brentq(ours, 0.0, 1.0) == optimize.brentq(scipys, 0.0, 1.0)
+    assert ours.xs == scipys.xs
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 3.0), (-2.0, 1.0)])
+def test_brentq_root_at_an_endpoint(a, b):
+    def f(x):
+        return x - 1.0
+
+    assert _quad.brentq(f, a, b) == optimize.brentq(f, a, b) == 1.0
+
+
+def test_brentq_unbracketed_interval():
+    def f(x):
+        return x * x + 1.0
+
+    with pytest.raises(ValueError):
+        optimize.brentq(f, -1.0, 2.0)
+    with pytest.raises(ParameterDomainError, match="different signs"):
+        _quad.brentq(f, -1.0, 2.0)
+
+
+@pytest.mark.parametrize("bad", [{"xtol": 0.0}, {"xtol": -1e-12},
+                                 {"rtol": 2.0 * np.finfo(float).eps}])
+def test_brentq_tolerance_domain(bad):
+    with pytest.raises(ParameterDomainError):
+        _quad.brentq(math.sin, 3.0, 3.5, **bad)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.3])
+def test_brentq_nan_from_f(a):
+    # a NaN at the lower end, or at the first secant step x = 0.5
+    def f(x):
+        return math.nan if 0.2 < x < 0.8 else x - 0.5
+
+    with pytest.raises(NumericalFailureError, match="nan"):
+        _quad.brentq(f, a, 1.0)
+
+
+@pytest.mark.parametrize("maxiter", [0, 3])
+def test_brentq_maxiter_exhausted(maxiter):
+    def f(x):
+        return math.exp(x) - 2.0
+
+    with pytest.raises(RuntimeError):
+        optimize.brentq(f, -4.0, 4.0, maxiter=maxiter)
+    with pytest.raises(NumericalFailureError, match=f"{maxiter} iterations"):
+        _quad.brentq(f, -4.0, 4.0, maxiter=maxiter)
+    assert _quad.brentq(f, -4.0, 4.0) == optimize.brentq(f, -4.0, 4.0)
