@@ -28,6 +28,9 @@ P_REF_RMS = 20e-6
 #: far-field directivity kernel instead of full quadrature
 FARFIELD_RANGE_FACTOR = 20.0
 _MAX_AZIMUTHAL_ORDER = 4096
+#: float64 values in each of the two fixed buffers of a :func:`pressure_grid`
+#: call, one for J0 slabs and source transforms, one for plane chunks
+GRID_WORKSPACE_VALUES = 2 ** 18
 
 
 def spl_db(p):
@@ -317,32 +320,56 @@ def equivalence_ratio(sp_profile: SourceProfile, medium: Medium, f: float,
 # Dense-grid evaluator (wavenumber-domain form of the same Rayleigh field)
 # ---------------------------------------------------------------------------
 
-def _spectrum_sum(wk, kz, bmat, z_arr):
-    """B @ (wk * exp(-i kz z)) on each z plane of a block, as (planes, rows of B).
+def _add_spectrum(dst, cols, wk, kz, bmat, z_arr, buf):
+    """Add B @ (wk * exp(-i kz z)) on each z plane to the rows of ``dst``.
 
-    The plane factors follow from the block's first plane by recursion,
+    ``dst`` holds one row per plane of ``z_arr``; ``cols`` (a mask, or None
+    for every column) picks the columns that the rows of ``bmat`` give.
+    The plane factors follow from the first plane by recursion,
     exp(-i kz z_j) = exp(-i kz z_{j-1}) exp(-i kz dz), with one exponential
     per distinct gap dz (:func:`_quad.plane_steps`).  Each chunk of planes
-    is one real product, its real and imaginary spectra stacked as rows.
+    is one real product, its real and imaginary spectra stacked as rows;
+    the chunk and its product fill ``buf``.
     """
     step, gap_row = plane_steps(z_arr, kz)
-    out = np.empty((z_arr.size, bmat.shape[0]), dtype=complex)
     ew = wk * np.exp(-1j * kz * z_arr[0])
-    # about 1e6 (plane, node) values per chunk, in one buffer per block
-    chunk = max(1, int(1e6 / kz.size))
-    buf = np.empty((2 * min(chunk, z_arr.size), kz.size))
+    n_k, n_col = bmat.shape[1], bmat.shape[0]
+    chunk = max(1, buf.size // (2 * (n_k + n_col)))
     for s in range(0, z_arr.size, chunk):
         n = min(chunk, z_arr.size - s)
-        ri = buf[:2 * n]
+        ri = buf[:2 * n * n_k].reshape(2 * n, n_k)
         for j in range(n):
             if s or j:
                 ew *= step[gap_row[s + j - 1]]
             ri[j] = ew.real
             ri[n + j] = ew.imag
-        prod = ri @ bmat.T
-        out[s:s + n].real = prod[:n]
-        out[s:s + n].imag = prod[n:]
-    return out
+        prod = buf[ri.size:ri.size + 2 * n * n_col].reshape(2 * n, n_col)
+        np.matmul(ri, bmat.T, out=prod)
+        rows = dst[s:s + n]
+        if cols is None:
+            rows.real += prod[:n]
+            rows.imag += prod[n:]
+        else:
+            part = rows[:, cols]
+            part.real += prod[:n]
+            part.imag += prod[n:]
+            rows[:, cols] = part
+
+
+def _j0_outer(x, y, out):
+    """J0(x_i y_j) written into ``out``, of shape (x.size, y.size)."""
+    np.multiply.outer(x, y, out=out)
+    return special.j0(out, out=out)
+
+
+def grid_workspace_bytes(n_rho: int, n_src: int) -> int:
+    """Bytes of the two fixed buffers of one :func:`pressure_grid` call.
+
+    For ``n_rho`` grid columns and a source sampled at ``n_src`` radii,
+    each buffer holds ``GRID_WORKSPACE_VALUES`` float64 values, or 16
+    rows of J0 values if those are more.
+    """
+    return 2 * 8 * max(GRID_WORKSPACE_VALUES, 16 * max(n_rho, n_src))
 
 
 def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
@@ -365,15 +392,19 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
     4*k0 (fields closer than ~lambda/4 to the source plane lose a few
     percent of their reactive part).  Consecutive blocks with the same
     k_r nodes (near the source, several sit at the 24-panel floor) share
-    one k_z, source transform and set of J0(k_r rho) rows, evaluated once
-    for the widest column set of the run.  Within a block, exp(-i k_z z)
-    is the previous plane's factor times exp(-i k_z dz), one exponential
-    per distinct plane gap, and each chunk of planes is one real matrix
-    product.  ``skirt_cut_db`` (opt-in, piston sources only) zeroes grid
-    columns where the piston directivity envelope bounds the field below
-    that level re the beam axis; callers integrating the two-beam
-    product use it to skip cells that cannot matter at their truncation
-    budget.
+    one k_z, source transform and set of J0(k_r rho) rows, evaluated for
+    the widest column set of the run; nodes that several node sets hold
+    (the propagating tip panels, the fine evanescent panels at u = 0) have
+    theirs evaluated once per call.  The J0 rows are evaluated in slabs of
+    nodes into one fixed workspace, and each slab's contribution is added
+    plane by plane: exp(-i k_z z) is the previous plane's factor times
+    exp(-i k_z dz), one exponential per distinct plane gap, and each chunk
+    of planes is one real matrix product in a second fixed buffer (see
+    :func:`grid_workspace_bytes`).  ``skirt_cut_db`` (opt-in, piston
+    sources only) zeroes grid columns where the piston directivity
+    envelope bounds the field below that level re the beam axis; callers
+    integrating the two-beam product use it to skip cells that cannot
+    matter at their truncation budget.
     """
     rho_obs = np.asarray(rho_obs, dtype=float)
     z_obs = np.asarray(z_obs, dtype=float)
@@ -385,8 +416,11 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
         raise ParameterDomainError("grid evaluator needs rho >= 0")
     if np.any(z_obs <= 0):
         raise ParameterDomainError("grid evaluator needs z > 0")
-    order = np.argsort(z_obs, kind="stable")
-    z_sorted = z_obs[order]
+    if np.all(z_obs[1:] >= z_obs[:-1]):
+        order, z_sorted = None, z_obs
+    else:
+        order = np.argsort(z_obs, kind="stable")
+        z_sorted = z_obs[order]
     k0 = medium.wavenumber(f)
     kc = medium.complex_wavenumber(f)
     omega = 2.0 * np.pi * f
@@ -405,7 +439,11 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
         x_cut = (1.6 * 10.0 ** (skirt_cut_db / 20.0)) ** (2.0 / 3.0)
         sin_cut = min(1.0, x_cut / (k0 * a))
 
-    out_sorted = np.zeros((z_sorted.size, rho_obs.size), dtype=complex)
+    out = np.zeros((z_sorted.size, rho_obs.size), dtype=complex)
+    # J0 slabs and source transforms fill one fixed buffer, plane chunks
+    # another
+    work = np.empty(grid_workspace_bytes(rho_obs.size, r_src.size) // 16)
+    planes = np.empty_like(work)
 
     # geometric z blocks: [z_max/2, z_max], [z_max/4, z_max/2], ...
     edges = [float(z_sorted[-1])]
@@ -423,30 +461,15 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
                 yield lo_idx, hi_idx, hi
             lo_idx = hi_idx
 
-    def add_run(node_args, run):
-        """Add the field of a run of (lo_idx, hi_idx, sel) blocks that
-        share the k_r nodes ``wavenumber_nodes(k0, *node_args)``: one
-        spectrum, on the union of the blocks' column masks."""
-        krho, jac = wavenumber_nodes(k0, *node_args)
-        kz = -1j * np.sqrt(krho.astype(complex) ** 2 - kc * kc)
-        vh = special.j0(np.outer(krho, r_src)) @ w_src
-        wk = pref * vh * (krho / kz) * jac
-        union = np.logical_or.reduce([sel for _, _, sel in run])
-        bmat = np.outer(rho_obs[union], krho)
-        special.j0(bmat, out=bmat)
-        for lo_idx, hi_idx, sel in run:
-            rows = sel[union]
-            out_sorted[lo_idx:hi_idx, sel] += _spectrum_sum(
-                wk, kz, bmat if rows.all() else bmat[rows], z_sorted[lo_idx:hi_idx])
+    # (k_r, dk_r, blocks) per run of consecutive blocks with one node set;
+    # runs whose blocks select no column add nothing
+    runs = []
 
-    def add_fields(blocks):
-        """Add the field of each (lo_idx, hi_idx, sel, node args) block.
-
-        Each run is its own call, so its J0 rows are freed before the
-        next run allocates its own.
-        """
+    def add_runs(blocks):
         for node_args, run in groupby(blocks, key=lambda b: b[3]):
-            add_run(node_args, [b[:3] for b in run])
+            run = [b[:3] for b in run]
+            if any(sel.any() for _, _, sel in run):
+                runs.append((*wavenumber_nodes(k0, *node_args), run))
 
     # propagating branch, k_r = k0 sin(theta), with fine panels at the tip
     blocks = []
@@ -460,7 +483,7 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
         phase_scale = k0 * np.hypot(z_hi, rho_cut)
         n_pan = max(24, int(np.ceil(phase_scale / 12.0)))
         blocks.append((lo_idx, hi_idx, sel, (n_pan,)))
-    add_fields(blocks)
+    add_runs(blocks)
 
     # evanescent branch, k_r = k0 cosh(u)
     u_cap = float(np.arccosh(4.0))
@@ -480,8 +503,60 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
         span = (np.cosh(u_max) - 1.0) * k0 * rho_cut
         n_pan = int(np.ceil(span / 10.0)) + 8
         blocks.append((lo_idx, hi_idx, sel, (n_pan, (0.0, u_max))))
-    add_fields(blocks)
+    add_runs(blocks)
 
-    out = np.empty_like(out_sorted)
-    out[order] = out_sorted
-    return out
+    def source_transform(krho):
+        """Int v(r') J0(k_r r') r' dr' at each k_r, in slabs that fill ``work``."""
+        vh = np.empty(krho.size, dtype=w_src.dtype)
+        n = max(16, work.size // r_src.size // 16 * 16)
+        for s in range(0, krho.size, n):
+            k_s = krho[s:s + n]
+            slab = work[:k_s.size * r_src.size].reshape(k_s.size, r_src.size)
+            vh[s:s + n] = _j0_outer(k_s, r_src, slab) @ w_src
+        return vh
+
+    # nodes that several node sets share (the propagating tip panels and
+    # the fine evanescent panels at u = 0): their source transform and J0
+    # rows over every column, evaluated once
+    k_all, n_sets = np.unique(np.concatenate([run[0] for run in runs]), return_counts=True)
+    k_shared = k_all[n_sets > 1]
+    vh_shared = source_transform(k_shared)
+    j0_shared = _j0_outer(rho_obs, k_shared, np.empty((rho_obs.size, k_shared.size)))
+
+    for krho, jac, run in runs:
+        kz = -1j * np.sqrt(krho.astype(complex) ** 2 - kc * kc)
+        shared = np.isin(krho, k_shared)
+        pos = np.searchsorted(k_shared, krho)
+        vh = np.empty(krho.size, dtype=w_src.dtype)
+        vh[shared] = vh_shared[pos[shared]]
+        vh[~shared] = source_transform(krho[~shared])
+        wk = pref * vh * (krho / kz) * jac
+        union = np.logical_or.reduce([sel for _, _, sel in run])
+        rho_u = rho_obs[union]
+        # J0 rows in slabs of as many nodes as fill the workspace (at most a
+        # quarter of it, so that one plane of a slab and its product fit the
+        # plane buffer); a shared node's column comes from the store, the
+        # others are evaluated
+        n_slab = max(16, min(work.size // 4, work.size // rho_u.size) // 16 * 16)
+        cuts = np.flatnonzero(shared[1:] != shared[:-1]) + 1
+        for s0 in range(0, krho.size, n_slab):
+            s1 = min(s0 + n_slab, krho.size)
+            bmat = work[:rho_u.size * (s1 - s0)].reshape(rho_u.size, s1 - s0)
+            edges = [s0, *cuts[(cuts > s0) & (cuts < s1)], s1]
+            for c0, c1 in zip(edges[:-1], edges[1:]):
+                cols = bmat[:, c0 - s0:c1 - s0]
+                if shared[c0]:
+                    cols[...] = j0_shared[np.ix_(union, pos[c0:c1])]
+                else:
+                    _j0_outer(rho_u, krho[c0:c1], cols)
+            for lo_idx, hi_idx, sel in run:
+                rows = sel[union]
+                _add_spectrum(out[lo_idx:hi_idx], None if sel.all() else sel,
+                              wk[s0:s1], kz[s0:s1], bmat if rows.all() else bmat[rows],
+                              z_sorted[lo_idx:hi_idx], planes)
+
+    if order is None:
+        return out
+    unsorted = np.empty_like(out)
+    unsorted[order] = out
+    return unsorted

@@ -37,6 +37,8 @@ observation point, on or off axis, costs the same few matrix products.
 from __future__ import annotations
 
 import logging
+import threading
+import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -51,7 +53,7 @@ from .errors import (
     ParameterDomainError,
     TruncationTailWarning,
 )
-from .linfield import FieldCurve, pressure_grid
+from .linfield import FieldCurve, grid_workspace_bytes, pressure_grid
 from .medium import Medium, absorption_coeff
 from .radiator import SourceKind, SourceProfile
 
@@ -260,13 +262,26 @@ class QuasilinearSolver:
 
         g = self.grid
         skirt = self.settings.truncation_db / 2.0 + 10.0
-        p1 = pressure_grid(pair.profile_1, medium, pair.f_u1, g.r_nodes, g.z_nodes,
-                           skirt_cut_db=skirt)
-        if primary_carrier is not None:
-            p2 = primary_carrier
+
+        def primary(profile, f):
+            t0 = time.perf_counter()
+            p = pressure_grid(profile, medium, f, g.r_nodes, g.z_nodes, skirt_cut_db=skirt)
+            return p, time.perf_counter() - t0
+
+        t0 = time.perf_counter()
+        if primary_carrier is None:
+            # independent fields: the sideband on a worker thread while this
+            # thread evaluates the carrier, each by the code a serial call runs
+            (p1, t1), (p2, t2) = _in_parallel(lambda: primary(pair.profile_1, pair.f_u1),
+                                              lambda: primary(pair.profile_2, pair.f_u2))
+            carrier = f"{t2:.3f} s"
         else:
-            p2 = pressure_grid(pair.profile_2, medium, pair.f_u2, g.r_nodes, g.z_nodes,
-                               skirt_cut_db=skirt)
+            p1, t1 = primary(pair.profile_1, pair.f_u1)
+            p2, carrier = primary_carrier, "given"
+        _log.debug("primaries: grid %d x %d (n_z x n_r), sideband %.3f s, carrier %s, "
+                   "pair %.3f s, workspace %d B per primary", g.z_nodes.size,
+                   g.r_nodes.size, t1, carrier, time.perf_counter() - t0,
+                   grid_workspace_bytes(g.r_nodes.size, pair.profile_1.radii.size))
         self.primary_carrier = p2
 
         omega_a = 2.0 * np.pi * pair.f_a
@@ -276,12 +291,11 @@ class QuasilinearSolver:
         sw = coef * np.conj(p1) * p2
         self._tail_scale = self._estimate_tail(sw[-1, :])
         sw *= g.wz[:, None] * (g.wr * g.r_nodes)[None, :]
-        self._sw = sw
         self._k_audio = medium.complex_wavenumber(pair.f_a)
 
-        # the two quadrature parts of the volume sum stacked as real rows,
-        # so one real GEMM gives the Hankel transform of every slab
-        self._sw_ri = np.concatenate([self._sw.real, self._sw.imag])
+        # the two quadrature parts of the weighted volume source stacked as
+        # real rows, so one real GEMM gives the Hankel transform of every slab
+        self._sw_ri = np.concatenate([sw.real, sw.imag])
         # radial wavenumbers the grid resolves: the cell nearest the axis
         # spans [0, 2 r_0]; past the sampling wavenumber 2 pi / h the
         # transform of the sampled source repeats itself.  The product of
@@ -399,7 +413,7 @@ class QuasilinearSolver:
         """Contribution of the k_r nodes ``kr`` (weights ``jac``) at (rho, z).
 
         p = 1/2 Int (k_r / (i k_z)) J0(k_r rho) S(k_r, z) dk_r with
-        S = Sum_z' exp(-i k_z |z - z'|) Q(k_r, z') and Q = _sw @ J0(k_r r'):
+        S = Sum_z' exp(-i k_z |z - z'|) Q(k_r, z') and Q = sw @ J0(k_r r'):
         a forward sweep over the source planes carries the planes below
         the point, a backward sweep those above, each multiplying its
         accumulator by exp(-i k_z dz) per step.  A plane exactly at z is
@@ -425,16 +439,18 @@ class QuasilinearSolver:
         for s in range(0, kr.size, block):
             k_b = kr[s:s + block]
             kz = -1j * np.sqrt(k_b.astype(complex) ** 2 - kc * kc)
-            q2 = self._sw_ri @ special.j0(np.outer(g.r_nodes, k_b))
-            q = np.empty((n_z, k_b.size), dtype=complex)
-            q.real, q.imag = q2[:n_z], q2[n_z:]
-            del q2
+            # Q's real parts in rows 0..n_z-1, its imaginary parts below
+            jr = np.outer(g.r_nodes, k_b)
+            q2 = self._sw_ri @ special.j0(jr, out=jr)
+            del jr
             step, gap_row = plane_steps(zn, kz)
-            fwd = _sweep(q, step, gap_row, keep_lo, range(n_z))
-            bwd = _sweep(q, step, gap_row, keep_hi, range(n_z - 1, -1, -1))
+            fwd = _sweep(q2, step, gap_row, keep_lo, range(n_z))
+            bwd = _sweep(q2, step, gap_row, keep_hi, range(n_z - 1, -1, -1))
             spec = (fwd[row_lo] * np.exp(-1j * np.outer(dz_lo, kz))
                     + bwd[row_hi] * np.exp(-1j * np.outer(dz_hi, kz)))
-            spec[on] += q[lo[on] + 1]
+            q_on = np.empty((on.size, k_b.size), dtype=complex)
+            q_on.real, q_on.imag = q2[lo[on] + 1], q2[n_z + lo[on] + 1]
+            spec[on] += q_on
             spec *= (0.5 * k_b / (1j * kz) * jac[s:s + block]
                      * special.j0(np.outer(rho, k_b)))
             out += spec.sum(axis=1)
@@ -463,23 +479,53 @@ class QuasilinearSolver:
                                 "f_u2": self.pair.f_u2})
 
 
-def _sweep(q, step, gap_row, keep, planes) -> np.ndarray:
+def _in_parallel(first, second) -> tuple:
+    """``(first(), second())``, ``first`` on a worker thread meanwhile.
+
+    The calling thread runs ``second`` and then waits for the worker.  An
+    exception raised by either reaches the caller as it was raised (the
+    calling thread's first); no thread outlives the call.
+    """
+    result = {}
+
+    def work():
+        try:
+            result["value"] = first()
+        except BaseException as exc:  # handed to the calling thread
+            result["error"] = exc
+
+    worker = threading.Thread(target=work, name="sppal-primary")
+    worker.start()
+    try:
+        other = second()
+    finally:
+        worker.join()
+    if "error" in result:
+        raise result["error"]
+    return result["value"], other
+
+
+def _sweep(q2, step, gap_row, keep, planes) -> np.ndarray:
     """One recursion over the source planes of a Hankel-domain sum.
 
     Visits ``planes`` in order, multiplying the accumulator by
     exp(-i k_z dz) (row ``gap_row[i]`` of ``step`` for the gap between
-    planes i and i + 1) before adding plane j's spectrum ``q[j]``.  Row r
-    of the result is the accumulator after plane ``keep[r]``; entries of
-    ``keep`` outside the grid (no plane on that side) stay zero.
+    planes i and i + 1) before adding plane j's spectrum, whose real and
+    imaginary parts are rows j and n_z + j of ``q2``.  Row r of the result
+    is the accumulator after plane ``keep[r]``; entries of ``keep`` outside
+    the grid (no plane on that side) stay zero.
     """
-    out = np.zeros((keep.size, q.shape[1]), dtype=complex)
+    n_z = q2.shape[0] // 2
+    out = np.zeros((keep.size, q2.shape[1]), dtype=complex)
     rows = {int(j): r for r, j in enumerate(keep)}
-    acc = np.zeros(q.shape[1], dtype=complex)
+    acc = np.zeros(q2.shape[1], dtype=complex)
+    acc_re, acc_im = acc.real, acc.imag
     prev = None
     for j in planes:
         if prev is not None:
             acc *= step[gap_row[min(j, prev)]]
-        acc += q[j]
+        acc_re += q2[j]
+        acc_im += q2[n_z + j]
         if j in rows:
             out[rows[j]] = acc
         prev = j

@@ -244,15 +244,24 @@ def _count_interior_zeros(w: np.ndarray) -> int:
     return int(np.sum(s[1:] != s[:-1]))
 
 
+def _interior_scan(lam: float, boundary: Boundary) -> tuple:
+    """(rho, w) samples of the profile on which interior nodal circles are
+    sought by sign change.  A clamped edge is itself a zero of w, so its
+    last sample (rho = 1) is rounding noise of either sign and is dropped.
+    """
+    rho = np.linspace(0.0, 1.0, 4096)
+    w = _mode_profile(lam, boundary, rho)
+    if boundary is Boundary.CLAMPED:
+        return rho[:-1], w[:-1]
+    return rho, w
+
+
 @lru_cache(maxsize=None)
 def _eigenvalue_for_mode(boundary: Boundary, nu: float, mode_m: int) -> float:
     """Eigenvalue whose profile has exactly ``mode_m`` interior nodal circles."""
     roots = _mode_eigenvalues(boundary, nu, mode_m + 2)
-    rho_scan = np.linspace(0.0, 1.0, 4096)
     for lam in roots:
-        w_scan = _mode_profile(lam, boundary, rho_scan)
-        trimmed = w_scan[:-1] if boundary is Boundary.CLAMPED else w_scan
-        if _count_interior_zeros(trimmed) == mode_m:
+        if _count_interior_zeros(_interior_scan(lam, boundary)[1]) == mode_m:
             return float(lam)
     raise NumericalFailureError(
         f"no eigenvalue with {mode_m} nodal circles among the first "
@@ -281,8 +290,7 @@ def plate_mode_shape(spec: PlateSpec, n_samples: int | None = None) -> ModeShape
     w = _mode_profile(lam_sel, spec.boundary, r / a)
 
     # interior zeros by sign change + Brent's method on the analytic profile
-    rho_scan = np.linspace(0.0, 1.0, 4096)
-    w_fine = _mode_profile(lam_sel, spec.boundary, rho_scan)
+    rho_scan, w_fine = _interior_scan(lam_sel, spec.boundary)
 
     def w_at(x: float) -> float:
         return float(_mode_profile(lam_sel, spec.boundary, np.array([0.0, x]))[1])

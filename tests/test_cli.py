@@ -334,6 +334,12 @@ def test_import_sppal_loads_no_numpy():
     assert _run_child(code).split() == ["False", "sppal.medium"]
 
 
+def test_import_sppal_cli_starts_no_thread():
+    # the solver's worker thread is started per build, never at import
+    code = "import threading, sppal.cli; print(threading.active_count())"
+    assert _run_child(code).split() == ["1"]
+
+
 def test_golden_runs_import_no_scipy_optimize(tmp_path):
     # a child process: this one imports scipy.optimize for its oracles
     code = """

@@ -113,6 +113,29 @@ def test_cli_entry_pins_blas_threads(tmp_path):
     assert not diff, "; ".join(diff)
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_one_cpu_writes_the_golden_values(tmp_path):
+    """A child restricted to one CPU writes the golden values: the solver's
+    two primaries run on two threads, and their bits do not depend on the
+    number of cores those threads share."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    code = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+            "from sppal.__main__ import main; sys.exit(main(sys.argv[1:]))")
+    for name in ("audio_pc", "audio_bp"):
+        case = MANIFEST["cases"][name]
+        proc = subprocess.run([sys.executable, "-c", code, case["command"], "--config",
+                               str(GOLDEN / name / "config.json"), "--out", str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == case["status"], proc.stderr
+        for fname in expected_files(name):
+            diff = mismatches(parse_csv((GOLDEN / name / fname).read_text()),
+                              parse_csv((tmp_path / fname).read_text()), {})
+            assert not diff, f"{name}/{fname}: " + "; ".join(diff)
+
+
 def test_one_ulp_is_caught():
     """Every exactly compared value fails the check when moved by one ulp;
     a toleranced value fails when moved past its tolerance."""

@@ -348,25 +348,40 @@ class TestPressureGridRecursion:
         assert np.array_equal(got[0], got[5])  # the duplicate plane
 
     def test_each_bessel_pair_evaluated_once(self, std_air, piston_60k, monkeypatch):
-        # every propagating block of this grid sits at the 24-panel floor,
-        # so six blocks share one node set: its J0(k_r rho) rows and its
-        # source transform J0(k_r r') are each evaluated once
-        seen = []
+        # each J0(k_r rho) and each source-transform J0(k_r r') is
+        # evaluated once per call, however many node sets hold k_r
+        seen, node_sets = [], []
 
         def j0(x, **kwargs):
             seen.append(np.array(x, copy=True).ravel())
             return special.j0(x, **kwargs)
 
+        def nodes(*args):
+            node_sets.append(_quad.wavenumber_nodes(*args)[0])
+            return _quad.wavenumber_nodes(*args)
+
         monkeypatch.setattr(lf, "special", type("Special", (), {"j0": staticmethod(j0)}))
-        z = np.concatenate([[0.004], np.geomspace(0.008, 0.2, 12)])
+        monkeypatch.setattr(lf, "wavenumber_nodes", nodes)
         rho = 0.0037 * np.sqrt(np.arange(1.0, 13.0))
-        lf.pressure_grid(piston_60k, std_air, 60e3, rho, z)
-        kr, _ = _quad.wavenumber_nodes(std_air.wavenumber(60e3), 24)
-        seen = np.sort(np.concatenate(seen))
-        for pairs in (np.outer(rho, kr), np.outer(kr, piston_60k.radii[1:])):
-            count = (np.searchsorted(seen, pairs.ravel(), side="right")
-                     - np.searchsorted(seen, pairs.ravel(), side="left"))
-            assert np.all(count == 1)
+        for z in (
+            # every propagating block at the 24-panel floor: six blocks
+            # share one node set
+            np.concatenate([[0.004], np.geomspace(0.008, 0.2, 12)]),
+            # node sets of different sizes, which share the propagating
+            # tip panels and the fine evanescent panels at u = 0
+            np.geomspace(0.004, 1.5, 30),
+        ):
+            seen.clear()
+            node_sets.clear()
+            lf.pressure_grid(piston_60k, std_air, 60e3, rho, z)
+            kr = np.concatenate(node_sets)
+            assert np.unique(kr).size < kr.size  # some nodes are in several sets
+            got = np.sort(np.concatenate(seen))
+            for pairs in (np.outer(rho, kr), np.outer(kr, piston_60k.radii[1:])):
+                pairs = np.unique(pairs)
+                count = (np.searchsorted(got, pairs, side="right")
+                         - np.searchsorted(got, pairs, side="left"))
+                assert np.all(count == 1)
 
     @pytest.mark.parametrize("rho, z", [
         ([0.0, 0.01], [0.1, np.nan]),

@@ -1,4 +1,6 @@
 import logging
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -48,7 +50,8 @@ def pointwise_pressure(solver, rho, z, order=64):
     """
     g = solver.grid
     zz, rr = np.meshgrid(g.z_nodes, g.r_nodes, indexing="ij")
-    cz, cr, sw = zz.ravel(), rr.ravel(), solver._sw.ravel()
+    sw = solver._sw_ri[:g.z_nodes.size] + 1j * solver._sw_ri[g.z_nodes.size:]
+    cz, cr, sw = zz.ravel(), rr.ravel(), sw.ravel()
     k = solver._k_audio
 
     def ring_sum(bigr):
@@ -257,6 +260,98 @@ class TestSpectralPath:
         assert rec.levelno == logging.DEBUG
         assert f"grid {g.z_nodes.size} x {g.r_nodes.size}" in msg
         assert "k_r nodes" in msg and "cutoff" in msg
+
+
+@pytest.fixture(scope="module")
+def reference_pair(std_air):
+    """The paper's reference piston pair: d_uc = 0.45 m, 60 kHz carrier,
+    1 kHz audio, 0.1 m/s on each primary (the grid is 901 x 438)."""
+    a = rad.aperture_for_cd(0.45, 60e3, std_air)
+    return desk_pair(std_air, f2=60e3, f_a=1e3, a=a)
+
+
+def _serial(first, second):
+    return first(), second()
+
+
+class TestConcurrentPrimaries:
+    """The solver evaluates its sideband on a worker thread while the
+    calling thread evaluates the carrier."""
+
+    def test_bits_equal_serial_evaluation(self, std_air, reference_pair, monkeypatch):
+        pair, fields = reference_pair, {}
+
+        def recording(profile, medium, f, *args, **kwargs):
+            on_main = threading.current_thread() is threading.main_thread()
+            fields[f] = on_main, lf.pressure_grid(profile, medium, f, *args, **kwargs)
+            return fields[f][1]
+
+        monkeypatch.setattr(nl, "pressure_grid", recording)
+        solver = nl.QuasilinearSolver(pair, std_air)
+        assert [fields[f][0] for f in (pair.f_u1, pair.f_u2)] == [False, True]
+        monkeypatch.undo()
+        g, skirt = solver.grid, solver.settings.truncation_db / 2.0 + 10.0
+        for profile, f in ((pair.profile_1, pair.f_u1), (pair.profile_2, pair.f_u2)):
+            alone = lf.pressure_grid(profile, std_air, f, g.r_nodes, g.z_nodes, skirt)
+            assert np.array_equal(fields[f][1], alone)
+        monkeypatch.setattr(nl, "_in_parallel", _serial)
+        serial = nl.QuasilinearSolver(pair, std_air, grid=g)
+        assert np.array_equal(serial.primary_carrier, solver.primary_carrier)
+        assert np.array_equal(serial._sw_ri, solver._sw_ri)
+
+    def test_given_carrier_starts_no_worker(self, std_air, desk_settings, desk_solver,
+                                            monkeypatch):
+        def no_worker(first, second):
+            raise AssertionError("a worker thread was started")
+
+        monkeypatch.setattr(nl, "_in_parallel", no_worker)
+        s = nl.QuasilinearSolver(desk_solver.pair, std_air, desk_settings,
+                                 grid=desk_solver.grid,
+                                 primary_carrier=desk_solver.primary_carrier)
+        assert np.array_equal(s._sw_ri, desk_solver._sw_ri)
+
+    @pytest.mark.parametrize("on_worker", [True, False])
+    def test_typed_error_reaches_the_caller(self, std_air, desk_settings, monkeypatch,
+                                            on_worker):
+        pair = desk_pair(std_air)
+        err = NumericalFailureError("primary failed")
+        failing = pair.f_u1 if on_worker else pair.f_u2
+
+        def pressure_grid(profile, medium, f, *args, **kwargs):
+            if f == failing:
+                raise err
+            return lf.pressure_grid(profile, medium, f, *args, **kwargs)
+
+        monkeypatch.setattr(nl, "pressure_grid", pressure_grid)
+        with pytest.raises(NumericalFailureError) as info:
+            nl.QuasilinearSolver(pair, std_air, desk_settings)
+        assert info.value is err
+        assert threading.active_count() == 1
+
+    def test_debug_record(self, desk_settings, std_air, caplog):
+        with caplog.at_level(logging.DEBUG, logger="sppal.nlfield"):
+            s = nl.QuasilinearSolver(desk_pair(std_air), std_air, desk_settings)
+        (rec,) = [r for r in caplog.records if r.name == "sppal.nlfield"]
+        msg = rec.getMessage()
+        assert rec.levelno == logging.DEBUG
+        assert f"grid {s.grid.z_nodes.size} x {s.grid.r_nodes.size}" in msg
+        assert "sideband" in msg and "carrier" in msg and "pair" in msg
+        assert f"workspace {2 * 8 * lf.GRID_WORKSPACE_VALUES} B" in msg
+
+
+def test_pressure_grid_peak_memory(std_air, reference_pair):
+    # measured: 17.3 MB on the reference grid (901 x 438, 6.3 MB of it the
+    # output), against 57.2 MB when the far block held all its J0 rows
+    # (8384 nodes) and a 16 MB plane buffer at once
+    pair = reference_pair
+    g = nl.build_volume_grid(pair, std_air)
+    tracemalloc.start()
+    try:
+        lf.pressure_grid(pair.profile_2, std_air, pair.f_u2, g.r_nodes, g.z_nodes, 40.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 class TestAudioCurves:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import optimize, special
 
-from sppal import radiator as rad
+from sppal import _quad, radiator as rad
 from sppal.errors import InfeasibleDesignError, ParameterDomainError
 
 
@@ -76,6 +76,34 @@ class TestPlateModes:
         # one-circle mode is the second root (lambda ~ 6.3064)
         lam = rad._eigenvalue_for_mode(rad.Boundary.CLAMPED, 0.33, 1)
         assert lam == pytest.approx(6.3064, abs=2e-3)
+
+    def test_clamped_edge_is_not_a_nodal_circle(self):
+        # the clamped deflection vanishes at r = a, where its last scan
+        # sample is rounding noise of either sign (modes 7 and 8 used to
+        # report a radius at 0.99999999999995 a)
+        a = 0.05
+        for m in range(1, 11):
+            ms = rad.plate_mode_shape(rad.PlateSpec(a, 0.001, 70e9, 0.33, 2700, m,
+                                                    boundary=rad.Boundary.CLAMPED))
+            assert len(ms.nodal_radii) == m
+            assert all(x < a for x in ms.nodal_radii)
+
+    def test_free_nodal_radii_from_the_full_scan(self):
+        # the free edge keeps its last scan sample: the radii equal those
+        # of a sign scan over all 4096 samples, root by root
+        a = 0.05
+        rho = np.linspace(0.0, 1.0, 4096)
+        for m in range(1, 11):
+            ms = rad.plate_mode_shape(rad.PlateSpec(a, 0.001, 70e9, 0.33, 2700, m))
+            lam = ms.eigenvalue
+            w = rad._mode_profile(lam, rad.Boundary.FREE, rho)
+
+            def w_at(x):
+                return float(rad._mode_profile(lam, rad.Boundary.FREE, np.array([0.0, x]))[1])
+
+            want = [a * _quad.brentq(w_at, rho[i], rho[i + 1], xtol=1e-14)
+                    for i in np.flatnonzero(np.sign(w[:-1]) * np.sign(w[1:]) < 0)]
+            assert ms.nodal_radii == tuple(want)
 
     def test_thin_plate_guard(self):
         with pytest.raises(ParameterDomainError):
