@@ -32,6 +32,11 @@ the propagating and evanescent substitutions of
 :func:`linfield.pressure_grid`, with an evanescent cutoff that doubles
 until it moves each point by less than ``_quad.REFINE_DB``.  Every
 observation point, on or off axis, costs the same few matrix products.
+
+The k_r nodes go in fixed blocks, and the calling thread and one worker
+thread evaluate the blocks; each band adds its blocks' per-point sums in
+node order, so the audio field's bits do not depend on the number of
+threads or cores.  The two primaries run the same way, one per thread.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import special
@@ -62,6 +68,8 @@ from .radiator import SourceKind, SourceProfile
 _BEAT_SAFETY = 2.6
 #: radial extent of the volume grid in beam radii
 _RADIAL_FACTOR = 4.0
+#: (plane, node) values per array of one block of k_r nodes in the audio sum
+_BLOCK_VALUES = 1e6
 
 _log = logging.getLogger(__name__)
 
@@ -334,7 +342,8 @@ class QuasilinearSolver:
         """Audio pressure at (rho, z) observation arrays of one shape.
 
         Each point's value depends only on the grid and on its own
-        (rho, z), never on the other points of the request.
+        (rho, z), never on the other points of the request, nor on the
+        threads or cores that evaluated it.
         """
         rho = np.atleast_1d(np.asarray(rho, dtype=float))
         z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -354,14 +363,17 @@ class QuasilinearSolver:
         reach = np.maximum(rho_f, g.r_nodes[-1]) + g.r_nodes[-1]
         extent = np.hypot(np.maximum(z_f, g.z_nodes[-1]), reach)
         n_prop = np.maximum(24, np.ceil(self._k_audio.real * extent / 12.0)).astype(int)
-        nodes, cutoff = 0, 0.0
+        nodes, cutoff, bands, blocks = 0, 0.0, 0, 0
+        t0 = time.perf_counter()
         for key in sorted(set(zip(n_prop.tolist(), reach.tolist()))):
             idx = np.flatnonzero((n_prop == key[0]) & (reach == key[1]))
-            n_k, k_top = self._spectral(idx, rho_f, z_f, out, *key)
+            n_k, k_top, n_bands, n_blocks = self._spectral(idx, rho_f, z_f, out, *key)
             nodes, cutoff = nodes + n_k, max(cutoff, k_top)
-        _log.debug("audio field: grid %d x %d (n_z x n_r), %d k_r nodes, "
-                   "cutoff %.6g 1/m for %d points", g.z_nodes.size, g.r_nodes.size,
-                   nodes, cutoff, out.size)
+            bands, blocks = bands + n_bands, blocks + n_blocks
+        _log.debug("audio field: grid %d x %d (n_z x n_r), %d k_r nodes in %d bands "
+                   "and %d blocks, cutoff %.6g 1/m for %d points, sum %.3f s",
+                   g.z_nodes.size, g.r_nodes.size, nodes, bands, blocks, cutoff,
+                   out.size, time.perf_counter() - t0)
         out = out.reshape(rho.shape)
         if out.size:
             i_max = int(np.argmax(np.abs(out)))
@@ -379,82 +391,104 @@ class QuasilinearSolver:
         if lower), a point retires at the first band that moves it by at
         most ``REFINE_DB`` (:func:`_quad.refined`); a point still moving
         when the next band would pass the radial grid's sampling
-        wavenumber raises :class:`NumericalFailureError`.  Adds into
-        ``out[idx]``; returns the node count evaluated and the highest
-        cutoff reached.
+        wavenumber raises :class:`NumericalFailureError`.  No point retires
+        before that first resolved band, so the bands up to it are
+        evaluated together, and each later band after the check of the one
+        before.  Adds into ``out[idx]``, band by band; returns the node
+        count evaluated, the highest cutoff reached, and the band and block
+        counts.
         """
         k_a = self._k_audio.real
-        todo = idx
-        n_k, k_top, m = 0, 0.0, 0
+        todo, points = idx, None
+        n_k, k_top, m, n_blocks = 0, 0.0, 0, 0
         while todo.size:
-            if m == 0:
-                kr, jac = wavenumber_nodes(k_a, n_prop)
-            else:
-                k_top = k_a * 2.0 ** m
-                if k_top > self._k_sampling:
-                    i = todo[0]
-                    raise NumericalFailureError(
-                        f"audio field at (rho={rho[i]:.6g} m, z={z[i]:.6g} m) still moves "
-                        f"by more than {REFINE_DB} dB at k_r = {k_top / 2.0:.6g} 1/m, "
-                        f"the last cutoff below the grid's radial sampling wavenumber "
-                        f"{self._k_sampling:.6g} 1/m ({todo.size} points left)")
-                u_span = (float(np.arccosh(2.0 ** (m - 1))), float(np.arccosh(2.0 ** m)))
-                n_pan = int(np.ceil(k_top / 2.0 * reach / 20.0))
-                kr, jac = wavenumber_nodes(k_a, n_pan, u_span)
-            band = self._band(kr, jac, rho[todo], z[todo])
-            out[todo] += band
-            n_k += kr.size
-            if k_top >= self._k_resolved:
-                todo = todo[~refined(band, out[todo])]
-            m += 1
-        return n_k, k_top
+            bands = []
+            while not bands or k_top < self._k_resolved:
+                if m == 0:
+                    bands.append(wavenumber_nodes(k_a, n_prop))
+                else:
+                    k_top = k_a * 2.0 ** m
+                    if k_top > self._k_sampling:
+                        i = todo[0]
+                        raise NumericalFailureError(
+                            f"audio field at (rho={rho[i]:.6g} m, z={z[i]:.6g} m) still "
+                            f"moves by more than {REFINE_DB} dB at k_r = {k_top / 2.0:.6g} "
+                            f"1/m, the last cutoff below the grid's radial sampling "
+                            f"wavenumber {self._k_sampling:.6g} 1/m ({todo.size} points "
+                            f"left)")
+                    u_span = (float(np.arccosh(2.0 ** (m - 1))), float(np.arccosh(2.0 ** m)))
+                    n_pan = int(np.ceil(k_top / 2.0 * reach / 20.0))
+                    bands.append(wavenumber_nodes(k_a, n_pan, u_span))
+                m += 1
+            if points is None:
+                points = _PlanePoints.locate(self.grid.z_nodes, rho[todo], z[todo])
+            sums, blocks = self._band(bands, points)
+            for band in sums:
+                out[todo] += band
+            n_k += sum(kr.size for kr, _ in bands)
+            n_blocks += blocks
+            left = ~refined(sums[-1], out[todo])
+            if not left.all():
+                todo, points = todo[left], None
+        return n_k, k_top, m, n_blocks
 
-    def _band(self, kr, jac, rho, z) -> np.ndarray:
-        """Contribution of the k_r nodes ``kr`` (weights ``jac``) at (rho, z).
+    def _band(self, bands, points) -> tuple:
+        """Contributions of the node sets ``bands`` at ``points``.
 
+        Each band is a pair (k_r nodes, weights) and gives
         p = 1/2 Int (k_r / (i k_z)) J0(k_r rho) S(k_r, z) dk_r with
         S = Sum_z' exp(-i k_z |z - z'|) Q(k_r, z') and Q = sw @ J0(k_r r'):
         a forward sweep over the source planes carries the planes below
         the point, a backward sweep those above, each multiplying its
         accumulator by exp(-i k_z dz) per step.  A plane exactly at z is
         split half to each sweep, i.e. counted once with no propagation
-        factor.  Nodes go in fixed blocks and every per-point reduction is
-        a row sum, so a point's value does not depend on the others.
+        factor.
+
+        Nodes go in fixed blocks of ``_BLOCK_VALUES`` / n_z per band
+        (:meth:`_block`); the calling thread and one worker evaluate them,
+        largest first (:func:`_in_turn`), and each band sums its blocks'
+        row sums in node order.  So a point's value depends neither on the
+        other points nor on which thread or core evaluated a block.
+        Returns the band sums and the block count.
+        """
+        block = max(1, int(_BLOCK_VALUES / self.grid.z_nodes.size))
+        spans = [(b, kr[s:s + block], jac[s:s + block])
+                 for b, (kr, jac) in enumerate(bands) for s in range(0, kr.size, block)]
+        # largest first, so the two threads run out of blocks close together
+        order = sorted(range(len(spans)), key=lambda i: -spans[i][1].size)
+        rows = dict(zip(order, _in_turn(
+            [partial(self._block, *spans[i][1:], points) for i in order])))
+        sums = [np.zeros(points.rho.size, dtype=complex) for _ in bands]
+        for i, (b, _, _) in enumerate(spans):
+            sums[b] += rows[i]
+        return sums, len(spans)
+
+    def _block(self, k_b, jac_b, points) -> np.ndarray:
+        """Per-point sums of the block of k_r nodes ``k_b`` (weights ``jac_b``).
+
+        Reads only what the solver fixes at its build, so any thread may
+        evaluate a block.
         """
         g = self.grid
         zn = g.z_nodes
         n_z = zn.size
         kc = self._k_audio
-        lo = np.searchsorted(zn, z, side="left") - 1   # nearest plane below
-        hi = np.searchsorted(zn, z, side="right")      # nearest plane above
-        on = np.flatnonzero(hi - lo == 2)
-        keep_lo, row_lo = np.unique(lo, return_inverse=True)
-        keep_hi, row_hi = np.unique(hi, return_inverse=True)
-        # a side without planes gets a zero accumulator and a zero path
-        dz_lo = np.where(lo >= 0, z - zn[np.maximum(lo, 0)], 0.0)
-        dz_hi = np.where(hi < n_z, zn[np.minimum(hi, n_z - 1)] - z, 0.0)
-        out = np.zeros(z.size, dtype=complex)
-        # about 1e6 values per (plane, node) array
-        block = max(1, int(1e6 / n_z))
-        for s in range(0, kr.size, block):
-            k_b = kr[s:s + block]
-            kz = -1j * np.sqrt(k_b.astype(complex) ** 2 - kc * kc)
-            # Q's real parts in rows 0..n_z-1, its imaginary parts below
-            jr = np.outer(g.r_nodes, k_b)
-            q2 = self._sw_ri @ special.j0(jr, out=jr)
-            del jr
-            step, gap_row = plane_steps(zn, kz)
-            fwd = _sweep(q2, step, gap_row, keep_lo, range(n_z))
-            bwd = _sweep(q2, step, gap_row, keep_hi, range(n_z - 1, -1, -1))
-            spec = (fwd[row_lo] * np.exp(-1j * np.outer(dz_lo, kz))
-                    + bwd[row_hi] * np.exp(-1j * np.outer(dz_hi, kz)))
-            q_on = np.empty((on.size, k_b.size), dtype=complex)
-            q_on.real, q_on.imag = q2[lo[on] + 1], q2[n_z + lo[on] + 1]
-            spec[on] += q_on
-            spec *= (0.5 * k_b / (1j * kz) * jac[s:s + block]
-                     * special.j0(np.outer(rho, k_b)))
-            out += spec.sum(axis=1)
-        return out
+        kz = -1j * np.sqrt(k_b.astype(complex) ** 2 - kc * kc)
+        # Q's real parts in rows 0..n_z-1, its imaginary parts below
+        jr = np.outer(g.r_nodes, k_b)
+        q2 = self._sw_ri @ special.j0(jr, out=jr)
+        del jr
+        step, gap_row = plane_steps(zn, kz)
+        keep_lo, keep_hi = points.keep_lo, points.keep_hi
+        fwd = _sweep(q2, step, gap_row, keep_lo, range(keep_lo[-1] + 1))
+        bwd = _sweep(q2, step, gap_row, keep_hi, range(n_z - 1, keep_hi[0] - 1, -1))
+        spec = (fwd[points.row_lo] * np.exp(-1j * np.outer(points.dz_lo, kz))
+                + bwd[points.row_hi] * np.exp(-1j * np.outer(points.dz_hi, kz)))
+        q_on = np.empty((points.on.size, k_b.size), dtype=complex)
+        q_on.real, q_on.imag = q2[points.on_plane], q2[n_z + points.on_plane]
+        spec[points.on] += q_on
+        spec *= 0.5 * k_b / (1j * kz) * jac_b * special.j0(np.outer(points.rho, k_b))
+        return spec.sum(axis=1)
 
     def propagation_curve(self, z_grid) -> FieldCurve:
         z = np.asarray(z_grid, dtype=float)
@@ -494,7 +528,7 @@ def _in_parallel(first, second) -> tuple:
         except BaseException as exc:  # handed to the calling thread
             result["error"] = exc
 
-    worker = threading.Thread(target=work, name="sppal-primary")
+    worker = threading.Thread(target=work, name="sppal-worker")
     worker.start()
     try:
         other = second()
@@ -505,6 +539,69 @@ def _in_parallel(first, second) -> tuple:
     return result["value"], other
 
 
+def _in_turn(tasks) -> list:
+    """Results of the callables ``tasks``, in order, evaluated on two threads.
+
+    The calling thread and one worker (:func:`_in_parallel`) each take the
+    next task in list order until none is left, so at most two run at
+    once.  Once a task has raised, neither thread starts another, and the
+    exception reaches the caller as it was raised; no thread outlives the
+    call.
+    """
+    results, lock, failed = [None] * len(tasks), threading.Lock(), []
+    queue = iter(enumerate(tasks))
+
+    def drain():
+        while not failed:
+            with lock:
+                i, task = next(queue, (None, None))
+            if task is None:
+                return
+            try:
+                results[i] = task()
+            except BaseException:
+                failed.append(i)
+                raise
+
+    _in_parallel(drain, drain)
+    return results
+
+
+@dataclass(frozen=True)
+class _PlanePoints:
+    """Where observation points sit among the source planes.
+
+    ``keep_lo`` (``keep_hi``) holds, sorted, the nearest plane below
+    (above) the points, -1 (n_z) where there is none; ``row_lo``
+    (``row_hi``) is each point's row among them and ``dz_lo`` (``dz_hi``)
+    its path from that plane, zero without a plane.  The points ``on``
+    lie exactly on plane ``on_plane``.
+    """
+
+    rho: np.ndarray
+    keep_lo: np.ndarray
+    row_lo: np.ndarray
+    dz_lo: np.ndarray
+    keep_hi: np.ndarray
+    row_hi: np.ndarray
+    dz_hi: np.ndarray
+    on: np.ndarray
+    on_plane: np.ndarray
+
+    @classmethod
+    def locate(cls, zn, rho, z) -> "_PlanePoints":
+        n_z = zn.size
+        lo = np.searchsorted(zn, z, side="left") - 1   # nearest plane below
+        hi = np.searchsorted(zn, z, side="right")      # nearest plane above
+        on = np.flatnonzero(hi - lo == 2)
+        keep_lo, row_lo = np.unique(lo, return_inverse=True)
+        keep_hi, row_hi = np.unique(hi, return_inverse=True)
+        # a side without planes gets a zero accumulator and a zero path
+        dz_lo = np.where(lo >= 0, z - zn[np.maximum(lo, 0)], 0.0)
+        dz_hi = np.where(hi < n_z, zn[np.minimum(hi, n_z - 1)] - z, 0.0)
+        return cls(rho, keep_lo, row_lo, dz_lo, keep_hi, row_hi, dz_hi, on, lo[on] + 1)
+
+
 def _sweep(q2, step, gap_row, keep, planes) -> np.ndarray:
     """One recursion over the source planes of a Hankel-domain sum.
 
@@ -512,8 +609,10 @@ def _sweep(q2, step, gap_row, keep, planes) -> np.ndarray:
     exp(-i k_z dz) (row ``gap_row[i]`` of ``step`` for the gap between
     planes i and i + 1) before adding plane j's spectrum, whose real and
     imaginary parts are rows j and n_z + j of ``q2``.  Row r of the result
-    is the accumulator after plane ``keep[r]``; entries of ``keep`` outside
-    the grid (no plane on that side) stay zero.
+    is the accumulator after plane ``keep[r]``; entries of ``keep`` not
+    visited (-1 and n_z: no plane on that side) stay zero.  A sweep may
+    stop at the last plane ``keep`` needs: the accumulator after a plane
+    depends only on the planes visited before it.
     """
     n_z = q2.shape[0] // 2
     out = np.zeros((keep.size, q2.shape[1]), dtype=complex)

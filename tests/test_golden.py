@@ -115,16 +115,17 @@ def test_cli_entry_pins_blas_threads(tmp_path):
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
 def test_one_cpu_writes_the_golden_values(tmp_path):
-    """A child restricted to one CPU writes the golden values: the solver's
-    two primaries run on two threads, and their bits do not depend on the
-    number of cores those threads share."""
+    """A child restricted to one CPU writes the golden values of every case
+    that evaluates audio points: the solver's two primaries and the blocks
+    of its audio sums run on two threads, and their bits do not depend on
+    the number of cores those threads share."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     env.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     code = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
             "from sppal.__main__ import main; sys.exit(main(sys.argv[1:]))")
-    for name in ("audio_pc", "audio_bp"):
+    for name in ("audio_pc", "audio_bp", "audio_fr", "cd_contour", "sweep"):
         case = MANIFEST["cases"][name]
         proc = subprocess.run([sys.executable, "-c", code, case["command"], "--config",
                                str(GOLDEN / name / "config.json"), "--out", str(tmp_path)],

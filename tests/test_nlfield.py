@@ -1,7 +1,11 @@
 import logging
+import re
+import sys
 import threading
+import time
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -245,8 +249,12 @@ class TestSpectralPath:
         # doubling cutoff adds about as much as the last
         g = nl.VolumeGrid([0.02], [0.002], [1e-3], [1e-4])
         s = nl.QuasilinearSolver(desk_pair(lossless_air), lossless_air, grid=g)
-        with pytest.raises(NumericalFailureError, match=r"rho=0\.002 m, z=0\.02 m"):
+        with pytest.raises(NumericalFailureError) as info:
             s.pressures([0.0, 0.002], [1.0, 0.02])
+        assert str(info.value) == (
+            "audio field at (rho=0.002 m, z=0.02 m) still moves by more than 0.05 dB "
+            "at k_r = 1171.64 1/m, the last cutoff below the grid's radial sampling "
+            "wavenumber 1570.8 1/m (1 points left)")
 
     def test_debug_record_per_call(self, desk_solver, caplog):
         with caplog.at_level(logging.WARNING, logger="sppal.nlfield"):
@@ -260,6 +268,10 @@ class TestSpectralPath:
         assert rec.levelno == logging.DEBUG
         assert f"grid {g.z_nodes.size} x {g.r_nodes.size}" in msg
         assert "k_r nodes" in msg and "cutoff" in msg
+        # both points share one node set, which converges at its first
+        # resolved band: bands 0-6, each one block on this grid
+        assert "in 7 bands and 7 blocks" in msg
+        assert re.search(r"sum \d+\.\d{3} s$", msg)
 
 
 @pytest.fixture(scope="module")
@@ -337,6 +349,122 @@ class TestConcurrentPrimaries:
         assert f"grid {s.grid.z_nodes.size} x {s.grid.r_nodes.size}" in msg
         assert "sideband" in msg and "carrier" in msg and "pair" in msg
         assert f"workspace {2 * 8 * lf.GRID_WORKSPACE_VALUES} B" in msg
+
+
+@pytest.fixture(scope="module")
+def reference_solver(std_air, reference_pair):
+    return nl.QuasilinearSolver(reference_pair, std_air)
+
+
+class TestConcurrentBlocks:
+    """The audio sum evaluates its blocks of k_r nodes on the calling
+    thread and one worker, with the bits of one thread."""
+
+    @pytest.mark.parametrize("rho, z", [
+        # the audio-pc grid: 60 on-axis points
+        (np.zeros(60), np.linspace(0.05, 2.0, 60)),
+        # off axis: the audio-bp angles at 1 m, and points in the beam
+        (np.abs(np.sin(np.deg2rad([-30.0, 0.0, 30.0]))), np.cos(np.deg2rad([-30.0, 0.0, 30.0]))),
+        ([0.02, 0.05, 0.3, 0.0], [0.08, 0.2, 1.0, 0.5]),
+    ])
+    def test_bits_equal_serial_evaluation(self, reference_solver, monkeypatch, rho, z):
+        threaded = reference_solver.pressures(rho, z)
+        monkeypatch.setattr(nl, "_in_parallel", _serial)
+        assert np.array_equal(reference_solver.pressures(rho, z), threaded)
+
+    def test_blocks_add_in_node_order(self, desk_solver, monkeypatch):
+        # 64-node blocks: the propagating band's 640 nodes make 10 of them
+        monkeypatch.setattr(nl, "_BLOCK_VALUES", 64 * desk_solver.grid.z_nodes.size)
+        kr, jac = _quad.wavenumber_nodes(desk_solver._k_audio.real, 24)
+        points = nl._PlanePoints.locate(desk_solver.grid.z_nodes, np.zeros(30),
+                                        np.linspace(0.01, 0.3, 30))
+        (band,), blocks = desk_solver._band([(kr, jac)], points)
+        want = np.zeros(30, dtype=complex)
+        for s in range(0, kr.size, 64):
+            want += desk_solver._block(kr[s:s + 64], jac[s:s + 64], points)
+        assert blocks == 10
+        assert np.array_equal(band, want)
+
+    def test_later_bands_retire_points(self, lossless_air, monkeypatch):
+        # one source plane on a fine radial grid: points close to the plane
+        # need bands past the first resolved one, and with 8-node blocks
+        # those bands run in several blocks
+        r = np.arange(0.05e-3, 3e-3, 0.1e-3)
+        g = nl.VolumeGrid([0.02], r, [1e-3], _quad.simpson_weights(r))
+        s = nl.QuasilinearSolver(desk_pair(lossless_air), lossless_air, grid=g)
+        monkeypatch.setattr(nl, "_BLOCK_VALUES", 8)
+        rounds, band = [], nl.QuasilinearSolver._band
+
+        def recording(self, bands, points):
+            sums, blocks = band(self, bands, points)
+            rounds.append((len(bands), blocks, points.rho.size))
+            return sums, blocks
+
+        monkeypatch.setattr(nl.QuasilinearSolver, "_band", recording)
+        rho, z = [0.001, 0.0, 0.001, 0.002, 0.0], [0.023, 0.021, 0.0205, 0.0198, 0.0202]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationTailWarning)
+            threaded = s.pressures(rho, z)
+            assert rounds == [(7, 104, 5), (1, 2, 3), (1, 4, 1)]
+            monkeypatch.setattr(nl, "_in_parallel", _serial)
+            assert np.array_equal(s.pressures(rho, z), threaded)
+
+    def test_typed_error_from_a_worker_block(self, desk_solver, monkeypatch):
+        err = NumericalFailureError("block failed")
+        failed, block = threading.Event(), nl.QuasilinearSolver._block
+
+        def failing(self, *args):
+            if threading.current_thread() is threading.main_thread():
+                failed.wait(10.0)  # hold this block until the worker has failed
+                return block(self, *args)
+            failed.set()
+            raise err
+
+        monkeypatch.setattr(nl.QuasilinearSolver, "_block", failing)
+        with pytest.raises(NumericalFailureError) as info:
+            desk_solver.pressures([0.0], [0.08])
+        assert info.value is err
+        assert failed.is_set()
+        assert threading.active_count() == 1
+
+
+def test_in_turn_runs_each_task_once():
+    ran, interval = [], sys.getswitchinterval()
+
+    def task(i):
+        time.sleep(1e-3)  # hands the interpreter lock to the other thread
+        ran.append((i, threading.current_thread().name))
+        return i
+
+    sys.setswitchinterval(1e-6)
+    try:
+        results = nl._in_turn([partial(task, i) for i in range(100)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == list(range(100))
+    assert sorted(i for i, _ in ran) == list(range(100))
+    assert len({name for _, name in ran}) == 2
+    assert threading.active_count() == 1
+
+
+def test_sweep_stops_at_the_last_kept_plane():
+    rng = np.random.default_rng(7)
+    n_z, n_k = 12, 5
+    z = np.cumsum(rng.choice([1e-3, 2e-3], n_z))
+    q2 = rng.standard_normal((2 * n_z, n_k))
+    step, gap_row = _quad.plane_steps(z, rng.uniform(1.0, 50.0, n_k) - 2j)
+    # forward sweeps keep planes -1 .. n_z - 1, backward sweeps 0 .. n_z
+    for keep in ([-1], [-1, 3, 7], [0, 5], [4, n_z - 1]):
+        keep = np.asarray(keep)
+        full = nl._sweep(q2, step, gap_row, keep, range(n_z))
+        assert np.array_equal(nl._sweep(q2, step, gap_row, keep, range(keep[-1] + 1)), full)
+        assert not full[keep < 0].any()
+    for keep in ([0], [0, 5], [4, n_z - 1], [2, n_z], [n_z]):
+        keep = np.asarray(keep)
+        full = nl._sweep(q2, step, gap_row, keep, range(n_z - 1, -1, -1))
+        assert np.array_equal(
+            nl._sweep(q2, step, gap_row, keep, range(n_z - 1, keep[0] - 1, -1)), full)
+        assert not full[keep >= n_z].any()
 
 
 def test_pressure_grid_peak_memory(std_air, reference_pair):
