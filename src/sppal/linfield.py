@@ -12,13 +12,16 @@ SPL = 20*log10(|p| / (sqrt(2)*20e-6 Pa)).
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass, field
 from itertools import groupby
 
 import numpy as np
 from scipy import special
 
-from ._quad import azimuthal_ladder, plane_steps, simpson_weights, wavenumber_nodes
+from ._quad import (azimuthal_ladder, chebyshev_interpolate, chebyshev_points,
+                    plane_steps, simpson_weights, wavenumber_nodes)
 from .errors import NumericalFailureError, ParameterDomainError
 from .medium import Medium, absorption_coeff
 from .radiator import SourceKind, SourceProfile, first_local_max, piston_profile, PistonSpec
@@ -31,6 +34,15 @@ _MAX_AZIMUTHAL_ORDER = 4096
 #: float64 values in each of the two fixed buffers of a :func:`pressure_grid`
 #: call, one for J0 slabs and source transforms, one for plane chunks
 GRID_WORKSPACE_VALUES = 2 ** 18
+#: consecutive z blocks of :func:`pressure_grid`'s propagating branch, counted
+#: from the far end, that share the node set of their farthest block.
+#: Measured, serial pressure_grid time (best of 15) against one block per
+#: node set, on the reference grids at 60 kHz / 40 kHz: 2 blocks -12/-14 %,
+#: 3 -23/-22 %, 4 -20/-13 %, 5 -11/-17 % (larger groups pay more in GEMM
+#: than they save in J0)
+_NODE_GROUP = 3
+
+_log = logging.getLogger(__name__)
 
 
 def spl_db(p):
@@ -387,25 +399,35 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
 
     Cost controls: z planes are processed in blocks of doubling axial
     extent so the quadrature order tracks each block's oscillation
-    count.  The evanescent branch is blocked the same way with a
-    per-block spectral cutoff exp(-kappa*z) ~ 1e-8 and a global cap at
-    4*k0 (fields closer than ~lambda/4 to the source plane lose a few
-    percent of their reactive part).  Consecutive blocks with the same
-    k_r nodes (near the source, several sit at the 24-panel floor) share
-    one k_z, source transform and set of J0(k_r rho) rows, evaluated for
-    the widest column set of the run; nodes that several node sets hold
-    (the propagating tip panels, the fine evanescent panels at u = 0) have
-    theirs evaluated once per call.  The J0 rows are evaluated in slabs of
-    nodes into one fixed workspace, and each slab's contribution is added
-    plane by plane: exp(-i k_z z) is the previous plane's factor times
-    exp(-i k_z dz), one exponential per distinct plane gap, and each chunk
-    of planes is one real matrix product in a second fixed buffer (see
-    :func:`grid_workspace_bytes`).  ``skirt_cut_db`` (opt-in, piston
-    sources only) zeroes grid columns where the piston directivity
-    envelope bounds the field below that level re the beam axis; callers
-    integrating the two-beam product use it to skip cells that cannot
-    matter at their truncation budget.
+    count.  In the propagating branch the blocks go in groups of three,
+    counted from the far end, and every block of a group integrates on
+    its farthest block's node set, the finest of the group.  The
+    evanescent branch is blocked the same way with a per-block spectral
+    cutoff exp(-kappa*z) ~ 1e-8 and a global cap at 4*k0 (fields closer
+    than ~lambda/4 to the source plane lose a few percent of their
+    reactive part).  Consecutive blocks with the same k_r nodes share one
+    k_z and set of J0(k_r rho) rows, evaluated for the widest column set
+    of the run; nodes that several node sets hold (the propagating tip
+    panels, the fine evanescent panels at u = 0) have theirs evaluated
+    once per call.  The source transform V(k_r), entire in k_r, is
+    evaluated by its J0 sum only at ceil(k_top * a) + 32 Chebyshev points
+    on [0, k_top], k_top the largest node, and interpolated to every node
+    (:func:`_quad.chebyshev_interpolate`).  The J0 rows are evaluated in
+    slabs of nodes into one fixed workspace, and each slab's contribution
+    is added plane by plane: exp(-i k_z z) is the previous plane's factor
+    times exp(-i k_z dz), one exponential per distinct plane gap, and each
+    chunk of planes is one real matrix product in a second fixed buffer
+    (see :func:`grid_workspace_bytes`).  ``skirt_cut_db`` (opt-in, piston
+    sources only) zeroes grid columns where the piston's far-field
+    directivity envelope bounds the field below that level re the beam
+    axis; callers integrating the two-beam product use it to skip cells
+    that cannot matter at their truncation budget.  The envelope does not
+    bound the near zone: on the reference grid a 40 dB cut drops a cell
+    7 mm outside the aperture at z = 5 mm that is 1.3 dB below the axis.
+    A DEBUG record on this module's logger reports each call's grid,
+    node sets, nodes, J0 values, Chebyshev points and wall time.
     """
+    t0 = time.perf_counter()
     rho_obs = np.asarray(rho_obs, dtype=float)
     z_obs = np.asarray(z_obs, dtype=float)
     if z_obs.size == 0:
@@ -481,9 +503,12 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
             rho_cut = rho_max
         sel = rho_obs <= rho_cut * (1.0 + 1e-12)
         phase_scale = k0 * np.hypot(z_hi, rho_cut)
-        n_pan = max(24, int(np.ceil(phase_scale / 12.0)))
-        blocks.append((lo_idx, hi_idx, sel, (n_pan,)))
-    add_runs(blocks)
+        blocks.append((lo_idx, hi_idx, sel, max(24, int(np.ceil(phase_scale / 12.0)))))
+    # each group of _NODE_GROUP blocks, counted from the far end, integrates
+    # on the node set of its farthest block, the finest of the group
+    far = len(blocks) - 1
+    finest = [blocks[far - (far - i) // _NODE_GROUP * _NODE_GROUP][3] for i in range(far + 1)]
+    add_runs([(*b[:3], (n_pan,)) for b, n_pan in zip(blocks, finest)])
 
     # evanescent branch, k_r = k0 cosh(u)
     u_cap = float(np.arccosh(4.0))
@@ -505,34 +530,40 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
         blocks.append((lo_idx, hi_idx, sel, (n_pan, (0.0, u_max))))
     add_runs(blocks)
 
-    def source_transform(krho):
-        """Int v(r') J0(k_r r') r' dr' at each k_r, in slabs that fill ``work``."""
-        vh = np.empty(krho.size, dtype=w_src.dtype)
-        n = max(16, work.size // r_src.size // 16 * 16)
-        for s in range(0, krho.size, n):
-            k_s = krho[s:s + n]
-            slab = work[:k_s.size * r_src.size].reshape(k_s.size, r_src.size)
-            vh[s:s + n] = _j0_outer(k_s, r_src, slab) @ w_src
-        return vh
+    if not runs:  # no column in reach of any block
+        return out
+    k_all, n_sets = np.unique(np.concatenate([run[0] for run in runs]), return_counts=True)
+
+    # source transform V(k_r) = sum_j w_j J0(k_r r_j), an entire function of
+    # exponential type r_src[-1]: J0 at Chebyshev points on [0, k_top], in
+    # slabs that fill ``work``, and barycentric interpolation to every node.
+    # 160 points reach 1.3e-15 of its maximum at k_top * a = 223 (128 points
+    # 9e-7); the rule gives 256 there
+    k_top = float(k_all[-1])
+    k_cheb = chebyshev_points(int(np.ceil(k_top * r_src[-1])) + 32, k_top)
+    v_cheb = np.empty(k_cheb.size, dtype=w_src.dtype)
+    n = max(16, work.size // r_src.size // 16 * 16)
+    for s in range(0, k_cheb.size, n):
+        k_s = k_cheb[s:s + n]
+        slab = work[:k_s.size * r_src.size].reshape(k_s.size, r_src.size)
+        v_cheb[s:s + n] = _j0_outer(k_s, r_src, slab) @ w_src
+    vh_all = chebyshev_interpolate(v_cheb, k_top, k_all, work)
 
     # nodes that several node sets share (the propagating tip panels and
-    # the fine evanescent panels at u = 0): their source transform and J0
-    # rows over every column, evaluated once
-    k_all, n_sets = np.unique(np.concatenate([run[0] for run in runs]), return_counts=True)
+    # the fine evanescent panels at u = 0): their J0 rows over every
+    # column, evaluated once
     k_shared = k_all[n_sets > 1]
-    vh_shared = source_transform(k_shared)
     j0_shared = _j0_outer(rho_obs, k_shared, np.empty((rho_obs.size, k_shared.size)))
+    n_j0 = k_cheb.size * r_src.size + j0_shared.size
 
     for krho, jac, run in runs:
         kz = -1j * np.sqrt(krho.astype(complex) ** 2 - kc * kc)
         shared = np.isin(krho, k_shared)
         pos = np.searchsorted(k_shared, krho)
-        vh = np.empty(krho.size, dtype=w_src.dtype)
-        vh[shared] = vh_shared[pos[shared]]
-        vh[~shared] = source_transform(krho[~shared])
-        wk = pref * vh * (krho / kz) * jac
+        wk = pref * vh_all[np.searchsorted(k_all, krho)] * (krho / kz) * jac
         union = np.logical_or.reduce([sel for _, _, sel in run])
         rho_u = rho_obs[union]
+        n_j0 += rho_u.size * int(np.count_nonzero(~shared))
         # J0 rows in slabs of as many nodes as fill the workspace (at most a
         # quarter of it, so that one plane of a slab and its product fit the
         # plane buffer); a shared node's column comes from the store, the
@@ -555,6 +586,9 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
                               wk[s0:s1], kz[s0:s1], bmat if rows.all() else bmat[rows],
                               z_sorted[lo_idx:hi_idx], planes)
 
+    _log.debug("pressure_grid: grid %d x %d (n_z x n_r), %d node sets, %d nodes, "
+               "%d J0 values, %d Chebyshev points, %.3f s", z_obs.size, rho_obs.size,
+               len(runs), k_all.size, n_j0, k_cheb.size, time.perf_counter() - t0)
     if order is None:
         return out
     unsorted = np.empty_like(out)

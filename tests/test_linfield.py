@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 from scipy import special
@@ -262,10 +265,13 @@ class TestPressureGrid:
         assert np.max(np.abs(lf.spl_db(f1) - lf.spl_db(f2))) < 0.05
 
 
-def _parent_pressure_grid(profile, medium, f, rho_obs, z_obs, skirt_cut_db=None):
+def _parent_pressure_grid(profile, medium, f, rho_obs, z_obs, skirt_cut_db=None,
+                          refine=1):
     """The dense-grid evaluator as it was before the plane recursion: every
-    block evaluates its own node set and exp(-i k_z z) on every plane, and
-    sums it with two products on the real and imaginary parts."""
+    block evaluates its own node set, its source transform by direct J0
+    sums and exp(-i k_z z) on every plane, and sums it with two products on
+    the real and imaginary parts.  ``refine`` multiplies the panel counts of
+    both branches (floors and rates), for a reference of higher order."""
     rho_obs = np.asarray(rho_obs, dtype=float)
     z_obs = np.asarray(z_obs, dtype=float)
     order = np.argsort(z_obs, kind="stable")
@@ -304,7 +310,7 @@ def _parent_pressure_grid(profile, medium, f, rho_obs, z_obs, skirt_cut_db=None)
         if sin_cut < 1.0:
             rho_cut = min(rho_max, a + z_hi * sin_cut / np.sqrt(1.0 - sin_cut ** 2))
         sel = rho_obs <= rho_cut * (1.0 + 1e-12)
-        n_pan = max(24, int(np.ceil(k0 * np.hypot(z_hi, rho_cut) / 12.0)))
+        n_pan = refine * max(24, int(np.ceil(k0 * np.hypot(z_hi, rho_cut) / 12.0)))
         out[lo_idx:hi_idx, sel] = spectrum(lo_idx, hi_idx, sel,
                                            *_quad.wavenumber_nodes(k0, n_pan))
     for lo_idx, hi_idx, _ in blocks:
@@ -316,7 +322,7 @@ def _parent_pressure_grid(profile, medium, f, rho_obs, z_obs, skirt_cut_db=None)
         if skirt_cut_db is not None and u_max >= 0.5:
             rho_cut = min(rho_max, 2.0 * a + 4.0 * lam)
         sel = rho_obs <= rho_cut * (1.0 + 1e-12)
-        n_pan = int(np.ceil((np.cosh(u_max) - 1.0) * k0 * rho_cut / 10.0)) + 8
+        n_pan = refine * (int(np.ceil((np.cosh(u_max) - 1.0) * k0 * rho_cut / 10.0)) + 8)
         out[lo_idx:hi_idx, sel] += spectrum(
             lo_idx, hi_idx, sel, *_quad.wavenumber_nodes(k0, n_pan, (0.0, u_max)))
     result = np.empty_like(out)
@@ -347,10 +353,24 @@ class TestPressureGridRecursion:
         assert np.all(np.abs(got - want) <= 1e-12 * col_max)
         assert np.array_equal(got[0], got[5])  # the duplicate plane
 
-    def test_each_bessel_pair_evaluated_once(self, std_air, piston_60k, monkeypatch):
-        # each J0(k_r rho) and each source-transform J0(k_r r') is
-        # evaluated once per call, however many node sets hold k_r
-        seen, node_sets = [], []
+    @pytest.mark.parametrize("skirt", [None, 40.0])
+    def test_matches_refined_oracle(self, std_air, piston_60k, skirt):
+        # against the per-plane evaluator on 4x the panels of both branches:
+        # the shared node sets and the interpolated source transform buy no
+        # speed with accuracy (measured 3.3e-13; the per-block node sets of
+        # the oracle itself are 5.4e-13 off without the skirt)
+        got = lf.pressure_grid(piston_60k, std_air, 60e3, self.RHO, self.Z, skirt)
+        want = _parent_pressure_grid(piston_60k, std_air, 60e3, self.RHO, self.Z, skirt,
+                                     refine=4)
+        col_max = np.max(np.abs(want), axis=0)
+        assert np.all(np.abs(got - want) <= 1e-12 * col_max)
+
+    def test_each_bessel_pair_evaluated_once(self, std_air, piston_60k, monkeypatch,
+                                             caplog):
+        # each J0(k_r rho) of the grid is evaluated once per call, however
+        # many node sets hold k_r; the source transform evaluates J0 only at
+        # its Chebyshev points, n x n_src values; the DEBUG record counts both
+        seen, node_sets, cheb = [], [], []
 
         def j0(x, **kwargs):
             seen.append(np.array(x, copy=True).ravel())
@@ -360,9 +380,15 @@ class TestPressureGridRecursion:
             node_sets.append(_quad.wavenumber_nodes(*args)[0])
             return _quad.wavenumber_nodes(*args)
 
+        def points(n, hi):
+            cheb.append(_quad.chebyshev_points(n, hi))
+            return cheb[-1]
+
         monkeypatch.setattr(lf, "special", type("Special", (), {"j0": staticmethod(j0)}))
         monkeypatch.setattr(lf, "wavenumber_nodes", nodes)
+        monkeypatch.setattr(lf, "chebyshev_points", points)
         rho = 0.0037 * np.sqrt(np.arange(1.0, 13.0))
+        r_src = piston_60k.radii
         for z in (
             # every propagating block at the 24-panel floor: six blocks
             # share one node set
@@ -373,15 +399,39 @@ class TestPressureGridRecursion:
         ):
             seen.clear()
             node_sets.clear()
-            lf.pressure_grid(piston_60k, std_air, 60e3, rho, z)
+            cheb.clear()
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="sppal.linfield"):
+                lf.pressure_grid(piston_60k, std_air, 60e3, rho, z)
             kr = np.concatenate(node_sets)
             assert np.unique(kr).size < kr.size  # some nodes are in several sets
+            (k_cheb,) = cheb
+            assert k_cheb[-1] == kr.max()
+            assert k_cheb.size == np.ceil(kr.max() * r_src[-1]) + 32
             got = np.sort(np.concatenate(seen))
-            for pairs in (np.outer(rho, kr), np.outer(kr, piston_60k.radii[1:])):
-                pairs = np.unique(pairs)
-                count = (np.searchsorted(got, pairs, side="right")
-                         - np.searchsorted(got, pairs, side="left"))
-                assert np.all(count == 1)
+            pairs = np.unique(np.outer(rho, kr))
+            count = (np.searchsorted(got, pairs, side="right")
+                     - np.searchsorted(got, pairs, side="left"))
+            assert np.all(count == 1)
+            rest = got[~np.isin(got, pairs)]
+            assert np.array_equal(rest, np.sort(np.outer(k_cheb, r_src), axis=None))
+            (rec,) = caplog.records
+            msg = rec.getMessage()
+            assert f"grid {z.size} x {rho.size}" in msg
+            assert f"{len(node_sets)} node sets, {np.unique(kr).size} nodes" in msg
+            assert f"{got.size} J0 values, {k_cheb.size} Chebyshev points" in msg
+            assert re.search(r", \d+\.\d{3} s$", msg)
+
+    def test_silent_by_default(self, std_air, piston_60k, caplog):
+        with caplog.at_level(logging.INFO, logger="sppal.linfield"):
+            lf.pressure_grid(piston_60k, std_air, 60e3, self.RHO, [0.05, 0.3])
+        assert not caplog.records
+
+    @pytest.mark.parametrize("rho, skirt", [([], None), ([], 40.0), ([3.0, 4.0], 40.0)])
+    def test_no_column_in_reach(self, std_air, piston_60k, rho, skirt):
+        # no column, or every column beyond the skirt: a zero field
+        got = lf.pressure_grid(piston_60k, std_air, 60e3, rho, [0.003, 0.01], skirt)
+        assert got.shape == (2, len(rho)) and not got.any()
 
     @pytest.mark.parametrize("rho, z", [
         ([0.0, 0.01], [0.1, np.nan]),

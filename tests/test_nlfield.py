@@ -9,6 +9,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from scipy import special
 
 from sppal import _quad
 from sppal import linfield as lf
@@ -341,14 +342,22 @@ class TestConcurrentPrimaries:
         assert threading.active_count() == 1
 
     def test_debug_record(self, desk_settings, std_air, caplog):
-        with caplog.at_level(logging.DEBUG, logger="sppal.nlfield"):
+        with caplog.at_level(logging.DEBUG, logger="sppal"):
             s = nl.QuasilinearSolver(desk_pair(std_air), std_air, desk_settings)
         (rec,) = [r for r in caplog.records if r.name == "sppal.nlfield"]
         msg = rec.getMessage()
+        grid = f"grid {s.grid.z_nodes.size} x {s.grid.r_nodes.size}"
         assert rec.levelno == logging.DEBUG
-        assert f"grid {s.grid.z_nodes.size} x {s.grid.r_nodes.size}" in msg
+        assert grid in msg
         assert "sideband" in msg and "carrier" in msg and "pair" in msg
         assert f"workspace {2 * 8 * lf.GRID_WORKSPACE_VALUES} B" in msg
+        # and one record of each primary's pressure_grid call
+        prim = [r.getMessage() for r in caplog.records if r.name == "sppal.linfield"]
+        assert len(prim) == 2
+        for msg in prim:
+            assert msg.startswith(f"pressure_grid: {grid}")
+            assert re.search(r"\d+ node sets, \d+ nodes, \d+ J0 values, "
+                             r"\d+ Chebyshev points, \d+\.\d{3} s$", msg)
 
 
 @pytest.fixture(scope="module")
@@ -480,6 +489,37 @@ def test_pressure_grid_peak_memory(std_air, reference_pair):
     finally:
         tracemalloc.stop()
     assert peak < 20e6
+
+
+def test_pressure_grid_j0_budget(std_air, reference_pair, monkeypatch):
+    # measured: 5.39 M J0 values for the reference grid's carrier, against
+    # 11.55 M when each z block had its own node set and source transform
+    pair = reference_pair
+    g = nl.build_volume_grid(pair, std_air)
+    count = [0]
+
+    def j0(x, **kwargs):
+        count[0] += np.size(x)
+        return special.j0(x, **kwargs)
+
+    monkeypatch.setattr(lf, "special", type("Special", (), {"j0": staticmethod(j0)}))
+    lf.pressure_grid(pair.profile_2, std_air, pair.f_u2, g.r_nodes, g.z_nodes, 40.0)
+    assert count[0] <= 5.6e6
+
+
+def test_skirt_moves_on_axis_audio_little(std_air, reference_pair, reference_solver,
+                                          monkeypatch):
+    # the skirt cut moves the reference primaries by up to 9.7 % of their
+    # maximum near the source plane, just outside the aperture, but the
+    # 60-point on-axis audio curve by at most 7.9e-3 dB (see ROADMAP)
+    def no_skirt(profile, medium, f, rho, z, skirt_cut_db=None):
+        return lf.pressure_grid(profile, medium, f, rho, z)
+
+    monkeypatch.setattr(nl, "pressure_grid", no_skirt)
+    full = nl.QuasilinearSolver(reference_pair, std_air, grid=reference_solver.grid)
+    z = np.geomspace(0.05, 2.0, 60)
+    moved = full.propagation_curve(z).spl - reference_solver.propagation_curve(z).spl
+    assert np.max(np.abs(moved)) <= 0.01
 
 
 class TestAudioCurves:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import optimize, special
 
 from sppal import _quad
 from sppal import radiator as rad
@@ -85,6 +85,47 @@ def test_plane_steps_one_exponential_per_gap():
     assert step.shape == (3, 2)  # gaps 0, 0.5 and 0.75
     assert np.array_equal(step[gap_row], np.exp(-1j * np.outer(np.diff(z), kz)))
     assert np.array_equal(step[gap_row[2]], [1.0, 1.0])
+
+
+def test_chebyshev_interpolate_is_exact_on_polynomials():
+    # degree n - 1 through n points: exact up to rounding, in chunks of a
+    # small buffer, on the nodes themselves and between them
+    n, hi = 9, 3.0
+    pts = _quad.chebyshev_points(n, hi)
+    assert pts[0] == 0.0 and pts[-1] == hi and np.all(np.diff(pts) > 0)
+    coef = np.array([0.3, -1.0, 2.0, 0.5, -0.25, 0.1, 0.0, 0.02, -0.01])
+    poly = np.polynomial.Polynomial(coef + 1j * coef[::-1])
+    x = np.concatenate([np.linspace(0.0, hi, 50), pts[[2, 5]]])
+    got = _quad.chebyshev_interpolate(poly(pts), hi, x, np.empty(4 * n))
+    assert np.max(np.abs(got - poly(x))) <= 1e-13 * np.max(np.abs(poly(x)))
+    assert got[-2] == poly(pts[2]) and got[-1] == poly(pts[5])
+
+
+@pytest.mark.parametrize("source", ["piston", "plate"])
+def test_chebyshev_source_transform_matches_direct_sum(std_air, source):
+    # V(k_r) = sum_j w_j v_j J0(k_r r_j) from its Chebyshev interpolant on
+    # [0, 4 k0] with the point rule of linfield.pressure_grid, at the
+    # propagating and evanescent nodes and on a Chebyshev point
+    f = 60e3
+    if source == "piston":
+        a = rad.aperture_for_cd(0.45, f, std_air)
+        prof = rad.piston_profile(rad.PistonSpec(a, 0.1), rad.radial_sample_count(a, f, std_air))
+    else:
+        plate = rad.size_plate_for(f, 0.45, 8, "aluminum", std_air)
+        n = rad.radial_sample_count(plate.radius_a, f, std_air)
+        prof = rad.stepped_profile(rad.plate_mode_shape(plate), 1.0, n_samples=max(n, 513))
+    r = prof.radii
+    w = _quad.simpson_weights(r) * r * prof.velocity
+    k0 = std_air.wavenumber(f)
+    k_top = 4.0 * k0
+    pts = _quad.chebyshev_points(int(np.ceil(k_top * r[-1])) + 32, k_top)
+    kr = np.concatenate([_quad.wavenumber_nodes(k0, 60)[0],
+                         _quad.wavenumber_nodes(k0, 40, (0.0, np.arccosh(4.0)))[0],
+                         pts[[7]], [k_top]])
+    got = _quad.chebyshev_interpolate(special.j0(np.outer(pts, r)) @ w, k_top, kr,
+                                      np.empty(2 ** 12))
+    want = special.j0(np.outer(kr, r)) @ w
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_refined_is_the_refine_db_rule():
