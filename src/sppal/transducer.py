@@ -302,32 +302,37 @@ def _cos_sin(a: np.ndarray, b: np.ndarray) -> tuple:
     expm1 per element.  With m = expm1(|b|), cosh b = (1 + m + 1/(1 + m)) / 2
     and |sinh b| = m (1 + 1/(1 + m)) / 2, so the imaginary parts, which
     carry the material loss, keep full relative precision at small b,
-    where (e^b - e^-b) / 2 would not.
+    where (e^b - e^-b) / 2 would not.  The products are written in place,
+    so that a call on every elastic length of a whole grid at once holds
+    few temporaries.
     """
     m = np.expm1(np.abs(b))
     inv = 1.0 / (1.0 + m)
     cosh = 0.5 * (1.0 + m + inv)
     sinh = np.copysign(0.5 * m * (1.0 + inv), b)
-    cos_a, sin_a = np.cos(a), np.sin(a)
+    del m, inv
     cos = np.empty(np.shape(a), dtype=complex)
     sin = np.empty_like(cos)
-    cos.real, cos.imag = cos_a * cosh, -(sin_a * sinh)
-    sin.real, sin.imag = sin_a * cosh, cos_a * sinh
+    trig = np.cos(a)
+    np.multiply(trig, cosh, out=cos.real)
+    np.multiply(trig, sinh, out=sin.imag)
+    np.sin(a, out=trig)
+    np.multiply(trig, cosh, out=sin.real)
+    np.negative(np.multiply(trig, sinh, out=cos.imag), out=cos.imag)
     return cos, sin
 
 
 def _elastic_wave(seg: Segment, omega: np.ndarray) -> tuple:
-    """Length-independent chain terms of an elastic rod: the real and
-    imaginary parts of its complex wavenumber k, i*Zc and i/Zc.
+    """Length-independent chain terms of an elastic rod: its complex
+    wavenumber k, i*Zc and i/Zc.
 
     Its chain is [[cos kl, i Zc sin kl], [i sin kl / Zc, cos kl]], with
     no drive vector.
     """
     mat = seg.material
     c = mat.rod_speed * np.sqrt(1.0 + 1j * mat.loss_factor)
-    k = omega / c
     zc = mat.density * c * seg.area
-    return k.real, k.imag, 1j * zc, 1j / zc
+    return omega / c, 1j * zc, 1j / zc
 
 
 def _piezo_chain(seg: Segment, omega: np.ndarray) -> tuple:
@@ -350,13 +355,17 @@ def _piezo_chain(seg: Segment, omega: np.ndarray) -> tuple:
 
 
 def segment_matrix(seg: Segment, f) -> np.ndarray:
-    """Chain matrix of a segment at frequency grid ``f`` (piezo included)."""
+    """Chain matrix of a segment at frequency grid ``f`` (piezo included).
+
+    The design loop never forms it; this full 2x2 form is the reference
+    API that tests compose and compare the chain with.
+    """
     omega = 2.0 * np.pi * np.atleast_1d(np.asarray(f, dtype=float))
     if seg.is_piezo:
         t00, t01, t10, t11 = _piezo_chain(seg, omega)[:4]
     else:
-        k_re, k_im, i_zc, i_over_zc = _elastic_wave(seg, omega)
-        cos, sin = _cos_sin(k_re * seg.length, k_im * seg.length)
+        k, i_zc, i_over_zc = _elastic_wave(seg, omega)
+        cos, sin = _cos_sin(k.real * seg.length, k.imag * seg.length)
         t00, t01, t10, t11 = cos, i_zc * sin, i_over_zc * sin, cos
     return np.stack([np.stack([t00, t01], axis=-1),
                      np.stack([t10, t11], axis=-1)], axis=-2)
@@ -372,20 +381,35 @@ class StackChain:
     """Length-independent chain terms of one segment layout on one grid.
 
     A piezo segment keeps its whole Mason chain, since its length is part
-    of the layout; an elastic segment keeps the real and imaginary parts
-    of its wavenumber, i*Zc and i/Zc.  A stack with this layout then
-    costs only a real cos, sin and expm1 per distinct elastic length (the
-    two horn halves share theirs) and the row-0 products.
+    of the layout; an elastic segment keeps its material's complex
+    wavenumber, i*Zc and i/Zc.  A stack with this layout then costs only
+    one real cos, sin and expm1 over its distinct elastic lengths (the two
+    horn halves share theirs) and the row-0 products.  The per-frequency
+    terms are rows of one array, so a subset of the grid is gathered by
+    one ``take``.
     """
 
     def __init__(self, segments, freqs):
         self.freqs = np.asarray(freqs, dtype=float)
         omega = 2.0 * np.pi * self.freqs
         self._layouts = tuple(_layout(s) for s in segments)
-        self._terms = tuple(_piezo_chain(s, omega) if s.is_piezo
-                            else _elastic_wave(s, omega) for s in segments)
+        # per segment: its first row and, for an elastic rod, (i*Zc, i/Zc);
+        # rods of one material share their wavenumber row
+        rows, wave_row, self._steps = [], {}, []
+        for s in segments:
+            if s.is_piezo:
+                self._steps.append((len(rows), None))
+                t00, t01, t10, _, d0, d1 = _piezo_chain(s, omega)
+                rows += [t00, t01, t10, d0, d1]
+                continue
+            k, i_zc, i_over_zc = _elastic_wave(s, omega)
+            if s.material not in wave_row:
+                wave_row[s.material] = len(rows)
+                rows.append(k)
+            self._steps.append((wave_row[s.material], (i_zc, i_over_zc)))
+        self._terms = np.array(rows)
 
-    def frf(self, spec: TransducerSpec, z_load) -> Frf:
+    def frf(self, spec: TransducerSpec, z_load, index=None) -> Frf:
         """Plate-interface velocity of ``spec`` (this chain's layout) under
         the load impedance ``z_load`` (scalar or array over the grid).
 
@@ -394,35 +418,55 @@ class StackChain:
         of the drive vector enter: they are propagated back-to-front.
         Frequencies where the chain is numerically singular are filled by
         interpolation from their neighbours.
+
+        ``index`` (increasing grid indices) evaluates only those
+        frequencies, each to the same bits as on the whole grid.  A
+        singular frequency is then reported as a non-finite value, not
+        filled, since its neighbours need not be in the subset.
         """
         if tuple(_layout(s) for s in spec.segments) != self._layouts:
             raise ParameterDomainError("stack layout differs from the chain's")
+        terms, freqs = self._terms, self.freqs
+        if index is not None:
+            terms, freqs = terms.take(index, axis=1), freqs[index]
+            if np.ndim(z_load):
+                z_load = np.take(z_load, index)
+        # one angle row per distinct (wavenumber, elastic length): the two
+        # horn halves share theirs
+        angle = {}
+        for seg, (row, impedances) in zip(spec.segments, self._steps):
+            if impedances is not None:
+                angle.setdefault((row, seg.length), len(angle))
+        rows = [row for row, _ in angle]
+        lengths = np.array([length for _, length in angle])[:, None]
+        kl_re, kl_im = terms.real[rows], terms.imag[rows]
+        kl_re *= lengths
+        kl_im *= lengths
+        cos, sin = _cos_sin(kl_re, kl_im)
+
         r0, r1, s0 = 1.0, 0.0, 0.0
-        trig = {}
-        for seg, terms in zip(spec.segments, self._terms):
-            if seg.is_piezo:
-                t00, t01, t10, t11, d0, d1 = terms
+        for seg, (row, impedances) in zip(spec.segments, self._steps):
+            if impedances is None:
+                t00, t01, t10, d0, d1 = terms[row:row + 5]
                 s0 = s0 + (r0 * d0 + r1 * d1)
-                r0, r1 = r0 * t00 + r1 * t10, r0 * t01 + r1 * t11
+                r0, r1 = r0 * t00 + r1 * t10, r0 * t01 + r1 * t00
                 continue
-            k_re, k_im, i_zc, i_over_zc = terms
-            key = (seg.material, seg.length)
-            if key not in trig:
-                trig[key] = _cos_sin(k_re * seg.length, k_im * seg.length)
-            cos, sin = trig[key]
-            r0, r1 = (r0 * cos + r1 * (sin * i_over_zc),
-                      r0 * (sin * i_zc) + r1 * cos)
+            j = angle[row, seg.length]
+            i_zc, i_over_zc = impedances
+            r0, r1 = (r0 * cos[j] + r1 * (sin[j] * i_over_zc),
+                      r0 * (sin[j] * i_zc) + r1 * cos[j])
 
         # 0 = F_back = (T00 Z_L + T01) v_front + s0 * V
         with np.errstate(divide="ignore", invalid="ignore"):
             v = -s0 / (r0 * z_load + r1) * spec.drive_voltage
-        bad = ~np.isfinite(v)
-        if np.any(bad):
-            good = ~bad
-            if not np.any(good):
-                raise ParameterDomainError("transfer-matrix chain singular everywhere")
-            v[bad] = Frf(self.freqs[good], v[good]).interp(self.freqs[bad])
-        return Frf(self.freqs, v)
+        if index is None:
+            bad = ~np.isfinite(v)
+            if np.any(bad):
+                good = ~bad
+                if not np.any(good):
+                    raise ParameterDomainError("transfer-matrix chain singular everywhere")
+                v[bad] = Frf(freqs[good], v[good]).interp(freqs[bad])
+        return Frf(freqs, v)
 
 
 def frf_transfer_matrix(spec: TransducerSpec, load, freqs) -> Frf:
@@ -430,7 +474,9 @@ def frf_transfer_matrix(spec: TransducerSpec, load, freqs) -> Frf:
 
     ``load`` is a scalar or an array over ``freqs``.  See
     :meth:`StackChain.frf`; a design loop that varies only the elastic
-    lengths builds its :class:`StackChain` once instead.
+    lengths builds its :class:`StackChain` once instead.  This one-call
+    form is the reference API for tests and for the benchmark's tracer,
+    which patches it by name.
     """
     freqs = np.asarray(freqs, dtype=float)
     z_load = np.asarray(load, dtype=complex)
@@ -465,40 +511,57 @@ def plate_load_impedance(plate: PlateSpec, mode: ModeShape, er: EquivalenceRatio
 # Feature extraction, objectives, screening
 # ---------------------------------------------------------------------------
 
-def extract_dr_features(frf: Frf) -> DrFeatures:
-    """Two highest interior peaks of |v| and the local minimum between them.
+def interior_peaks(mag: np.ndarray) -> np.ndarray:
+    """Indices of the interior local maxima of ``mag``, largest first.
 
-    Peaks are refined by the parabola through the three samples around
-    each maximum; ties between equal peaks break toward lower frequency.
-    Raises :class:`NoDualResonanceError` when fewer than two interior
-    local maxima exist.
+    A peak is not below its left neighbour and above its right one; equal
+    magnitudes rank the higher index first.  A NaN sample (one not
+    evaluated) is never a peak and makes neither of its neighbours one.
     """
-    f = frf.freqs
-    mag = np.abs(frf.center_velocity)
-    if f.size < 5:
-        raise NoDualResonanceError("frequency grid too short for peak search")
     interior = np.flatnonzero(
         (mag[1:-1] >= mag[:-2]) & (mag[1:-1] > mag[2:])
     ) + 1
-    if interior.size < 2:
+    return interior[np.argsort(mag[interior], kind="stable")[::-1]]
+
+
+def lattice_dr_features(f: np.ndarray, mag: np.ndarray) -> tuple:
+    """:func:`extract_dr_features` on the samples ``mag`` of |v| at ``f``,
+    and the indices (i1, i2, im) of the two peaks and the minimum it used.
+
+    NaN marks a sample that was not evaluated: it is never a peak or the
+    minimum, and the caller decides whether the evaluated samples
+    determine the result.
+    """
+    if f.size < 5:
+        raise NoDualResonanceError("frequency grid too short for peak search")
+    peaks = interior_peaks(mag)
+    if peaks.size < 2:
         raise NoDualResonanceError(
-            f"found {interior.size} interior peak(s); dual resonance needs two"
+            f"found {peaks.size} interior peak(s); dual resonance needs two"
         )
-    # two largest by magnitude, stable toward lower frequency on ties
-    order = np.argsort(mag[interior], kind="stable")[::-1]
-    picked = sorted(interior[order[:2]])
-    i1, i2 = int(picked[0]), int(picked[1])
+    i1, i2 = (int(i) for i in sorted(peaks[:2]))
     f_r1, v_r1 = parabolic_peak(f, mag, i1)
     f_r2, v_r2 = parabolic_peak(f, mag, i2)
-    im = i1 + int(np.argmin(mag[i1:i2 + 1]))
+    im = i1 + int(np.nanargmin(mag[i1:i2 + 1]))
     f_m, v_m = parabolic_peak(f, -mag, im)
     v_m = -v_m
     v_m = min(v_m, v_r1, v_r2)
     if not f_r1 < f_m < f_r2:
         f_m = float(f[im])
         v_m = float(mag[im])
-    return DrFeatures(f_r1=f_r1, f_r2=f_r2, v_r1=v_r1, v_r2=v_r2,
-                      f_m=f_m, v_m=v_m)
+    return (DrFeatures(f_r1=f_r1, f_r2=f_r2, v_r1=v_r1, v_r2=v_r2,
+                       f_m=f_m, v_m=v_m), (i1, i2, im))
+
+
+def extract_dr_features(frf: Frf) -> DrFeatures:
+    """Two highest interior peaks of |v| and the local minimum between them.
+
+    Peaks are refined by the parabola through the three samples around
+    each maximum; ties between equal peaks break toward higher frequency.
+    Raises :class:`NoDualResonanceError` when fewer than two interior
+    local maxima exist.
+    """
+    return lattice_dr_features(frf.freqs, np.abs(frf.center_velocity))[0]
 
 
 def objectives(features: DrFeatures) -> tuple:

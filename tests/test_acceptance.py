@@ -421,7 +421,7 @@ def test_11_nsga2(air):
     f_arr = np.array([p.objectives for p in front.points])
     for i in range(f_arr.shape[0]):
         for j in range(f_arr.shape[0]):
-            if i != j and opt._dominates(f_arr[j], f_arr[i]):
+            if i != j and np.all(f_arr[j] <= f_arr[i]) and np.any(f_arr[j] < f_arr[i]):
                 nondom = False
     ok = hv_err < 0.01 and hv_monotone and reproducible and same \
         and tradeoff and nondom

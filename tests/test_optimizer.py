@@ -1,3 +1,5 @@
+import logging
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +19,11 @@ def bi_objective(x):
     return (x[0] ** 2, (x[0] - 2.0) ** 2)
 
 
+def dominates(fa, fb) -> bool:
+    """True if fa Pareto-dominates fb: the scalar oracle of ``_dominance``."""
+    return bool(np.all(fa <= fb) and np.any(fa < fb))
+
+
 def pairwise_sort(f):
     """Fast non-dominated sort (Deb et al. 2002) on the scalar oracle."""
     n = f.shape[0]
@@ -24,10 +31,10 @@ def pairwise_sort(f):
     count = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
-            if opt._dominates(f[i], f[j]):
+            if dominates(f[i], f[j]):
                 dominated_by[i].append(j)
                 count[j] += 1
-            elif opt._dominates(f[j], f[i]):
+            elif dominates(f[j], f[i]):
                 dominated_by[j].append(i)
                 count[i] += 1
     fronts = []
@@ -138,7 +145,7 @@ class TestNsga2:
         for i in range(f.shape[0]):
             for j in range(f.shape[0]):
                 if i != j:
-                    assert not opt._dominates(f[j], f[i])
+                    assert not dominates(f[j], f[i])
 
     def test_sort_matches_pairwise_reference(self):
         # objectives on a coarse integer lattice give ties in one
@@ -151,12 +158,12 @@ class TestNsga2:
             f = rng.integers(0, 7, size=(n, 2)).astype(float)
             assert opt._non_dominated_sort(f) == pairwise_sort(f)
             d = opt._dominance(f)
-            assert all(d[i, j] == opt._dominates(f[i], f[j])
+            assert all(d[i, j] == dominates(f[i], f[j])
                        for i in range(n) for j in range(n))
             # archive: undominated points, the first of exact duplicates,
             # in input order, whatever the split into archive and new
             want = [i for i in range(n)
-                    if not any(opt._dominates(f[j], f[i]) for j in range(n))
+                    if not any(dominates(f[j], f[i]) for j in range(n))
                     and not any(np.array_equal(f[j], f[i]) for j in range(i))]
             k = int(rng.integers(0, n + 1))
             x = np.arange(n, dtype=float)[:, None]
@@ -207,7 +214,7 @@ class TestEvaluateDesign:
                                       np.array([1e-4, 1e-4, 1e-4, 1e-4]))
         if not penalty.feasible:
             assert penalty.objectives[0] == 0.0
-            assert opt._dominates(np.array(feasible.objectives),
+            assert dominates(np.array(feasible.objectives),
                                   np.array(penalty.objectives))
 
     def test_audio_capability_rejects_foreign_design(self, cell_ctx, cell_params):
@@ -314,6 +321,196 @@ class TestRow0Chain:
                                opt.NsgaConfig(pop=8, generations=1, seed=0),
                                l_p=params.l_p, f_a_grid=[1000.0])
         assert [r.flags for r in res.rows] == [("no_design_in_window",)]
+
+
+class LatticeCurve:
+    """Stand-in for a ``StackChain``: a fixed response on its lattice, whose
+    non-finite values the whole lattice fills and a subset reports."""
+
+    def __init__(self, freqs, v):
+        self.freqs, self.v = freqs, v
+
+    def frf(self, spec, z_load, index=None):
+        if index is not None:
+            return td.Frf(self.freqs[index], self.v[index])
+        v, bad = self.v.copy(), ~np.isfinite(self.v)
+        v[bad] = td.Frf(self.freqs[~bad], v[~bad]).interp(self.freqs[bad])
+        return td.Frf(self.freqs, v)
+
+
+def two_peaks(n):
+    """|v| with Lorentzian resonances at lattice points 1000 and 1100."""
+    i = np.arange(n)
+    return (0.1 + 5.0 / (1.0 + ((i - 1000) / 10.0) ** 2)
+            + 4.0 / (1.0 + ((i - 1100) / 10.0) ** 2))
+
+
+def outcome(call):
+    try:
+        return call()
+    except (NoDualResonanceError, InfeasibleDesignError, ParameterDomainError) as e:
+        return type(e)
+
+
+class TestCoarseSearch:
+    """``DesignContext.features`` against the whole-lattice features."""
+
+    @pytest.mark.parametrize("config", list(td.StackConfig))
+    @pytest.mark.parametrize("f_u0, r_p", [(40e3, 13e-3), (90e3, 9e-3)])
+    def test_equals_whole_lattice_on_nsga2_candidates(self, std_air, config,
+                                                      f_u0, r_p):
+        # every candidate of a seeded NSGA-II run: the same features, or
+        # the same exception, as extract_dr_features on the whole lattice
+        ctx = opt.DesignContext(opt.DesignParams(0.45, f_u0, 8, config, r_p,
+                                                 8e-3, 0.75e-3), std_air)
+        seen = []
+
+        def evaluate(x):
+            fallbacks = ctx.fallbacks
+            got = outcome(lambda: ctx.features(x))
+            want = outcome(lambda: td.extract_dr_features(ctx.frf(x)))
+            seen.append((got, want, ctx.fallbacks > fallbacks))
+            return opt.evaluate_design(ctx, x).objectives
+
+        opt.nsga2(evaluate, ctx.bounds, opt.NsgaConfig(pop=24, generations=10,
+                                                       seed=7))
+        assert all(got == want for got, want, _ in seen)
+        windowed = [w for _, w, fell_back in seen
+                    if isinstance(w, td.DrFeatures) and not fell_back]
+        assert len(windowed) >= len(seen) // 2
+
+    def test_reference_cell_lattice_budget(self, std_air, cell_params, monkeypatch):
+        # deterministic gate: on the reference cell (pop 24, 10 generations,
+        # seed 1) a candidate needs a median of 357 of the 2400 lattice
+        # points, and 6 of the 264 candidates fall back to the whole lattice
+        ctx = opt.DesignContext(cell_params, std_air)
+        per_candidate = []
+        evaluate = opt.evaluate_design
+
+        def counting(c, x):
+            before = c.lattice_points
+            point = evaluate(c, x)
+            per_candidate.append(c.lattice_points - before)
+            return point
+
+        monkeypatch.setattr(opt, "evaluate_design", counting)
+        opt.optimize_lengths(ctx, opt.NsgaConfig(pop=24, generations=10, seed=1))
+        assert len(per_candidate) == 264 and ctx.freqs.size == 2400
+        assert np.median(per_candidate) <= 376
+        assert ctx.fallbacks <= 13
+
+    @staticmethod
+    def synthetic(ctx, mag):
+        """Give ``ctx`` the response |v| = ``mag`` and return the features
+        of the whole lattice and of the coarse search."""
+        ctx.chain = LatticeCurve(ctx.freqs, mag.astype(complex))
+        want = outcome(lambda: td.extract_dr_features(ctx.chain.frf(None, None)))
+        return want, outcome(lambda: ctx.features(ctx.bounds[0]))
+
+    def test_windows_suffice_for_resolved_peaks(self, std_air, cell_params):
+        ctx = opt.DesignContext(cell_params, std_air)
+        want, got = self.synthetic(ctx, two_peaks(ctx.freqs.size))
+        assert isinstance(want, td.DrFeatures) and got == want
+        assert ctx.fallbacks == 0 and ctx.lattice_points < 400
+
+    def test_fallback_without_two_coarse_peaks(self, std_air, cell_params):
+        # two narrow peaks between the same coarse samples look like one
+        # resonance to the coarse scan; the whole lattice resolves them
+        ctx = opt.DesignContext(cell_params, std_air)
+        mag = 0.1 + 1.0 / (1.0 + ((np.arange(ctx.freqs.size) - 1200) / 40.0) ** 2)
+        mag[[1203, 1206]] = 3.0, 2.5
+        want, got = self.synthetic(ctx, mag)
+        assert isinstance(want, td.DrFeatures) and got == want
+        assert ctx.fallbacks == 1
+        # no dual resonance in band: the whole lattice raises, and so does
+        # the search, after falling back to it
+        ctx = opt.DesignContext(cell_params, std_air)
+        with pytest.raises(NoDualResonanceError):
+            ctx.features(np.full(ctx.bounds[0].size, 1e-4))
+        assert ctx.fallbacks == 1
+
+    def test_fallback_when_peak_window_max_on_its_edge(self, std_air, cell_params):
+        # the coarse peak at 1000 hides a taller one at 1011: its window
+        # [991, 1009] peaks on its edge, which is no lattice peak
+        ctx = opt.DesignContext(cell_params, std_air)
+        mag = two_peaks(ctx.freqs.size)
+        mag[1009:1016] = 6.0, 7.0, 8.0, 6.0, 4.0, 3.0, 2.0
+        want, got = self.synthetic(ctx, mag)
+        assert isinstance(want, td.DrFeatures)
+        assert abs(want.f_r2 - ctx.freqs[1011]) < td.PEAK_GRID_STEP
+        assert got == want and ctx.fallbacks == 1
+
+    def test_fallback_when_valley_lacks_neighbour(self, std_air, cell_params):
+        # a dip just outside the valley window: the lowest evaluated sample
+        # sits on the window's edge, next to a lower unevaluated one
+        ctx = opt.DesignContext(cell_params, std_air)
+        mag = two_peaks(ctx.freqs.size)
+        stride = opt._COARSE_STRIDE
+        coarse = mag[::stride]
+        c1, c2 = sorted(td.interior_peaks(coarse)[:2])
+        valley = stride * (c1 + int(np.argmin(coarse[c1:c2 + 1])))
+        edge = valley + opt._WINDOW_HALF
+        mag[edge:edge + 3] = 0.01, 0.005, 0.01
+        want, got = self.synthetic(ctx, mag)
+        assert isinstance(want, td.DrFeatures) and got == want
+        assert want.v_m < 0.01 and ctx.fallbacks == 1
+
+    def test_fallback_on_infinite_window_value(self, std_air, cell_params):
+        # an infinite sample inside the upper peak's window would outrank
+        # every peak; the whole lattice fills it from its neighbours instead
+        ctx = opt.DesignContext(cell_params, std_air)
+        mag = two_peaks(ctx.freqs.size)
+        mag[1101] = np.inf
+        want, got = self.synthetic(ctx, mag)
+        assert isinstance(want, td.DrFeatures) and got == want
+        assert ctx.fallbacks == 1
+
+    @pytest.mark.parametrize("coarse_point", [False, True])
+    def test_fallback_on_non_finite_value(self, std_air, cell_params, monkeypatch,
+                                          coarse_point):
+        # a non-finite load next to the upper resonance: the whole lattice
+        # fills the frequency from its neighbours, the windows or the
+        # coarse scan report it, and the search falls back
+        x0, _ = td.langevin_initial_lengths(60e3, cell_params.config, 8e-3)
+        clean = opt.DesignContext(cell_params, std_air)
+        mag = np.abs(clean.frf(x0).center_velocity)
+        peak = int(td.interior_peaks(mag)[0])
+        stride = opt._COARSE_STRIDE
+        bad = stride * (peak // stride) if coarse_point else (
+            peak + 1 if (peak + 1) % stride else peak - 1)
+        load_impedance = td.plate_load_impedance
+
+        def nan_load(*args):
+            z = load_impedance(*args)
+            z[bad] = np.nan
+            return z
+
+        monkeypatch.setattr(td, "plate_load_impedance", nan_load)
+        ctx = opt.DesignContext(cell_params, std_air)
+        assert ctx.features(x0) == td.extract_dr_features(ctx.frf(x0))
+        assert ctx.fallbacks == 1
+        # the coarse scan's 300 points and the whole lattice, with the
+        # windows between them unless the coarse scan saw the bad value
+        assert (ctx.lattice_points == 2700) == coarse_point
+
+    def test_debug_record_per_run(self, std_air, cell_params, caplog):
+        ctx = opt.DesignContext(cell_params, std_air)
+        cfg = opt.NsgaConfig(pop=8, generations=2, seed=1)
+        with caplog.at_level(logging.INFO, logger="sppal.optimizer"):
+            opt.optimize_lengths(ctx, cfg)
+        assert not caplog.records
+        fallbacks, points = ctx.fallbacks, ctx.lattice_points
+        with caplog.at_level(logging.DEBUG, logger="sppal.optimizer"):
+            front = opt.optimize_lengths(ctx, cfg)
+        (rec,) = caplog.records
+        assert rec.levelno == logging.DEBUG
+        msg = rec.getMessage()
+        assert msg.startswith("optimize_lengths: 24 evaluations, ")
+        assert (f"{ctx.fallbacks - fallbacks} full-lattice fallbacks, "
+                f"{ctx.lattice_points - points} lattice points") in msg
+        assert ctx.lattice_points > points
+        assert re.search(r", \d+\.\d{3} s$", msg)
+        assert front.points
 
 
 class TestKneeSelection:

@@ -181,6 +181,49 @@ class TestTransferMatrix:
         with pytest.raises(ParameterDomainError, match="singular everywhere"):
             chain.frf(spec, np.full(freqs.size, np.nan + 0j))
 
+    @pytest.mark.parametrize("config", list(td.StackConfig))
+    def test_subset_equals_whole_lattice(self, config):
+        # any increasing index subset evaluates each frequency to the bits
+        # of the whole-lattice call, as does a chain built on every 8th
+        # frequency (the design loop's coarse scan)
+        x0, _ = td.langevin_initial_lengths(60e3, config, 8e-3)
+        spec = td.build_stack(config, 9e-3, 8e-3, 0.75e-3, 1.03 * x0,
+                              drive_voltage=1.7)
+        freqs = np.arange(48e3, 72e3, td.PEAK_GRID_STEP)
+        load = (40.0 + 3e-4 * freqs) + 1j * (freqs - 60e3) * 1e-3
+        chain = td.StackChain(spec.segments, freqs)
+        rng = np.random.default_rng(8)
+        subsets = [np.sort(rng.choice(freqs.size, size=k, replace=False))
+                   for k in (1, 7, 76, 300, 1111)]
+        subsets += [np.arange(a, a + 19) for a in (0, 1181, freqs.size - 19)]
+        subsets.append(np.arange(0, freqs.size, 8))
+        for z_load in (load, 35.0 + 2.0j):
+            whole = chain.frf(spec, z_load).center_velocity
+            assert np.all(np.isfinite(whole))
+            for index in subsets:
+                part = chain.frf(spec, z_load, index)
+                assert np.array_equal(part.freqs, freqs[index])
+                assert np.array_equal(part.center_velocity, whole[index])
+        coarse = td.StackChain(spec.segments, freqs[::8])
+        assert np.array_equal(coarse.frf(spec, load[::8]).center_velocity,
+                              chain.frf(spec, load).center_velocity[::8])
+
+    def test_subset_reports_singular_frequency(self):
+        # the whole lattice fills a singular frequency from its neighbours;
+        # a subset reports it as non-finite and leaves the rest untouched
+        spec = td.build_stack(td.StackConfig.HALF, 9e-3, 8e-3, 1e-3,
+                              [0.015, 0.015, 0.02])
+        freqs = np.linspace(55e3, 55.4e3, 5)
+        chain = td.StackChain(spec.segments, freqs)
+        load = np.full(freqs.size, 50.0 + 20.0j)
+        load[2] = np.nan
+        whole = chain.frf(spec, load).center_velocity
+        part = chain.frf(spec, load, [1, 2, 3]).center_velocity
+        assert np.isfinite(whole[2]) and not np.isfinite(part[1])
+        assert np.array_equal(part[[0, 2]], whole[[1, 3]])
+        alone = chain.frf(spec, load, [2]).center_velocity
+        assert alone.shape == (1,) and not np.isfinite(alone[0])
+
     def test_sandwich_against_impedance_recursion(self):
         # independent oracle: transmission-line impedance recursion with the
         # Mason shunt (voltage-driven piezo = acoustic line + extra shunt)
@@ -331,6 +374,29 @@ class TestDrFeatures:
             assert feats.v_m <= min(feats.v_r1, feats.v_r2) + 1e-12
             assert feats.f_dist == pytest.approx(feats.f_r2 - feats.f_r1)
 
+
+    def test_equal_peaks_rank_higher_frequency_first(self):
+        mag = np.array([0.0, 5.0, 0.0, 7.0, 0.0, 5.0, 0.0, 1.0])
+        assert td.interior_peaks(mag).tolist() == [3, 5, 1]
+        _, used = td.lattice_dr_features(np.arange(8.0), mag)
+        assert used == (3, 5, 4)
+
+    def test_unevaluated_samples_neither_peak_nor_minimum(self):
+        # NaN marks a sample that was not evaluated: with only the chosen
+        # samples and their neighbours kept, the features are the same;
+        # without a peak's neighbour that peak is not found
+        frf = td.pzg_frf(td.PzgKind.DR, 1e9, 58.6e3, 60e3, 59.3e3, 0.002,
+                         self.FREQS)
+        mag = np.abs(frf.center_velocity)
+        want, used = td.lattice_dr_features(frf.freqs, mag)
+        assert want == td.extract_dr_features(frf)
+        keep = np.add.outer(np.array(used), [-1, 0, 1]).ravel()
+        sparse = np.full(mag.size, np.nan)
+        sparse[keep] = mag[keep]
+        assert td.lattice_dr_features(frf.freqs, sparse) == (want, used)
+        sparse[used[1] + 1] = np.nan
+        with pytest.raises(NoDualResonanceError):
+            td.lattice_dr_features(frf.freqs, sparse)
 
 class TestObjectives:
     def test_geometric_mean_identities(self):
