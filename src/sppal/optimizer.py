@@ -103,12 +103,13 @@ class DesignContext:
 
     Everything that depends only on the discrete parameters and the
     medium (plate sizing, mode shape, equivalence ratio, load impedance,
-    frequency grid, length bounds, transducer chain terms) is computed
-    once; only the segment lengths and the drive voltage vary.  The
-    caller builds one context per cell and passes it to
-    ``evaluate_design``, ``optimize_lengths`` and ``audio_capability``.
-    ``lattice_points`` and ``fallbacks`` count the frequencies
-    :meth:`features` evaluated and its full-lattice fallbacks.
+    frequency grid, length bounds, transducer chain terms, the piezo
+    radial-band check) is computed once; only the segment lengths and the
+    drive voltage vary.  The caller builds one context per cell and passes
+    it to ``evaluate_designs``, ``optimize_lengths`` and
+    ``audio_capability``.  ``lattice_points``, ``fallbacks`` and
+    ``chain_calls`` count the frequencies :meth:`features` evaluated, its
+    full-lattice fallbacks and its ``StackChain.velocity`` calls.
     """
 
     def __init__(self, params: DesignParams, medium: Medium):
@@ -131,14 +132,24 @@ class DesignContext:
         self.band_width = float(self.freqs[-1] - self.freqs[0])
         x0, self.bounds = transducer.langevin_initial_lengths(
             params.f_u0, params.config, params.l_p)
-        # the chain terms of the cell's layout; built without f_u0, so the
-        # piezo radial-band check stays with each candidate in ``_spec``
+        # the chain terms of the cell's layout, built without f_u0: the
+        # radial band depends on the cell alone, so every candidate shares
+        # its verdict
         layout = transducer.build_stack(params.config, params.r_p, params.l_p,
                                         params.r_h, x0)
         self.chain = transducer.StackChain(layout.segments, self.freqs)
-        self._coarse = np.arange(0, self.freqs.size, _COARSE_STRIDE)
+        try:
+            transducer.check_radial_band(params.r_p, params.f_u0)
+            self._band_error = None
+        except InfeasibleDesignError as e:
+            self._band_error = e.with_traceback(None)
+        # the coarse scan's terms and load, gathered once
+        coarse = np.arange(0, self.freqs.size, _COARSE_STRIDE)
+        self._coarse_chain = self.chain.subset(coarse)
+        self._coarse_load = np.take(self.load, coarse)
         self.lattice_points = 0
         self.fallbacks = 0
+        self.chain_calls = 0
 
     def _spec(self, x, drive_voltage: float = 1.0) -> transducer.TransducerSpec:
         return transducer.build_stack(self.params.config, self.params.r_p,
@@ -149,45 +160,96 @@ class DesignContext:
     def frf(self, x, drive_voltage: float = 1.0) -> transducer.Frf:
         return self.chain.frf(self._spec(x, drive_voltage), self.load)
 
-    def features(self, x) -> transducer.DrFeatures:
-        """``extract_dr_features(self.frf(x))``, bit for bit, from at most
-        two chain calls on parts of the lattice.
+    def features(self, xs) -> list:
+        """Per row x of the (candidates, n_var) matrix ``xs``:
+        ``extract_dr_features(self.frf(x))`` bit for bit, or the exception
+        that raises, from at most three chain calls for the whole batch.
 
-        The first evaluates every ``_COARSE_STRIDE``-th lattice point; the
-        second the lattice points within ``_WINDOW_HALF`` of the top three
-        coarse peaks and of the coarse minimum between the top two.  The
-        features come from the evaluated samples by the same rules.  The
-        whole lattice is evaluated instead when the coarse scan shows
-        fewer than two interior peaks, when a value is not finite, when a
-        peak window's largest sample is not a lattice peak with both
-        neighbours evaluated, or when the minimum between the chosen
-        peaks lacks an evaluated neighbour.
+        The rows first get ``build_stack``'s checks, once for the batch: a
+        wrong number of lengths or a non-positive length is a
+        ``ParameterDomainError``, and a piezo radius outside its band an
+        ``InfeasibleDesignError``.  The other rows are scored by
+
+        1. a coarse scan of every ``_COARSE_STRIDE``-th lattice point;
+        2. for each row whose coarse scan shows two interior peaks and
+           only finite values, the lattice points within ``_WINDOW_HALF``
+           of its top three coarse peaks and of the coarse minimum between
+           its top two, every such row's windows in one flat call;
+        3. the whole lattice of the rows that fall back, filling singular
+           frequencies row by row.
+
+        A row's features come from its evaluated samples by the same
+        rules.  A row falls back when its coarse scan does not qualify,
+        when a window value is not finite, when a peak window's largest
+        sample is not a lattice peak with both neighbours evaluated, or
+        when the minimum between the chosen peaks lacks an evaluated
+        neighbour.
         """
-        spec = self._spec(x)
+        xs = np.asarray(xs, dtype=float)
+        try:
+            lengths = transducer.elastic_lengths(self.params.config, xs)
+        except ParameterDomainError as e:
+            return [e.with_traceback(None)] * len(xs)
+        out = [ParameterDomainError("segment lengths must be positive")
+               if short else self._band_error
+               for short in np.any(lengths <= 0, axis=1)]
+        live = [i for i, o in enumerate(out) if o is None]
+        if not live:
+            return out
+        lengths = lengths[live]
         n = self.freqs.size
-        coarse = np.abs(self.chain.frf(spec, self.load, self._coarse).center_velocity)
+
+        coarse = np.abs(self._coarse_chain.velocity(lengths, self._coarse_load))
+        self.chain_calls += 1
         self.lattice_points += coarse.size
-        peaks = transducer.interior_peaks(coarse)
-        if peaks.size >= 2 and np.all(np.isfinite(coarse)):
+        windows, fallback = {}, []
+        for r, mag in enumerate(coarse):
+            peaks = transducer.interior_peaks(mag)
+            if peaks.size < 2 or not np.all(np.isfinite(mag)):
+                fallback.append(r)
+                continue
             c1, c2 = sorted(peaks[:2])
             centres = _COARSE_STRIDE * np.append(
-                peaks[:3], c1 + np.argmin(coarse[c1:c2 + 1]))
+                peaks[:3], c1 + np.argmin(mag[c1:c2 + 1]))
             windowed = np.zeros(n, dtype=bool)
             for c in centres:
                 windowed[max(c - _WINDOW_HALF, 0):c + _WINDOW_HALF + 1] = True
-            index = np.flatnonzero(windowed)
-            v = self.chain.frf(spec, self.load, index).center_velocity
+            windows[r] = (np.flatnonzero(windowed), centres)
+
+        if windows:
+            sizes = [index.size for index, _ in windows.values()]
+            index = np.concatenate([index for index, _ in windows.values()])
+            v = self.chain.velocity(lengths, self.load, index,
+                                    rows=np.repeat(list(windows), sizes))
+            self.chain_calls += 1
             self.lattice_points += index.size
-            if np.all(np.isfinite(v)):
-                mag = np.full(n, np.nan)
-                mag[::_COARSE_STRIDE] = coarse
-                mag[index] = np.abs(v)
-                feats = _window_features(self.freqs, mag, centres[:-1])
-                if feats is not None:
-                    return feats
-        self.fallbacks += 1
-        self.lattice_points += n
-        return transducer.extract_dr_features(self.chain.frf(spec, self.load))
+            for (r, (index, centres)), part in zip(
+                    windows.items(), np.split(v, np.cumsum(sizes)[:-1])):
+                if np.all(np.isfinite(part)):
+                    mag = np.full(n, np.nan)
+                    mag[::_COARSE_STRIDE] = coarse[r]
+                    mag[index] = np.abs(part)
+                    feats = _window_features(self.freqs, mag, centres[:-1])
+                    if feats is not None:
+                        out[live[r]] = feats
+                        continue
+                fallback.append(r)
+
+        if fallback:
+            fallback.sort()
+            v = self.chain.velocity(lengths[fallback], self.load)
+            self.chain_calls += 1
+            for r, row in zip(fallback, v):
+                self.fallbacks += 1
+                self.lattice_points += n
+                try:
+                    out[live[r]] = transducer.extract_dr_features(transducer.Frf(
+                        self.freqs, transducer.fill_singular(self.freqs, row)))
+                except (NoDualResonanceError, ParameterDomainError) as e:
+                    # kept without its traceback, whose frames would hold
+                    # ``out`` and this batch's arrays in a reference cycle
+                    out[live[r]] = e.with_traceback(None)
+        return out
 
 
 def _window_features(freqs, mag, peak_centres) -> transducer.DrFeatures | None:
@@ -206,29 +268,41 @@ def _window_features(freqs, mag, peak_centres) -> transducer.DrFeatures | None:
     return feats if np.isfinite(mag[im - 1]) and np.isfinite(mag[im + 1]) else None
 
 
-def evaluate_design(ctx: DesignContext, x) -> DesignPoint:
-    """Objectives of one candidate: stack -> FRF -> dual-resonance features.
+def evaluate_designs(ctx: DesignContext, xs) -> list:
+    """Objectives of each row of ``xs``: stack -> FRF -> dual-resonance
+    features, from one :meth:`DesignContext.features` batch.
 
     Designs without a dual resonance (or with infeasible geometry) get
     penalty objectives (F1 = 0, F2 = search-band width) and a flag so
     optimizer runs never abort.
     """
-    x = np.asarray(x, dtype=float)
-    params = ctx.params
-    try:
-        feats = ctx.features(x)
-        f1, f2 = transducer.objectives(feats)
-        derived = {"f_r1": feats.f_r1, "f_r2": feats.f_r2,
-                   "f_dist": feats.f_dist, "v_r1": feats.v_r1,
-                   "v_r2": feats.v_r2, "v_m": feats.v_m,
-                   "er_db": ctx.er.er_db}
-        return DesignPoint(params, x, (f1, f2), derived)
-    except NoDualResonanceError:
-        return DesignPoint(params, x, (0.0, ctx.band_width),
-                           flags=("no_dual_resonance",))
-    except (InfeasibleDesignError, ParameterDomainError):
-        return DesignPoint(params, x, (0.0, ctx.band_width),
-                           flags=("infeasible",))
+    xs = np.asarray(xs, dtype=float)
+    points = []
+    for x, feats in zip(xs, ctx.features(xs)):
+        if isinstance(feats, NoDualResonanceError):
+            flags = ("no_dual_resonance",)
+        elif isinstance(feats, Exception):
+            flags = ("infeasible",)
+        else:
+            try:
+                f1, f2 = transducer.objectives(feats)
+            except ParameterDomainError:
+                flags = ("infeasible",)
+            else:
+                derived = {"f_r1": feats.f_r1, "f_r2": feats.f_r2,
+                           "f_dist": feats.f_dist, "v_r1": feats.v_r1,
+                           "v_r2": feats.v_r2, "v_m": feats.v_m,
+                           "er_db": ctx.er.er_db}
+                points.append(DesignPoint(ctx.params, x, (f1, f2), derived))
+                continue
+        points.append(DesignPoint(ctx.params, x, (0.0, ctx.band_width),
+                                  flags=flags))
+    return points
+
+
+def evaluate_design(ctx: DesignContext, x) -> DesignPoint:
+    """:func:`evaluate_designs` on the one design vector ``x``."""
+    return evaluate_designs(ctx, np.asarray(x, dtype=float)[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +451,16 @@ def nsga2(evaluate, bounds, config: NsgaConfig,
           hv_ref: tuple | None = None) -> NsgaResult:
     """Seeded NSGA-II over box bounds with an external archive.
 
-    ``evaluate(x) -> (f1, f2)`` is called on one design vector at a
-    time.  Selection follows the standard loop (non-dominated sort,
-    crowding distance, binary tournament, SBX crossover, polynomial
-    mutation).  The returned front is the archive of all non-dominated
-    evaluations, which makes the hypervolume history non-decreasing by
-    construction.
+    ``evaluate(xs)`` scores one generation at once: it gets the
+    generation's (pop, n_var) matrix of design vectors, the initial
+    population first and then each generation's offspring, and returns
+    their (pop, 2) objectives (an array or a sequence of pairs).  It is
+    called ``generations + 1`` times; a result that is not a finite
+    (pop, 2) array raises :class:`ParameterDomainError`.  Selection
+    follows the standard loop (non-dominated sort, crowding distance,
+    binary tournament, SBX crossover, polynomial mutation).  The returned
+    front is the archive of all non-dominated evaluations, which makes the
+    hypervolume history non-decreasing by construction.
     """
     lo, hi = (np.asarray(b, dtype=float) for b in bounds)
     if lo.shape != hi.shape or np.any(lo >= hi):
@@ -391,8 +469,19 @@ def nsga2(evaluate, bounds, config: NsgaConfig,
     rate = 1.0 / n_var
     rng = np.random.default_rng(config.seed)
 
+    def scored(xs):
+        f = evaluate(xs)
+        try:
+            f = np.array(f, dtype=float)
+        except (TypeError, ValueError):
+            f = None
+        if f is None or f.shape != (config.pop, 2) or not np.all(np.isfinite(f)):
+            raise ParameterDomainError(
+                f"evaluate must return finite ({config.pop}, 2) objectives")
+        return f
+
     pop_x = lo + (hi - lo) * rng.random((config.pop, n_var))
-    pop_f = np.array([evaluate(x) for x in pop_x], dtype=float)
+    pop_f = scored(pop_x)
     n_eval = config.pop
     arch_x, arch_f = _archive_update([], [], pop_x, pop_f)
     if hv_ref is None:
@@ -427,7 +516,7 @@ def nsga2(evaluate, bounds, config: NsgaConfig,
             c2 = _polynomial_mutation(c2, lo, hi, _ETA_MUTATION, rate, rng)
             child_x.extend([c1, c2])
         child_x = np.array(child_x[:config.pop])
-        child_f = np.array([evaluate(x) for x in child_x], dtype=float)
+        child_f = scored(child_x)
         n_eval += config.pop
         arch_x, arch_f = _archive_update(arch_x, arch_f, child_x, child_f)
         hv_hist.append(hypervolume_2d(np.array(arch_f), hv_ref))
@@ -455,27 +544,33 @@ def nsga2(evaluate, bounds, config: NsgaConfig,
 def optimize_lengths(ctx: DesignContext, config: NsgaConfig) -> ParetoFront:
     """NSGA-II over the segment lengths of one design-parameter cell.
 
-    The archive NSGA-II returns is already mutually non-dominated and
-    free of duplicates, and so is any subset of it.  Its points are the
+    Each generation is one :func:`evaluate_designs` batch.  The archive
+    NSGA-II returns is already mutually non-dominated and free of
+    duplicates, and so is any subset of it.  Its points are the
     ``DesignPoint``s of NSGA-II's own evaluations, keyed by design vector.
     """
     points = {}
     flagged = {"infeasible": 0, "no_dual_resonance": 0}
-    t0, fallbacks, lattice_points = time.perf_counter(), ctx.fallbacks, ctx.lattice_points
+    t0 = time.perf_counter()
+    fallbacks, lattice_points, chain_calls = (ctx.fallbacks, ctx.lattice_points,
+                                              ctx.chain_calls)
 
-    def evaluate(x):
-        p = evaluate_design(ctx, x)
-        points[x.tobytes()] = p
-        for flag in p.flags:
-            flagged[flag] += 1
-        return p.objectives
+    def evaluate(xs):
+        batch = evaluate_designs(ctx, xs)
+        for x, p in zip(xs, batch):
+            points[x.tobytes()] = p
+            for flag in p.flags:
+                flagged[flag] += 1
+        return [p.objectives for p in batch]
 
     result = nsga2(evaluate, ctx.bounds, config)
     _log.debug("optimize_lengths: %d evaluations, %d infeasible, %d without dual "
-               "resonance, %d full-lattice fallbacks, %d lattice points, %.3f s",
+               "resonance, %d full-lattice fallbacks, %d lattice points, "
+               "%d chain calls, %.3f s",
                result.n_evaluations, flagged["infeasible"],
                flagged["no_dual_resonance"], ctx.fallbacks - fallbacks,
-               ctx.lattice_points - lattice_points, time.perf_counter() - t0)
+               ctx.lattice_points - lattice_points, ctx.chain_calls - chain_calls,
+               time.perf_counter() - t0)
     pts = [points[x.tobytes()] for x in result.x]
     feasible = [p for p in pts if p.feasible]
     return ParetoFront(feasible if feasible else pts)

@@ -15,6 +15,7 @@ functions and combination-resonance screening.
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass, field, replace
 
@@ -200,6 +201,36 @@ def _default_materials() -> dict:
             "horn": get_material("aluminum"), "piezo": get_material("pzt")}
 
 
+def elastic_lengths(config: StackConfig, x) -> np.ndarray:
+    """Elastic segment lengths, back first, of the stacks :func:`build_stack`
+    makes from the variable lengths along the last axis of ``x``.
+
+    The stepped horn's two sections each take half of its length, so a
+    half-wavelength row (back, front, horn) gives four lengths and a
+    full-wavelength row (back, middle, front, horn) five.
+    """
+    x = np.asarray(x, dtype=float)
+    want = 3 if config is StackConfig.HALF else 4
+    if x.shape[-1:] != (want,):
+        raise ParameterDomainError(
+            f"{config.value} configuration takes {want} segment lengths, "
+            f"got {x.shape[-1] if x.ndim else 1}"
+        )
+    half = x[..., -1:] / 2.0
+    return np.concatenate([x[..., :-1], half, half], axis=-1)
+
+
+def check_radial_band(r_p: float, f_u0: float) -> None:
+    """Raise :class:`InfeasibleDesignError` unless the piezo radius lies in
+    its radial-wavelength band (lambda_r/8, lambda_r/4) at ``f_u0``."""
+    lam_r = get_material("pzt").radial_speed() / f_u0
+    if not lam_r / 8.0 < r_p < lam_r / 4.0:
+        raise InfeasibleDesignError(
+            f"piezo radius {r_p:.4g} m outside the radial band "
+            f"({lam_r / 8.0:.4g}, {lam_r / 4.0:.4g}) m at {f_u0:.4g} Hz"
+        )
+
+
 def build_stack(config: StackConfig, r_p: float, l_p: float, r_h: float,
                 x, drive_voltage: float = 1.0,
                 f_u0: float | None = None) -> TransducerSpec:
@@ -209,50 +240,36 @@ def build_stack(config: StackConfig, r_p: float, l_p: float, r_h: float,
     half-wavelength single-stack layout, (back, middle, front, horn) for
     the full-wavelength cascaded double stack.  The stepped horn is
     realized as two sections with a geometric-mean intermediate radius,
-    ending at ``r_h``.  The piezo radius must stay inside its
-    radial-wavelength band (lambda_r/8, lambda_r/4) when ``f_u0`` is
-    given.
+    ending at ``r_h`` (see :func:`elastic_lengths`).  The piezo radius
+    must stay inside its radial-wavelength band when ``f_u0`` is given
+    (see :func:`check_radial_band`).
     """
     mats = _default_materials()
-    x = [float(v) for v in np.atleast_1d(x)]
-    want = 3 if config is StackConfig.HALF else 4
-    if len(x) != want:
-        raise ParameterDomainError(
-            f"{config.value} configuration takes {want} segment lengths, got {len(x)}"
-        )
-    if any(v <= 0 for v in x):
+    lengths = [float(v) for v in elastic_lengths(config, np.atleast_1d(x))]
+    if any(v <= 0 for v in lengths):
         raise ParameterDomainError("segment lengths must be positive")
-
     if f_u0 is not None:
-        lam_r = mats["piezo"].radial_speed() / f_u0
-        if not lam_r / 8.0 < r_p < lam_r / 4.0:
-            raise InfeasibleDesignError(
-                f"piezo radius {r_p:.4g} m outside the radial band "
-                f"({lam_r / 8.0:.4g}, {lam_r / 4.0:.4g}) m at {f_u0:.4g} Hz"
-            )
+        check_radial_band(r_p, f_u0)
 
     r_mid = float(np.sqrt(r_p * r_h))  # geometric area schedule
     pz = mats["piezo"]
-
-    def horn(length: float) -> list:
-        return [Segment(length / 2.0, r_mid, mats["horn"]),
-                Segment(length / 2.0, r_h, mats["horn"])]
-
+    *rods, h1, h2 = lengths
+    horn = [Segment(h1, r_mid, mats["horn"]), Segment(h2, r_h, mats["horn"])]
     if config is StackConfig.HALF:
         segs = [
-            Segment(x[0], r_p, mats["back"]),
+            Segment(rods[0], r_p, mats["back"]),
             Segment(l_p, r_p, pz, is_piezo=True),
-            Segment(x[1], r_p, mats["front"]),
-            *horn(x[2]),
+            Segment(rods[1], r_p, mats["front"]),
+            *horn,
         ]
     else:
         segs = [
-            Segment(x[0], r_p, mats["back"]),
+            Segment(rods[0], r_p, mats["back"]),
             Segment(l_p, r_p, pz, is_piezo=True),
-            Segment(x[1], r_p, mats["back"]),
+            Segment(rods[1], r_p, mats["back"]),
             Segment(l_p, r_p, pz, is_piezo=True, drive_sign=-1.0),
-            Segment(x[2], r_p, mats["front"]),
-            *horn(x[3]),
+            Segment(rods[2], r_p, mats["front"]),
+            *horn,
         ]
     return TransducerSpec(config=config, segments=tuple(segs),
                           drive_voltage=drive_voltage)
@@ -371,6 +388,13 @@ def segment_matrix(seg: Segment, f) -> np.ndarray:
                      np.stack([t10, t11], axis=-1)], axis=-2)
 
 
+#: values (candidate x frequency) per block of ``StackChain.velocity``.
+#: A block's temporaries take about 150 bytes a value, so a block of two
+#: candidates on the 2400-point lattice needs about what one whole-lattice
+#: candidate did when every angle's cos and sin were held at once.
+_BLOCK_VALUES = 4800
+
+
 def _layout(seg: Segment) -> tuple:
     """What a segment's chain terms depend on, besides an elastic length."""
     return (seg.material, seg.radius, seg.is_piezo, seg.drive_sign,
@@ -387,6 +411,10 @@ class StackChain:
     horn halves share theirs) and the row-0 products.  The per-frequency
     terms are rows of one array, so a subset of the grid is gathered by
     one ``take``.
+
+    :meth:`velocity` is the one kernel: it evaluates a batch of stacks,
+    given by their elastic lengths, over (candidates x frequencies), and
+    :meth:`frf` is a batch of one.
     """
 
     def __init__(self, segments, freqs):
@@ -409,6 +437,107 @@ class StackChain:
             self._steps.append((wave_row[s.material], (i_zc, i_over_zc)))
         self._terms = np.array(rows)
 
+    def subset(self, index) -> "StackChain":
+        """This chain on the grid frequencies ``index``, its terms gathered
+        once rather than recomputed, so that each value keeps its bits."""
+        sub = copy.copy(self)
+        sub.freqs, sub._terms = self.freqs[index], self._terms.take(index, axis=1)
+        return sub
+
+    def velocity(self, lengths, z_load, index=None, rows=None,
+                 drive_voltage: float = 1.0) -> np.ndarray:
+        """Plate-interface velocity of a batch of stacks of this layout.
+
+        Row c of ``lengths`` holds candidate c's elastic segment lengths,
+        back first.  ``z_load`` is the load impedance, a scalar or an
+        array over the grid.  The result is (candidates, frequencies) on
+        the whole grid or, with ``index``, on those grid indices, which
+        every candidate shares: the terms are broadcast over the
+        candidates, not tiled.  With ``rows`` as well, ``index`` and
+        ``rows`` pair up element by element and the result is flat: value
+        i is candidate ``rows[i]`` at grid index ``index[i]``.
+
+        Each value has the bits of a one-candidate call at that frequency.
+        A singular frequency is returned as it comes out, not finite; see
+        :func:`fill_singular`.  The batch is evaluated in blocks of at most
+        ``_BLOCK_VALUES`` values (or one candidate), which bounds its
+        temporaries.
+        """
+        lengths = np.asarray(lengths, dtype=float)
+        # one angle per distinct (wavenumber, length column): the two horn
+        # halves share theirs
+        angle, which = {}, []
+        elastic = [row for row, impedances in self._steps if impedances is not None]
+        for col, row in enumerate(elastic):
+            which.append(angle.setdefault((row, lengths[:, col].tobytes()),
+                                          (len(angle), row, col))[0])
+        wave_rows = [row for _, row, _ in angle.values()]
+        per_angle = lengths[:, [col for _, _, col in angle.values()]].T
+
+        if rows is None:
+            terms = self._terms if index is None else self._terms.take(index, axis=1)
+            if index is not None and np.ndim(z_load):
+                z_load = np.take(z_load, index)
+            v = np.empty((len(lengths), terms.shape[1]), dtype=complex)
+            step = max(_BLOCK_VALUES // max(terms.shape[1], 1), 1)
+            for lo in range(0, len(lengths), step):
+                v[lo:lo + step] = self._block(
+                    terms[:, None, :], wave_rows, per_angle[:, lo:lo + step, None],
+                    which, z_load, drive_voltage)
+            return v
+        index, rows = np.asarray(index), np.asarray(rows)
+        v = np.empty(index.size, dtype=complex)
+        for lo in range(0, index.size, _BLOCK_VALUES):
+            part = slice(lo, lo + _BLOCK_VALUES)
+            v[part] = self._block(
+                self._terms.take(index[part], axis=1), wave_rows,
+                per_angle[:, rows[part]], which,
+                np.take(z_load, index[part]) if np.ndim(z_load) else z_load,
+                drive_voltage)
+        return v
+
+    def _block(self, terms, wave_rows, per_angle, which, z_load,
+               drive_voltage) -> np.ndarray:
+        """The row-0 chain of one block: ``terms`` and ``per_angle``
+        (each angle's elastic lengths) broadcast to the block's values.
+        An angle's cos and sin are computed where first needed and dropped
+        after their last use."""
+        last = {j: i for i, j in enumerate(which)}
+        angles, trig = iter(enumerate(which)), {}
+        # Every complex product and sum is an explicit ufunc call in the
+        # operand order of the expressions it replaces, r0 * cos + r1 *
+        # (sin * i/Zc) and so on.  Written with operators, numpy elides
+        # temporaries of 256 KiB and more: ``r1 * (sin * i_over_zc)`` then
+        # runs as ``tmp *= r1``, and with the swapped operands the fused
+        # multiply-add of the complex product rounds differently, so a
+        # large block would not equal one-candidate calls bit for bit.
+        # Explicit calls keep the bits independent of the block size.
+        r0, r1, s0 = 1.0, 0.0, 0.0
+        for row, impedances in self._steps:
+            if impedances is None:
+                t00, t01, t10, d0, d1 = terms[row:row + 5]
+                s0 = np.add(s0, np.add(np.multiply(r0, d0), np.multiply(r1, d1)))
+                r0, r1 = (np.add(np.multiply(r0, t00), np.multiply(r1, t10)),
+                          np.add(np.multiply(r0, t01), np.multiply(r1, t00)))
+                continue
+            i, j = next(angles)
+            if j not in trig:
+                k = wave_rows[j]
+                trig[j] = _cos_sin(np.multiply(terms[k].real, per_angle[j]),
+                                   np.multiply(terms[k].imag, per_angle[j]))
+            cos, sin = trig.pop(j) if last[j] == i else trig[j]
+            i_zc, i_over_zc = impedances
+            r0, r1 = (np.add(np.multiply(r0, cos),
+                             np.multiply(r1, np.multiply(sin, i_over_zc))),
+                      np.add(np.multiply(r0, np.multiply(sin, i_zc)),
+                             np.multiply(r1, cos)))
+
+        # 0 = F_back = (T00 Z_L + T01) v_front + s0 * V
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.multiply(
+                np.divide(np.negative(s0), np.add(np.multiply(r0, z_load), r1)),
+                drive_voltage)
+
     def frf(self, spec: TransducerSpec, z_load, index=None) -> Frf:
         """Plate-interface velocity of ``spec`` (this chain's layout) under
         the load impedance ``z_load`` (scalar or array over the grid).
@@ -426,47 +555,27 @@ class StackChain:
         """
         if tuple(_layout(s) for s in spec.segments) != self._layouts:
             raise ParameterDomainError("stack layout differs from the chain's")
-        terms, freqs = self._terms, self.freqs
-        if index is not None:
-            terms, freqs = terms.take(index, axis=1), freqs[index]
-            if np.ndim(z_load):
-                z_load = np.take(z_load, index)
-        # one angle row per distinct (wavenumber, elastic length): the two
-        # horn halves share theirs
-        angle = {}
-        for seg, (row, impedances) in zip(spec.segments, self._steps):
-            if impedances is not None:
-                angle.setdefault((row, seg.length), len(angle))
-        rows = [row for row, _ in angle]
-        lengths = np.array([length for _, length in angle])[:, None]
-        kl_re, kl_im = terms.real[rows], terms.imag[rows]
-        kl_re *= lengths
-        kl_im *= lengths
-        cos, sin = _cos_sin(kl_re, kl_im)
-
-        r0, r1, s0 = 1.0, 0.0, 0.0
-        for seg, (row, impedances) in zip(spec.segments, self._steps):
-            if impedances is None:
-                t00, t01, t10, d0, d1 = terms[row:row + 5]
-                s0 = s0 + (r0 * d0 + r1 * d1)
-                r0, r1 = r0 * t00 + r1 * t10, r0 * t01 + r1 * t00
-                continue
-            j = angle[row, seg.length]
-            i_zc, i_over_zc = impedances
-            r0, r1 = (r0 * cos[j] + r1 * (sin[j] * i_over_zc),
-                      r0 * (sin[j] * i_zc) + r1 * cos[j])
-
-        # 0 = F_back = (T00 Z_L + T01) v_front + s0 * V
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = -s0 / (r0 * z_load + r1) * spec.drive_voltage
+        lengths = [[s.length for s in spec.segments if not s.is_piezo]]
+        v = self.velocity(lengths, z_load, index,
+                          drive_voltage=spec.drive_voltage)[0]
         if index is None:
-            bad = ~np.isfinite(v)
-            if np.any(bad):
-                good = ~bad
-                if not np.any(good):
-                    raise ParameterDomainError("transfer-matrix chain singular everywhere")
-                v[bad] = Frf(freqs[good], v[good]).interp(freqs[bad])
-        return Frf(freqs, v)
+            return Frf(self.freqs, fill_singular(self.freqs, v))
+        return Frf(self.freqs[index], v)
+
+
+def fill_singular(freqs: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``v`` over the whole grid ``freqs`` with its non-finite values
+    interpolated, in place, from the finite ones.
+
+    Raises :class:`ParameterDomainError` when no value is finite.
+    """
+    bad = ~np.isfinite(v)
+    if np.any(bad):
+        good = ~bad
+        if not np.any(good):
+            raise ParameterDomainError("transfer-matrix chain singular everywhere")
+        v[bad] = Frf(freqs[good], v[good]).interp(freqs[bad])
+    return v
 
 
 def frf_transfer_matrix(spec: TransducerSpec, load, freqs) -> Frf:

@@ -393,8 +393,9 @@ def test_10_transfer_matrix_oracle():
 
 
 def test_11_nsga2(air):
-    def bi(x):
-        return (x[0] ** 2, (x[0] - 2.0) ** 2)
+    def bi(xs):
+        # one generation at a time: a row of objectives per design vector
+        return [(x[0] ** 2, (x[0] - 2.0) ** 2) for x in xs]
 
     cfg = opt.NsgaConfig(pop=40, generations=50, seed=7)
     res = opt.nsga2(bi, ([-5.0], [5.0]), cfg, hv_ref=(4.5, 4.5))

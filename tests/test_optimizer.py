@@ -19,6 +19,12 @@ def bi_objective(x):
     return (x[0] ** 2, (x[0] - 2.0) ** 2)
 
 
+def rows(objective):
+    """An NSGA-II evaluator that maps a one-vector objective over the rows
+    of a generation."""
+    return lambda xs: [objective(x) for x in xs]
+
+
 def dominates(fa, fb) -> bool:
     """True if fa Pareto-dominates fb: the scalar oracle of ``_dominance``."""
     return bool(np.all(fa <= fb) and np.any(fa < fb))
@@ -116,7 +122,7 @@ def cell_ctx(std_air, cell_params):
 
 class TestNsga2:
     def test_converges_on_analytic_problem(self):
-        res = opt.nsga2(bi_objective, ([-5.0], [5.0]),
+        res = opt.nsga2(rows(bi_objective), ([-5.0], [5.0]),
                         opt.NsgaConfig(pop=24, generations=25, seed=1),
                         hv_ref=(4.5, 4.5))
         assert res.x.min() > -0.1 and res.x.max() < 2.1
@@ -125,21 +131,21 @@ class TestNsga2:
         assert res.hv_history[-1] == pytest.approx(hv_true, rel=0.02)
 
     def test_hypervolume_monotone(self):
-        res = opt.nsga2(bi_objective, ([-5.0], [5.0]),
+        res = opt.nsga2(rows(bi_objective), ([-5.0], [5.0]),
                         opt.NsgaConfig(pop=16, generations=20, seed=2),
                         hv_ref=(4.5, 4.5))
         assert np.all(np.diff(res.hv_history) >= -1e-12)
 
     def test_seed_reproducibility(self):
         cfg = opt.NsgaConfig(pop=16, generations=10, seed=9)
-        r1 = opt.nsga2(bi_objective, ([-5.0], [5.0]), cfg)
-        r2 = opt.nsga2(bi_objective, ([-5.0], [5.0]), cfg)
+        r1 = opt.nsga2(rows(bi_objective), ([-5.0], [5.0]), cfg)
+        r2 = opt.nsga2(rows(bi_objective), ([-5.0], [5.0]), cfg)
         assert np.array_equal(r1.x, r2.x)
         assert np.array_equal(r1.f, r2.f)
         assert np.array_equal(r1.hv_history, r2.hv_history)
 
     def test_front_non_dominated(self):
-        res = opt.nsga2(bi_objective, ([-5.0], [5.0]),
+        res = opt.nsga2(rows(bi_objective), ([-5.0], [5.0]),
                         opt.NsgaConfig(pop=16, generations=8, seed=4))
         f = res.f
         for i in range(f.shape[0]):
@@ -175,6 +181,44 @@ class TestNsga2:
             cells = sum(any(p[0] <= cx and p[1] <= cy for p in f)
                         for cx in range(int(ref[0])) for cy in range(int(ref[1])))
             assert opt.hypervolume_2d(f, ref) == float(cells)
+
+    @pytest.mark.parametrize("bad", ["short", "one column", "nan", "inf", "ragged",
+                                     "text"])
+    def test_rejects_malformed_objectives(self, bad):
+        # evaluate must return a finite (pop, 2) array for every generation
+        def evaluate(xs):
+            f = [bi_objective(x) for x in xs]
+            if bad == "short":
+                return f[:-1]
+            if bad == "one column":
+                return [a for a, _ in f]
+            if bad == "nan":
+                f[3] = (np.nan, 1.0)
+            if bad == "inf":
+                f[0] = (0.0, -np.inf)
+            if bad == "ragged":
+                f[2] = (1.0, 2.0, 3.0)
+            if bad == "text":
+                f[1] = ("a", "b")
+            return f
+
+        with pytest.raises(ParameterDomainError, match=r"finite \(8, 2\)"):
+            opt.nsga2(evaluate, ([-5.0], [5.0]), opt.NsgaConfig(pop=8, generations=1))
+
+    def test_evaluates_one_matrix_per_generation(self):
+        # the initial population and each generation's offspring are one
+        # (pop, n_var) matrix each, inside the bounds
+        seen = []
+
+        def evaluate(xs):
+            seen.append(np.array(xs))
+            return np.array([bi_objective(x) for x in xs])
+
+        cfg = opt.NsgaConfig(pop=8, generations=3, seed=4)
+        res = opt.nsga2(evaluate, ([-5.0, 0.0], [5.0, 1.0]), cfg)
+        assert [x.shape for x in seen] == [(8, 2)] * 4
+        assert all(np.all((x >= [-5.0, 0.0]) & (x <= [5.0, 1.0])) for x in seen)
+        assert res.n_evaluations == 32
 
     def test_config_validation(self):
         with pytest.raises(ParameterDomainError):
@@ -217,6 +261,35 @@ class TestEvaluateDesign:
             assert dominates(np.array(feasible.objectives),
                                   np.array(penalty.objectives))
 
+    def test_batch_checks_lengths_like_build_stack(self, std_air, cell_ctx,
+                                                    cell_params):
+        # a non-positive length (a horn so short that its halves underflow
+        # included) flags only its own row, as build_stack's exception does
+        # for one candidate; a wrong length count or a piezo outside its
+        # radial band flags every row
+        x0, _ = td.langevin_initial_lengths(60e3, cell_params.config, 8e-3)
+        xs = np.array([x0, x0, x0, x0])
+        xs[1, 2] = 0.0
+        xs[2, 3] = 5e-324
+        got = opt.evaluate_designs(cell_ctx, xs)
+        assert [p.flags for p in got] == [(), ("infeasible",), ("infeasible",), ()]
+        for x, p in zip(xs, got):
+            if p.flags:
+                with pytest.raises(ParameterDomainError):
+                    TestRow0Chain.stack(cell_params, cell_params.config, x)
+            alone = opt.evaluate_design(cell_ctx, x)
+            assert (alone.objectives, alone.flags) == (p.objectives, p.flags)
+        assert got[3].objectives == got[0].objectives
+        calls = cell_ctx.chain_calls
+        short = opt.evaluate_designs(cell_ctx, xs[:, :3])
+        assert [p.flags for p in short] == [("infeasible",)] * 4
+        ctx = opt.DesignContext(replace(cell_params, f_u0=40e3), std_air)
+        with pytest.raises(InfeasibleDesignError):
+            ctx._spec(ctx.bounds[0])
+        assert [p.flags for p in opt.evaluate_designs(ctx, [ctx.bounds[0]] * 3)] == [
+            ("infeasible",)] * 3
+        assert cell_ctx.chain_calls == calls and ctx.chain_calls == 0
+
     def test_audio_capability_rejects_foreign_design(self, cell_ctx, cell_params):
         other = opt.DesignPoint(replace(cell_params, r_p=11e-3), np.ones(4),
                                 (-1.0, 1000.0))
@@ -232,17 +305,19 @@ class TestEvaluateDesign:
     def test_front_reuses_nsga2_evaluations(self, cell_ctx, monkeypatch):
         # every candidate is evaluated once, by NSGA-II itself; the front
         # is built from those evaluations, not from a second pass
+        # in one batch per generation
         calls = []
-        evaluate = opt.evaluate_design
+        evaluate = opt.evaluate_designs
 
-        def counting(ctx, x):
-            calls.append(x)
-            return evaluate(ctx, x)
+        def counting(ctx, xs):
+            calls.append(len(xs))
+            return evaluate(ctx, xs)
 
-        monkeypatch.setattr(opt, "evaluate_design", counting)
+        monkeypatch.setattr(opt, "evaluate_designs", counting)
         cfg = opt.NsgaConfig(pop=8, generations=3, seed=5)
         front = opt.optimize_lengths(cell_ctx, cfg)
-        assert len(calls) == cfg.pop * (cfg.generations + 1)
+        assert calls == [cfg.pop] * (cfg.generations + 1)
+        assert sum(calls) == 32
         monkeypatch.undo()
         for p in front.points:
             again = opt.evaluate_design(cell_ctx, p.x)
@@ -301,9 +376,10 @@ class TestRow0Chain:
 
         cfg = opt.NsgaConfig(pop=12, generations=5, seed=2)
         _, bounds = td.langevin_initial_lengths(60e3, cell_params.config, 8e-3)
-        want = opt.nsga2(oracle_objectives, bounds, cfg)
-        got = opt.nsga2(lambda x: opt.evaluate_design(cell_ctx, x).objectives,
-                        bounds, cfg)
+        want = opt.nsga2(rows(oracle_objectives), bounds, cfg)
+        got = opt.nsga2(
+            lambda xs: [p.objectives for p in opt.evaluate_designs(cell_ctx, xs)],
+            bounds, cfg)
         assert np.array_equal(got.x, want.x)
         assert np.allclose(got.f, want.f, rtol=1e-12, atol=0.0)
 
@@ -324,18 +400,18 @@ class TestRow0Chain:
 
 
 class LatticeCurve:
-    """Stand-in for a ``StackChain``: a fixed response on its lattice, whose
-    non-finite values the whole lattice fills and a subset reports."""
+    """Stand-in for a ``StackChain``: one fixed response on its lattice for
+    every candidate, non-finite values returned as they are."""
 
     def __init__(self, freqs, v):
         self.freqs, self.v = freqs, v
 
-    def frf(self, spec, z_load, index=None):
-        if index is not None:
-            return td.Frf(self.freqs[index], self.v[index])
-        v, bad = self.v.copy(), ~np.isfinite(self.v)
-        v[bad] = td.Frf(self.freqs[~bad], v[~bad]).interp(self.freqs[bad])
-        return td.Frf(self.freqs, v)
+    def subset(self, index):
+        return LatticeCurve(self.freqs[index], self.v[index])
+
+    def velocity(self, lengths, z_load, index=None, rows=None, drive_voltage=1.0):
+        v = self.v if index is None else self.v[index]
+        return v.copy() if rows is not None else np.tile(v, (len(lengths), 1))
 
 
 def two_peaks(n):
@@ -352,6 +428,12 @@ def outcome(call):
         return type(e)
 
 
+def outcomes(results):
+    """``DesignContext.features`` results with each exception replaced by
+    its type, as ``outcome`` reports them."""
+    return [type(r) if isinstance(r, Exception) else r for r in results]
+
+
 class TestCoarseSearch:
     """``DesignContext.features`` against the whole-lattice features."""
 
@@ -359,21 +441,29 @@ class TestCoarseSearch:
     @pytest.mark.parametrize("f_u0, r_p", [(40e3, 13e-3), (90e3, 9e-3)])
     def test_equals_whole_lattice_on_nsga2_candidates(self, std_air, config,
                                                       f_u0, r_p):
-        # every candidate of a seeded NSGA-II run: the same features, or
-        # the same exception, as extract_dr_features on the whole lattice
+        # every candidate of a seeded NSGA-II run, scored in one batch per
+        # generation: the same features, or the same exception, as
+        # extract_dr_features on the whole lattice, and the same
+        # objectives, derived values and flags as one-row evaluation
         ctx = opt.DesignContext(opt.DesignParams(0.45, f_u0, 8, config, r_p,
                                                  8e-3, 0.75e-3), std_air)
         seen = []
 
-        def evaluate(x):
-            fallbacks = ctx.fallbacks
-            got = outcome(lambda: ctx.features(x))
-            want = outcome(lambda: td.extract_dr_features(ctx.frf(x)))
-            seen.append((got, want, ctx.fallbacks > fallbacks))
-            return opt.evaluate_design(ctx, x).objectives
+        def evaluate(xs):
+            got = outcomes(ctx.features(xs))
+            batch = opt.evaluate_designs(ctx, xs)
+            for x, g, p in zip(xs, got, batch):
+                want = outcome(lambda: td.extract_dr_features(ctx.frf(x)))
+                fallbacks = ctx.fallbacks
+                alone = opt.evaluate_design(ctx, x)
+                seen.append((g, want, ctx.fallbacks > fallbacks))
+                assert (alone.objectives, alone.derived, alone.flags) == (
+                    p.objectives, p.derived, p.flags)
+            return [p.objectives for p in batch]
 
         opt.nsga2(evaluate, ctx.bounds, opt.NsgaConfig(pop=24, generations=10,
                                                        seed=7))
+        assert len(seen) == 264
         assert all(got == want for got, want, _ in seen)
         windowed = [w for _, w, fell_back in seen
                     if isinstance(w, td.DrFeatures) and not fell_back]
@@ -382,30 +472,46 @@ class TestCoarseSearch:
     def test_reference_cell_lattice_budget(self, std_air, cell_params, monkeypatch):
         # deterministic gate: on the reference cell (pop 24, 10 generations,
         # seed 1) a candidate needs a median of 357 of the 2400 lattice
-        # points, and 6 of the 264 candidates fall back to the whole lattice
+        # points, and 6 of the 264 candidates fall back to the whole lattice.
+        # The rows of each batch are counted, and each row's points come
+        # from evaluating it alone, which adds up to the batches' points
         ctx = opt.DesignContext(cell_params, std_air)
-        per_candidate = []
-        evaluate = opt.evaluate_design
+        batches = []
+        evaluate = opt.evaluate_designs
 
-        def counting(c, x):
-            before = c.lattice_points
-            point = evaluate(c, x)
-            per_candidate.append(c.lattice_points - before)
-            return point
+        def counting(c, xs):
+            batches.append(np.array(xs))
+            return evaluate(c, xs)
 
-        monkeypatch.setattr(opt, "evaluate_design", counting)
+        monkeypatch.setattr(opt, "evaluate_designs", counting)
         opt.optimize_lengths(ctx, opt.NsgaConfig(pop=24, generations=10, seed=1))
-        assert len(per_candidate) == 264 and ctx.freqs.size == 2400
+        monkeypatch.undo()
+        assert [len(xs) for xs in batches] == [24] * 11 and ctx.freqs.size == 2400
+        alone = opt.DesignContext(cell_params, std_air)
+        per_candidate = []
+        for x in np.vstack(batches):
+            before = alone.lattice_points
+            opt.evaluate_design(alone, x)
+            per_candidate.append(alone.lattice_points - before)
+        assert len(per_candidate) == 264
+        assert sum(per_candidate) == ctx.lattice_points
+        assert alone.fallbacks == ctx.fallbacks
         assert np.median(per_candidate) <= 376
         assert ctx.fallbacks <= 13
+        # at most three chain calls a generation, against two or three a
+        # candidate one at a time
+        assert ctx.chain_calls <= 3 * 11 and alone.chain_calls >= 2 * 264
 
     @staticmethod
     def synthetic(ctx, mag):
         """Give ``ctx`` the response |v| = ``mag`` and return the features
         of the whole lattice and of the coarse search."""
         ctx.chain = LatticeCurve(ctx.freqs, mag.astype(complex))
-        want = outcome(lambda: td.extract_dr_features(ctx.chain.frf(None, None)))
-        return want, outcome(lambda: ctx.features(ctx.bounds[0]))
+        ctx._coarse_chain = ctx.chain.subset(np.arange(0, ctx.freqs.size,
+                                                       opt._COARSE_STRIDE))
+        whole = td.fill_singular(ctx.freqs, ctx.chain.velocity([[]], None)[0])
+        want = outcome(lambda: td.extract_dr_features(td.Frf(ctx.freqs, whole)))
+        return want, outcomes(ctx.features([ctx.bounds[0]]))[0]
 
     def test_windows_suffice_for_resolved_peaks(self, std_air, cell_params):
         ctx = opt.DesignContext(cell_params, std_air)
@@ -425,8 +531,8 @@ class TestCoarseSearch:
         # no dual resonance in band: the whole lattice raises, and so does
         # the search, after falling back to it
         ctx = opt.DesignContext(cell_params, std_air)
-        with pytest.raises(NoDualResonanceError):
-            ctx.features(np.full(ctx.bounds[0].size, 1e-4))
+        (got,) = ctx.features([np.full(ctx.bounds[0].size, 1e-4)])
+        assert isinstance(got, NoDualResonanceError)
         assert ctx.fallbacks == 1
 
     def test_fallback_when_peak_window_max_on_its_edge(self, std_air, cell_params):
@@ -487,7 +593,7 @@ class TestCoarseSearch:
 
         monkeypatch.setattr(td, "plate_load_impedance", nan_load)
         ctx = opt.DesignContext(cell_params, std_air)
-        assert ctx.features(x0) == td.extract_dr_features(ctx.frf(x0))
+        assert ctx.features([x0]) == [td.extract_dr_features(ctx.frf(x0))]
         assert ctx.fallbacks == 1
         # the coarse scan's 300 points and the whole lattice, with the
         # windows between them unless the coarse scan saw the bad value
@@ -499,16 +605,21 @@ class TestCoarseSearch:
         with caplog.at_level(logging.INFO, logger="sppal.optimizer"):
             opt.optimize_lengths(ctx, cfg)
         assert not caplog.records
-        fallbacks, points = ctx.fallbacks, ctx.lattice_points
+        fallbacks, points, calls = ctx.fallbacks, ctx.lattice_points, ctx.chain_calls
         with caplog.at_level(logging.DEBUG, logger="sppal.optimizer"):
             front = opt.optimize_lengths(ctx, cfg)
         (rec,) = caplog.records
         assert rec.levelno == logging.DEBUG
         msg = rec.getMessage()
         assert msg.startswith("optimize_lengths: 24 evaluations, ")
+        calls = ctx.chain_calls - calls
         assert (f"{ctx.fallbacks - fallbacks} full-lattice fallbacks, "
-                f"{ctx.lattice_points - points} lattice points") in msg
+                f"{ctx.lattice_points - points} lattice points, "
+                f"{calls} chain calls") in msg
         assert ctx.lattice_points > points
+        # the coarse scan and the windows of each of the 3 generations, and
+        # one whole-lattice batch for each generation with a fallback
+        assert 2 * 3 <= calls <= 3 * 3
         assert re.search(r", \d+\.\d{3} s$", msg)
         assert front.points
 

@@ -10,6 +10,7 @@ from sppal.errors import (
 )
 from sppal.linfield import EquivalenceRatio
 from sppal.materials import Material, PiezoProps, get_material
+from sppal.transducer import Frf, _cos_sin, _layout
 
 
 def quiet_material(name, density, modulus, loss=0.0):
@@ -21,6 +22,54 @@ def quiet_pzt(loss=0.0):
     pz = PiezoProps(s33_e=13.9e-12, d33=225e-12, eps33_s=5.2e-9, s11_e=11.5e-12)
     return Material("tpzt", density=7600.0, youngs_modulus=1.0 / pz.s33_e,
                     poisson_ratio=0.31, loss_factor=loss, piezo=pz)
+
+
+def _parent_frf(self, spec, z_load, index=None):
+    """``StackChain.frf`` as it was before the batch kernel, one candidate
+    per call, written with operators (``self`` is the chain)."""
+    if tuple(_layout(s) for s in spec.segments) != self._layouts:
+        raise ParameterDomainError("stack layout differs from the chain's")
+    terms, freqs = self._terms, self.freqs
+    if index is not None:
+        terms, freqs = terms.take(index, axis=1), freqs[index]
+        if np.ndim(z_load):
+            z_load = np.take(z_load, index)
+    # one angle row per distinct (wavenumber, elastic length): the two
+    # horn halves share theirs
+    angle = {}
+    for seg, (row, impedances) in zip(spec.segments, self._steps):
+        if impedances is not None:
+            angle.setdefault((row, seg.length), len(angle))
+    rows = [row for row, _ in angle]
+    lengths = np.array([length for _, length in angle])[:, None]
+    kl_re, kl_im = terms.real[rows], terms.imag[rows]
+    kl_re *= lengths
+    kl_im *= lengths
+    cos, sin = _cos_sin(kl_re, kl_im)
+
+    r0, r1, s0 = 1.0, 0.0, 0.0
+    for seg, (row, impedances) in zip(spec.segments, self._steps):
+        if impedances is None:
+            t00, t01, t10, d0, d1 = terms[row:row + 5]
+            s0 = s0 + (r0 * d0 + r1 * d1)
+            r0, r1 = r0 * t00 + r1 * t10, r0 * t01 + r1 * t00
+            continue
+        j = angle[row, seg.length]
+        i_zc, i_over_zc = impedances
+        r0, r1 = (r0 * cos[j] + r1 * (sin[j] * i_over_zc),
+                  r0 * (sin[j] * i_zc) + r1 * cos[j])
+
+    # 0 = F_back = (T00 Z_L + T01) v_front + s0 * V
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = -s0 / (r0 * z_load + r1) * spec.drive_voltage
+    if index is None:
+        bad = ~np.isfinite(v)
+        if np.any(bad):
+            good = ~bad
+            if not np.any(good):
+                raise ParameterDomainError("transfer-matrix chain singular everywhere")
+            v[bad] = Frf(freqs[good], v[good]).interp(freqs[bad])
+    return Frf(freqs, v)
 
 
 class TestPzgFrf:
@@ -77,6 +126,20 @@ class TestBuildStack:
             td.build_stack(td.StackConfig.HALF, lam_r / 3.0, 8e-3, 0.75e-3,
                            [0.02] * 3, f_u0=60e3)
 
+
+    @pytest.mark.parametrize("config", list(td.StackConfig))
+    def test_elastic_lengths_are_build_stacks(self, config):
+        # one row or a batch: the elastic segment lengths of build_stack's
+        # stack, back first, and a wrong count is rejected the same way
+        x0, _ = td.langevin_initial_lengths(60e3, config, 8e-3)
+        xs = np.array([x0, 1.1 * x0, 0.7 * x0])
+        got = td.elastic_lengths(config, xs)
+        for x, row in zip(xs, got):
+            spec = td.build_stack(config, 9e-3, 8e-3, 0.75e-3, x)
+            assert row.tolist() == [s.length for s in spec.segments if not s.is_piezo]
+        assert np.array_equal(td.elastic_lengths(config, x0), got[0])
+        with pytest.raises(ParameterDomainError, match="segment lengths"):
+            td.elastic_lengths(config, xs[:, :-1])
 
 class TestInitialLengths:
     MATS = {"back": "aluminum", "front": "aluminum", "horn": "aluminum"}
@@ -223,6 +286,83 @@ class TestTransferMatrix:
         assert np.array_equal(part[[0, 2]], whole[[1, 3]])
         alone = chain.frf(spec, load, [2]).center_velocity
         assert alone.shape == (1,) and not np.isfinite(alone[0])
+
+    @pytest.mark.parametrize("block", [None, 10 ** 6])
+    @pytest.mark.parametrize("config", list(td.StackConfig))
+    @pytest.mark.parametrize("f_u0", [60e3, 90e3])
+    def test_batch_kernel_equals_one_candidate_calls(self, config, f_u0, block,
+                                                     monkeypatch):
+        # the kernel on 1, 4, 8 and 48 candidates against the one-candidate
+        # oracle, by ==, on the design loop's three index sets: every 8th
+        # point (terms gathered by ``subset`` or per call), windows as a
+        # flat index with a row id, and the whole lattice.  In blocks of
+        # the default size and in one block per call: 48 candidates on the
+        # 3600-point lattice are then 2.7 MB per complex array, far above
+        # the 256 KiB where numpy starts eliding temporaries
+        if block is not None:
+            monkeypatch.setattr(td, "_BLOCK_VALUES", block)
+        x0, (lo, hi) = td.langevin_initial_lengths(f_u0, config, 8e-3)
+        layout = td.build_stack(config, 9e-3, 8e-3, 0.75e-3, x0)
+        freqs = np.arange(0.8 * f_u0, 1.2 * f_u0, td.PEAK_GRID_STEP)
+        load = (40.0 + 3e-4 * freqs) + 1j * (freqs - f_u0) * 1e-3
+        chain = td.StackChain(layout.segments, freqs)
+        coarse = np.arange(0, freqs.size, 8)
+        coarse_chain = chain.subset(coarse)
+        rng = np.random.default_rng(int(f_u0) + len(x0))
+        xs = lo + (hi - lo) * rng.random((48, lo.size))
+        windows = []
+        for _ in xs:
+            windowed = np.zeros(freqs.size, dtype=bool)
+            for c in rng.choice(freqs.size, size=4, replace=False):
+                windowed[max(c - 9, 0):c + 10] = True
+            windows.append(np.flatnonzero(windowed))
+        specs = [td.build_stack(config, 9e-3, 8e-3, 0.75e-3, x) for x in xs]
+        whole = [_parent_frf(chain, spec, load).center_velocity for spec in specs]
+        assert all(np.all(np.isfinite(v)) for v in whole)
+        for k in (1, 4, 8, 48):
+            lengths = td.elastic_lengths(config, xs[:k])
+            got = chain.velocity(lengths, load)
+            assert got.shape == (k, freqs.size)
+            assert all(np.array_equal(got[c], whole[c]) for c in range(k))
+            for got in (chain.velocity(lengths, load, coarse),
+                        coarse_chain.velocity(lengths, load[coarse])):
+                assert got.shape == (k, coarse.size)
+                assert all(np.array_equal(
+                    got[c], _parent_frf(chain, specs[c], load, coarse).center_velocity)
+                    for c in range(k))
+            index = np.concatenate(windows[:k])
+            sizes = [w.size for w in windows[:k]]
+            got = chain.velocity(lengths, load, index,
+                                 rows=np.repeat(np.arange(k), sizes))
+            parts = np.split(got, np.cumsum(sizes)[:-1])
+            assert all(np.array_equal(
+                parts[c], _parent_frf(chain, specs[c], load, windows[c]).center_velocity)
+                for c in range(k))
+        # a batch of one is ``frf``, at any drive voltage and load
+        spec = td.build_stack(config, 9e-3, 8e-3, 0.75e-3, xs[0], drive_voltage=1.7)
+        for z_load in (load, 35.0 + 2.0j):
+            for index in (None, coarse, windows[0]):
+                got = chain.frf(spec, z_load, index)
+                want = _parent_frf(chain, spec, z_load, index)
+                assert np.array_equal(got.freqs, want.freqs)
+                assert np.array_equal(got.center_velocity, want.center_velocity)
+
+    def test_batch_kernel_reports_singular_frequency(self):
+        # the kernel returns a singular frequency as it comes out, in every
+        # row; ``fill_singular`` then fills it as a whole-lattice call does
+        spec = td.build_stack(td.StackConfig.HALF, 9e-3, 8e-3, 1e-3,
+                              [0.015, 0.015, 0.02])
+        freqs = np.linspace(55e3, 55.4e3, 5)
+        chain = td.StackChain(spec.segments, freqs)
+        load = np.full(freqs.size, 50.0 + 20.0j)
+        load[2] = np.nan
+        lengths = td.elastic_lengths(td.StackConfig.HALF, [[0.015, 0.015, 0.02]] * 3)
+        v = chain.velocity(lengths, load)
+        assert v.shape == (3, 5) and not np.any(np.isfinite(v[:, 2]))
+        assert np.array_equal(td.fill_singular(freqs, v[1]),
+                              chain.frf(spec, load).center_velocity)
+        with pytest.raises(ParameterDomainError, match="singular everywhere"):
+            td.fill_singular(freqs, np.full(freqs.size, np.nan + 0j))
 
     def test_sandwich_against_impedance_recursion(self):
         # independent oracle: transmission-line impedance recursion with the
