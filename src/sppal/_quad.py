@@ -3,13 +3,14 @@
 One home for each rule: trapezoid and non-uniform composite Simpson
 weights, the cached Gauss-Legendre node table, the radial-wavenumber
 nodes of the Hankel-domain field integrals and their plane-to-plane
-propagation factors, barycentric interpolation at Chebyshev points, the
-three-point parabolic peak refinement, the ``REFINE_DB`` refinement
-test, and the adaptive azimuthal ladder that
-evaluates axisymmetric integrals over phi in [0, pi] at doubling
-Gauss-Legendre orders until successive estimates pass that test; and the
-one scalar root finder, Brent's method (:func:`brentq`), which the plate
-eigenvalues, nodal radii and thickness sizing share.
+propagation factors, Chebyshev points with their point-count rule and
+barycentric interpolation rows, the three-point parabolic peak
+refinement, the ``REFINE_DB`` refinement test, and the adaptive
+azimuthal ladder that evaluates axisymmetric integrals over phi in
+[0, pi] at doubling Gauss-Legendre orders until successive estimates
+pass that test; and the one scalar root finder, Brent's method
+(:func:`brentq`), which the plate eigenvalues, nodal radii and
+thickness sizing share.
 """
 
 from __future__ import annotations
@@ -112,48 +113,79 @@ def wavenumber_nodes(k0: float, n_panels: int, u_span=None) -> tuple:
     return k0 * np.cosh(u), k0 * np.sinh(u) * w_u
 
 
-def chebyshev_points(n: int, hi: float) -> np.ndarray:
-    """The ``n`` >= 2 Chebyshev points of the second kind on [0, hi], ascending.
+def chebyshev_points(n: int, hi: float, lo: float = 0.0) -> np.ndarray:
+    """The ``n`` >= 2 Chebyshev points of the second kind on [lo, hi], ascending.
 
-    x_j = hi * sin^2(pi j / (2 (n - 1))), the extrema of T_{n-1} mapped
-    from [-1, 1]; the sine form keeps the points near 0 accurate.
+    x_j = lo + (hi - lo) sin^2(pi j / (2 (n - 1))), the extrema of T_{n-1}
+    mapped from [-1, 1]; the sine form keeps the points near lo accurate,
+    and the ends are lo and hi exactly.
     """
-    return hi * np.sin(0.5 * np.pi * np.arange(n) / (n - 1)) ** 2
+    pts = lo + (hi - lo) * np.sin(0.5 * np.pi * np.arange(n) / (n - 1)) ** 2
+    pts[-1] = hi
+    return pts
+
+
+def chebyshev_count(span: float, tau):
+    """Chebyshev points that resolve an entire function of exponential type
+    ``tau`` on an interval of length ``span`` to rounding (an array of
+    counts for an array of types).
+
+    n = ceil(x + 8 x^(1/3)) + 16 with x = span * tau / 2: on [-1, 1] such a
+    function behaves as exp(i x t), whose Chebyshev coefficients J_n(x)
+    decay super-exponentially once n passes x by a few multiples of the
+    x^(1/3) width of their turning region.  Measured on J0(k rho): below
+    1e-14 absolute for x from 25 to 800 (7.9e-15 at 800).
+    """
+    x = 0.5 * span * np.asarray(tau, dtype=float)
+    n = np.ceil(x + 8.0 * np.cbrt(x)).astype(int) + 16
+    return int(n) if n.ndim == 0 else n
+
+
+def barycentric_rows(pts: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Lagrange basis of the Chebyshev points ``pts`` at ``x``, written into ``out``.
+
+    ``pts`` are the n points of :func:`chebyshev_points` on some interval,
+    and ``out`` has shape (n, x.size); column m holds l_c(x_m), c = 0..n-1,
+    so that sum_c l_c(x_m) f_c is the interpolant of the values f_c at x_m.
+    The barycentric formula of the second kind (Berrut & Trefethen, SIAM
+    Rev. 46, 2004): l_c(x) = (w_c / (x - x_c)) / sum_j w_j / (x - x_j) with
+    w_j = (-1)^j halved at both ends, which is forward stable on these
+    points.  A point of ``x`` on a node gets that node's unit column.
+    """
+    n = pts.size
+    wts = np.where(np.arange(n) % 2, -1.0, 1.0)
+    wts[[0, -1]] *= 0.5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.subtract.outer(pts, x, out=out)
+        np.divide(wts[:, None], out, out=out)
+        np.divide(out, out.sum(axis=0), out=out)
+    on = np.minimum(np.searchsorted(pts, x), n - 1)
+    hit = np.flatnonzero(pts[on] == x)
+    if hit.size:
+        out[:, hit] = 0.0
+        out[on[hit], hit] = 1.0
+    return out
 
 
 def chebyshev_interpolate(values: np.ndarray, hi: float, x: np.ndarray,
                           work: np.ndarray) -> np.ndarray:
     """Interpolant of complex ``values`` at ``chebyshev_points(n, hi)``, at ``x``.
 
-    The polynomial of degree n - 1 through the n values, by the
-    barycentric formula of the second kind (Berrut & Trefethen, SIAM Rev.
-    46, 2004): p(x) = sum_j c_j f_j / sum_j c_j with c_j = w_j / (x - x_j),
-    w_j = (-1)^j halved at both ends, which is forward stable on these
-    points.  A point of ``x`` on a node takes that node's value.  The rows
-    c_j of consecutive points fill the float64 buffer ``work`` in chunks,
-    and each chunk's sums are one real matrix product.
+    The polynomial of degree n - 1 through the n values, from the rows of
+    :func:`barycentric_rows`.  The rows of consecutive points fill the
+    float64 buffer ``work`` in chunks, and each chunk's sums are one real
+    matrix product.
     """
     n = values.size
     pts = chebyshev_points(n, hi)
-    wts = np.where(np.arange(n) % 2, -1.0, 1.0)
-    wts[[0, -1]] *= 0.5
-    rhs = np.column_stack([values.real, values.imag, np.ones(n)])
-    sums = np.empty((x.size, 3))
+    rhs = np.column_stack([values.real, values.imag])
+    sums = np.empty((x.size, 2))
     chunk = max(1, work.size // n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for s in range(0, x.size, chunk):
-            x_s = x[s:s + chunk]
-            c = work[:x_s.size * n].reshape(x_s.size, n)
-            np.subtract.outer(x_s, pts, out=c)
-            np.divide(wts, c, out=c)
-            np.matmul(c, rhs, out=sums[s:s + chunk])
-        out = np.empty(x.size, dtype=complex)
-        np.divide(sums[:, 0], sums[:, 2], out=out.real)
-        np.divide(sums[:, 1], sums[:, 2], out=out.imag)
-    on = np.minimum(np.searchsorted(pts, x), n - 1)
-    hit = pts[on] == x
-    out[hit] = values[on[hit]]
-    return out
+    for s in range(0, x.size, chunk):
+        x_s = x[s:s + chunk]
+        rows = barycentric_rows(pts, x_s, work[:x_s.size * n].reshape(n, x_s.size))
+        np.matmul(rows.T, rhs, out=sums[s:s + chunk])
+    return sums[:, 0] + 1j * sums[:, 1]
 
 
 def plane_steps(z: np.ndarray, kz: np.ndarray) -> tuple:

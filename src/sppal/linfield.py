@@ -20,8 +20,9 @@ from itertools import groupby
 import numpy as np
 from scipy import special
 
-from ._quad import (azimuthal_ladder, chebyshev_interpolate, chebyshev_points,
-                    plane_steps, simpson_weights, wavenumber_nodes)
+from ._quad import (azimuthal_ladder, barycentric_rows, chebyshev_count,
+                    chebyshev_interpolate, chebyshev_points, plane_steps, simpson_weights,
+                    wavenumber_nodes)
 from .errors import NumericalFailureError, ParameterDomainError
 from .medium import Medium, absorption_coeff
 from .radiator import SourceKind, SourceProfile, first_local_max, piston_profile, PistonSpec
@@ -32,15 +33,26 @@ P_REF_RMS = 20e-6
 FARFIELD_RANGE_FACTOR = 20.0
 _MAX_AZIMUTHAL_ORDER = 4096
 #: float64 values in each of the two fixed buffers of a :func:`pressure_grid`
-#: call, one for J0 slabs and source transforms, one for plane chunks
+#: call, one for slabs of J0 and barycentric rows, source transforms and
+#: kernels, one for plane chunks
 GRID_WORKSPACE_VALUES = 2 ** 18
 #: consecutive z blocks of :func:`pressure_grid`'s propagating branch, counted
 #: from the far end, that share the node set of their farthest block.
-#: Measured, serial pressure_grid time (best of 15) against one block per
-#: node set, on the reference grids at 60 kHz / 40 kHz: 2 blocks -12/-14 %,
-#: 3 -23/-22 %, 4 -20/-13 %, 5 -11/-17 % (larger groups pay more in GEMM
-#: than they save in J0)
+#: Measured with the kernels, serial pressure_grid time (best of 15, three
+#: repeats) against one block per node set, on the reference grids at
+#: 60 kHz / 40 kHz: 2 blocks -4 to -8 % / -9 to -15 %, 3 -1 to -11 % / -8 to
+#: -12 %, 4 -2 to +2 % / -4 to -7 %, 5 +5 to +7 % / -1 to +3 %; two and three
+#: tie within the spread of the repeats.  A group shares one set of
+#: barycentric rows, kernel and direct J0 rows; larger groups pay more in
+#: products than they save
 _NODE_GROUP = 3
+#: one J0 value and one barycentric-row entry of :func:`pressure_grid`, in
+#: the real multiply-adds of its matrix products that cost as much; they set
+#: each run's split between kernel and direct columns.  Measured with one
+#: BLAS thread: 35 ns per J0 value, 2.8 ns per row entry, 0.032 ns per
+#: multiply-add
+_J0_COST = 1100
+_ROW_COST = 90
 
 _log = logging.getLogger(__name__)
 
@@ -332,21 +344,23 @@ def equivalence_ratio(sp_profile: SourceProfile, medium: Medium, f: float,
 # Dense-grid evaluator (wavenumber-domain form of the same Rayleigh field)
 # ---------------------------------------------------------------------------
 
-def _add_spectrum(dst, cols, wk, kz, bmat, z_arr, buf):
-    """Add B @ (wk * exp(-i kz z)) on each z plane to the rows of ``dst``.
+def _add_spectrum(acc, dst, wk, kz, bmat, z_arr, buf):
+    """Add B @ (wk * exp(-i kz z)) on each z plane of ``z_arr``.
 
-    ``dst`` holds one row per plane of ``z_arr``; ``cols`` (a mask, or None
-    for every column) picks the columns that the rows of ``bmat`` give.
-    The plane factors follow from the first plane by recursion,
-    exp(-i kz z_j) = exp(-i kz z_{j-1}) exp(-i kz dz), with one exponential
-    per distinct gap dz (:func:`_quad.plane_steps`).  Each chunk of planes
-    is one real product, its real and imaginary spectra stacked as rows;
-    the chunk and its product fill ``buf``.
+    The first rows of ``bmat``, as many as ``acc`` (shape (2, n_z, n_c), the
+    real and imaginary parts) has columns, are added to ``acc``; the others
+    to the columns of the complex rows ``dst``.  Either may be None when it
+    gets no row.  The plane factors follow from the first plane by
+    recursion, exp(-i kz z_j) = exp(-i kz z_{j-1}) exp(-i kz dz), with one
+    exponential per distinct gap dz (:func:`_quad.plane_steps`).  Each chunk
+    of planes is one real product, its real and imaginary spectra stacked
+    as rows; the chunk and its product fill ``buf``.
     """
     step, gap_row = plane_steps(z_arr, kz)
     ew = wk * np.exp(-1j * kz * z_arr[0])
-    n_k, n_col = bmat.shape[1], bmat.shape[0]
-    chunk = max(1, buf.size // (2 * (n_k + n_col)))
+    n_k, n_row = bmat.shape[1], bmat.shape[0]
+    n_c = 0 if acc is None else acc.shape[2]
+    chunk = max(1, buf.size // (2 * (n_k + n_row)))
     for s in range(0, z_arr.size, chunk):
         n = min(chunk, z_arr.size - s)
         ri = buf[:2 * n * n_k].reshape(2 * n, n_k)
@@ -355,17 +369,28 @@ def _add_spectrum(dst, cols, wk, kz, bmat, z_arr, buf):
                 ew *= step[gap_row[s + j - 1]]
             ri[j] = ew.real
             ri[n + j] = ew.imag
-        prod = buf[ri.size:ri.size + 2 * n * n_col].reshape(2 * n, n_col)
+        prod = buf[ri.size:ri.size + 2 * n * n_row].reshape(2 * n, n_row)
         np.matmul(ri, bmat.T, out=prod)
+        if acc is not None:
+            acc[0, s:s + n] += prod[:n, :n_c]
+            acc[1, s:s + n] += prod[n:, :n_c]
+        if dst is not None:
+            rows = dst[s:s + n]
+            rows.real += prod[:n, n_c:]
+            rows.imag += prod[n:, n_c:]
+
+
+def _add_kernel(dst, acc, kern, buf):
+    """Add ``acc`` (real and imaginary parts) @ ``kern``.T to the complex rows
+    ``dst``, in chunks of planes whose products fill ``buf``."""
+    chunk = max(1, buf.size // (2 * kern.shape[0]))
+    for s in range(0, dst.shape[0], chunk):
+        n = min(chunk, dst.shape[0] - s)
+        prod = np.matmul(acc[:, s:s + n], kern.T,
+                         out=buf[:2 * n * kern.shape[0]].reshape(2, n, kern.shape[0]))
         rows = dst[s:s + n]
-        if cols is None:
-            rows.real += prod[:n]
-            rows.imag += prod[n:]
-        else:
-            part = rows[:, cols]
-            part.real += prod[:n]
-            part.imag += prod[n:]
-            rows[:, cols] = part
+        rows.real += prod[0]
+        rows.imag += prod[1]
 
 
 def _j0_outer(x, y, out):
@@ -374,14 +399,50 @@ def _j0_outer(x, y, out):
     return special.j0(out, out=out)
 
 
-def grid_workspace_bytes(n_rho: int, n_src: int) -> int:
-    """Bytes of the two fixed buffers of one :func:`pressure_grid` call.
+def _kernel_split(n_k: int, k_span: float, rho_s: np.ndarray, run) -> tuple:
+    """Kernel columns and rank of one run of :func:`pressure_grid`.
 
-    For ``n_rho`` grid columns and a source sampled at ``n_src`` radii,
-    each buffer holds ``GRID_WORKSPACE_VALUES`` float64 values, or 16
-    rows of J0 values if those are more.
+    ``run`` holds (lo, hi, n) per block: planes lo..hi select the first n
+    of the ascending columns ``rho_s``.  The first m columns can take
+    J0(k_r rho) through its interpolant at n_c = chebyshev_count(k_span,
+    rho_s[m-1]) Chebyshev points on the run's n_k nodes, which span
+    ``k_span``.  That costs n_c barycentric rows over the nodes, n_c
+    accumulated spectra per plane, n_c * m J0 values and one product per
+    plane; the direct form costs J0 on every node and a spectrum per plane
+    for each column.  Returns the (m, n_c) that saves most by ``_J0_COST``
+    and ``_ROW_COST``, with n_c < m, or (0, 0).
     """
-    return 2 * 8 * max(GRID_WORKSPACE_VALUES, 16 * max(n_rho, n_src))
+    planes = np.array([hi - lo for lo, hi, _ in run])
+    n_sel = np.array([n for _, _, n in run])
+    m = np.arange(1, n_sel.max() + 1)
+    # planes whose blocks select column m - 1, and those of every block
+    # times its selected columns among the first m
+    col_planes = (planes[None, :] * (n_sel[None, :] >= m[:, None])).sum(axis=1)
+    kern_planes = (planes[None, :] * np.minimum(n_sel[None, :], m[:, None])).sum(axis=1)
+    direct = np.cumsum(n_k * (_J0_COST + 2 * col_planes))
+    n_c = chebyshev_count(k_span, rho_s[m - 1])
+    kernel = n_c * (n_k * (_ROW_COST + 2 * planes[n_sel > 0].sum())
+                    + m * _J0_COST + 2 * kern_planes)
+    gain = np.where(n_c < m, direct - kernel, 0)
+    best = int(np.argmax(gain))
+    return (int(m[best]), int(n_c[best])) if gain[best] > 0 else (0, 0)
+
+
+def _buffer_values(n_rho: int, n_src: int) -> int:
+    """float64 values of each fixed buffer of :func:`pressure_grid`:
+    ``GRID_WORKSPACE_VALUES``, or 16 rows of J0 values if those are more."""
+    return max(GRID_WORKSPACE_VALUES, 16 * max(n_rho, n_src))
+
+
+def grid_workspace_bytes(n_z: int, n_rho: int, n_src: int) -> int:
+    """Bytes of the workspace of one :func:`pressure_grid` call, at most.
+
+    For ``n_z`` planes, ``n_rho`` grid columns and a source sampled at
+    ``n_src`` radii: the two fixed buffers, and the per-block accumulators
+    of a run's kernel, 16 bytes per plane and kernel point, a kernel
+    having fewer points than the grid has columns.
+    """
+    return 2 * 8 * _buffer_values(n_rho, n_src) + 16 * n_z * n_rho
 
 
 def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
@@ -405,18 +466,28 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
     evanescent branch is blocked the same way with a per-block spectral
     cutoff exp(-kappa*z) ~ 1e-8 and a global cap at 4*k0 (fields closer
     than ~lambda/4 to the source plane lose a few percent of their
-    reactive part).  Consecutive blocks with the same k_r nodes share one
-    k_z and set of J0(k_r rho) rows, evaluated for the widest column set
-    of the run; nodes that several node sets hold (the propagating tip
-    panels, the fine evanescent panels at u = 0) have theirs evaluated
-    once per call.  The source transform V(k_r), entire in k_r, is
-    evaluated by its J0 sum only at ceil(k_top * a) + 32 Chebyshev points
-    on [0, k_top], k_top the largest node, and interpolated to every node
-    (:func:`_quad.chebyshev_interpolate`).  The J0 rows are evaluated in
-    slabs of nodes into one fixed workspace, and each slab's contribution
-    is added plane by plane: exp(-i k_z z) is the previous plane's factor
-    times exp(-i k_z dz), one exponential per distinct plane gap, and each
-    chunk of planes is one real matrix product in a second fixed buffer
+    reactive part).  Consecutive blocks with the same k_r nodes form a
+    run, which shares one k_z and one set of rows for the widest column
+    set of its blocks.  J0(k_r rho), for fixed rho an entire function of
+    k_r of exponential type rho, equals its interpolant sum_c l_c(k_r)
+    J0(k_c rho) at n_c Chebyshev points k_c between the run's smallest
+    and largest node, n_c growing with that span times rho
+    (:func:`_quad.chebyshev_count`, :func:`_quad.barycentric_rows`); an
+    evanescent run of a far block spans a narrow band above k0 and needs
+    few points.  So the columns nearest the axis, as many as a flop and
+    J0 count says pay, take n_c barycentric rows in place of their J0
+    rows: each block accumulates its spectra on those rows and adds their
+    product with the kernel J0(k_c rho) once at the end.  The other
+    columns keep their J0 rows.  The source transform V(k_r), entire in
+    k_r of exponential type a, is evaluated by its J0 sum only at the
+    Chebyshev points of the same rule on [0, k_top], k_top the largest
+    node, and interpolated to every node
+    (:func:`_quad.chebyshev_interpolate`).  The barycentric and J0 rows
+    are built in slabs of nodes into one fixed workspace, once for every
+    block of a run, and each slab's contribution is added plane by
+    plane: exp(-i k_z z) is the previous plane's factor times exp(-i k_z
+    dz), one exponential per distinct plane gap, and each chunk of
+    planes is one real matrix product in a second fixed buffer
     (see :func:`grid_workspace_bytes`).  ``skirt_cut_db`` (opt-in, piston
     sources only) zeroes grid columns where the piston's far-field
     directivity envelope bounds the field below that level re the beam
@@ -425,7 +496,9 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
     bound the near zone: on the reference grid a 40 dB cut drops a cell
     7 mm outside the aperture at z = 5 mm that is 1.3 dB below the axis.
     A DEBUG record on this module's logger reports each call's grid,
-    node sets, nodes, J0 values, Chebyshev points and wall time.
+    node sets, nodes, J0 values, the source transform's Chebyshev points,
+    the columns that some run takes through a kernel, the largest kernel
+    rank and wall time.
     """
     t0 = time.perf_counter()
     rho_obs = np.asarray(rho_obs, dtype=float)
@@ -461,10 +534,21 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
         x_cut = (1.6 * 10.0 ** (skirt_cut_db / 20.0)) ** (2.0 / 3.0)
         sin_cut = min(1.0, x_cut / (k0 * a))
 
+    # columns in ascending rho, so that each block's selection rho <= rho_cut
+    # is a prefix of them
+    if np.all(rho_obs[1:] >= rho_obs[:-1]):
+        col_order, rho_s = None, rho_obs
+    else:
+        col_order = np.argsort(rho_obs, kind="stable")
+        rho_s = rho_obs[col_order]
+
+    def n_cols(rho_cut):
+        return int(np.searchsorted(rho_s, rho_cut * (1.0 + 1e-12), side="right"))
+
     out = np.zeros((z_sorted.size, rho_obs.size), dtype=complex)
-    # J0 slabs and source transforms fill one fixed buffer, plane chunks
-    # another
-    work = np.empty(grid_workspace_bytes(rho_obs.size, r_src.size) // 16)
+    # J0 and barycentric slabs, source transforms and kernels fill one fixed
+    # buffer, plane chunks another
+    work = np.empty(_buffer_values(rho_obs.size, r_src.size))
     planes = np.empty_like(work)
 
     # geometric z blocks: [z_max/2, z_max], [z_max/4, z_max/2], ...
@@ -490,7 +574,7 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
     def add_runs(blocks):
         for node_args, run in groupby(blocks, key=lambda b: b[3]):
             run = [b[:3] for b in run]
-            if any(sel.any() for _, _, sel in run):
+            if any(n for _, _, n in run):
                 runs.append((*wavenumber_nodes(k0, *node_args), run))
 
     # propagating branch, k_r = k0 sin(theta), with fine panels at the tip
@@ -501,9 +585,9 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
             rho_cut = min(rho_max, a + z_hi * tan_cut)
         else:
             rho_cut = rho_max
-        sel = rho_obs <= rho_cut * (1.0 + 1e-12)
         phase_scale = k0 * np.hypot(z_hi, rho_cut)
-        blocks.append((lo_idx, hi_idx, sel, max(24, int(np.ceil(phase_scale / 12.0)))))
+        blocks.append((lo_idx, hi_idx, n_cols(rho_cut),
+                       max(24, int(np.ceil(phase_scale / 12.0)))))
     # each group of _NODE_GROUP blocks, counted from the far end, integrates
     # on the node set of its farthest block, the finest of the group
     far = len(blocks) - 1
@@ -524,23 +608,20 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
             rho_cut = min(rho_max, 2.0 * a + 4.0 * lam)
         else:
             rho_cut = rho_max
-        sel = rho_obs <= rho_cut * (1.0 + 1e-12)
         span = (np.cosh(u_max) - 1.0) * k0 * rho_cut
         n_pan = int(np.ceil(span / 10.0)) + 8
-        blocks.append((lo_idx, hi_idx, sel, (n_pan, (0.0, u_max))))
+        blocks.append((lo_idx, hi_idx, n_cols(rho_cut), (n_pan, (0.0, u_max))))
     add_runs(blocks)
 
     if not runs:  # no column in reach of any block
         return out
-    k_all, n_sets = np.unique(np.concatenate([run[0] for run in runs]), return_counts=True)
+    k_all = np.unique(np.concatenate([run[0] for run in runs]))
 
     # source transform V(k_r) = sum_j w_j J0(k_r r_j), an entire function of
     # exponential type r_src[-1]: J0 at Chebyshev points on [0, k_top], in
-    # slabs that fill ``work``, and barycentric interpolation to every node.
-    # 160 points reach 1.3e-15 of its maximum at k_top * a = 223 (128 points
-    # 9e-7); the rule gives 256 there
+    # slabs that fill ``work``, and barycentric interpolation to every node
     k_top = float(k_all[-1])
-    k_cheb = chebyshev_points(int(np.ceil(k_top * r_src[-1])) + 32, k_top)
+    k_cheb = chebyshev_points(chebyshev_count(k_top, r_src[-1]), k_top)
     v_cheb = np.empty(k_cheb.size, dtype=w_src.dtype)
     n = max(16, work.size // r_src.size // 16 * 16)
     for s in range(0, k_cheb.size, n):
@@ -548,49 +629,56 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
         slab = work[:k_s.size * r_src.size].reshape(k_s.size, r_src.size)
         v_cheb[s:s + n] = _j0_outer(k_s, r_src, slab) @ w_src
     vh_all = chebyshev_interpolate(v_cheb, k_top, k_all, work)
-
-    # nodes that several node sets share (the propagating tip panels and
-    # the fine evanescent panels at u = 0): their J0 rows over every
-    # column, evaluated once
-    k_shared = k_all[n_sets > 1]
-    j0_shared = _j0_outer(rho_obs, k_shared, np.empty((rho_obs.size, k_shared.size)))
-    n_j0 = k_cheb.size * r_src.size + j0_shared.size
+    n_j0 = k_cheb.size * r_src.size
+    n_kern = rank = 0
 
     for krho, jac, run in runs:
         kz = -1j * np.sqrt(krho.astype(complex) ** 2 - kc * kc)
-        shared = np.isin(krho, k_shared)
-        pos = np.searchsorted(k_shared, krho)
         wk = pref * vh_all[np.searchsorted(k_all, krho)] * (krho / kz) * jac
-        union = np.logical_or.reduce([sel for _, _, sel in run])
-        rho_u = rho_obs[union]
-        n_j0 += rho_u.size * int(np.count_nonzero(~shared))
-        # J0 rows in slabs of as many nodes as fill the workspace (at most a
-        # quarter of it, so that one plane of a slab and its product fit the
-        # plane buffer); a shared node's column comes from the store, the
-        # others are evaluated
-        n_slab = max(16, min(work.size // 4, work.size // rho_u.size) // 16 * 16)
-        cuts = np.flatnonzero(shared[1:] != shared[:-1]) + 1
+        # the first n_in columns take J0(k_r rho) = sum_c l_c(k_r) J0(k_c rho)
+        # at n_c Chebyshev points k_c on the run's node range: each block
+        # accumulates its spectra on the barycentric rows l_c and adds the
+        # product with the kernel J0(k_c rho) at the end; the other columns
+        # are direct
+        n_in, n_c = _kernel_split(krho.size, float(krho[-1] - krho[0]), rho_s, run)
+        n_u = max(n for _, _, n in run)
+        n_row = n_c + n_u - n_in
+        n_j0 += n_c * n_in + (n_u - n_in) * krho.size
+        n_kern, rank = max(n_kern, n_in), max(rank, n_c)
+        k_c = chebyshev_points(n_c, float(krho[-1]), float(krho[0])) if n_c else None
+        accs = [np.zeros((2, hi - lo, n_c)) if n_c and n else None for lo, hi, n in run]
+        # barycentric and J0 rows in slabs of as many nodes as fill the
+        # workspace (at most a quarter of it, so that one plane of a slab
+        # and its product fit the plane buffer)
+        n_slab = max(16, min(work.size // 4, work.size // n_row) // 16 * 16)
         for s0 in range(0, krho.size, n_slab):
-            s1 = min(s0 + n_slab, krho.size)
-            bmat = work[:rho_u.size * (s1 - s0)].reshape(rho_u.size, s1 - s0)
-            edges = [s0, *cuts[(cuts > s0) & (cuts < s1)], s1]
-            for c0, c1 in zip(edges[:-1], edges[1:]):
-                cols = bmat[:, c0 - s0:c1 - s0]
-                if shared[c0]:
-                    cols[...] = j0_shared[np.ix_(union, pos[c0:c1])]
-                else:
-                    _j0_outer(rho_u, krho[c0:c1], cols)
-            for lo_idx, hi_idx, sel in run:
-                rows = sel[union]
-                _add_spectrum(out[lo_idx:hi_idx], None if sel.all() else sel,
-                              wk[s0:s1], kz[s0:s1], bmat if rows.all() else bmat[rows],
-                              z_sorted[lo_idx:hi_idx], planes)
+            k_s = krho[s0:s0 + n_slab]
+            bmat = work[:n_row * k_s.size].reshape(n_row, k_s.size)
+            if n_c:
+                barycentric_rows(k_c, k_s, bmat[:n_c])
+            _j0_outer(rho_s[n_in:n_u], k_s, bmat[n_c:])
+            for (lo, hi, n), acc in zip(run, accs):
+                if n:
+                    _add_spectrum(acc, out[lo:hi, n_in:n] if n > n_in else None,
+                                  wk[s0:s0 + n_slab], kz[s0:s0 + n_slab],
+                                  bmat[:n_c + max(0, n - n_in)], z_sorted[lo:hi], planes)
+        # the kernel J0(k_c rho) in slabs of columns that fill ``work``
+        n_slab = work.size // max(n_c, 1)
+        for c0 in range(0, n_in, n_slab):
+            c1 = min(c0 + n_slab, n_in)
+            kern = _j0_outer(rho_s[c0:c1], k_c, work[:(c1 - c0) * n_c].reshape(c1 - c0, n_c))
+            for (lo, hi, n), acc in zip(run, accs):
+                if n > c0:
+                    _add_kernel(out[lo:hi, c0:min(n, c1)], acc, kern[:min(n, c1) - c0], planes)
+        del accs  # before the next run's accumulators are made
 
     _log.debug("pressure_grid: grid %d x %d (n_z x n_r), %d node sets, %d nodes, "
-               "%d J0 values, %d Chebyshev points, %.3f s", z_obs.size, rho_obs.size,
-               len(runs), k_all.size, n_j0, k_cheb.size, time.perf_counter() - t0)
-    if order is None:
+               "%d J0 values, %d Chebyshev points, kernel on %d columns at rank <= %d, "
+               "%.3f s", z_obs.size, rho_obs.size, len(runs), k_all.size, n_j0,
+               k_cheb.size, n_kern, rank, time.perf_counter() - t0)
+    if order is None and col_order is None:
         return out
     unsorted = np.empty_like(out)
-    unsorted[order] = out
+    unsorted[np.ix_(np.arange(z_obs.size) if order is None else order,
+                    np.arange(rho_obs.size) if col_order is None else col_order)] = out
     return unsorted

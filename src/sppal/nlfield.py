@@ -287,9 +287,10 @@ class QuasilinearSolver:
             p1, t1 = primary(pair.profile_1, pair.f_u1)
             p2, carrier = primary_carrier, "given"
         _log.debug("primaries: grid %d x %d (n_z x n_r), sideband %.3f s, carrier %s, "
-                   "pair %.3f s, workspace %d B per primary", g.z_nodes.size,
+                   "pair %.3f s, workspace <= %d B per primary", g.z_nodes.size,
                    g.r_nodes.size, t1, carrier, time.perf_counter() - t0,
-                   grid_workspace_bytes(g.r_nodes.size, pair.profile_1.radii.size))
+                   grid_workspace_bytes(g.z_nodes.size, g.r_nodes.size,
+                                        pair.profile_1.radii.size))
         self.primary_carrier = p2
 
         omega_a = 2.0 * np.pi * pair.f_a

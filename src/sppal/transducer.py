@@ -374,8 +374,9 @@ def _piezo_chain(seg: Segment, omega: np.ndarray) -> tuple:
 def segment_matrix(seg: Segment, f) -> np.ndarray:
     """Chain matrix of a segment at frequency grid ``f`` (piezo included).
 
-    The design loop never forms it; this full 2x2 form is the reference
-    API that tests compose and compare the chain with.
+    Nothing in the package calls it: the design loop never forms the full
+    2x2 matrix.  It is the oracle API of the tests, which compose these
+    matrices and compare :class:`StackChain` with them.
     """
     omega = 2.0 * np.pi * np.atleast_1d(np.asarray(f, dtype=float))
     if seg.is_piezo:
@@ -583,9 +584,11 @@ def frf_transfer_matrix(spec: TransducerSpec, load, freqs) -> Frf:
 
     ``load`` is a scalar or an array over ``freqs``.  See
     :meth:`StackChain.frf`; a design loop that varies only the elastic
-    lengths builds its :class:`StackChain` once instead.  This one-call
-    form is the reference API for tests and for the benchmark's tracer,
-    which patches it by name.
+    lengths builds its :class:`StackChain` once instead, and nothing in
+    the package calls this one-call form.  It is the oracle API of the
+    tests, which compare the design loop's chain with it.  The
+    benchmark's tracer (``bench/spans.py``) patches it by name, so it
+    stays in this module while the benchmark traces it.
     """
     freqs = np.asarray(freqs, dtype=float)
     z_load = np.asarray(load, dtype=complex)

@@ -7,6 +7,7 @@ from scipy import special
 
 from sppal import _quad
 from sppal import linfield as lf
+from sppal import nlfield as nl
 from sppal import radiator as rad
 from sppal.errors import ParameterDomainError
 
@@ -365,12 +366,53 @@ class TestPressureGridRecursion:
         col_max = np.max(np.abs(want), axis=0)
         assert np.all(np.abs(got - want) <= 1e-12 * col_max)
 
+    def test_kernel_matches_per_plane_evaluation(self, std_air, piston_60k, monkeypatch):
+        # dense columns, in no order, take most runs through a kernel; under
+        # the skirt some blocks select fewer columns than their run's kernel
+        # holds (measured 1.4e-13)
+        splits, kernel_split = [], lf._kernel_split
+
+        def split(n_k, k_top, rho_s, run):
+            splits.append(([n for _, _, n in run], kernel_split(n_k, k_top, rho_s, run)))
+            return splits[-1][1]
+
+        monkeypatch.setattr(lf, "_kernel_split", split)
+        rho = np.random.default_rng(5).permutation(np.linspace(0.0, 0.2, 300))
+        got = lf.pressure_grid(piston_60k, std_air, 60e3, rho, self.Z, 40.0)
+        assert any(0 < n < n_in for n_sel, (n_in, _) in splits for n in n_sel)
+        want = _parent_pressure_grid(piston_60k, std_air, 60e3, rho, self.Z, 40.0)
+        col_max = np.max(np.abs(want), axis=0)
+        assert np.all(np.abs(got - want) <= 1e-12 * col_max)
+
+    def test_90khz_grid_matches_per_plane_evaluation(self, std_air, caplog):
+        # the reference piston at 90 kHz on every column and every fourth
+        # plane of its volume grid, where kernels carry most columns
+        # (measured 6.3e-13, as without kernels: the shared node sets)
+        f = 90e3
+        a = rad.aperture_for_cd(0.45, f, std_air)
+        n = rad.radial_sample_count(a, f, std_air)
+        f1, f2 = nl.lsb_am_pair(f, 1e3)
+        pair = nl.PrimaryPair(f1, f2, rad.piston_profile(rad.PistonSpec(a, 0.1), n),
+                              rad.piston_profile(rad.PistonSpec(a, 0.1), n))
+        g = nl.build_volume_grid(pair, std_air)
+        z = g.z_nodes[::4]
+        with caplog.at_level(logging.DEBUG, logger="sppal.linfield"):
+            got = lf.pressure_grid(pair.profile_2, std_air, f, g.r_nodes, z, 40.0)
+        n_kern = int(re.search(r"kernel on (\d+) columns", caplog.records[0].getMessage())[1])
+        assert n_kern > g.r_nodes.size // 2
+        want = _parent_pressure_grid(pair.profile_2, std_air, f, g.r_nodes, z, 40.0)
+        col_max = np.max(np.abs(want), axis=0)
+        assert np.all(np.abs(got - want) <= 1e-12 * col_max)
+
     def test_each_bessel_pair_evaluated_once(self, std_air, piston_60k, monkeypatch,
                                              caplog):
-        # each J0(k_r rho) of the grid is evaluated once per call, however
-        # many node sets hold k_r; the source transform evaluates J0 only at
-        # its Chebyshev points, n x n_src values; the DEBUG record counts both
-        seen, node_sets, cheb = [], [], []
+        # the call evaluates J0 exactly at the source transform's Chebyshev
+        # points on [0, k_top] (n x n_src values), at each run's kernel points
+        # on its node range for its kernel columns and at each run's nodes
+        # for its direct columns, each value once; the DEBUG record counts
+        # them
+        seen, node_sets, cheb, splits = [], [], [], []
+        kernel_split = lf._kernel_split
 
         def j0(x, **kwargs):
             seen.append(np.array(x, copy=True).ravel())
@@ -380,46 +422,68 @@ class TestPressureGridRecursion:
             node_sets.append(_quad.wavenumber_nodes(*args)[0])
             return _quad.wavenumber_nodes(*args)
 
-        def points(n, hi):
-            cheb.append(_quad.chebyshev_points(n, hi))
+        def points(n, hi, lo=0.0):
+            cheb.append(_quad.chebyshev_points(n, hi, lo))
             return cheb[-1]
+
+        def split(n_k, k_span, rho_s, run):
+            splits.append((n_k, k_span, [n for _, _, n in run],
+                           kernel_split(n_k, k_span, rho_s, run)))
+            return splits[-1][-1]
 
         monkeypatch.setattr(lf, "special", type("Special", (), {"j0": staticmethod(j0)}))
         monkeypatch.setattr(lf, "wavenumber_nodes", nodes)
         monkeypatch.setattr(lf, "chebyshev_points", points)
-        rho = 0.0037 * np.sqrt(np.arange(1.0, 13.0))
+        monkeypatch.setattr(lf, "_kernel_split", split)
+        # columns in a shuffled order, dense enough near the axis for kernels
+        rho = np.random.default_rng(3).permutation(np.linspace(0.0, 0.15, 200))
+        rho_s = np.sort(rho)
         r_src = piston_60k.radii
-        for z in (
+        for z, skirt in (
             # every propagating block at the 24-panel floor: six blocks
             # share one node set
-            np.concatenate([[0.004], np.geomspace(0.008, 0.2, 12)]),
-            # node sets of different sizes, which share the propagating
-            # tip panels and the fine evanescent panels at u = 0
-            np.geomspace(0.004, 1.5, 30),
+            (np.concatenate([[0.004], np.geomspace(0.008, 0.2, 12)]), None),
+            # node sets of different sizes, skirt selections of several widths
+            (np.geomspace(0.004, 1.5, 30), 40.0),
         ):
             seen.clear()
             node_sets.clear()
             cheb.clear()
+            splits.clear()
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="sppal.linfield"):
-                lf.pressure_grid(piston_60k, std_air, 60e3, rho, z)
+                lf.pressure_grid(piston_60k, std_air, 60e3, rho, z, skirt)
+            k_src, *k_kern = cheb
             kr = np.concatenate(node_sets)
-            assert np.unique(kr).size < kr.size  # some nodes are in several sets
-            (k_cheb,) = cheb
-            assert k_cheb[-1] == kr.max()
-            assert k_cheb.size == np.ceil(kr.max() * r_src[-1]) + 32
+            assert k_src[-1] == kr.max()
+            assert k_src.size == _quad.chebyshev_count(kr.max(), r_src[-1])
+            want = [np.outer(k_src, r_src).ravel()]
+            assert len(splits) == len(node_sets)
+            for krho, (n_k, k_span, n_sel, (n_in, n_c)) in zip(node_sets, splits):
+                assert n_k == krho.size and k_span == krho[-1] - krho[0]
+                n_u = max(n_sel)
+                if n_in:
+                    k_c = k_kern.pop(0)
+                    assert k_c.size == n_c < n_in <= n_u
+                    assert k_c[0] == krho[0] and k_c[-1] == krho[-1]
+                    want.append(np.outer(rho_s[:n_in], k_c).ravel())
+                want.append(np.outer(rho_s[n_in:n_u], krho).ravel())
+            assert not k_kern
+            assert any(n_in for *_, (n_in, _) in splits)
+            # under the skirt, blocks whose selection ends inside the kernel's
+            # columns
+            assert skirt is None or any(0 < n < n_in for _, _, n_sel, (n_in, _) in splits
+                                        for n in n_sel)
             got = np.sort(np.concatenate(seen))
-            pairs = np.unique(np.outer(rho, kr))
-            count = (np.searchsorted(got, pairs, side="right")
-                     - np.searchsorted(got, pairs, side="left"))
-            assert np.all(count == 1)
-            rest = got[~np.isin(got, pairs)]
-            assert np.array_equal(rest, np.sort(np.outer(k_cheb, r_src), axis=None))
+            assert np.array_equal(got, np.sort(np.concatenate(want)))
             (rec,) = caplog.records
             msg = rec.getMessage()
+            n_kern = max(n_in for *_, (n_in, _) in splits)
+            rank = max(n_c for *_, (_, n_c) in splits)
             assert f"grid {z.size} x {rho.size}" in msg
             assert f"{len(node_sets)} node sets, {np.unique(kr).size} nodes" in msg
-            assert f"{got.size} J0 values, {k_cheb.size} Chebyshev points" in msg
+            assert f"{got.size} J0 values, {k_src.size} Chebyshev points" in msg
+            assert f"kernel on {n_kern} columns at rank <= {rank}" in msg
             assert re.search(r", \d+\.\d{3} s$", msg)
 
     def test_silent_by_default(self, std_air, piston_60k, caplog):

@@ -350,14 +350,19 @@ class TestConcurrentPrimaries:
         assert rec.levelno == logging.DEBUG
         assert grid in msg
         assert "sideband" in msg and "carrier" in msg and "pair" in msg
-        assert f"workspace {2 * 8 * lf.GRID_WORKSPACE_VALUES} B" in msg
+        n_src = s.pair.profile_1.radii.size
+        workspace = lf.grid_workspace_bytes(s.grid.z_nodes.size, s.grid.r_nodes.size, n_src)
+        assert workspace == (2 * 8 * lf.GRID_WORKSPACE_VALUES
+                             + 16 * s.grid.z_nodes.size * s.grid.r_nodes.size)
+        assert f"workspace <= {workspace} B" in msg
         # and one record of each primary's pressure_grid call
         prim = [r.getMessage() for r in caplog.records if r.name == "sppal.linfield"]
         assert len(prim) == 2
         for msg in prim:
             assert msg.startswith(f"pressure_grid: {grid}")
             assert re.search(r"\d+ node sets, \d+ nodes, \d+ J0 values, "
-                             r"\d+ Chebyshev points, \d+\.\d{3} s$", msg)
+                             r"\d+ Chebyshev points, kernel on \d+ columns at rank <= \d+, "
+                             r"\d+\.\d{3} s$", msg)
 
 
 @pytest.fixture(scope="module")
@@ -477,9 +482,9 @@ def test_sweep_stops_at_the_last_kept_plane():
 
 
 def test_pressure_grid_peak_memory(std_air, reference_pair):
-    # measured: 17.3 MB on the reference grid (901 x 438, 6.3 MB of it the
-    # output), against 57.2 MB when the far block held all its J0 rows
-    # (8384 nodes) and a 16 MB plane buffer at once
+    # measured: 14.8 MB on the reference grid (901 x 438, 6.3 MB of it the
+    # output; 15.6 MB with every column direct), against 57.2 MB when the far
+    # block held all its J0 rows (8384 nodes) and a 16 MB plane buffer at once
     pair = reference_pair
     g = nl.build_volume_grid(pair, std_air)
     tracemalloc.start()
@@ -492,8 +497,9 @@ def test_pressure_grid_peak_memory(std_air, reference_pair):
 
 
 def test_pressure_grid_j0_budget(std_air, reference_pair, monkeypatch):
-    # measured: 5.39 M J0 values for the reference grid's carrier, against
-    # 11.55 M when each z block had its own node set and source transform
+    # measured: 0.97 M J0 values for the reference grid's carrier, against
+    # 5.39 M with every column evaluated at every node (shared nodes once)
+    # and 11.55 M when each z block had its own node set and source transform
     pair = reference_pair
     g = nl.build_volume_grid(pair, std_air)
     count = [0]
@@ -504,7 +510,7 @@ def test_pressure_grid_j0_budget(std_air, reference_pair, monkeypatch):
 
     monkeypatch.setattr(lf, "special", type("Special", (), {"j0": staticmethod(j0)}))
     lf.pressure_grid(pair.profile_2, std_air, pair.f_u2, g.r_nodes, g.z_nodes, 40.0)
-    assert count[0] <= 5.6e6
+    assert count[0] <= 1.015e6
 
 
 def test_skirt_moves_on_axis_audio_little(std_air, reference_pair, reference_solver,

@@ -101,10 +101,43 @@ def test_chebyshev_interpolate_is_exact_on_polynomials():
     assert got[-2] == poly(pts[2]) and got[-1] == poly(pts[5])
 
 
+def test_chebyshev_count_resolves_bessel_kernel():
+    # J0(k rho) on [k_lo, k_hi], an entire function of k of exponential type
+    # rho, through its interpolant at the rule's points: x = (k_hi - k_lo)
+    # rho / 2 from about 25 to about 800 (measured at most 7.5e-15), on the
+    # propagating range [0, k0] and the evanescent one [k0, 4 k0] at 60 kHz
+    for k_lo, k_hi, rhos in ((0.0, 1098.0, (0.046, 0.1, 0.3, 0.7, 1.46)),
+                             (1098.0, 4392.0, (0.016, 0.1, 0.48))):
+        k = np.linspace(k_lo, k_hi, 4001)
+        for rho in rhos:
+            x = 0.5 * (k_hi - k_lo) * rho
+            n = _quad.chebyshev_count(k_hi - k_lo, rho)
+            assert n == np.ceil(x + 8.0 * np.cbrt(x)) + 16
+            pts = _quad.chebyshev_points(n, k_hi, k_lo)
+            assert pts[0] == k_lo and pts[-1] == k_hi
+            rows = _quad.barycentric_rows(pts, k, np.empty((n, k.size)))
+            got = special.j0(pts * rho) @ rows
+            assert np.max(np.abs(got - special.j0(k * rho))) <= 1e-14
+    assert np.array_equal(_quad.chebyshev_count(1098.0, np.array([0.046, 1.46])),
+                          [_quad.chebyshev_count(1098.0, 0.046),
+                           _quad.chebyshev_count(1098.0, 1.46)])
+
+
+def test_barycentric_rows_are_a_partition_of_unity():
+    # each column sums to one, and a point on a node takes that node's unit
+    # column
+    n, lo, hi = 12, 1.5, 4.0
+    pts = _quad.chebyshev_points(n, hi, lo)
+    x = np.concatenate([np.linspace(lo, hi, 33), pts[[0, 4, n - 1]]])
+    rows = _quad.barycentric_rows(pts, x, np.empty((n, x.size)))
+    assert np.allclose(rows.sum(axis=0), 1.0, rtol=0.0, atol=1e-14)
+    assert np.array_equal(rows[:, -3:], np.eye(n)[:, [0, 4, n - 1]])
+
+
 @pytest.mark.parametrize("source", ["piston", "plate"])
 def test_chebyshev_source_transform_matches_direct_sum(std_air, source):
     # V(k_r) = sum_j w_j v_j J0(k_r r_j) from its Chebyshev interpolant on
-    # [0, 4 k0] with the point rule of linfield.pressure_grid, at the
+    # [0, 4 k0] with the point rule _quad.chebyshev_count, at the
     # propagating and evanescent nodes and on a Chebyshev point
     f = 60e3
     if source == "piston":
@@ -118,7 +151,7 @@ def test_chebyshev_source_transform_matches_direct_sum(std_air, source):
     w = _quad.simpson_weights(r) * r * prof.velocity
     k0 = std_air.wavenumber(f)
     k_top = 4.0 * k0
-    pts = _quad.chebyshev_points(int(np.ceil(k_top * r[-1])) + 32, k_top)
+    pts = _quad.chebyshev_points(_quad.chebyshev_count(k_top, r[-1]), k_top)
     kr = np.concatenate([_quad.wavenumber_nodes(k0, 60)[0],
                          _quad.wavenumber_nodes(k0, 40, (0.0, np.arccosh(4.0)))[0],
                          pts[[7]], [k_top]])
