@@ -188,7 +188,7 @@ def chebyshev_interpolate(values: np.ndarray, hi: float, x: np.ndarray,
     return sums[:, 0] + 1j * sums[:, 1]
 
 
-def plane_steps(z: np.ndarray, kz: np.ndarray) -> tuple:
+def plane_steps(z: np.ndarray, kz: np.ndarray, planes: np.ndarray | None = None) -> tuple:
     """Propagation factors between consecutive planes ``z``.
 
     Returns ``(step, gap_row)``: row ``gap_row[j]`` of ``step`` holds
@@ -200,9 +200,23 @@ def plane_steps(z: np.ndarray, kz: np.ndarray) -> tuple:
     its step nearly every plane, 281 distinct gaps among the other 623
     planes (286 among all 900 gaps, and 280 stay distinct when rounded to
     1e-12 m, so they are not rounding variants of a few steps).
+
+    With the sorted plane indices ``planes``, a recursion visits only
+    those: ``gap_row[t]`` is the row for the step from ``planes[t]`` to
+    ``planes[t + 1]``, the exponential of their gap where they are
+    neighbours and a row of zeros where planes between them are left
+    out, so that the recursion restarts from zero there.
     """
-    gaps, gap_row = np.unique(np.diff(z), return_inverse=True)
-    return np.exp(-1j * np.outer(gaps, kz)), gap_row
+    if planes is None:
+        gaps, gap_row = np.unique(np.diff(z), return_inverse=True)
+        return np.exp(-1j * np.outer(gaps, kz)), gap_row
+    inner = np.flatnonzero(np.diff(planes) == 1)
+    gaps, rows = np.unique(z[planes[inner] + 1] - z[planes[inner]], return_inverse=True)
+    step = np.zeros((gaps.size + 1, kz.size), dtype=complex)
+    np.exp(-1j * np.outer(gaps, kz), out=step[:-1])
+    gap_row = np.full(planes.size - 1, gaps.size)
+    gap_row[inner] = rows
+    return step, gap_row
 
 
 def refined(step, value, abs_floor: float = 0.0):

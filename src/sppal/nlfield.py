@@ -30,8 +30,14 @@ z', one matrix product for all slabs.  The z' sum is one forward and one
 backward recursion over the source planes, and the k_r integral runs on
 the propagating and evanescent substitutions of
 :func:`linfield.pressure_grid`, with an evanescent cutoff that doubles
-until it moves each point by less than ``_quad.REFINE_DB``.  Every
-observation point, on or off axis, costs the same few matrix products.
+until it moves each point by less than ``_quad.REFINE_DB``.  Past k_a
+the factor exp(-i k_z |z - z'|) decays as exp(-kappa |z - z'|), so a
+block of evanescent nodes whose smallest kappa makes the grid longer
+than 2 ``_WINDOW_NEPERS`` of decay transforms and sweeps only the planes
+within ``_WINDOW_NEPERS`` of some observation point; a request's cost
+then grows with the axial spread of its points.  The planes left out add less
+than exp(-``_WINDOW_NEPERS``) of their spectra, and on every case
+measured the sum keeps the bits of the sum over every plane.
 
 The k_r nodes go in fixed blocks, and the calling thread and one worker
 thread evaluate the blocks; each band adds its blocks' per-point sums in
@@ -70,6 +76,11 @@ _BEAT_SAFETY = 2.6
 _RADIAL_FACTOR = 4.0
 #: (plane, node) values per array of one block of k_r nodes in the audio sum
 _BLOCK_VALUES = 1e6
+#: decay in nepers past which an evanescent block of the audio sum leaves a
+#: source plane out (:meth:`QuasilinearSolver._window`).  Largest relative
+#: move of the reference pair's audio-bp points against the sum over every
+#: plane: 2.6e-9 at 15, 2.0e-11 at 20, 2.2e-16 at 30, 0 at 40 and 50
+_WINDOW_NEPERS = 40.0
 
 _log = logging.getLogger(__name__)
 
@@ -364,17 +375,19 @@ class QuasilinearSolver:
         reach = np.maximum(rho_f, g.r_nodes[-1]) + g.r_nodes[-1]
         extent = np.hypot(np.maximum(z_f, g.z_nodes[-1]), reach)
         n_prop = np.maximum(24, np.ceil(self._k_audio.real * extent / 12.0)).astype(int)
-        nodes, cutoff, bands, blocks = 0, 0.0, 0, 0
+        nodes, cutoff, bands, blocks, values = 0, 0.0, 0, 0, 0
         t0 = time.perf_counter()
         for key in sorted(set(zip(n_prop.tolist(), reach.tolist()))):
             idx = np.flatnonzero((n_prop == key[0]) & (reach == key[1]))
-            n_k, k_top, n_bands, n_blocks = self._spectral(idx, rho_f, z_f, out, *key)
+            n_k, k_top, n_bands, n_blocks, n_values = self._spectral(idx, rho_f, z_f, out,
+                                                                     *key)
             nodes, cutoff = nodes + n_k, max(cutoff, k_top)
-            bands, blocks = bands + n_bands, blocks + n_blocks
+            bands, blocks, values = bands + n_bands, blocks + n_blocks, values + n_values
         _log.debug("audio field: grid %d x %d (n_z x n_r), %d k_r nodes in %d bands "
-                   "and %d blocks, cutoff %.6g 1/m for %d points, sum %.3f s",
-                   g.z_nodes.size, g.r_nodes.size, nodes, bands, blocks, cutoff,
-                   out.size, time.perf_counter() - t0)
+                   "and %d blocks, %d of %d plane-node values, cutoff %.6g 1/m for %d "
+                   "points, sum %.3f s", g.z_nodes.size, g.r_nodes.size, nodes, bands,
+                   blocks, values, nodes * g.z_nodes.size, cutoff, out.size,
+                   time.perf_counter() - t0)
         out = out.reshape(rho.shape)
         if out.size:
             i_max = int(np.argmax(np.abs(out)))
@@ -396,12 +409,12 @@ class QuasilinearSolver:
         before that first resolved band, so the bands up to it are
         evaluated together, and each later band after the check of the one
         before.  Adds into ``out[idx]``, band by band; returns the node
-        count evaluated, the highest cutoff reached, and the band and block
-        counts.
+        count evaluated, the highest cutoff reached, the band and block
+        counts, and the plane-node values the blocks summed.
         """
         k_a = self._k_audio.real
         todo, points = idx, None
-        n_k, k_top, m, n_blocks = 0, 0.0, 0, 0
+        n_k, k_top, m, n_blocks, n_values = 0, 0.0, 0, 0, 0
         while todo.size:
             bands = []
             while not bands or k_top < self._k_resolved:
@@ -428,10 +441,11 @@ class QuasilinearSolver:
                 out[todo] += band
             n_k += sum(kr.size for kr, _ in bands)
             n_blocks += blocks
+            n_values += sum(span[3] for span in self._spans(bands, points))
             left = ~refined(sums[-1], out[todo])
             if not left.all():
                 todo, points = todo[left], None
-        return n_k, k_top, m, n_blocks
+        return n_k, k_top, m, n_blocks, n_values
 
     def _band(self, bands, points) -> tuple:
         """Contributions of the node sets ``bands`` at ``points``.
@@ -446,47 +460,89 @@ class QuasilinearSolver:
         factor.
 
         Nodes go in fixed blocks of ``_BLOCK_VALUES`` / n_z per band
-        (:meth:`_block`); the calling thread and one worker evaluate them,
-        largest first (:func:`_in_turn`), and each band sums its blocks'
-        row sums in node order.  So a point's value depends neither on the
-        other points nor on which thread or core evaluated a block.
-        Returns the band sums and the block count.
+        (:meth:`_spans`, :meth:`_block`); the calling thread and one worker
+        evaluate them, most plane-node values first (:func:`_in_turn`), and
+        each band sums its blocks' row sums in node order.  So a point's
+        value depends neither on the other points nor on which thread or
+        core evaluated a block.  Returns the band sums and the block count.
         """
-        block = max(1, int(_BLOCK_VALUES / self.grid.z_nodes.size))
-        spans = [(b, kr[s:s + block], jac[s:s + block])
-                 for b, (kr, jac) in enumerate(bands) for s in range(0, kr.size, block)]
-        # largest first, so the two threads run out of blocks close together
-        order = sorted(range(len(spans)), key=lambda i: -spans[i][1].size)
+        spans = self._spans(bands, points)
+        # most work first, so the two threads run out of blocks close together
+        order = sorted(range(len(spans)), key=lambda i: -spans[i][3])
         rows = dict(zip(order, _in_turn(
-            [partial(self._block, *spans[i][1:], points) for i in order])))
+            [partial(self._block, *spans[i][1:3], points) for i in order])))
         sums = [np.zeros(points.rho.size, dtype=complex) for _ in bands]
-        for i, (b, _, _) in enumerate(spans):
+        for i, (b, *_) in enumerate(spans):
             sums[b] += rows[i]
         return sums, len(spans)
+
+    def _spans(self, bands, points) -> list:
+        """The blocks of k_r nodes of the node sets ``bands``, in node order.
+
+        One (band index, nodes, weights, plane-node values) tuple per
+        block of ``_BLOCK_VALUES`` / n_z nodes; the last entry counts the
+        source planes :meth:`_window` keeps at ``points`` times the nodes.
+        """
+        n_z = self.grid.z_nodes.size
+        block = max(1, int(_BLOCK_VALUES / n_z))
+        spans = []
+        for b, (kr, jac) in enumerate(bands):
+            for s in range(0, kr.size, block):
+                k_b = kr[s:s + block]
+                planes = self._window(k_b, points)
+                n_p = n_z if planes is None else planes.size
+                spans.append((b, k_b, jac[s:s + block], n_p * k_b.size))
+        return spans
+
+    def _window(self, k_b, points):
+        """The source planes the block of k_r nodes ``k_b`` sums at
+        ``points``, sorted, or None for all of them.
+
+        Past k_a a plane's term decays as exp(-kappa |z - z'|), kappa =
+        Re sqrt(k_r^2 - k_c^2) >= kappa_min over the block.  Where the
+        grid spans more than 2 ``_WINDOW_NEPERS`` / kappa_min, the block
+        keeps the planes within ``_WINDOW_NEPERS`` / kappa_min of some
+        point and each point's nearest plane below and above
+        (``points.plane_dist``); every other plane would add less than
+        exp(-``_WINDOW_NEPERS``) of its own spectrum to any point.  Blocks
+        with kappa_min near zero, those of the propagating band and of the
+        first evanescent band, keep every plane.
+        """
+        zn = self.grid.z_nodes
+        kc = self._k_audio
+        kappa = float(np.min(np.sqrt(k_b.astype(complex) ** 2 - kc * kc).real))
+        if not kappa * (zn[-1] - zn[0]) > 2.0 * _WINDOW_NEPERS:
+            return None
+        planes = np.flatnonzero(points.plane_dist <= _WINDOW_NEPERS / kappa)
+        return planes if planes.size < zn.size else None
 
     def _block(self, k_b, jac_b, points) -> np.ndarray:
         """Per-point sums of the block of k_r nodes ``k_b`` (weights ``jac_b``).
 
-        Reads only what the solver fixes at its build, so any thread may
-        evaluate a block.
+        Sums the source planes :meth:`_window` keeps: one GEMM row pair
+        per kept plane, and sweeps that restart from zero at every run of
+        consecutive kept planes.  Reads only what the solver fixes at its
+        build, so any thread may evaluate a block.
         """
         g = self.grid
-        zn = g.z_nodes
-        n_z = zn.size
         kc = self._k_audio
         kz = -1j * np.sqrt(k_b.astype(complex) ** 2 - kc * kc)
-        # Q's real parts in rows 0..n_z-1, its imaginary parts below
+        planes = self._window(k_b, points)
+        sw_ri = (self._sw_ri if planes is None
+                 else self._sw_ri[np.concatenate([planes, g.z_nodes.size + planes])])
+        # Q's real parts in the first half of the rows, its imaginary parts below
         jr = np.outer(g.r_nodes, k_b)
-        q2 = self._sw_ri @ special.j0(jr, out=jr)
-        del jr
-        step, gap_row = plane_steps(zn, kz)
-        keep_lo, keep_hi = points.keep_lo, points.keep_hi
+        q2 = sw_ri @ special.j0(jr, out=jr)
+        del jr, sw_ri
+        n_p = q2.shape[0] // 2
+        step, gap_row = plane_steps(g.z_nodes, kz, planes)
+        keep_lo, keep_hi, on_plane = points.rows(planes)
         fwd = _sweep(q2, step, gap_row, keep_lo, range(keep_lo[-1] + 1))
-        bwd = _sweep(q2, step, gap_row, keep_hi, range(n_z - 1, keep_hi[0] - 1, -1))
+        bwd = _sweep(q2, step, gap_row, keep_hi, range(n_p - 1, keep_hi[0] - 1, -1))
         spec = (fwd[points.row_lo] * np.exp(-1j * np.outer(points.dz_lo, kz))
                 + bwd[points.row_hi] * np.exp(-1j * np.outer(points.dz_hi, kz)))
         q_on = np.empty((points.on.size, k_b.size), dtype=complex)
-        q_on.real, q_on.imag = q2[points.on_plane], q2[n_z + points.on_plane]
+        q_on.real, q_on.imag = q2[on_plane], q2[n_p + on_plane]
         spec[points.on] += q_on
         spec *= 0.5 * k_b / (1j * kz) * jac_b * special.j0(np.outer(points.rho, k_b))
         return spec.sum(axis=1)
@@ -576,7 +632,9 @@ class _PlanePoints:
     (above) the points, -1 (n_z) where there is none; ``row_lo``
     (``row_hi``) is each point's row among them and ``dz_lo`` (``dz_hi``)
     its path from that plane, zero without a plane.  The points ``on``
-    lie exactly on plane ``on_plane``.
+    lie exactly on plane ``on_plane``.  ``plane_dist`` holds each plane's
+    axial distance to the nearest point, zero for the planes of
+    ``keep_lo`` and ``keep_hi``, so that every window keeps them.
     """
 
     rho: np.ndarray
@@ -588,6 +646,7 @@ class _PlanePoints:
     dz_hi: np.ndarray
     on: np.ndarray
     on_plane: np.ndarray
+    plane_dist: np.ndarray
 
     @classmethod
     def locate(cls, zn, rho, z) -> "_PlanePoints":
@@ -600,22 +659,41 @@ class _PlanePoints:
         # a side without planes gets a zero accumulator and a zero path
         dz_lo = np.where(lo >= 0, z - zn[np.maximum(lo, 0)], 0.0)
         dz_hi = np.where(hi < n_z, zn[np.minimum(hi, n_z - 1)] - z, 0.0)
-        return cls(rho, keep_lo, row_lo, dz_lo, keep_hi, row_hi, dz_hi, on, lo[on] + 1)
+        zs = np.unique(z)
+        i = np.searchsorted(zs, zn)
+        plane_dist = np.minimum(np.abs(zn - zs[np.maximum(i - 1, 0)]),
+                                np.abs(zs[np.minimum(i, zs.size - 1)] - zn))
+        plane_dist[keep_lo[keep_lo >= 0]] = 0.0
+        plane_dist[keep_hi[keep_hi < n_z]] = 0.0
+        return cls(rho, keep_lo, row_lo, dz_lo, keep_hi, row_hi, dz_hi, on, lo[on] + 1,
+                   plane_dist)
+
+    def rows(self, planes) -> tuple:
+        """``keep_lo``, ``keep_hi`` and ``on_plane`` as rows among the sorted
+        plane indices ``planes`` (as they are for None, all planes); a side
+        without a plane is row -1 or ``planes.size``."""
+        if planes is None:
+            return self.keep_lo, self.keep_hi, self.on_plane
+        keep_lo = np.where(self.keep_lo < 0, -1, np.searchsorted(planes, self.keep_lo))
+        return (keep_lo, np.searchsorted(planes, self.keep_hi),
+                np.searchsorted(planes, self.on_plane))
 
 
 def _sweep(q2, step, gap_row, keep, planes) -> np.ndarray:
     """One recursion over the source planes of a Hankel-domain sum.
 
-    Visits ``planes`` in order, multiplying the accumulator by
-    exp(-i k_z dz) (row ``gap_row[i]`` of ``step`` for the gap between
-    planes i and i + 1) before adding plane j's spectrum, whose real and
-    imaginary parts are rows j and n_z + j of ``q2``.  Row r of the result
-    is the accumulator after plane ``keep[r]``; entries of ``keep`` not
-    visited (-1 and n_z: no plane on that side) stay zero.  A sweep may
-    stop at the last plane ``keep`` needs: the accumulator after a plane
-    depends only on the planes visited before it.
+    Visits the rows ``planes`` of the n planes summed, in order,
+    multiplying the accumulator by row ``gap_row[i]`` of ``step`` (the
+    step from plane i to plane i + 1: exp(-i k_z dz), or zero where the
+    window of :meth:`QuasilinearSolver._window` leaves planes out between
+    them, so the sweep restarts there) before adding plane j's spectrum,
+    whose real and imaginary parts are rows j and n + j of ``q2``.  Row r
+    of the result is the accumulator after plane ``keep[r]``; entries of
+    ``keep`` not visited (-1 and n: no plane on that side) stay zero.  A
+    sweep may stop at the last plane ``keep`` needs: the accumulator after
+    a plane depends only on the planes visited before it.
     """
-    n_z = q2.shape[0] // 2
+    n = q2.shape[0] // 2
     out = np.zeros((keep.size, q2.shape[1]), dtype=complex)
     rows = {int(j): r for r, j in enumerate(keep)}
     acc = np.zeros(q2.shape[1], dtype=complex)
@@ -625,7 +703,7 @@ def _sweep(q2, step, gap_row, keep, planes) -> np.ndarray:
         if prev is not None:
             acc *= step[gap_row[min(j, prev)]]
         acc_re += q2[j]
-        acc_im += q2[n_z + j]
+        acc_im += q2[n + j]
         if j in rows:
             out[rows[j]] = acc
         prev = j

@@ -456,7 +456,11 @@ class StackChain:
         every candidate shares: the terms are broadcast over the
         candidates, not tiled.  With ``rows`` as well, ``index`` and
         ``rows`` pair up element by element and the result is flat: value
-        i is candidate ``rows[i]`` at grid index ``index[i]``.
+        i is candidate ``rows[i]`` at grid index ``index[i]``.  The design
+        loop calls the whole grid (on this chain or on a :meth:`subset`)
+        and the flat form; ``index`` without ``rows`` is test API, which
+        nothing in the package calls: the tests check it, beside the
+        :meth:`subset` chain it equals, against one-candidate calls.
 
         Each value has the bits of a one-candidate call at that frequency.
         A singular frequency is returned as it comes out, not finite; see
@@ -552,7 +556,10 @@ class StackChain:
         ``index`` (increasing grid indices) evaluates only those
         frequencies, each to the same bits as on the whole grid.  A
         singular frequency is then reported as a non-finite value, not
-        filled, since its neighbours need not be in the subset.
+        filled, since its neighbours need not be in the subset.  ``index``
+        is test API, which nothing in the package passes (the design loop
+        calls :meth:`velocity`): the tests evaluate subsets through it and
+        compare them with the whole grid.
         """
         if tuple(_layout(s) for s in spec.segments) != self._layouts:
             raise ParameterDomainError("stack layout differs from the chain's")

@@ -257,12 +257,20 @@ class TestSpectralPath:
             "at k_r = 1171.64 1/m, the last cutoff below the grid's radial sampling "
             "wavenumber 1570.8 1/m (1 points left)")
 
-    def test_debug_record_per_call(self, desk_solver, caplog):
+    def test_debug_record_per_call(self, desk_solver, caplog, monkeypatch):
         with caplog.at_level(logging.WARNING, logger="sppal.nlfield"):
             desk_solver.pressures([0.0], [0.08])
         assert not caplog.records
+        blocks, block = [], nl.QuasilinearSolver._block
+
+        def recording(self, k_b, jac_b, points):
+            blocks.append(k_b)
+            return block(self, k_b, jac_b, points)
+
+        monkeypatch.setattr(nl.QuasilinearSolver, "_block", recording)
+        z = np.array([0.08, 0.05])
         with caplog.at_level(logging.DEBUG, logger="sppal.nlfield"):
-            desk_solver.pressures([0.0, 0.02], [0.08, 0.05])
+            desk_solver.pressures([0.0, 0.02], z)
         (rec,) = [r for r in caplog.records if r.name == "sppal.nlfield"]
         g = desk_solver.grid
         msg = rec.getMessage()
@@ -273,6 +281,19 @@ class TestSpectralPath:
         # resolved band: bands 0-6, each one block on this grid
         assert "in 7 bands and 7 blocks" in msg
         assert re.search(r"sum \d+\.\d{3} s$", msg)
+        # a block keeps every plane unless its slowest decay rate kappa
+        # spans 80 nepers over the grid; then the planes within 40 nepers
+        # of a point and each point's neighbour planes
+        zn, kept = g.z_nodes, 0
+        for k_b in blocks:
+            kappa = np.min(np.sqrt(k_b.astype(complex) ** 2 - desk_solver._k_audio ** 2).real)
+            near = np.min(np.abs(zn[:, None] - z[None, :]), axis=1) <= 40.0 / kappa
+            for z_p in z:
+                near[np.searchsorted(zn, z_p) - 1:np.searchsorted(zn, z_p) + 1] = True
+            kept += k_b.size * (near.sum() if kappa * (zn[-1] - zn[0]) > 80.0 else zn.size)
+        total = sum(k_b.size for k_b in blocks) * zn.size
+        assert kept < total
+        assert f"{kept} of {total} plane-node values" in msg
 
 
 @pytest.fixture(scope="module")
@@ -442,6 +463,96 @@ class TestConcurrentBlocks:
         assert threading.active_count() == 1
 
 
+def _kept_share(solver, rho, z, caplog) -> float:
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="sppal.nlfield"):
+        solver.pressures(rho, z)
+    (msg,) = [r.getMessage() for r in caplog.records if r.name == "sppal.nlfield"]
+    kept, total = re.search(r"(\d+) of (\d+) plane-node values", msg).groups()
+    return int(kept) / int(total)
+
+
+_BP_ANGLES = np.deg2rad([-30.0, 0.0, 30.0])
+_ANGLES_61 = np.deg2rad(np.linspace(-30.0, 30.0, 61))
+
+
+class TestPlaneWindow:
+    """Past 2 k_a a block sums only the source planes within
+    ``_WINDOW_NEPERS`` of decay of some point; with the window set to
+    infinity every block sums every plane, and the two agree by ==."""
+
+    @staticmethod
+    def _every_plane(solver, rho, z, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(nl, "_WINDOW_NEPERS", np.inf)
+            return solver.pressures(rho, z)
+
+    @pytest.mark.parametrize("rho, z", [
+        # audio-pc's 60 on-axis points, audio-bp's 3 angles and 61 angles at 1 m
+        (np.zeros(60), np.geomspace(0.05, 2.0, 60)),
+        (np.abs(np.sin(_BP_ANGLES)), np.cos(_BP_ANGLES)),
+        (np.abs(np.sin(_ANGLES_61)), np.cos(_ANGLES_61)),
+        # two clusters far apart, so the kept planes form several runs
+        (np.array([0.0, 0.01, 0.0, 0.0, 0.02, 0.0]),
+         np.array([0.04, 0.045, 0.05, 1.9, 1.95, 2.0])),
+    ])
+    def test_bits_equal_every_plane(self, reference_solver, monkeypatch, rho, z):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationTailWarning)
+            windowed = reference_solver.pressures(rho, z)
+            every = self._every_plane(reference_solver, rho, z, monkeypatch)
+        assert np.array_equal(windowed, every)
+
+    def test_points_off_and_on_the_planes(self, reference_solver, monkeypatch):
+        zn = reference_solver.grid.z_nodes
+        # past the last plane, before the first, and exactly on a plane
+        rho = np.array([0.0, 0.01, 0.0, 0.003, 0.0, 0.02])
+        z = np.array([zn[-1] + 0.5, zn[-1] + 3.0, 0.5 * zn[0], 0.2 * zn[0], zn[300], zn[600]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationTailWarning)
+            windowed = reference_solver.pressures(rho, z)
+            assert np.array_equal(windowed, self._every_plane(reference_solver, rho, z,
+                                                              monkeypatch))
+            for i in range(z.size):
+                assert np.array_equal(reference_solver.pressures(rho[i:i + 1], z[i:i + 1]),
+                                      windowed[i:i + 1])
+
+    def test_desk_case(self, desk_solver, monkeypatch):
+        rho = np.array([0.0, 0.02, 0.005, 0.0, 0.03])
+        z = np.array([0.08, 0.05, 0.01, 0.3, 0.1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationTailWarning)
+            assert np.array_equal(desk_solver.pressures(rho, z),
+                                  self._every_plane(desk_solver, rho, z, monkeypatch))
+
+    def test_clusters_form_several_runs(self, reference_solver):
+        zn = reference_solver.grid.z_nodes
+        points = nl._PlanePoints.locate(zn, np.zeros(4), np.array([0.04, 0.05, 1.9, 2.0]))
+        k_a = reference_solver._k_audio.real
+        kr, _ = _quad.wavenumber_nodes(k_a, 4, (float(np.arccosh(4.0)), float(np.arccosh(8.0))))
+        planes = reference_solver._window(kr, points)
+        runs = np.split(planes, np.flatnonzero(np.diff(planes) > 1) + 1)
+        assert len(runs) == 2
+        assert zn[runs[1][0]] - zn[runs[0][-1]] > 0.5
+
+    def test_window_drops_planes(self, reference_solver, monkeypatch):
+        # at 15 nepers the left-out planes show in the last bits, which is
+        # what the == tests above would see of a window that drops too much
+        rho, z = np.abs(np.sin(_BP_ANGLES)), np.cos(_BP_ANGLES)
+        windowed = reference_solver.pressures(rho, z)
+        monkeypatch.setattr(nl, "_WINDOW_NEPERS", 15.0)
+        assert not np.array_equal(reference_solver.pressures(rho, z), windowed)
+
+    def test_kept_share(self, reference_solver, caplog):
+        # measured: 21.8 % of the 901 x 4064 plane-node values for audio-bp,
+        # 22.1 % for 61 angles and 72.2 % for audio-pc's 60 on-axis points
+        bp = _kept_share(reference_solver, np.abs(np.sin(_BP_ANGLES)), np.cos(_BP_ANGLES),
+                         caplog)
+        assert bp <= 0.23
+        pc = _kept_share(reference_solver, np.zeros(60), np.geomspace(0.05, 2.0, 60), caplog)
+        assert bp < pc < 0.75
+
+
 def test_in_turn_runs_each_task_once():
     ran, interval = [], sys.getswitchinterval()
 
@@ -466,7 +577,8 @@ def test_sweep_stops_at_the_last_kept_plane():
     n_z, n_k = 12, 5
     z = np.cumsum(rng.choice([1e-3, 2e-3], n_z))
     q2 = rng.standard_normal((2 * n_z, n_k))
-    step, gap_row = _quad.plane_steps(z, rng.uniform(1.0, 50.0, n_k) - 2j)
+    kz = rng.uniform(1.0, 50.0, n_k) - 2j
+    step, gap_row = _quad.plane_steps(z, kz)
     # forward sweeps keep planes -1 .. n_z - 1, backward sweeps 0 .. n_z
     for keep in ([-1], [-1, 3, 7], [0, 5], [4, n_z - 1]):
         keep = np.asarray(keep)
@@ -479,6 +591,19 @@ def test_sweep_stops_at_the_last_kept_plane():
         assert np.array_equal(
             nl._sweep(q2, step, gap_row, keep, range(n_z - 1, keep[0] - 1, -1)), full)
         assert not full[keep >= n_z].any()
+    # a sweep over the kept planes (three runs) equals, run by run, a sweep
+    # over that run alone on the whole grid's rows and steps
+    planes = np.array([0, 1, 2, 5, 6, 9, 10, 11])
+    q2_kept = q2[np.concatenate([planes, n_z + planes])]
+    step_kept, gap_kept = _quad.plane_steps(z, kz, planes)
+    at = np.arange(planes.size)
+    fwd = nl._sweep(q2_kept, step_kept, gap_kept, at, range(planes.size))
+    bwd = nl._sweep(q2_kept, step_kept, gap_kept, at, range(planes.size - 1, -1, -1))
+    for run in ([0, 1, 2], [5, 6], [9, 10, 11]):
+        run, rows = np.asarray(run), np.searchsorted(planes, run)
+        alone = range(run[0], run[-1] + 1)
+        assert np.array_equal(nl._sweep(q2, step, gap_row, run, alone), fwd[rows])
+        assert np.array_equal(nl._sweep(q2, step, gap_row, run, alone[::-1]), bwd[rows])
 
 
 def test_pressure_grid_peak_memory(std_air, reference_pair):
