@@ -3,8 +3,9 @@
 One home for each rule: trapezoid and non-uniform composite Simpson
 weights, the cached Gauss-Legendre node table, the radial-wavenumber
 nodes of the Hankel-domain field integrals and their plane-to-plane
-propagation factors, Chebyshev points with their point-count rule and
-barycentric interpolation rows, the three-point parabolic peak
+propagation factors, Chebyshev points with their point-count rule,
+barycentric interpolation rows and the cost rule that splits a J0
+product into kernel and direct columns, the three-point parabolic peak
 refinement, the ``REFINE_DB`` refinement test, and the adaptive
 azimuthal ladder that evaluates axisymmetric integrals over phi in
 [0, pi] at doubling Gauss-Legendre orders until successive estimates
@@ -28,6 +29,13 @@ REFINE_DB = 0.05
 _REL_TOL = 10.0 ** (REFINE_DB / 20.0) - 1.0
 #: smallest relative tolerance :func:`brentq` accepts
 _BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
+#: one J0 value and one barycentric-row entry, in the real multiply-adds of
+#: a matrix product that cost as much; they set :func:`kernel_split`'s split
+#: between kernel and direct columns.  Measured in
+#: :func:`linfield.pressure_grid` with one BLAS thread: 35 ns per J0 value,
+#: 2.8 ns per row entry, 0.032 ns per multiply-add
+_J0_COST = 1100
+_ROW_COST = 90
 
 
 def trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -134,11 +142,49 @@ def chebyshev_count(span: float, tau):
     function behaves as exp(i x t), whose Chebyshev coefficients J_n(x)
     decay super-exponentially once n passes x by a few multiples of the
     x^(1/3) width of their turning region.  Measured on J0(k rho): below
-    1e-14 absolute for x from 25 to 800 (7.9e-15 at 800).
+    1e-14 absolute for x from 25 to 800 (7.9e-15 at 800).  Measured on the
+    audio sum's spectra (:meth:`nlfield.QuasilinearSolver._evaluated`,
+    type r_max + 40 / kappa_min on blocks past 2 k_a): against their
+    evaluation at every node, the reference pair's audio-pc, audio-bp,
+    61-angle and 33-point requests at carriers of 40, 60, 64.67 and 90
+    kHz, and points on, below and past the source planes, move by at most
+    1.7e-15 relative, pointwise.
     """
     x = 0.5 * span * np.asarray(tau, dtype=float)
     n = np.ceil(x + 8.0 * np.cbrt(x)).astype(int) + 16
     return int(n) if n.ndim == 0 else n
+
+
+def kernel_split(n_k: int, k_span: float, rho_s: np.ndarray, run) -> tuple:
+    """Kernel columns and rank of a sum over the columns J0(k_r rho_j).
+
+    A product of rows of coefficients with the columns J0(k_r rho_j) of
+    ``rho_s`` (ascending) at n_k wavenumbers k_r, which span ``k_span``:
+    ``run`` holds (lo, hi, n) per block of planes, planes lo..hi using the
+    first n columns, each plane one complex (two real) rows.  The first m
+    columns can take J0(k_r rho) through its interpolant at n_c =
+    :func:`chebyshev_count` (k_span, rho_s[m-1]) Chebyshev points on the
+    nodes' range.  That costs n_c barycentric rows over the nodes, n_c
+    accumulated values per plane and node, n_c * m J0 values and one
+    product per plane; the direct form costs J0 on every node and a
+    product per plane and node for each column.  Returns the (m, n_c)
+    that saves most by ``_J0_COST`` and ``_ROW_COST``, with n_c < m, or
+    (0, 0).
+    """
+    planes = np.array([hi - lo for lo, hi, _ in run])
+    n_sel = np.array([n for _, _, n in run])
+    m = np.arange(1, n_sel.max() + 1)
+    # planes whose blocks select column m - 1, and those of every block
+    # times its selected columns among the first m
+    col_planes = (planes[None, :] * (n_sel[None, :] >= m[:, None])).sum(axis=1)
+    kern_planes = (planes[None, :] * np.minimum(n_sel[None, :], m[:, None])).sum(axis=1)
+    direct = np.cumsum(n_k * (_J0_COST + 2 * col_planes))
+    n_c = chebyshev_count(k_span, rho_s[m - 1])
+    kernel = n_c * (n_k * (_ROW_COST + 2 * planes[n_sel > 0].sum())
+                    + m * _J0_COST + 2 * kern_planes)
+    gain = np.where(n_c < m, direct - kernel, 0)
+    best = int(np.argmax(gain))
+    return (int(m[best]), int(n_c[best])) if gain[best] > 0 else (0, 0)
 
 
 def barycentric_rows(pts: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -21,8 +21,8 @@ import numpy as np
 from scipy import special
 
 from ._quad import (azimuthal_ladder, barycentric_rows, chebyshev_count,
-                    chebyshev_interpolate, chebyshev_points, plane_steps, simpson_weights,
-                    wavenumber_nodes)
+                    chebyshev_interpolate, chebyshev_points, kernel_split, plane_steps,
+                    simpson_weights, wavenumber_nodes)
 from .errors import NumericalFailureError, ParameterDomainError
 from .medium import Medium, absorption_coeff
 from .radiator import SourceKind, SourceProfile, first_local_max, piston_profile, PistonSpec
@@ -46,13 +46,6 @@ GRID_WORKSPACE_VALUES = 2 ** 18
 #: barycentric rows, kernel and direct J0 rows; larger groups pay more in
 #: products than they save
 _NODE_GROUP = 3
-#: one J0 value and one barycentric-row entry of :func:`pressure_grid`, in
-#: the real multiply-adds of its matrix products that cost as much; they set
-#: each run's split between kernel and direct columns.  Measured with one
-#: BLAS thread: 35 ns per J0 value, 2.8 ns per row entry, 0.032 ns per
-#: multiply-add
-_J0_COST = 1100
-_ROW_COST = 90
 
 _log = logging.getLogger(__name__)
 
@@ -399,35 +392,6 @@ def _j0_outer(x, y, out):
     return special.j0(out, out=out)
 
 
-def _kernel_split(n_k: int, k_span: float, rho_s: np.ndarray, run) -> tuple:
-    """Kernel columns and rank of one run of :func:`pressure_grid`.
-
-    ``run`` holds (lo, hi, n) per block: planes lo..hi select the first n
-    of the ascending columns ``rho_s``.  The first m columns can take
-    J0(k_r rho) through its interpolant at n_c = chebyshev_count(k_span,
-    rho_s[m-1]) Chebyshev points on the run's n_k nodes, which span
-    ``k_span``.  That costs n_c barycentric rows over the nodes, n_c
-    accumulated spectra per plane, n_c * m J0 values and one product per
-    plane; the direct form costs J0 on every node and a spectrum per plane
-    for each column.  Returns the (m, n_c) that saves most by ``_J0_COST``
-    and ``_ROW_COST``, with n_c < m, or (0, 0).
-    """
-    planes = np.array([hi - lo for lo, hi, _ in run])
-    n_sel = np.array([n for _, _, n in run])
-    m = np.arange(1, n_sel.max() + 1)
-    # planes whose blocks select column m - 1, and those of every block
-    # times its selected columns among the first m
-    col_planes = (planes[None, :] * (n_sel[None, :] >= m[:, None])).sum(axis=1)
-    kern_planes = (planes[None, :] * np.minimum(n_sel[None, :], m[:, None])).sum(axis=1)
-    direct = np.cumsum(n_k * (_J0_COST + 2 * col_planes))
-    n_c = chebyshev_count(k_span, rho_s[m - 1])
-    kernel = n_c * (n_k * (_ROW_COST + 2 * planes[n_sel > 0].sum())
-                    + m * _J0_COST + 2 * kern_planes)
-    gain = np.where(n_c < m, direct - kernel, 0)
-    best = int(np.argmax(gain))
-    return (int(m[best]), int(n_c[best])) if gain[best] > 0 else (0, 0)
-
-
 def _buffer_values(n_rho: int, n_src: int) -> int:
     """float64 values of each fixed buffer of :func:`pressure_grid`:
     ``GRID_WORKSPACE_VALUES``, or 16 rows of J0 values if those are more."""
@@ -640,7 +604,7 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
         # accumulates its spectra on the barycentric rows l_c and adds the
         # product with the kernel J0(k_c rho) at the end; the other columns
         # are direct
-        n_in, n_c = _kernel_split(krho.size, float(krho[-1] - krho[0]), rho_s, run)
+        n_in, n_c = kernel_split(krho.size, float(krho[-1] - krho[0]), rho_s, run)
         n_u = max(n for _, _, n in run)
         n_row = n_c + n_u - n_in
         n_j0 += n_c * n_in + (n_u - n_in) * krho.size

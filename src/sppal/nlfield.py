@@ -39,6 +39,17 @@ then grows with the axial spread of its points.  The planes left out add less
 than exp(-``_WINDOW_NEPERS``) of their spectra, and on every case
 measured the sum keeps the bits of the sum over every plane.
 
+Q(k_r, z') is an entire function of k_r of exponential type r_max, the
+grid's radius, and past 2 k_a so is each point's spectrum S(k_r), up to
+the type of the plane factors within ``_ROUNDING_NEPERS`` of decay.  So
+a block of such nodes evaluates the source transform, the plane steps
+and both sweeps only at the Chebyshev points that resolve that type on
+its node range, and interpolates each point's spectrum to its nodes
+(:func:`_quad.chebyshev_count`, :func:`_quad.barycentric_rows`); and
+every block takes the transform's columns nearest the axis through
+Chebyshev rows, as many as :func:`_quad.kernel_split` says pay.  Against
+the evaluation at every node no point moves by more than rounding.
+
 The k_r nodes go in fixed blocks, and the calling thread and one worker
 thread evaluate the blocks; each band adds its blocks' per-point sums in
 node order, so the audio field's bits do not depend on the number of
@@ -57,7 +68,8 @@ from functools import partial
 import numpy as np
 from scipy import special
 
-from ._quad import (REFINE_DB, parabolic_peak, plane_steps, refined, simpson_weights,
+from ._quad import (REFINE_DB, barycentric_rows, chebyshev_count, chebyshev_points,
+                    kernel_split, parabolic_peak, plane_steps, refined, simpson_weights,
                     wavenumber_nodes)
 from .errors import (
     BoundaryPeakWarning,
@@ -81,6 +93,12 @@ _BLOCK_VALUES = 1e6
 #: move of the reference pair's audio-bp points against the sum over every
 #: plane: 2.6e-9 at 15, 2.0e-11 at 20, 2.2e-16 at 30, 0 at 40 and 50
 _WINDOW_NEPERS = 40.0
+#: decay in nepers past which a source plane's term in a point's spectrum is
+#: under rounding (the table above); with the grid's radius it sets the
+#: exponential type of the spectra that a block past 2 k_a evaluates at
+#: Chebyshev points (:meth:`QuasilinearSolver._evaluated`).  Kept apart from
+#: ``_WINDOW_NEPERS``, so that moving the window moves no evaluation point
+_ROUNDING_NEPERS = 40.0
 
 _log = logging.getLogger(__name__)
 
@@ -375,18 +393,19 @@ class QuasilinearSolver:
         reach = np.maximum(rho_f, g.r_nodes[-1]) + g.r_nodes[-1]
         extent = np.hypot(np.maximum(z_f, g.z_nodes[-1]), reach)
         n_prop = np.maximum(24, np.ceil(self._k_audio.real * extent / 12.0)).astype(int)
-        nodes, cutoff, bands, blocks, values = 0, 0.0, 0, 0, 0
+        nodes, cutoff, bands, blocks, values, evaluated = 0, 0.0, 0, 0, 0, 0
         t0 = time.perf_counter()
         for key in sorted(set(zip(n_prop.tolist(), reach.tolist()))):
-            idx = np.flatnonzero((n_prop == key[0]) & (reach == key[1]))
-            n_k, k_top, n_bands, n_blocks, n_values = self._spectral(idx, rho_f, z_f, out,
-                                                                     *key)
+            n_k, k_top, n_bands, n_blocks, n_values, n_e = self._spectral(
+                np.flatnonzero((n_prop == key[0]) & (reach == key[1])), rho_f, z_f, out, *key)
             nodes, cutoff = nodes + n_k, max(cutoff, k_top)
             bands, blocks, values = bands + n_bands, blocks + n_blocks, values + n_values
+            evaluated += n_e
         _log.debug("audio field: grid %d x %d (n_z x n_r), %d k_r nodes in %d bands "
-                   "and %d blocks, %d of %d plane-node values, cutoff %.6g 1/m for %d "
-                   "points, sum %.3f s", g.z_nodes.size, g.r_nodes.size, nodes, bands,
-                   blocks, values, nodes * g.z_nodes.size, cutoff, out.size,
+                   "and %d blocks, %d of %d plane-node values, %d wavenumbers evaluated "
+                   "for %d nodes, cutoff %.6g 1/m for %d points, sum %.3f s",
+                   g.z_nodes.size, g.r_nodes.size, nodes, bands, blocks, values,
+                   nodes * g.z_nodes.size, evaluated, nodes, cutoff, out.size,
                    time.perf_counter() - t0)
         out = out.reshape(rho.shape)
         if out.size:
@@ -409,12 +428,13 @@ class QuasilinearSolver:
         before that first resolved band, so the bands up to it are
         evaluated together, and each later band after the check of the one
         before.  Adds into ``out[idx]``, band by band; returns the node
-        count evaluated, the highest cutoff reached, the band and block
-        counts, and the plane-node values the blocks summed.
+        count, the highest cutoff reached, the band and block counts, the
+        plane-node values the blocks summed and the wavenumbers at which
+        they evaluated their spectra.
         """
         k_a = self._k_audio.real
         todo, points = idx, None
-        n_k, k_top, m, n_blocks, n_values = 0, 0.0, 0, 0, 0
+        n_k, k_top, m, n_blocks, n_values, n_e = 0, 0.0, 0, 0, 0, 0
         while todo.size:
             bands = []
             while not bands or k_top < self._k_resolved:
@@ -441,11 +461,12 @@ class QuasilinearSolver:
                 out[todo] += band
             n_k += sum(kr.size for kr, _ in bands)
             n_blocks += blocks
-            n_values += sum(span[3] for span in self._spans(bands, points))
+            for span in self._spans(bands, points):
+                n_values, n_e = n_values + span[3], n_e + span[4]
             left = ~refined(sums[-1], out[todo])
             if not left.all():
                 todo, points = todo[left], None
-        return n_k, k_top, m, n_blocks, n_values
+        return n_k, k_top, m, n_blocks, n_values, n_e
 
     def _band(self, bands, points) -> tuple:
         """Contributions of the node sets ``bands`` at ``points``.
@@ -461,14 +482,15 @@ class QuasilinearSolver:
 
         Nodes go in fixed blocks of ``_BLOCK_VALUES`` / n_z per band
         (:meth:`_spans`, :meth:`_block`); the calling thread and one worker
-        evaluate them, most plane-node values first (:func:`_in_turn`), and
-        each band sums its blocks' row sums in node order.  So a point's
-        value depends neither on the other points nor on which thread or
-        core evaluated a block.  Returns the band sums and the block count.
+        evaluate them, most work (kept planes times evaluated wavenumbers)
+        first (:func:`_in_turn`), and each band sums its blocks' row sums in
+        node order.  So a point's value depends neither on the other points
+        nor on which thread or core evaluated a block.  Returns the band
+        sums and the block count.
         """
         spans = self._spans(bands, points)
         # most work first, so the two threads run out of blocks close together
-        order = sorted(range(len(spans)), key=lambda i: -spans[i][3])
+        order = sorted(range(len(spans)), key=lambda i: -spans[i][5])
         rows = dict(zip(order, _in_turn(
             [partial(self._block, *spans[i][1:3], points) for i in order])))
         sums = [np.zeros(points.rho.size, dtype=complex) for _ in bands]
@@ -479,9 +501,11 @@ class QuasilinearSolver:
     def _spans(self, bands, points) -> list:
         """The blocks of k_r nodes of the node sets ``bands``, in node order.
 
-        One (band index, nodes, weights, plane-node values) tuple per
-        block of ``_BLOCK_VALUES`` / n_z nodes; the last entry counts the
-        source planes :meth:`_window` keeps at ``points`` times the nodes.
+        One (band index, nodes, weights, plane-node values, evaluated
+        wavenumbers, work) tuple per block of ``_BLOCK_VALUES`` / n_z nodes:
+        the plane-node values count the source planes :meth:`_window` keeps
+        at ``points`` times the nodes, the evaluated wavenumbers are those
+        of :meth:`_evaluated`, and the work is the kept planes times those.
         """
         n_z = self.grid.z_nodes.size
         block = max(1, int(_BLOCK_VALUES / n_z))
@@ -491,49 +515,109 @@ class QuasilinearSolver:
                 k_b = kr[s:s + block]
                 planes = self._window(k_b, points)
                 n_p = n_z if planes is None else planes.size
-                spans.append((b, k_b, jac[s:s + block], n_p * k_b.size))
+                n_e = self._evaluated(k_b).size
+                spans.append((b, k_b, jac[s:s + block], n_p * k_b.size, n_e, n_p * n_e))
         return spans
+
+    def _kappa_min(self, k_b) -> float:
+        """Smallest decay rate kappa = Re sqrt(k_r^2 - k_c^2) over the nodes ``k_b``."""
+        kc = self._k_audio
+        return float(np.min(np.sqrt(k_b.astype(complex) ** 2 - kc * kc).real))
 
     def _window(self, k_b, points):
         """The source planes the block of k_r nodes ``k_b`` sums at
         ``points``, sorted, or None for all of them.
 
-        Past k_a a plane's term decays as exp(-kappa |z - z'|), kappa =
-        Re sqrt(k_r^2 - k_c^2) >= kappa_min over the block.  Where the
-        grid spans more than 2 ``_WINDOW_NEPERS`` / kappa_min, the block
-        keeps the planes within ``_WINDOW_NEPERS`` / kappa_min of some
-        point and each point's nearest plane below and above
-        (``points.plane_dist``); every other plane would add less than
-        exp(-``_WINDOW_NEPERS``) of its own spectrum to any point.  Blocks
-        with kappa_min near zero, those of the propagating band and of the
-        first evanescent band, keep every plane.
+        Past k_a a plane's term decays as exp(-kappa |z - z'|), kappa >=
+        kappa_min over the block (:meth:`_kappa_min`).  Where the grid
+        spans more than 2 ``_WINDOW_NEPERS`` / kappa_min, the block keeps
+        the planes within ``_WINDOW_NEPERS`` / kappa_min of some point and
+        each point's nearest plane below and above (``points.plane_dist``);
+        every other plane would add less than exp(-``_WINDOW_NEPERS``) of
+        its own spectrum to any point.  Blocks with kappa_min near zero,
+        those of the propagating band and of the first evanescent band,
+        keep every plane.
         """
         zn = self.grid.z_nodes
-        kc = self._k_audio
-        kappa = float(np.min(np.sqrt(k_b.astype(complex) ** 2 - kc * kc).real))
+        kappa = self._kappa_min(k_b)
         if not kappa * (zn[-1] - zn[0]) > 2.0 * _WINDOW_NEPERS:
             return None
         planes = np.flatnonzero(points.plane_dist <= _WINDOW_NEPERS / kappa)
         return planes if planes.size < zn.size else None
 
+    def _evaluated(self, k_b) -> np.ndarray:
+        """The wavenumbers at which the block of k_r nodes ``k_b`` evaluates
+        its spectra: Chebyshev points for a block past 2 k_a, else ``k_b``.
+
+        A point's spectrum S(k_r) = Sum_z' exp(-kappa |z - z'|) Q(k_r, z')
+        sums the source transform, entire in k_r of exponential type r_max
+        (the grid's radius), times plane factors that behave as functions
+        of type |z - z'|, of which only those within ``_ROUNDING_NEPERS`` /
+        kappa_min of decay add above rounding.  Past 2 k_a the branch point
+        k_a of kappa lies outside the Bernstein ellipse of parameter 2 +
+        sqrt(3) = 3.73 about the block, which lies inside one band [2^(m-1)
+        k_a, 2^m k_a], m >= 2.  So S takes n_c = :func:`_quad.chebyshev_count`
+        (span, r_max + ``_ROUNDING_NEPERS`` / kappa_min) Chebyshev points on
+        the block's node range.  A block with no fewer nodes than that keeps
+        its nodes, as do the propagating band and band 1.
+        """
+        if not k_b[0] >= 2.0 * self._k_audio.real:
+            return k_b
+        tau = self.grid.r_nodes[-1] + _ROUNDING_NEPERS / self._kappa_min(k_b)
+        n_c = chebyshev_count(float(k_b[-1] - k_b[0]), tau)
+        return chebyshev_points(n_c, float(k_b[-1]), float(k_b[0])) if n_c < k_b.size else k_b
+
+    def _transform(self, sw_ri, k, k_lo: float, k_hi: float) -> np.ndarray:
+        """Q(k_r, z') of the source rows ``sw_ri`` at the wavenumbers ``k``
+        in [``k_lo``, ``k_hi``], real parts over imaginary parts.
+
+        Q = sw @ J0(r' k_r), J0(r' k_r) for fixed r' entire in k_r of type
+        r': the columns nearest the axis, as many as
+        :func:`_quad.kernel_split` says pay on the grid's n_z planes, take
+        J0 through n_c Chebyshev points k_c on [k_lo, k_hi] and their
+        barycentric rows L, and the others stay direct, all in one real
+        product [sw[:, :m] @ J0(r'_core k_c) | sw[:, m:]] @ [L; J0(r'_rest
+        k_r)].  The split depends only on ``k`` and the grid, never on the
+        rows the window keeps.
+        """
+        r = self.grid.r_nodes
+        m, n_c = kernel_split(k.size, k_hi - k_lo, r, [(0, self.grid.z_nodes.size, r.size)])
+        right = np.empty((n_c + r.size - m, k.size))
+        np.multiply.outer(r[m:], k, out=right[n_c:])
+        special.j0(right[n_c:], out=right[n_c:])
+        if not m:
+            return sw_ri @ right
+        k_c = chebyshev_points(n_c, k_hi, k_lo)
+        barycentric_rows(k_c, k, right[:n_c])
+        left = np.empty((sw_ri.shape[0], right.shape[0]))
+        np.matmul(sw_ri[:, :m], special.j0(np.outer(r[:m], k_c)), out=left[:, :n_c])
+        left[:, n_c:] = sw_ri[:, m:]
+        return left @ right
+
     def _block(self, k_b, jac_b, points) -> np.ndarray:
         """Per-point sums of the block of k_r nodes ``k_b`` (weights ``jac_b``).
 
-        Sums the source planes :meth:`_window` keeps: one GEMM row pair
-        per kept plane, and sweeps that restart from zero at every run of
-        consecutive kept planes.  Reads only what the solver fixes at its
-        build, so any thread may evaluate a block.
+        Sums the source planes :meth:`_window` keeps: the source transform
+        (:meth:`_transform`) of each kept plane, and sweeps that restart
+        from zero at every run of consecutive kept planes, all at the
+        wavenumbers of :meth:`_evaluated`.  Where those are Chebyshev
+        points, each point's spectrum is interpolated to the nodes through
+        their barycentric rows, one real product per point, so that its
+        bits do not depend on the other points.  The node factors k_r /
+        (i k_z) jac J0(k_r rho) and the node sum follow at the nodes.
+        Reads only what the solver fixes at its build, so any thread may
+        evaluate a block.
         """
         g = self.grid
         kc = self._k_audio
-        kz = -1j * np.sqrt(k_b.astype(complex) ** 2 - kc * kc)
+        k_e = self._evaluated(k_b)
+        kz = -1j * np.sqrt(k_e.astype(complex) ** 2 - kc * kc)
         planes = self._window(k_b, points)
         sw_ri = (self._sw_ri if planes is None
                  else self._sw_ri[np.concatenate([planes, g.z_nodes.size + planes])])
         # Q's real parts in the first half of the rows, its imaginary parts below
-        jr = np.outer(g.r_nodes, k_b)
-        q2 = sw_ri @ special.j0(jr, out=jr)
-        del jr, sw_ri
+        q2 = self._transform(sw_ri, k_e, float(k_b[0]), float(k_b[-1]))
+        del sw_ri
         n_p = q2.shape[0] // 2
         step, gap_row = plane_steps(g.z_nodes, kz, planes)
         keep_lo, keep_hi, on_plane = points.rows(planes)
@@ -541,9 +625,15 @@ class QuasilinearSolver:
         bwd = _sweep(q2, step, gap_row, keep_hi, range(n_p - 1, keep_hi[0] - 1, -1))
         spec = (fwd[points.row_lo] * np.exp(-1j * np.outer(points.dz_lo, kz))
                 + bwd[points.row_hi] * np.exp(-1j * np.outer(points.dz_hi, kz)))
-        q_on = np.empty((points.on.size, k_b.size), dtype=complex)
+        q_on = np.empty((points.on.size, k_e.size), dtype=complex)
         q_on.real, q_on.imag = q2[on_plane], q2[n_p + on_plane]
         spec[points.on] += q_on
+        del q2, fwd, bwd, step
+        if k_e is not k_b:
+            rows = barycentric_rows(k_e, k_b, np.empty((k_e.size, k_b.size)))
+            parts = np.matmul(np.stack([spec.real, spec.imag], axis=1), rows)
+            spec = parts[:, 0] + 1j * parts[:, 1]
+            kz = -1j * np.sqrt(k_b.astype(complex) ** 2 - kc * kc)
         spec *= 0.5 * k_b / (1j * kz) * jac_b * special.j0(np.outer(points.rho, k_b))
         return spec.sum(axis=1)
 

@@ -370,13 +370,13 @@ class TestPressureGridRecursion:
         # dense columns, in no order, take most runs through a kernel; under
         # the skirt some blocks select fewer columns than their run's kernel
         # holds (measured 1.4e-13)
-        splits, kernel_split = [], lf._kernel_split
+        splits, kernel_split = [], lf.kernel_split
 
         def split(n_k, k_top, rho_s, run):
             splits.append(([n for _, _, n in run], kernel_split(n_k, k_top, rho_s, run)))
             return splits[-1][1]
 
-        monkeypatch.setattr(lf, "_kernel_split", split)
+        monkeypatch.setattr(lf, "kernel_split", split)
         rho = np.random.default_rng(5).permutation(np.linspace(0.0, 0.2, 300))
         got = lf.pressure_grid(piston_60k, std_air, 60e3, rho, self.Z, 40.0)
         assert any(0 < n < n_in for n_sel, (n_in, _) in splits for n in n_sel)
@@ -412,7 +412,7 @@ class TestPressureGridRecursion:
         # for its direct columns, each value once; the DEBUG record counts
         # them
         seen, node_sets, cheb, splits = [], [], [], []
-        kernel_split = lf._kernel_split
+        kernel_split = lf.kernel_split
 
         def j0(x, **kwargs):
             seen.append(np.array(x, copy=True).ravel())
@@ -434,7 +434,7 @@ class TestPressureGridRecursion:
         monkeypatch.setattr(lf, "special", type("Special", (), {"j0": staticmethod(j0)}))
         monkeypatch.setattr(lf, "wavenumber_nodes", nodes)
         monkeypatch.setattr(lf, "chebyshev_points", points)
-        monkeypatch.setattr(lf, "_kernel_split", split)
+        monkeypatch.setattr(lf, "kernel_split", split)
         # columns in a shuffled order, dense enough near the axis for kernels
         rho = np.random.default_rng(3).permutation(np.linspace(0.0, 0.15, 200))
         rho_s = np.sort(rho)

@@ -294,6 +294,18 @@ class TestSpectralPath:
         total = sum(k_b.size for k_b in blocks) * zn.size
         assert kept < total
         assert f"{kept} of {total} plane-node values" in msg
+        # a block past 2 k_a evaluates its spectra at the Chebyshev points
+        # that resolve the type r_max + 40 / kappa, where those are fewer
+        # than its nodes; every other block at its nodes
+        evaluated, r_max = 0, g.r_nodes[-1]
+        for k_b in blocks:
+            n = k_b.size
+            if k_b[0] >= 2.0 * desk_solver._k_audio.real:
+                kappa = np.min(np.sqrt(k_b.astype(complex) ** 2 - desk_solver._k_audio ** 2).real)
+                n = min(n, _quad.chebyshev_count(k_b[-1] - k_b[0], r_max + 40.0 / kappa))
+            evaluated += n
+        assert evaluated < total // zn.size
+        assert f"{evaluated} wavenumbers evaluated for {total // zn.size} nodes" in msg
 
 
 @pytest.fixture(scope="module")
@@ -551,6 +563,97 @@ class TestPlaneWindow:
         assert bp <= 0.23
         pc = _kept_share(reference_solver, np.zeros(60), np.geomspace(0.05, 2.0, 60), caplog)
         assert bp < pc < 0.75
+
+
+def _per_node(solver, rho, z, monkeypatch):
+    """The audio sum with every block at its nodes and every source transform
+    direct: the evaluation the Chebyshev points must reproduce."""
+    with monkeypatch.context() as m:
+        m.setattr(nl, "chebyshev_count", lambda span, tau: np.iinfo(np.int64).max)
+        m.setattr(nl, "kernel_split", lambda *args: (0, 0))
+        return solver.pressures(rho, z)
+
+
+@pytest.fixture(scope="module")
+def sweep_request(std_air):
+    """The on-axis request of the benchmark sweep's selected design: the
+    reference aperture at a 64.67 kHz carrier, 1 kHz audio, and the 33
+    points of ``audio_capability`` (grid 934 x 465)."""
+    a = rad.aperture_for_cd(0.45, 60e3, std_air)
+    n = rad.radial_sample_count(a, 60e3, std_air)
+    f2 = 64666.81294779269
+    pair = nl.PrimaryPair(f2 - 1e3, f2, rad.piston_profile(rad.PistonSpec(a, 0.1), n),
+                          rad.piston_profile(rad.PistonSpec(a, 0.1), n))
+    return nl.QuasilinearSolver(pair, std_air), np.zeros(33), np.geomspace(0.05, 1.35, 33)
+
+
+class TestChebyshevBlocks:
+    """Past 2 k_a a block evaluates its spectra at Chebyshev points and
+    interpolates them to its nodes, and every block takes the source
+    transform's columns nearest the axis through Chebyshev rows; against
+    the evaluation at every node with direct transforms, no point moves by
+    more than rounding."""
+
+    @staticmethod
+    def _check(solver, rho, z, monkeypatch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationTailWarning)
+            got = solver.pressures(rho, z)
+            want = _per_node(solver, rho, z, monkeypatch)
+        # measured at most 1.7e-15 over these cases
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    @pytest.mark.parametrize("rho, z", [
+        (np.zeros(60), np.geomspace(0.05, 2.0, 60)),
+        (np.abs(np.sin(_BP_ANGLES)), np.cos(_BP_ANGLES)),
+        (np.abs(np.sin(_ANGLES_61)), np.cos(_ANGLES_61)),
+    ])
+    def test_reference_pair(self, reference_solver, monkeypatch, rho, z):
+        self._check(reference_solver, rho, z, monkeypatch)
+
+    def test_points_off_and_on_the_planes(self, reference_solver, monkeypatch):
+        zn = reference_solver.grid.z_nodes
+        rho = np.array([0.0, 0.01, 0.0, 0.003, 0.0, 0.02])
+        z = np.array([zn[-1] + 0.5, zn[-1] + 3.0, 0.5 * zn[0], 0.2 * zn[0], zn[300], zn[600]])
+        self._check(reference_solver, rho, z, monkeypatch)
+
+    def test_desk_case(self, desk_solver, monkeypatch):
+        rho = np.array([0.0, 0.02, 0.005, 0.0, 0.03])
+        z = np.array([0.08, 0.05, 0.01, 0.3, 0.1])
+        self._check(desk_solver, rho, z, monkeypatch)
+
+    @pytest.mark.parametrize("f2", [40e3, 90e3])
+    def test_carriers(self, std_air, monkeypatch, f2):
+        a = rad.aperture_for_cd(0.45, f2, std_air)
+        solver = nl.QuasilinearSolver(desk_pair(std_air, f2=f2, f_a=1e3, a=a), std_air)
+        rho = np.concatenate([np.zeros(60), np.abs(np.sin(_BP_ANGLES))])
+        z = np.concatenate([np.geomspace(0.05, 2.0, 60), np.cos(_BP_ANGLES)])
+        self._check(solver, rho, z, monkeypatch)
+
+    def test_sweep_request(self, sweep_request, monkeypatch):
+        self._check(*sweep_request, monkeypatch)
+
+    def test_point_alone_equals_batch(self, reference_solver):
+        zn = reference_solver.grid.z_nodes
+        rho = np.array([0.0, 0.5, 0.02, 0.0, 0.004, 0.0])
+        z = np.array([0.3, np.sqrt(0.75), 0.1, zn[450], zn[120] + 1e-4, 1.7])
+        batch = reference_solver.pressures(rho, z)
+        for i in range(z.size):
+            assert np.array_equal(reference_solver.pressures(rho[i:i + 1], z[i:i + 1]),
+                                  batch[i:i + 1])
+
+    def test_evaluated_share(self, sweep_request, caplog):
+        # measured: 3343 wavenumbers evaluated for the request's 6752 nodes
+        # (49.5 %), against every node before; band 8, [2343, 4686] 1/m,
+        # holds 3008 of them
+        solver, rho, z = sweep_request
+        with caplog.at_level(logging.DEBUG, logger="sppal.nlfield"):
+            solver.pressures(rho, z)
+        (msg,) = [r.getMessage() for r in caplog.records if r.name == "sppal.nlfield"]
+        evaluated, nodes = re.search(r"(\d+) wavenumbers evaluated for (\d+) nodes",
+                                     msg).groups()
+        assert int(nodes) == 6752
+        assert int(evaluated) <= 0.50 * int(nodes)
 
 
 def test_in_turn_runs_each_task_once():
