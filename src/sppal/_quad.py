@@ -9,9 +9,10 @@ product into kernel and direct columns, the three-point parabolic peak
 refinement, the ``REFINE_DB`` refinement test, and the adaptive
 azimuthal ladder that evaluates axisymmetric integrals over phi in
 [0, pi] at doubling Gauss-Legendre orders until successive estimates
-pass that test; and the one scalar root finder, Brent's method
-(:func:`brentq`), which the plate eigenvalues, nodal radii and
-thickness sizing share.
+pass that test; the check of the (rho, z) observation points that both
+field engines take (:func:`observation_points`); and the one scalar
+root finder, Brent's method (:func:`brentq`), which the plate
+eigenvalues, nodal radii and thickness sizing share.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ REFINE_DB = 0.05
 _REL_TOL = 10.0 ** (REFINE_DB / 20.0) - 1.0
 #: smallest relative tolerance :func:`brentq` accepts
 _BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
+#: iterations after which :func:`brentq` gives up (scipy's default)
+_BRENT_MAXITER = 100
 #: one J0 value and one barycentric-row entry, in the real multiply-adds of
 #: a matrix product that cost as much; they set :func:`kernel_split`'s split
 #: between kernel and direct columns.  Measured in
@@ -265,6 +268,26 @@ def plane_steps(z: np.ndarray, kz: np.ndarray, planes: np.ndarray | None = None)
     return step, gap_row
 
 
+def observation_points(rho, z) -> tuple:
+    """``rho`` and ``z`` as float arrays of at least one dimension.
+
+    Raises :class:`ParameterDomainError` unless they have one shape and
+    every point is finite with rho >= 0 and z >= 0.
+    """
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if rho.shape != z.shape:
+        raise ParameterDomainError(
+            f"rho and z must have one shape, got {rho.shape} and {z.shape}")
+    if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(z))):
+        raise ParameterDomainError("observation points must be finite")
+    if np.any(rho < 0):
+        raise ParameterDomainError("observation points need rho >= 0")
+    if np.any(z < 0):
+        raise ParameterDomainError("observation points need z >= 0")
+    return rho, z
+
+
 def refined(step, value, abs_floor: float = 0.0):
     """True where a refinement ``step`` moved ``value`` by at most ``REFINE_DB``.
 
@@ -334,7 +357,7 @@ def azimuthal_ladder(partial, n_points: int, start_order: int, max_order: int,
 
 
 def brentq(f, a: float, b: float, args=(), xtol: float = 2e-12,
-           rtol: float = _BRENT_RTOL, maxiter: int = 100) -> float:
+           rtol: float = _BRENT_RTOL) -> float:
     """Root of ``f(x, *args)`` in the sign-changing bracket [a, b].
 
     Brent's method (Brent 1973, *Algorithms for Minimization without
@@ -343,7 +366,7 @@ def brentq(f, a: float, b: float, args=(), xtol: float = 2e-12,
     so the root is bit-identical to scipy's ``brentq``.  The
     result is within ``xtol + rtol*|x|`` of a root.  An unbracketed
     interval, ``xtol <= 0`` or ``rtol < 4*eps`` raise
-    :class:`ParameterDomainError`; a non-finite ``f`` or ``maxiter``
+    :class:`ParameterDomainError`; a non-finite ``f`` or ``_BRENT_MAXITER``
     iterations without convergence raise :class:`NumericalFailureError`.
     """
     if not xtol > 0.0:
@@ -369,7 +392,7 @@ def brentq(f, a: float, b: float, args=(), xtol: float = 2e-12,
             f"brentq: f({xpre!r}) = {fpre:g} and f({xcur!r}) = {fcur:g} "
             "must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and \
                 math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
             xblk, fblk = xpre, fpre
@@ -408,5 +431,5 @@ def brentq(f, a: float, b: float, args=(), xtol: float = 2e-12,
             xcur += delta if sbis > 0.0 else -delta
         fcur = call(xcur)
     raise NumericalFailureError(
-        f"brentq: no convergence in {maxiter} iterations; last x = {xcur!r}, "
+        f"brentq: no convergence in {_BRENT_MAXITER} iterations; last x = {xcur!r}, "
         f"f(x) = {fcur:g}")

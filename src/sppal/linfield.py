@@ -21,8 +21,8 @@ import numpy as np
 from scipy import special
 
 from ._quad import (azimuthal_ladder, barycentric_rows, chebyshev_count,
-                    chebyshev_interpolate, chebyshev_points, kernel_split, plane_steps,
-                    simpson_weights, wavenumber_nodes)
+                    chebyshev_interpolate, chebyshev_points, kernel_split,
+                    observation_points, plane_steps, simpson_weights, wavenumber_nodes)
 from .errors import NumericalFailureError, ParameterDomainError
 from .medium import Medium, absorption_coeff
 from .radiator import SourceKind, SourceProfile, first_local_max, piston_profile, PistonSpec
@@ -185,13 +185,14 @@ def _rayleigh_offaxis(profile: SourceProfile, medium: Medium, f: float,
 
 def rayleigh_field(profile: SourceProfile, medium: Medium, f: float,
                    rho, z) -> np.ndarray:
-    """Complex pressure at arbitrary (rho, z) arrays (vectorized)."""
+    """Complex pressure at (rho, z) arrays of one shape (vectorized).
+
+    Raises :class:`ParameterDomainError` unless every point is finite
+    with rho >= 0 and z >= 0.
+    """
     if f <= 0:
         raise ParameterDomainError("frequency must be positive")
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.any(z < 0):
-        raise ParameterDomainError("observation points need z >= 0")
+    rho, z = observation_points(rho, z)
     out = np.empty(rho.shape, dtype=complex)
     on = rho == 0.0
     if np.any(on):
@@ -218,8 +219,8 @@ def axial_piston_pressure(spec: PistonSpec, medium: Medium, f: float, z):
     whose magnitude is 2*rho0*c0*|v|*|sin(k/2*(sqrt(z^2+a^2)-z))|.
     """
     z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
-        raise ParameterDomainError("z must be >= 0")
+    if not np.all(np.isfinite(z) & (z >= 0)):
+        raise ParameterDomainError("z must be finite and >= 0")
     k = medium.wavenumber(f)
     alpha = absorption_coeff(medium, f)
     ra = np.sqrt(z ** 2 + spec.radius_a ** 2)
@@ -234,8 +235,9 @@ def propagation_curve(profile: SourceProfile, medium: Medium, f: float,
     z = np.asarray(z_grid, dtype=float)
     if z.size == 0:
         raise ParameterDomainError("z grid must be non-empty")
-    if np.any(z <= 0) or (z.size > 1 and np.any(np.diff(z) <= 0)):
-        raise ParameterDomainError("z grid must be positive and strictly increasing")
+    if not np.all(np.isfinite(z) & (z > 0)) or (z.size > 1 and np.any(np.diff(z) <= 0)):
+        raise ParameterDomainError(
+            "z grid must be finite, positive and strictly increasing")
     p = _rayleigh_onaxis(profile, medium, f, z)
     return FieldCurve(z, p, f, kind="propagation",
                       meta={"source": profile.descriptor()})
@@ -260,35 +262,32 @@ def farfield_pressure(profile: SourceProfile, medium: Medium, f: float,
 
 
 def beam_pattern(profile: SourceProfile, medium: Medium, f: float, r: float,
-                 theta_grid, method: str = "auto") -> FieldCurve:
+                 theta_grid) -> FieldCurve:
     """Pressure at fixed range ``r`` over polar angles in degrees.
 
-    ``method``: "quadrature" forces the Rayleigh integral, "farfield"
-    the analytic directivity kernel; "auto" switches to the far-field
-    kernel beyond 20x the ultrasonic critical distance.
+    The Rayleigh integral (:func:`rayleigh_field`) evaluates it, except
+    beyond ``FARFIELD_RANGE_FACTOR`` times the ultrasonic critical
+    distance of a source larger than half a wavelength, where the
+    analytic directivity kernel (:func:`farfield_pressure`) does.
     """
-    if r <= 0:
-        raise ParameterDomainError("range r must be positive")
+    if not 0 < r < np.inf:
+        raise ParameterDomainError("range r must be positive and finite")
     theta = np.asarray(theta_grid, dtype=float)
     if theta.size == 0:
         raise ParameterDomainError("theta grid must be non-empty")
-    if np.any(np.abs(theta) > 90.0):
+    if not np.all(np.abs(theta) <= 90.0):
         raise ParameterDomainError("theta must lie within [-90, 90] degrees")
 
-    if method == "auto":
-        lam = medium.wavelength(f)
-        far = False
-        if profile.radius_a > lam / 2.0:
-            far = r > FARFIELD_RANGE_FACTOR * first_local_max(profile.radius_a, f, medium)
-        method = "farfield" if far else "quadrature"
-    if method == "farfield":
+    far = (profile.radius_a > medium.wavelength(f) / 2.0
+           and r > FARFIELD_RANGE_FACTOR * first_local_max(profile.radius_a, f, medium))
+    if far:
+        method = "farfield"
         p = farfield_pressure(profile, medium, f, r, theta)
-    elif method == "quadrature":
+    else:
+        method = "quadrature"
         th = np.deg2rad(theta)
         p = rayleigh_field(profile, medium, f,
                            r * np.abs(np.sin(th)), r * np.cos(th))
-    else:
-        raise ParameterDomainError(f"unknown beam-pattern method {method!r}")
     return FieldCurve(theta, p, f, kind="beam",
                       meta={"range_m": r, "method": method,
                             "source": profile.descriptor()})

@@ -69,8 +69,8 @@ import numpy as np
 from scipy import special
 
 from ._quad import (REFINE_DB, barycentric_rows, chebyshev_count, chebyshev_points,
-                    kernel_split, parabolic_peak, plane_steps, refined, simpson_weights,
-                    wavenumber_nodes)
+                    kernel_split, observation_points, parabolic_peak, plane_steps,
+                    refined, simpson_weights, wavenumber_nodes)
 from .errors import (
     BoundaryPeakWarning,
     NumericalFailureError,
@@ -86,6 +86,8 @@ from .radiator import SourceKind, SourceProfile
 _BEAT_SAFETY = 2.6
 #: radial extent of the volume grid in beam radii
 _RADIAL_FACTOR = 4.0
+#: longest axial extent of the volume grid (m)
+_Z_MAX_CAP = 30.0
 #: (plane, node) values per array of one block of k_r nodes in the audio sum
 _BLOCK_VALUES = 1e6
 #: decay in nepers past which an evanescent block of the audio sum leaves a
@@ -166,14 +168,16 @@ class SolverSettings:
     slowing as (a/z)^2 beyond the aperture scale); ``ppw_radial``: radial grid points per
     primary wavelength; ``audio_ppw``: cap on far-zone axial steps in
     audio wavelengths; ``truncation_db``: the axial domain ends where
-    the primary product has fallen this far below its maximum.
+    the primary product has fallen this far below its maximum;
+    ``tail_warn_fraction``: a :class:`TruncationTailWarning` is issued when
+    the estimated field of the source beyond the domain exceeds this
+    fraction of the largest audio pressure a request returns.
     """
 
     ppw_axial: float = 12.0
     ppw_radial: float = 10.0
     audio_ppw: float = 24.0
     truncation_db: float = 60.0
-    z_max_cap: float = 30.0
     tail_warn_fraction: float = 0.01
 
 
@@ -213,9 +217,9 @@ def build_volume_grid(pair: PrimaryPair, medium: Medium,
     interference beat, which slows as (a/z)^2 past the aperture scale,
     capped at lambda_a/audio_ppw; the domain ends where the on-axis
     envelope of the primary product drops ``truncation_db`` below its
-    maximum.  Radially: lambda_u/ppw_radial out to ``_RADIAL_FACTOR``
-    aperture radii, then stretched to cover the diffraction-spread beam
-    at the domain end.
+    maximum, and by ``_Z_MAX_CAP`` at the latest.  Radially:
+    lambda_u/ppw_radial out to ``_RADIAL_FACTOR`` aperture radii, then
+    stretched to cover the diffraction-spread beam at the domain end.
     """
     st = settings or SolverSettings()
     a = pair.radius_a
@@ -231,7 +235,7 @@ def build_volume_grid(pair: PrimaryPair, medium: Medium,
 
     # axial extent from the closed-form on-axis piston envelope; the
     # drive velocities scale it uniformly and cancel in rel_db
-    zp = np.geomspace(max(dz_near, 1e-4), st.z_max_cap, 1200)
+    zp = np.geomspace(max(dz_near, 1e-4), _Z_MAX_CAP, 1200)
     env = np.ones_like(zp)
     for f_i in (pair.f_u1, pair.f_u2):
         # envelope of |p|: clip the oscillating sine factor to 1
@@ -240,7 +244,7 @@ def build_volume_grid(pair: PrimaryPair, medium: Medium,
         env = env * amp * np.exp(-absorption_coeff(medium, f_i) * zp)
     rel_db = 20.0 * np.log10(env / np.max(env))
     above = np.flatnonzero(rel_db >= -st.truncation_db)
-    z_max = min(float(zp[above[-1]]) if above.size else z_near * 4.0, st.z_max_cap)
+    z_max = min(float(zp[above[-1]]) if above.size else z_near * 4.0, _Z_MAX_CAP)
     z_max = max(z_max, z_near * 1.5)
 
     # march the axial nodes
@@ -375,17 +379,7 @@ class QuasilinearSolver:
         (rho, z), never on the other points of the request, nor on the
         threads or cores that evaluated it.
         """
-        rho = np.atleast_1d(np.asarray(rho, dtype=float))
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        if rho.shape != z.shape:
-            raise ParameterDomainError(
-                f"rho and z must have one shape, got {rho.shape} and {z.shape}")
-        if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(z))):
-            raise ParameterDomainError("observation points must be finite")
-        if np.any(rho < 0):
-            raise ParameterDomainError("observation points need rho >= 0")
-        if np.any(z < 0):
-            raise ParameterDomainError("observation points need z >= 0")
+        rho, z = observation_points(rho, z)
         g = self.grid
         rho_f, z_f = rho.ravel(), z.ravel()
         out = np.zeros(rho_f.size, dtype=complex)

@@ -269,12 +269,13 @@ def _eigenvalue_for_mode(boundary: Boundary, nu: float, mode_m: int) -> float:
     )
 
 
-def plate_mode_shape(spec: PlateSpec, n_samples: int | None = None) -> ModeShape:
+def plate_mode_shape(spec: PlateSpec) -> ModeShape:
     """Axisymmetric Kirchhoff mode with ``spec.mode_m`` nodal circles.
 
     The deflection has the form A*J0(kr) + B*I0(kr) with A, B fixed by
-    the edge condition; the natural frequency follows from the m-th
-    eigenvalue of the characteristic equation.
+    the edge condition, sampled at max(512, 64 m) radii; the natural
+    frequency follows from the m-th eigenvalue of the characteristic
+    equation.
     """
     nu = spec.poisson_ratio
     lam_sel = _eigenvalue_for_mode(spec.boundary, nu, spec.mode_m)
@@ -284,9 +285,7 @@ def plate_mode_shape(spec: PlateSpec, n_samples: int | None = None) -> ModeShape
     )
     f_nat = float(omega / (2.0 * np.pi))
 
-    if n_samples is None:
-        n_samples = max(512, 64 * spec.mode_m)
-    r = np.linspace(0.0, a, int(n_samples))
+    r = np.linspace(0.0, a, int(max(512, 64 * spec.mode_m)))
     w = _mode_profile(lam_sel, spec.boundary, r / a)
 
     # interior zeros by sign change + Brent's method on the analytic profile

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import copy
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,13 +72,6 @@ class Segment:
     def area(self) -> float:
         return np.pi * self.radius ** 2
 
-    def split(self, fraction: float = 0.5) -> tuple:
-        """Two segments whose chain equals this one (composition check)."""
-        if not 0.0 < fraction < 1.0:
-            raise ParameterDomainError("split fraction must be in (0, 1)")
-        return (replace(self, length=self.length * fraction),
-                replace(self, length=self.length * (1.0 - fraction)))
-
 
 @dataclass(frozen=True)
 class TransducerSpec:
@@ -96,10 +89,6 @@ class TransducerSpec:
                 f"{self.config.value} configuration needs {want} piezo stack(s), "
                 f"got {n_piezo}"
             )
-
-    @property
-    def tip_radius(self) -> float:
-        return self.segments[-1].radius
 
 
 @dataclass
@@ -276,8 +265,7 @@ def build_stack(config: StackConfig, r_p: float, l_p: float, r_h: float,
 
 
 def langevin_initial_lengths(f_u0: float, config: StackConfig,
-                             l_p: float = 0.0,
-                             materials: dict | None = None) -> tuple:
+                             l_p: float = 0.0) -> tuple:
     """Initial variable lengths and bounds from the resonance condition.
 
     The classical half-wave (full-wave) condition allocates a total
@@ -288,8 +276,6 @@ def langevin_initial_lengths(f_u0: float, config: StackConfig,
     if f_u0 <= 0:
         raise ParameterDomainError("f_u0 must be positive")
     mats = _default_materials()
-    if materials:
-        mats.update({k: get_material(v) for k, v in materials.items()})
     omega = 2.0 * np.pi * f_u0
     n_piezo = 1 if config is StackConfig.HALF else 2
     budget = np.pi if config is StackConfig.HALF else 2.0 * np.pi
@@ -371,24 +357,6 @@ def _piezo_chain(seg: Segment, omega: np.ndarray) -> tuple:
             n_ratio * (1.0 - t00), -n_ratio / a12)
 
 
-def segment_matrix(seg: Segment, f) -> np.ndarray:
-    """Chain matrix of a segment at frequency grid ``f`` (piezo included).
-
-    Nothing in the package calls it: the design loop never forms the full
-    2x2 matrix.  It is the oracle API of the tests, which compose these
-    matrices and compare :class:`StackChain` with them.
-    """
-    omega = 2.0 * np.pi * np.atleast_1d(np.asarray(f, dtype=float))
-    if seg.is_piezo:
-        t00, t01, t10, t11 = _piezo_chain(seg, omega)[:4]
-    else:
-        k, i_zc, i_over_zc = _elastic_wave(seg, omega)
-        cos, sin = _cos_sin(k.real * seg.length, k.imag * seg.length)
-        t00, t01, t10, t11 = cos, i_zc * sin, i_over_zc * sin, cos
-    return np.stack([np.stack([t00, t01], axis=-1),
-                     np.stack([t10, t11], axis=-1)], axis=-2)
-
-
 #: values (candidate x frequency) per block of ``StackChain.velocity``.
 #: A block's temporaries take about 150 bytes a value, so a block of two
 #: candidates on the 2400-point lattice needs about what one whole-lattice
@@ -452,15 +420,11 @@ class StackChain:
         Row c of ``lengths`` holds candidate c's elastic segment lengths,
         back first.  ``z_load`` is the load impedance, a scalar or an
         array over the grid.  The result is (candidates, frequencies) on
-        the whole grid or, with ``index``, on those grid indices, which
-        every candidate shares: the terms are broadcast over the
-        candidates, not tiled.  With ``rows`` as well, ``index`` and
-        ``rows`` pair up element by element and the result is flat: value
-        i is candidate ``rows[i]`` at grid index ``index[i]``.  The design
-        loop calls the whole grid (on this chain or on a :meth:`subset`)
-        and the flat form; ``index`` without ``rows`` is test API, which
-        nothing in the package calls: the tests check it, beside the
-        :meth:`subset` chain it equals, against one-candidate calls.
+        the whole grid, the terms broadcast over the candidates, not
+        tiled; a subset of the grid is a :meth:`subset` chain.  With
+        ``index`` and ``rows``, which pair up element by element, the
+        result is flat: value i is candidate ``rows[i]`` at grid index
+        ``index[i]``.
 
         Each value has the bits of a one-candidate call at that frequency.
         A singular frequency is returned as it comes out, not finite; see
@@ -468,6 +432,8 @@ class StackChain:
         ``_BLOCK_VALUES`` values (or one candidate), which bounds its
         temporaries.
         """
+        if (index is None) != (rows is None):
+            raise ParameterDomainError("index and rows go together")
         lengths = np.asarray(lengths, dtype=float)
         # one angle per distinct (wavenumber, length column): the two horn
         # halves share theirs
@@ -480,14 +446,11 @@ class StackChain:
         per_angle = lengths[:, [col for _, _, col in angle.values()]].T
 
         if rows is None:
-            terms = self._terms if index is None else self._terms.take(index, axis=1)
-            if index is not None and np.ndim(z_load):
-                z_load = np.take(z_load, index)
-            v = np.empty((len(lengths), terms.shape[1]), dtype=complex)
-            step = max(_BLOCK_VALUES // max(terms.shape[1], 1), 1)
+            v = np.empty((len(lengths), self.freqs.size), dtype=complex)
+            step = max(_BLOCK_VALUES // max(self.freqs.size, 1), 1)
             for lo in range(0, len(lengths), step):
                 v[lo:lo + step] = self._block(
-                    terms[:, None, :], wave_rows, per_angle[:, lo:lo + step, None],
+                    self._terms[:, None, :], wave_rows, per_angle[:, lo:lo + step, None],
                     which, z_load, drive_voltage)
             return v
         index, rows = np.asarray(index), np.asarray(rows)
@@ -543,7 +506,7 @@ class StackChain:
                 np.divide(np.negative(s0), np.add(np.multiply(r0, z_load), r1)),
                 drive_voltage)
 
-    def frf(self, spec: TransducerSpec, z_load, index=None) -> Frf:
+    def frf(self, spec: TransducerSpec, z_load) -> Frf:
         """Plate-interface velocity of ``spec`` (this chain's layout) under
         the load impedance ``z_load`` (scalar or array over the grid).
 
@@ -552,23 +515,12 @@ class StackChain:
         of the drive vector enter: they are propagated back-to-front.
         Frequencies where the chain is numerically singular are filled by
         interpolation from their neighbours.
-
-        ``index`` (increasing grid indices) evaluates only those
-        frequencies, each to the same bits as on the whole grid.  A
-        singular frequency is then reported as a non-finite value, not
-        filled, since its neighbours need not be in the subset.  ``index``
-        is test API, which nothing in the package passes (the design loop
-        calls :meth:`velocity`): the tests evaluate subsets through it and
-        compare them with the whole grid.
         """
         if tuple(_layout(s) for s in spec.segments) != self._layouts:
             raise ParameterDomainError("stack layout differs from the chain's")
         lengths = [[s.length for s in spec.segments if not s.is_piezo]]
-        v = self.velocity(lengths, z_load, index,
-                          drive_voltage=spec.drive_voltage)[0]
-        if index is None:
-            return Frf(self.freqs, fill_singular(self.freqs, v))
-        return Frf(self.freqs[index], v)
+        v = self.velocity(lengths, z_load, drive_voltage=spec.drive_voltage)[0]
+        return Frf(self.freqs, fill_singular(self.freqs, v))
 
 
 def fill_singular(freqs: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -27,6 +27,13 @@ def stepped_60k(std_air):
     return rad.stepped_profile(mode, 1.0, n_samples=max(n, 513))
 
 
+def rayleigh_at_range(profile, medium, f, r, theta_deg):
+    """The Rayleigh integral at range ``r`` over polar angles in degrees,
+    without ``beam_pattern``'s switch to the far-field kernel."""
+    th = np.deg2rad(theta_deg)
+    return lf.rayleigh_field(profile, medium, f, r * np.abs(np.sin(th)), r * np.cos(th))
+
+
 class TestRayleighQuadrature:
     def test_matches_closed_form_lossless(self, lossless_air):
         a, f = 0.0508, 60e3
@@ -57,6 +64,26 @@ class TestRayleighQuadrature:
         p_off = lf.rayleigh_pressure(piston_60k, std_air, 60e3,
                                      lf.FieldPoint(1e-10, 0.5))
         assert abs(p_off - p_on) / abs(p_on) < 1e-10
+
+    @pytest.mark.parametrize("rho, z, match", [
+        ([0.01, 0.0], 0.5, "one shape"),
+        ([0.01], [np.nan], "finite"),
+        ([np.nan], [0.3], "finite"),
+        ([0.0], [np.inf], "finite"),
+        ([0.01], [np.inf], "finite"),
+        ([-0.01], [0.3], "rho >= 0"),
+        ([0.01], [-0.3], "z >= 0"),
+    ])
+    def test_rejects_bad_points(self, std_air, piston_60k, rho, z, match):
+        with pytest.raises(ParameterDomainError, match=match):
+            lf.rayleigh_field(piston_60k, std_air, 60e3, rho, z)
+
+    def test_point_forms_check_through_rayleigh_field(self, std_air, piston_60k):
+        with pytest.raises(ParameterDomainError, match="finite"):
+            lf.rayleigh_pressure(piston_60k, std_air, 60e3, lf.FieldPoint(0.01, np.inf))
+        for r, theta in ((1.0, [0.0, np.nan]), (np.nan, [0.0]), (np.inf, [0.0])):
+            with pytest.raises(ParameterDomainError):
+                lf.beam_pattern(piston_60k, std_air, 60e3, r, theta)
 
     def test_azimuthal_refinement_rule(self, std_air, piston_60k):
         # halving the azimuthal step (doubling the converged order) moves
@@ -99,6 +126,11 @@ class TestAxialPiston:
         bound = 2.0 * std_air.density * std_air.sound_speed * 0.1
         assert np.all(np.abs(p) <= bound * (1 + 1e-12))
 
+    @pytest.mark.parametrize("z", [np.nan, np.inf, -0.1, [0.2, np.nan]])
+    def test_rejects_bad_z(self, std_air, z):
+        with pytest.raises(ParameterDomainError, match="finite and >= 0"):
+            lf.axial_piston_pressure(rad.PistonSpec(0.03, 0.1), std_air, 40e3, z)
+
 
 class TestPropagationCurve:
     def test_argmax_near_z1(self, lossless_air, piston_60k):
@@ -126,6 +158,9 @@ class TestPropagationCurve:
             lf.propagation_curve(piston_60k, std_air, 60e3, [])
         with pytest.raises(ParameterDomainError):
             lf.propagation_curve(piston_60k, std_air, 60e3, [0.3, 0.2])
+        for z in ([np.nan], [0.2, np.nan], [0.2, np.inf]):
+            with pytest.raises(ParameterDomainError, match="finite"):
+                lf.propagation_curve(piston_60k, std_air, 60e3, z)
 
 
 class TestBeamPattern:
@@ -141,9 +176,8 @@ class TestBeamPattern:
         th_null = np.degrees(np.arcsin(special.jn_zeros(1, 1)[0] / ka))
         z1 = rad.first_local_max(a, 60e3, lossless_air)
         th = np.linspace(th_null - 0.3, th_null + 0.3, 241)
-        bp = lf.beam_pattern(piston_60k, lossless_air, 60e3, 40 * z1, th,
-                             method="quadrature")
-        found = th[np.argmin(np.abs(bp.pressure))]
+        p = rayleigh_at_range(piston_60k, lossless_air, 60e3, 40 * z1, th)
+        found = th[np.argmin(np.abs(p))]
         assert found == pytest.approx(th_null, abs=0.1)
 
     def test_farfield_kernel_matches_quadrature_on_main_lobe(self, std_air,
@@ -151,16 +185,21 @@ class TestBeamPattern:
         z1 = rad.first_local_max(piston_60k.radius_a, 60e3, std_air)
         th = np.linspace(0.0, 3.0, 16)
         r = 25 * z1
-        bq = lf.beam_pattern(piston_60k, std_air, 60e3, r, th, method="quadrature")
-        bf = lf.beam_pattern(piston_60k, std_air, 60e3, r, th, method="farfield")
-        assert np.max(np.abs(bq.spl - bf.spl)) < 0.25
+        pq = rayleigh_at_range(piston_60k, std_air, 60e3, r, th)
+        pf = lf.farfield_pressure(piston_60k, std_air, 60e3, r, th)
+        assert np.max(np.abs(lf.spl_db(pq) - lf.spl_db(pf))) < 0.25
 
     def test_auto_switch(self, std_air, piston_60k):
         z1 = rad.first_local_max(piston_60k.radius_a, 60e3, std_air)
-        near = lf.beam_pattern(piston_60k, std_air, 60e3, 1.0, [0.0, 1.0])
-        far = lf.beam_pattern(piston_60k, std_air, 60e3, 25 * z1, [0.0, 1.0])
+        th = [0.0, 1.0]
+        near = lf.beam_pattern(piston_60k, std_air, 60e3, 1.0, th)
+        far = lf.beam_pattern(piston_60k, std_air, 60e3, 25 * z1, th)
         assert near.meta["method"] == "quadrature"
         assert far.meta["method"] == "farfield"
+        assert np.array_equal(near.pressure,
+                              rayleigh_at_range(piston_60k, std_air, 60e3, 1.0, th))
+        assert np.array_equal(far.pressure,
+                              lf.farfield_pressure(piston_60k, std_air, 60e3, 25 * z1, th))
 
     def test_stepped_plate_quarter_power_width(self, std_air, stepped_60k):
         th = np.linspace(0.0, 12.0, 481)

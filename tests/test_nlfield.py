@@ -5,6 +5,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -36,15 +37,23 @@ def desk_pair(medium, v1=0.1, v2=0.1, f2=60e3, f_a=2e3, a=0.012):
     )
 
 
-@pytest.fixture(scope="module")
-def desk_settings():
-    # truncated desk-scale domain keeps solver builds around a second
-    return nl.SolverSettings(z_max_cap=0.15)
+#: axial extent of the desk-scale volume grid (m): the truncated domain
+#: keeps solver builds around a second
+DESK_Z_MAX = 0.15
+
+
+@pytest.fixture
+def desk_settings(monkeypatch):
+    """Default settings, with the test's grids built on the desk domain."""
+    monkeypatch.setattr(nl, "_Z_MAX_CAP", DESK_Z_MAX)
+    return nl.SolverSettings()
 
 
 @pytest.fixture(scope="module")
-def desk_solver(std_air, desk_settings):
-    return nl.QuasilinearSolver(desk_pair(std_air), std_air, desk_settings)
+def desk_solver(std_air):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nl, "_Z_MAX_CAP", DESK_Z_MAX)
+        return nl.QuasilinearSolver(desk_pair(std_air), std_air)
 
 
 def pointwise_pressure(solver, rho, z, order=64):
@@ -190,9 +199,9 @@ class TestQuasilinearBasics:
             got = s.pressures([0.0], [d])[0]
         assert abs(got - want) / abs(want) < 0.02
 
-    def test_truncation_warning_fires(self, std_air):
+    def test_truncation_warning_fires(self, std_air, desk_settings):
         pair = desk_pair(std_air)
-        st = nl.SolverSettings(truncation_db=18, z_max_cap=0.15)
+        st = replace(desk_settings, truncation_db=18)
         s = nl.QuasilinearSolver(pair, std_air, st)
         with pytest.warns(TruncationTailWarning):
             s.pressures([0.0], [0.05])

@@ -104,8 +104,12 @@ def oracle_frf(spec, z_load, freqs):
     return td.Frf(freqs, v * spec.drive_voltage)
 
 
-COARSE = nl.SolverSettings(ppw_axial=8, ppw_radial=8, audio_ppw=12,
-                           truncation_db=45, z_max_cap=2.0)
+@pytest.fixture
+def coarse(monkeypatch):
+    """Coarse solver settings on an axial domain of at most 2 m."""
+    monkeypatch.setattr(nl, "_Z_MAX_CAP", 2.0)
+    return nl.SolverSettings(ppw_axial=8, ppw_radial=8, audio_ppw=12,
+                             truncation_db=45)
 
 
 @pytest.fixture(scope="module")
@@ -652,7 +656,7 @@ class TestKneeSelection:
 
 @pytest.mark.slow
 class TestDesignPipeline:
-    def test_optimize_and_audio_capability(self, cell_ctx):
+    def test_optimize_and_audio_capability(self, cell_ctx, coarse):
         cfg = opt.NsgaConfig(pop=12, generations=4, seed=3)
         front = opt.optimize_lengths(cell_ctx, cfg)
         assert len(front.points) >= 1
@@ -663,34 +667,34 @@ class TestDesignPipeline:
 
         knee = opt.select_knee(front, (800.0, 8000.0))
         assert knee is not None
-        cap = opt.audio_capability(knee, cell_ctx, [1000.0], settings=COARSE)
+        cap = opt.audio_capability(knee, cell_ctx, [1000.0], settings=coarse)
         assert cap.carrier_hz == pytest.approx(knee.derived["f_r2"], rel=1e-6)
         assert np.isfinite(cap.peak_spl)
         assert cap.d_ac_at_peak > 0
 
-    def test_vanishing_drive_guard(self, cell_ctx):
+    def test_vanishing_drive_guard(self, cell_ctx, coarse):
         # effective velocities below the guard floor produce -inf SPL
         # rather than a numerical failure
         cfg = opt.NsgaConfig(pop=12, generations=4, seed=3)
         front = opt.optimize_lengths(cell_ctx, cfg)
         knee = opt.select_knee(front, (800.0, 8000.0))
         cap = opt.audio_capability(knee, cell_ctx, [1000.0],
-                                   drive_voltage=1e-30, settings=COARSE)
+                                   drive_voltage=1e-30, settings=coarse)
         assert cap.peak_spl == -np.inf
 
-    def test_sweep_single_cell_deterministic(self, std_air):
+    def test_sweep_single_cell_deterministic(self, std_air, coarse):
         grid = {"d_uc": (0.45,), "f_u0": (60e3,), "mode_m": (8,),
                 "config": (td.StackConfig.FULL,), "r_p": (9e-3,),
                 "r_h": (0.75e-3,)}
         cfg = opt.NsgaConfig(pop=8, generations=2, seed=11)
         r1 = opt.design_sweep(grid, std_air, cfg, f_a_grid=[1000.0],
-                              settings=COARSE, f_dist_window=(800.0, 8000.0))
+                              settings=coarse, f_dist_window=(800.0, 8000.0))
         r2 = opt.design_sweep(grid, std_air, cfg, f_a_grid=[1000.0],
-                              settings=COARSE, f_dist_window=(800.0, 8000.0))
+                              settings=coarse, f_dist_window=(800.0, 8000.0))
         assert r1.table() == r2.table()
         assert len(r1.rows) == 1
 
-    def test_sweep_builds_one_context_per_cell(self, std_air, monkeypatch):
+    def test_sweep_builds_one_context_per_cell(self, std_air, monkeypatch, coarse):
         # the drive voltage only scales the response: the NSGA-II run and
         # the audio pipeline of a cell share one context at any voltage
         built = []
@@ -707,17 +711,17 @@ class TestDesignPipeline:
         res = opt.design_sweep(grid, std_air,
                                opt.NsgaConfig(pop=8, generations=2, seed=0),
                                f_a_grid=[1000.0], drive_voltage=2.0,
-                               settings=COARSE, f_dist_window=(800.0, 8000.0))
+                               settings=coarse, f_dist_window=(800.0, 8000.0))
         assert any(r.l_pa_c is not None for r in res.rows)
         assert built == [r.params for r in res.rows]
 
-    def test_sweep_records_window_miss(self, std_air):
+    def test_sweep_records_window_miss(self, std_air, coarse):
         grid = {"d_uc": (0.45,), "f_u0": (60e3,), "mode_m": (8,),
                 "config": (td.StackConfig.FULL,), "r_p": (9e-3,),
                 "r_h": (0.75e-3,)}
         cfg = opt.NsgaConfig(pop=8, generations=2, seed=11)
         res = opt.design_sweep(grid, std_air, cfg, f_a_grid=[1000.0],
-                               settings=COARSE, f_dist_window=(1.0, 2.0))
+                               settings=coarse, f_dist_window=(1.0, 2.0))
         assert res.rows[0].flags == ("no_design_in_window",)
         assert res.rows[0].l_pa_c is None
 

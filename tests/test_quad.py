@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,8 @@ from sppal import radiator as rad
 from sppal.errors import InfeasibleDesignError, NumericalFailureError, ParameterDomainError
 from sppal.materials import BUILTIN_MATERIALS
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "sppal"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "sppal"
 
 
 def test_no_private_imports_across_modules():
@@ -29,6 +31,38 @@ def test_no_private_imports_across_modules():
                     leaks.append(f"{path.name}:{node.lineno} "
                                  f"from .{node.module or ''} import {name}")
     assert not leaks, leaks
+
+
+def test_no_public_surface_that_nothing_calls():
+    # every public function, class, method and property of the package is
+    # named, as a word, somewhere outside the definitions of that name: in
+    # src/sppal, a demo, the README or the benchmark's tracer
+    # (bench/spans.py).  What only the tests call lives under tests/
+    sources = {path: path.read_text().splitlines() for path in sorted(SRC.glob("*.py"))}
+    definitions = {}  # name -> [(path, first line, last line)]
+    for path, lines in sources.items():
+        bodies = [ast.parse("\n".join(lines), filename=str(path)).body]
+        while bodies:
+            for node in bodies.pop():
+                if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    continue
+                if not node.name.startswith("_"):
+                    definitions.setdefault(node.name, []).append(
+                        (path, node.lineno, node.end_lineno))
+                if isinstance(node, ast.ClassDef):
+                    bodies.append(node.body)
+    elsewhere = "\n".join([(ROOT / "README.md").read_text(),
+                           (ROOT / "bench" / "spans.py").read_text(),
+                           *(p.read_text() for p in sorted((ROOT / "demos").glob("*.py")))])
+    unnamed = []
+    for name, defs in sorted(definitions.items()):
+        word = re.compile(rf"\b{name}\b")
+        if word.search(elsewhere) or any(
+                word.search(line) and not any(p == path and lo <= i <= hi for p, lo, hi in defs)
+                for path, lines in sources.items() for i, line in enumerate(lines, 1)):
+            continue
+        unnamed += [f"{path.name}:{lo} {name}" for path, lo, _ in defs]
+    assert not unnamed, unnamed
 
 
 @pytest.mark.parametrize("n", [3, 4, 9, 10])
@@ -311,12 +345,14 @@ def test_brentq_nan_from_f(a):
 
 
 @pytest.mark.parametrize("maxiter", [0, 3])
-def test_brentq_maxiter_exhausted(maxiter):
+def test_brentq_maxiter_exhausted(maxiter, monkeypatch):
     def f(x):
         return math.exp(x) - 2.0
 
     with pytest.raises(RuntimeError):
         optimize.brentq(f, -4.0, 4.0, maxiter=maxiter)
-    with pytest.raises(NumericalFailureError, match=f"{maxiter} iterations"):
-        _quad.brentq(f, -4.0, 4.0, maxiter=maxiter)
+    with monkeypatch.context() as mp:
+        mp.setattr(_quad, "_BRENT_MAXITER", maxiter)
+        with pytest.raises(NumericalFailureError, match=f"{maxiter} iterations"):
+            _quad.brentq(f, -4.0, 4.0)
     assert _quad.brentq(f, -4.0, 4.0) == optimize.brentq(f, -4.0, 4.0)

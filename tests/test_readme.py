@@ -1,3 +1,4 @@
+import importlib
 import json
 import re
 from pathlib import Path
@@ -33,3 +34,20 @@ def test_flag_list_matches_cli(capsys):
     offered = set(re.findall(r"\[(--[\w-]+)", usage))
     (flags,) = re.findall(r"^Flags:(.*?)\n\n", README, re.M | re.S)
     assert set(re.findall(r"`(--[\w-]+)", flags)) == offered
+
+
+def test_constant_table_matches_library():
+    # every backticked ``module._NAME`` of the "constant | value | former
+    # field" table exists and has the value listed beside it
+    (table,) = re.findall(r"^\| constant \| value \| former field \|\n\|[-|]+\|\n(.*?)\n\n",
+                          README, re.M | re.S)
+    named = []
+    for line in table.splitlines():
+        constant, value, _ = (cell.strip() for cell in line.strip("|").split("|"))
+        m = re.match(r"`(\w+)\.(_[A-Z_]+)`", constant)
+        if m is None:  # a rule, such as the mutation rate 1/n_var
+            continue
+        module = importlib.import_module(f"sppal.{m[1]}")
+        assert getattr(module, m[2]) == float(value.split()[0]), line
+        named.append(m[0])
+    assert named

@@ -12,6 +12,8 @@ from sppal.linfield import EquivalenceRatio
 from sppal.materials import Material, PiezoProps, get_material
 from sppal.transducer import Frf, _cos_sin, _layout
 
+from chain_oracle import segment_matrix, split
+
 
 def quiet_material(name, density, modulus, loss=0.0):
     return Material(name, density=density, youngs_modulus=modulus,
@@ -114,7 +116,7 @@ class TestBuildStack:
     def test_reference_design_valid(self):
         spec = td.build_stack(td.StackConfig.FULL, 9e-3, 8e-3, 0.75e-3,
                               [0.015, 0.015, 0.02, 0.02], f_u0=60e3)
-        assert spec.tip_radius == 0.75e-3
+        assert spec.segments[-1].radius == 0.75e-3
         assert sum(1 for s in spec.segments if s.is_piezo) == 2
 
     def test_piezo_radius_band(self):
@@ -142,11 +144,16 @@ class TestBuildStack:
             td.elastic_lengths(config, xs[:, :-1])
 
 class TestInitialLengths:
-    MATS = {"back": "aluminum", "front": "aluminum", "horn": "aluminum"}
+    @pytest.fixture
+    def aluminum_rods(self, monkeypatch):
+        # every elastic segment aluminum; the piezo stays PZT
+        alu = get_material("aluminum")
+        default = td._default_materials
+        monkeypatch.setattr(td, "_default_materials",
+                            lambda: dict(default(), back=alu, front=alu, horn=alu))
 
-    def test_uniform_rod_half_wave(self):
-        x0, _ = td.langevin_initial_lengths(60e3, td.StackConfig.HALF, 0.0,
-                                            self.MATS)
+    def test_uniform_rod_half_wave(self, aluminum_rods):
+        x0, _ = td.langevin_initial_lengths(60e3, td.StackConfig.HALF, 0.0)
         c = get_material("aluminum").rod_speed
         assert np.sum(x0) == pytest.approx(c / (2 * 60e3), rel=1e-12)
 
@@ -157,11 +164,9 @@ class TestInitialLengths:
         np.testing.assert_allclose(lo, 0.5 * x0)
         np.testing.assert_allclose(hi, 1.5 * x0)
 
-    def test_full_twice_half(self):
-        xh, _ = td.langevin_initial_lengths(60e3, td.StackConfig.HALF, 0.0,
-                                            self.MATS)
-        xf, _ = td.langevin_initial_lengths(60e3, td.StackConfig.FULL, 0.0,
-                                            self.MATS)
+    def test_full_twice_half(self, aluminum_rods):
+        xh, _ = td.langevin_initial_lengths(60e3, td.StackConfig.HALF, 0.0)
+        xf, _ = td.langevin_initial_lengths(60e3, td.StackConfig.FULL, 0.0)
         assert np.sum(xf) / np.sum(xh) == pytest.approx(2.0, rel=1e-12)
 
 
@@ -206,17 +211,17 @@ class TestTransferMatrix:
 
     def test_split_composition(self):
         seg = td.Segment(0.021, 0.007, get_material("steel"))
-        s1, s2 = seg.split(0.3)
+        s1, s2 = split(seg, 0.3)
         f = np.array([30e3, 55e3, 80e3])
-        t_full = td.segment_matrix(seg, f)
-        t_split = np.einsum("nij,njk->nik", td.segment_matrix(s1, f),
-                            td.segment_matrix(s2, f))
+        t_full = segment_matrix(seg, f)
+        t_split = np.einsum("nij,njk->nik", segment_matrix(s1, f),
+                            segment_matrix(s2, f))
         scale = np.max(np.abs(t_full))
         assert np.max(np.abs(t_full - t_split)) / scale < 1e-10
 
     def test_determinant_unity_lossless(self):
         seg = td.Segment(0.015, 0.006, quiet_material("m0", 2700, 70e9, 0.0))
-        t = td.segment_matrix(seg, np.array([20e3, 60e3, 95e3]))
+        t = segment_matrix(seg, np.array([20e3, 60e3, 95e3]))
         det = t[:, 0, 0] * t[:, 1, 1] - t[:, 0, 1] * t[:, 1, 0]
         np.testing.assert_allclose(det, 1.0, atol=1e-10)
 
@@ -246,12 +251,13 @@ class TestTransferMatrix:
 
     @pytest.mark.parametrize("config", list(td.StackConfig))
     def test_subset_equals_whole_lattice(self, config):
-        # any increasing index subset evaluates each frequency to the bits
-        # of the whole-lattice call, as does a chain built on every 8th
-        # frequency (the design loop's coarse scan)
+        # the chain on any increasing index subset evaluates each frequency
+        # to the bits of the whole-lattice call, as does a chain built on
+        # every 8th frequency (the design loop's coarse scan)
         x0, _ = td.langevin_initial_lengths(60e3, config, 8e-3)
         spec = td.build_stack(config, 9e-3, 8e-3, 0.75e-3, 1.03 * x0,
                               drive_voltage=1.7)
+        lengths = td.elastic_lengths(config, [1.03 * x0])
         freqs = np.arange(48e3, 72e3, td.PEAK_GRID_STEP)
         load = (40.0 + 3e-4 * freqs) + 1j * (freqs - 60e3) * 1e-3
         chain = td.StackChain(spec.segments, freqs)
@@ -264,27 +270,31 @@ class TestTransferMatrix:
             whole = chain.frf(spec, z_load).center_velocity
             assert np.all(np.isfinite(whole))
             for index in subsets:
-                part = chain.frf(spec, z_load, index)
-                assert np.array_equal(part.freqs, freqs[index])
-                assert np.array_equal(part.center_velocity, whole[index])
+                sub = chain.subset(index)
+                part = sub.velocity(lengths, np.take(z_load, index) if np.ndim(z_load)
+                                    else z_load, drive_voltage=1.7)
+                assert np.array_equal(sub.freqs, freqs[index])
+                assert np.array_equal(part[0], whole[index])
         coarse = td.StackChain(spec.segments, freqs[::8])
         assert np.array_equal(coarse.frf(spec, load[::8]).center_velocity,
                               chain.frf(spec, load).center_velocity[::8])
 
     def test_subset_reports_singular_frequency(self):
         # the whole lattice fills a singular frequency from its neighbours;
-        # a subset reports it as non-finite and leaves the rest untouched
+        # the kernel on a subset chain reports it as non-finite and leaves
+        # the rest untouched
         spec = td.build_stack(td.StackConfig.HALF, 9e-3, 8e-3, 1e-3,
                               [0.015, 0.015, 0.02])
+        lengths = td.elastic_lengths(td.StackConfig.HALF, [[0.015, 0.015, 0.02]])
         freqs = np.linspace(55e3, 55.4e3, 5)
         chain = td.StackChain(spec.segments, freqs)
         load = np.full(freqs.size, 50.0 + 20.0j)
         load[2] = np.nan
         whole = chain.frf(spec, load).center_velocity
-        part = chain.frf(spec, load, [1, 2, 3]).center_velocity
+        part = chain.subset([1, 2, 3]).velocity(lengths, load[[1, 2, 3]])[0]
         assert np.isfinite(whole[2]) and not np.isfinite(part[1])
         assert np.array_equal(part[[0, 2]], whole[[1, 3]])
-        alone = chain.frf(spec, load, [2]).center_velocity
+        alone = chain.subset([2]).velocity(lengths, load[[2]])[0]
         assert alone.shape == (1,) and not np.isfinite(alone[0])
 
     @pytest.mark.parametrize("block", [None, 10 ** 6])
@@ -294,11 +304,11 @@ class TestTransferMatrix:
                                                      monkeypatch):
         # the kernel on 1, 4, 8 and 48 candidates against the one-candidate
         # oracle, by ==, on the design loop's three index sets: every 8th
-        # point (terms gathered by ``subset`` or per call), windows as a
-        # flat index with a row id, and the whole lattice.  In blocks of
-        # the default size and in one block per call: 48 candidates on the
-        # 3600-point lattice are then 2.7 MB per complex array, far above
-        # the 256 KiB where numpy starts eliding temporaries
+        # point (terms gathered by ``subset``), windows as a flat index with
+        # a row id, and the whole lattice.  In blocks of the default size
+        # and in one block per call: 48 candidates on the 3600-point
+        # lattice are then 2.7 MB per complex array, far above the 256 KiB
+        # where numpy starts eliding temporaries
         if block is not None:
             monkeypatch.setattr(td, "_BLOCK_VALUES", block)
         x0, (lo, hi) = td.langevin_initial_lengths(f_u0, config, 8e-3)
@@ -324,12 +334,11 @@ class TestTransferMatrix:
             got = chain.velocity(lengths, load)
             assert got.shape == (k, freqs.size)
             assert all(np.array_equal(got[c], whole[c]) for c in range(k))
-            for got in (chain.velocity(lengths, load, coarse),
-                        coarse_chain.velocity(lengths, load[coarse])):
-                assert got.shape == (k, coarse.size)
-                assert all(np.array_equal(
-                    got[c], _parent_frf(chain, specs[c], load, coarse).center_velocity)
-                    for c in range(k))
+            got = coarse_chain.velocity(lengths, load[coarse])
+            assert got.shape == (k, coarse.size)
+            assert all(np.array_equal(
+                got[c], _parent_frf(chain, specs[c], load, coarse).center_velocity)
+                for c in range(k))
             index = np.concatenate(windows[:k])
             sizes = [w.size for w in windows[:k]]
             got = chain.velocity(lengths, load, index,
@@ -338,11 +347,15 @@ class TestTransferMatrix:
             assert all(np.array_equal(
                 parts[c], _parent_frf(chain, specs[c], load, windows[c]).center_velocity)
                 for c in range(k))
-        # a batch of one is ``frf``, at any drive voltage and load
+        # a batch of one is ``frf``, at any drive voltage and load, on the
+        # whole lattice and on a subset chain
         spec = td.build_stack(config, 9e-3, 8e-3, 0.75e-3, xs[0], drive_voltage=1.7)
         for z_load in (load, 35.0 + 2.0j):
             for index in (None, coarse, windows[0]):
-                got = chain.frf(spec, z_load, index)
+                sub = chain if index is None else chain.subset(index)
+                sub_load = (np.take(z_load, index) if index is not None and np.ndim(z_load)
+                            else z_load)
+                got = sub.frf(spec, sub_load)
                 want = _parent_frf(chain, spec, z_load, index)
                 assert np.array_equal(got.freqs, want.freqs)
                 assert np.array_equal(got.center_velocity, want.center_velocity)
@@ -363,6 +376,15 @@ class TestTransferMatrix:
                               chain.frf(spec, load).center_velocity)
         with pytest.raises(ParameterDomainError, match="singular everywhere"):
             td.fill_singular(freqs, np.full(freqs.size, np.nan + 0j))
+
+    def test_flat_form_needs_index_and_rows(self):
+        spec = td.build_stack(td.StackConfig.HALF, 9e-3, 8e-3, 1e-3,
+                              [0.015, 0.015, 0.02])
+        chain = td.StackChain(spec.segments, np.linspace(55e3, 55.4e3, 5))
+        lengths = td.elastic_lengths(td.StackConfig.HALF, [[0.015, 0.015, 0.02]])
+        for index, rows in (([1, 2], None), (None, [0, 0])):
+            with pytest.raises(ParameterDomainError, match="index and rows"):
+                chain.velocity(lengths, 50.0, index, rows)
 
     def test_sandwich_against_impedance_recursion(self):
         # independent oracle: transmission-line impedance recursion with the
