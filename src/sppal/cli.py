@@ -236,7 +236,7 @@ def _cmd_pareto(cfg: RunConfig, out: Path, meta: dict, formats,
     cols = {
         "f1_ms": [p.objectives[0] for p in pts],
         "f2_hz": [p.objectives[1] for p in pts],
-        "f_dist_hz": [p.derived.get("f_dist", "") for p in pts],
+        "f_dist_hz": [p.objectives[1] if p.feasible else "" for p in pts],
         "x_m": [";".join(f"{v:.9e}" for v in p.x) for p in pts],
         "flags": ["|".join(p.flags) for p in pts],
     }

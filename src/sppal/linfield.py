@@ -133,13 +133,19 @@ class EquivalenceRatio:
 # Rayleigh quadrature
 # ---------------------------------------------------------------------------
 
+def _source_weights(profile: SourceProfile) -> np.ndarray:
+    """Radial quadrature weights of the source, v(r') r' dr' (Simpson)."""
+    r = profile.radii
+    return simpson_weights(r) * r * profile.velocity
+
+
 def _rayleigh_onaxis(profile: SourceProfile, medium: Medium, f: float,
                      z: np.ndarray) -> np.ndarray:
     """On-axis field: the azimuthal integral collapses analytically."""
     kc = medium.complex_wavenumber(f)
     omega = 2.0 * np.pi * f
     r = profile.radii
-    w = simpson_weights(r) * r * profile.velocity
+    w = _source_weights(profile)
     bigr = np.sqrt(z[:, None] ** 2 + r[None, :] ** 2)
     kern = np.exp(-1j * kc * bigr) / bigr
     return 1j * omega * medium.density * (kern @ w)
@@ -158,7 +164,7 @@ def _rayleigh_offaxis(profile: SourceProfile, medium: Medium, f: float,
     kc = medium.complex_wavenumber(f)
     omega = 2.0 * np.pi * f
     r = profile.radii
-    wv = simpson_weights(r) * r * profile.velocity
+    wv = _source_weights(profile)
     scale = medium.density * medium.sound_speed * np.max(np.abs(profile.velocity))
     floor = 1e-10 * max(scale, 1e-300)
 
@@ -243,21 +249,34 @@ def propagation_curve(profile: SourceProfile, medium: Medium, f: float,
                       meta={"source": profile.descriptor()})
 
 
+def _range_and_angles(r: float, theta_deg) -> np.ndarray:
+    """``theta_deg`` as a float array, once the range ``r`` is finite and
+    positive and every angle finite and within [-90, 90] degrees
+    (:class:`ParameterDomainError` otherwise)."""
+    if not 0 < r < np.inf:
+        raise ParameterDomainError("range r must be positive and finite")
+    theta = np.asarray(theta_deg, dtype=float)
+    if not np.all(np.abs(theta) <= 90.0):
+        raise ParameterDomainError("theta must be finite and within [-90, 90] degrees")
+    return theta
+
+
 def farfield_pressure(profile: SourceProfile, medium: Medium, f: float,
                       r: float, theta_deg) -> np.ndarray:
     """Analytic far-field directivity kernel at range ``r``.
 
     p(r, theta) = i*w*rho0 * exp(-(alpha+ik)r)/r
                   * Int v(r') J0(k r' sin(theta)) r' dr'.
+
+    Raises :class:`ParameterDomainError` unless r is finite and positive
+    and every angle is finite and within [-90, 90] degrees.
     """
-    theta = np.deg2rad(np.asarray(theta_deg, dtype=float))
+    theta = np.deg2rad(_range_and_angles(r, theta_deg))
     kc = medium.complex_wavenumber(f)
     k = medium.wavenumber(f)
     omega = 2.0 * np.pi * f
-    rr = profile.radii
-    wv = simpson_weights(rr) * rr * profile.velocity
-    b = special.j0(np.outer(k * np.abs(np.sin(theta)), rr))
-    h = b @ wv
+    b = special.j0(np.outer(k * np.abs(np.sin(theta)), profile.radii))
+    h = b @ _source_weights(profile)
     return 1j * omega * medium.density * np.exp(-1j * kc * r) / r * h
 
 
@@ -268,15 +287,13 @@ def beam_pattern(profile: SourceProfile, medium: Medium, f: float, r: float,
     The Rayleigh integral (:func:`rayleigh_field`) evaluates it, except
     beyond ``FARFIELD_RANGE_FACTOR`` times the ultrasonic critical
     distance of a source larger than half a wavelength, where the
-    analytic directivity kernel (:func:`farfield_pressure`) does.
+    analytic directivity kernel (:func:`farfield_pressure`) does.  The
+    range and angles get :func:`farfield_pressure`'s checks, and the
+    angles must be non-empty.
     """
-    if not 0 < r < np.inf:
-        raise ParameterDomainError("range r must be positive and finite")
-    theta = np.asarray(theta_grid, dtype=float)
+    theta = _range_and_angles(r, theta_grid)
     if theta.size == 0:
         raise ParameterDomainError("theta grid must be non-empty")
-    if not np.all(np.abs(theta) <= 90.0):
-        raise ParameterDomainError("theta must lie within [-90, 90] degrees")
 
     far = (profile.radius_a > medium.wavelength(f) / 2.0
            and r > FARFIELD_RANGE_FACTOR * first_local_max(profile.radius_a, f, medium))
@@ -485,7 +502,7 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
     lam = medium.wavelength(f)
     a = profile.radius_a
     r_src = profile.radii
-    w_src = simpson_weights(r_src) * r_src * profile.velocity
+    w_src = _source_weights(profile)
     rho_max = float(np.max(rho_obs)) if rho_obs.size else 0.0
     pref = medium.density * omega
 

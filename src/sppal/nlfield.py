@@ -424,7 +424,7 @@ class QuasilinearSolver:
         before.  Adds into ``out[idx]``, band by band; returns the node
         count, the highest cutoff reached, the band and block counts, the
         plane-node values the blocks summed and the wavenumbers at which
-        they evaluated their spectra.
+        they evaluated their spectra, all read from the blocks' plans.
         """
         k_a = self._k_audio.real
         todo, points = idx, None
@@ -450,13 +450,13 @@ class QuasilinearSolver:
                 m += 1
             if points is None:
                 points = _PlanePoints.locate(self.grid.z_nodes, rho[todo], z[todo])
-            sums, blocks = self._band(bands, points)
+            sums, plan = self._band(bands, points)
             for band in sums:
                 out[todo] += band
             n_k += sum(kr.size for kr, _ in bands)
-            n_blocks += blocks
-            for span in self._spans(bands, points):
-                n_values, n_e = n_values + span[3], n_e + span[4]
+            n_blocks += len(plan)
+            for _, k_b, _, _, k_e, n_p in plan:
+                n_values, n_e = n_values + n_p * k_b.size, n_e + k_e.size
             left = ~refined(sums[-1], out[todo])
             if not left.all():
                 todo, points = todo[left], None
@@ -471,77 +471,76 @@ class QuasilinearSolver:
         a forward sweep over the source planes carries the planes below
         the point, a backward sweep those above, each multiplying its
         accumulator by exp(-i k_z dz) per step.  A plane exactly at z is
-        split half to each sweep, i.e. counted once with no propagation
-        factor.
+        the forward sweep's, with no propagation factor.
 
         Nodes go in fixed blocks of ``_BLOCK_VALUES`` / n_z per band
-        (:meth:`_spans`, :meth:`_block`); the calling thread and one worker
+        (:meth:`_plan`, :meth:`_block`); the calling thread and one worker
         evaluate them, most work (kept planes times evaluated wavenumbers)
         first (:func:`_in_turn`), and each band sums its blocks' row sums in
         node order.  So a point's value depends neither on the other points
         nor on which thread or core evaluated a block.  Returns the band
-        sums and the block count.
+        sums and the plan.
         """
-        spans = self._spans(bands, points)
+        plan = self._plan(bands, points)
         # most work first, so the two threads run out of blocks close together
-        order = sorted(range(len(spans)), key=lambda i: -spans[i][5])
+        order = sorted(range(len(plan)), key=lambda i: -plan[i][5] * plan[i][4].size)
         rows = dict(zip(order, _in_turn(
-            [partial(self._block, *spans[i][1:3], points) for i in order])))
+            [partial(self._block, *plan[i][1:5], points) for i in order])))
         sums = [np.zeros(points.rho.size, dtype=complex) for _ in bands]
-        for i, (b, *_) in enumerate(spans):
+        for i, (b, *_) in enumerate(plan):
             sums[b] += rows[i]
-        return sums, len(spans)
+        return sums, plan
 
-    def _spans(self, bands, points) -> list:
+    def _plan(self, bands, points) -> list:
         """The blocks of k_r nodes of the node sets ``bands``, in node order.
 
-        One (band index, nodes, weights, plane-node values, evaluated
-        wavenumbers, work) tuple per block of ``_BLOCK_VALUES`` / n_z nodes:
-        the plane-node values count the source planes :meth:`_window` keeps
-        at ``points`` times the nodes, the evaluated wavenumbers are those
-        of :meth:`_evaluated`, and the work is the kept planes times those.
+        One (band index, nodes, weights, planes, wavenumbers, plane count)
+        tuple per block of ``_BLOCK_VALUES`` / n_z nodes: the source planes
+        :meth:`_window` keeps at ``points``, the wavenumbers at which
+        :meth:`_evaluated` evaluates the block's spectra, and how many
+        planes the block sums.
         """
         n_z = self.grid.z_nodes.size
         block = max(1, int(_BLOCK_VALUES / n_z))
-        spans = []
+        plan = []
         for b, (kr, jac) in enumerate(bands):
             for s in range(0, kr.size, block):
                 k_b = kr[s:s + block]
-                planes = self._window(k_b, points)
-                n_p = n_z if planes is None else planes.size
-                n_e = self._evaluated(k_b).size
-                spans.append((b, k_b, jac[s:s + block], n_p * k_b.size, n_e, n_p * n_e))
-        return spans
+                kappa = self._kappa_min(k_b)
+                planes = self._window(kappa, points)
+                plan.append((b, k_b, jac[s:s + block], planes, self._evaluated(k_b, kappa),
+                             n_z if planes is None else planes.size))
+        return plan
 
     def _kappa_min(self, k_b) -> float:
         """Smallest decay rate kappa = Re sqrt(k_r^2 - k_c^2) over the nodes ``k_b``."""
         kc = self._k_audio
         return float(np.min(np.sqrt(k_b.astype(complex) ** 2 - kc * kc).real))
 
-    def _window(self, k_b, points):
-        """The source planes the block of k_r nodes ``k_b`` sums at
-        ``points``, sorted, or None for all of them.
+    def _window(self, kappa: float, points):
+        """The source planes a block of k_r nodes whose smallest decay rate
+        is ``kappa`` (:meth:`_kappa_min`) sums at ``points``, sorted, or
+        None for all of them.
 
-        Past k_a a plane's term decays as exp(-kappa |z - z'|), kappa >=
-        kappa_min over the block (:meth:`_kappa_min`).  Where the grid
-        spans more than 2 ``_WINDOW_NEPERS`` / kappa_min, the block keeps
-        the planes within ``_WINDOW_NEPERS`` / kappa_min of some point and
-        each point's nearest plane below and above (``points.plane_dist``);
+        Past k_a a plane's term decays as exp(-kappa |z - z'|) or faster.
+        Where the grid spans more than 2 ``_WINDOW_NEPERS`` / kappa, the
+        block keeps the planes within ``_WINDOW_NEPERS`` / kappa of some
+        point and each point's neighbour planes (``points.plane_dist``);
         every other plane would add less than exp(-``_WINDOW_NEPERS``) of
-        its own spectrum to any point.  Blocks with kappa_min near zero,
-        those of the propagating band and of the first evanescent band,
-        keep every plane.
+        its own spectrum to any point.  Blocks with kappa near zero, those
+        of the propagating band and of the first evanescent band, keep
+        every plane.
         """
         zn = self.grid.z_nodes
-        kappa = self._kappa_min(k_b)
         if not kappa * (zn[-1] - zn[0]) > 2.0 * _WINDOW_NEPERS:
             return None
         planes = np.flatnonzero(points.plane_dist <= _WINDOW_NEPERS / kappa)
         return planes if planes.size < zn.size else None
 
-    def _evaluated(self, k_b) -> np.ndarray:
-        """The wavenumbers at which the block of k_r nodes ``k_b`` evaluates
-        its spectra: Chebyshev points for a block past 2 k_a, else ``k_b``.
+    def _evaluated(self, k_b, kappa: float) -> np.ndarray:
+        """The wavenumbers at which the block of k_r nodes ``k_b``, with
+        smallest decay rate ``kappa`` (:meth:`_kappa_min`), evaluates its
+        spectra: Chebyshev points for a block past 2 k_a, else ``k_b``.
 
         A point's spectrum S(k_r) = Sum_z' exp(-kappa |z - z'|) Q(k_r, z')
         sums the source transform, entire in k_r of exponential type r_max
@@ -557,7 +556,7 @@ class QuasilinearSolver:
         """
         if not k_b[0] >= 2.0 * self._k_audio.real:
             return k_b
-        tau = self.grid.r_nodes[-1] + _ROUNDING_NEPERS / self._kappa_min(k_b)
+        tau = self.grid.r_nodes[-1] + _ROUNDING_NEPERS / kappa
         n_c = chebyshev_count(float(k_b[-1] - k_b[0]), tau)
         return chebyshev_points(n_c, float(k_b[-1]), float(k_b[0])) if n_c < k_b.size else k_b
 
@@ -588,13 +587,13 @@ class QuasilinearSolver:
         left[:, n_c:] = sw_ri[:, m:]
         return left @ right
 
-    def _block(self, k_b, jac_b, points) -> np.ndarray:
+    def _block(self, k_b, jac_b, planes, k_e, points) -> np.ndarray:
         """Per-point sums of the block of k_r nodes ``k_b`` (weights ``jac_b``).
 
-        Sums the source planes :meth:`_window` keeps: the source transform
+        Sums the source ``planes`` of :meth:`_window`: the source transform
         (:meth:`_transform`) of each kept plane, and sweeps that restart
         from zero at every run of consecutive kept planes, all at the
-        wavenumbers of :meth:`_evaluated`.  Where those are Chebyshev
+        wavenumbers ``k_e`` of :meth:`_evaluated`.  Where those are Chebyshev
         points, each point's spectrum is interpolated to the nodes through
         their barycentric rows, one real product per point, so that its
         bits do not depend on the other points.  The node factors k_r /
@@ -604,9 +603,7 @@ class QuasilinearSolver:
         """
         g = self.grid
         kc = self._k_audio
-        k_e = self._evaluated(k_b)
         kz = -1j * np.sqrt(k_e.astype(complex) ** 2 - kc * kc)
-        planes = self._window(k_b, points)
         sw_ri = (self._sw_ri if planes is None
                  else self._sw_ri[np.concatenate([planes, g.z_nodes.size + planes])])
         # Q's real parts in the first half of the rows, its imaginary parts below
@@ -614,14 +611,11 @@ class QuasilinearSolver:
         del sw_ri
         n_p = q2.shape[0] // 2
         step, gap_row = plane_steps(g.z_nodes, kz, planes)
-        keep_lo, keep_hi, on_plane = points.rows(planes)
+        keep_lo, keep_hi = points.rows(planes)
         fwd = _sweep(q2, step, gap_row, keep_lo, range(keep_lo[-1] + 1))
         bwd = _sweep(q2, step, gap_row, keep_hi, range(n_p - 1, keep_hi[0] - 1, -1))
         spec = (fwd[points.row_lo] * np.exp(-1j * np.outer(points.dz_lo, kz))
                 + bwd[points.row_hi] * np.exp(-1j * np.outer(points.dz_hi, kz)))
-        q_on = np.empty((points.on.size, k_e.size), dtype=complex)
-        q_on.real, q_on.imag = q2[on_plane], q2[n_p + on_plane]
-        spec[points.on] += q_on
         del q2, fwd, bwd, step
         if k_e is not k_b:
             rows = barycentric_rows(k_e, k_b, np.empty((k_e.size, k_b.size)))
@@ -712,13 +706,13 @@ def _in_turn(tasks) -> list:
 class _PlanePoints:
     """Where observation points sit among the source planes.
 
-    ``keep_lo`` (``keep_hi``) holds, sorted, the nearest plane below
-    (above) the points, -1 (n_z) where there is none; ``row_lo``
-    (``row_hi``) is each point's row among them and ``dz_lo`` (``dz_hi``)
-    its path from that plane, zero without a plane.  The points ``on``
-    lie exactly on plane ``on_plane``.  ``plane_dist`` holds each plane's
-    axial distance to the nearest point, zero for the planes of
-    ``keep_lo`` and ``keep_hi``, so that every window keeps them.
+    ``keep_lo`` (``keep_hi``) holds, sorted, the last plane at or below
+    (the first plane above) the points, -1 (n_z) where there is none;
+    ``row_lo`` (``row_hi``) is each point's row among them and ``dz_lo``
+    (``dz_hi``) its path from that plane, zero without a plane or on it.
+    ``plane_dist`` holds each plane's axial distance to the nearest point,
+    zero for the planes of ``keep_lo`` and ``keep_hi``, so that every
+    window keeps them.
     """
 
     rho: np.ndarray
@@ -728,16 +722,13 @@ class _PlanePoints:
     keep_hi: np.ndarray
     row_hi: np.ndarray
     dz_hi: np.ndarray
-    on: np.ndarray
-    on_plane: np.ndarray
     plane_dist: np.ndarray
 
     @classmethod
     def locate(cls, zn, rho, z) -> "_PlanePoints":
         n_z = zn.size
-        lo = np.searchsorted(zn, z, side="left") - 1   # nearest plane below
-        hi = np.searchsorted(zn, z, side="right")      # nearest plane above
-        on = np.flatnonzero(hi - lo == 2)
+        hi = np.searchsorted(zn, z, side="right")      # first plane above
+        lo = hi - 1                                    # last plane at or below
         keep_lo, row_lo = np.unique(lo, return_inverse=True)
         keep_hi, row_hi = np.unique(hi, return_inverse=True)
         # a side without planes gets a zero accumulator and a zero path
@@ -749,18 +740,16 @@ class _PlanePoints:
                                 np.abs(zs[np.minimum(i, zs.size - 1)] - zn))
         plane_dist[keep_lo[keep_lo >= 0]] = 0.0
         plane_dist[keep_hi[keep_hi < n_z]] = 0.0
-        return cls(rho, keep_lo, row_lo, dz_lo, keep_hi, row_hi, dz_hi, on, lo[on] + 1,
-                   plane_dist)
+        return cls(rho, keep_lo, row_lo, dz_lo, keep_hi, row_hi, dz_hi, plane_dist)
 
     def rows(self, planes) -> tuple:
-        """``keep_lo``, ``keep_hi`` and ``on_plane`` as rows among the sorted
-        plane indices ``planes`` (as they are for None, all planes); a side
-        without a plane is row -1 or ``planes.size``."""
+        """``keep_lo`` and ``keep_hi`` as rows among the sorted plane indices
+        ``planes`` (as they are for None, all planes); a side without a
+        plane is row -1 or ``planes.size``."""
         if planes is None:
-            return self.keep_lo, self.keep_hi, self.on_plane
+            return self.keep_lo, self.keep_hi
         keep_lo = np.where(self.keep_lo < 0, -1, np.searchsorted(planes, self.keep_lo))
-        return (keep_lo, np.searchsorted(planes, self.keep_hi),
-                np.searchsorted(planes, self.on_plane))
+        return keep_lo, np.searchsorted(planes, self.keep_hi)
 
 
 def _sweep(q2, step, gap_row, keep, planes) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,7 +49,6 @@ class DesignPoint:
     params: DesignParams
     x: np.ndarray
     objectives: tuple
-    derived: dict = field(default_factory=dict)
     flags: tuple = ()
 
     @property
@@ -289,14 +288,9 @@ def evaluate_designs(ctx: DesignContext, xs) -> list:
             except ParameterDomainError:
                 flags = ("infeasible",)
             else:
-                derived = {"f_r1": feats.f_r1, "f_r2": feats.f_r2,
-                           "f_dist": feats.f_dist, "v_r1": feats.v_r1,
-                           "v_r2": feats.v_r2, "v_m": feats.v_m,
-                           "er_db": ctx.er.er_db}
-                points.append(DesignPoint(ctx.params, x, (f1, f2), derived))
+                points.append(DesignPoint(ctx.params, x, (f1, f2)))
                 continue
-        points.append(DesignPoint(ctx.params, x, (0.0, ctx.band_width),
-                                  flags=flags))
+        points.append(DesignPoint(ctx.params, x, (0.0, ctx.band_width), flags))
     return points
 
 
@@ -331,11 +325,10 @@ class NsgaConfig:
 
 @dataclass
 class NsgaResult:
-    """Archive-based Pareto set with per-generation hypervolume history."""
+    """The archive of every non-dominated evaluation of one run."""
 
     x: np.ndarray          # (n_front, n_var)
     f: np.ndarray          # (n_front, 2)
-    hv_history: np.ndarray
     n_evaluations: int
 
 
@@ -414,23 +407,6 @@ def _polynomial_mutation(x, lo, hi, eta, rate, rng):
     return np.clip(y, lo, hi)
 
 
-def hypervolume_2d(f: np.ndarray, ref: tuple) -> float:
-    """Exact dominated hypervolume of a 2-objective point set."""
-    if f.size == 0:
-        return 0.0
-    pts = f[np.all(f <= np.asarray(ref), axis=1)]
-    if pts.size == 0:
-        return 0.0
-    # in (f1, f2) order every dominated point has f2 >= the running minimum
-    hv = 0.0
-    prev_f2 = ref[1]
-    for f1, f2 in pts[np.lexsort((pts[:, 1], pts[:, 0]))]:
-        if f2 < prev_f2:
-            hv += (ref[0] - f1) * (prev_f2 - f2)
-            prev_f2 = f2
-    return float(hv)
-
-
 def _archive_update(arch_x, arch_f, new_x, new_f):
     """Merge candidates into the non-dominated archive.
 
@@ -447,8 +423,7 @@ def _archive_update(arch_x, arch_f, new_x, new_f):
     return [xs[i] for i in idx], [fs[i] for i in idx]
 
 
-def nsga2(evaluate, bounds, config: NsgaConfig,
-          hv_ref: tuple | None = None) -> NsgaResult:
+def nsga2(evaluate, bounds, config: NsgaConfig) -> NsgaResult:
     """Seeded NSGA-II over box bounds with an external archive.
 
     ``evaluate(xs)`` scores one generation at once: it gets the
@@ -459,8 +434,7 @@ def nsga2(evaluate, bounds, config: NsgaConfig,
     (pop, 2) array raises :class:`ParameterDomainError`.  Selection
     follows the standard loop (non-dominated sort, crowding distance,
     binary tournament, SBX crossover, polynomial mutation).  The returned
-    front is the archive of all non-dominated evaluations, which makes the
-    hypervolume history non-decreasing by construction.
+    front is the archive of all non-dominated evaluations.
     """
     lo, hi = (np.asarray(b, dtype=float) for b in bounds)
     if lo.shape != hi.shape or np.any(lo >= hi):
@@ -484,10 +458,6 @@ def nsga2(evaluate, bounds, config: NsgaConfig,
     pop_f = scored(pop_x)
     n_eval = config.pop
     arch_x, arch_f = _archive_update([], [], pop_x, pop_f)
-    if hv_ref is None:
-        worst = np.max(pop_f, axis=0)
-        hv_ref = (float(worst[0] + 1.0), float(worst[1] + 1.0))
-    hv_hist = [hypervolume_2d(np.array(arch_f), hv_ref)]
 
     for _ in range(config.generations):
         fronts = _non_dominated_sort(pop_f)
@@ -519,7 +489,6 @@ def nsga2(evaluate, bounds, config: NsgaConfig,
         child_f = scored(child_x)
         n_eval += config.pop
         arch_x, arch_f = _archive_update(arch_x, arch_f, child_x, child_f)
-        hv_hist.append(hypervolume_2d(np.array(arch_f), hv_ref))
 
         # environmental selection on the combined population
         all_x = np.vstack([pop_x, child_x])
@@ -537,8 +506,7 @@ def nsga2(evaluate, bounds, config: NsgaConfig,
         pop_x = all_x[chosen]
         pop_f = all_f[chosen]
 
-    return NsgaResult(x=np.array(arch_x), f=np.array(arch_f),
-                      hv_history=np.array(hv_hist), n_evaluations=n_eval)
+    return NsgaResult(x=np.array(arch_x), f=np.array(arch_f), n_evaluations=n_eval)
 
 
 def optimize_lengths(ctx: DesignContext, config: NsgaConfig) -> ParetoFront:
@@ -706,7 +674,6 @@ class SweepRow:
     params: DesignParams
     x: np.ndarray | None
     objectives: tuple | None
-    f_dist: float | None
     l_pa_c: float | None
     d_ac: float | None
     flags: tuple
@@ -729,7 +696,8 @@ class SweepResult:
                 "x_m": "" if r.x is None else ";".join(f"{v:.9e}" for v in r.x),
                 "f1_ms": "" if r.objectives is None else r.objectives[0],
                 "f2_hz": "" if r.objectives is None else r.objectives[1],
-                "f_dist_hz": "" if r.f_dist is None else r.f_dist,
+                # F2 is the resonance spacing f_r2 - f_r1
+                "f_dist_hz": "" if r.objectives is None else r.objectives[1],
                 "l_pa_c_db": "" if r.l_pa_c is None else r.l_pa_c,
                 "d_ac_m": "" if r.d_ac is None else r.d_ac,
                 "flags": "|".join(r.flags),
@@ -766,23 +734,21 @@ def design_sweep(grid: dict | None, medium: Medium, nsga: NsgaConfig,
             ctx = DesignContext(params, medium)
             front = optimize_lengths(ctx, cell_cfg)
         except (InfeasibleDesignError, ParameterDomainError) as e:
-            rows.append(SweepRow(params, None, None, None, None, None,
+            rows.append(SweepRow(params, None, None, None, None,
                                  ("cell_infeasible", str(type(e).__name__))))
             continue
         knee = select_knee(front, f_dist_window)
         if knee is None:
-            rows.append(SweepRow(params, None, None, None, None, None,
+            rows.append(SweepRow(params, None, None, None, None,
                                  ("no_design_in_window",)))
             continue
         try:
             cap = audio_capability(knee, ctx, f_a_grid, drive_voltage, settings)
         except (NoDualResonanceError, ParameterDomainError) as e:
-            rows.append(SweepRow(params, knee.x, knee.objectives,
-                                 knee.derived.get("f_dist"), None, None,
+            rows.append(SweepRow(params, knee.x, knee.objectives, None, None,
                                  ("audio_failed", str(type(e).__name__))))
             continue
         rows.append(SweepRow(params, knee.x, knee.objectives,
-                             knee.derived.get("f_dist"),
                              cap.peak_spl, cap.d_ac_at_peak, knee.flags))
     return SweepResult(rows=rows, seed=nsga.seed)
 

@@ -201,6 +201,24 @@ class TestBeamPattern:
         assert np.array_equal(far.pressure,
                               lf.farfield_pressure(piston_60k, std_air, 60e3, 25 * z1, th))
 
+    @pytest.mark.parametrize("r, theta, match", [
+        (0.0, [0.0], "range"),
+        (-1.0, [0.0], "range"),
+        (np.inf, [0.0], "range"),
+        (np.nan, [0.0], "range"),
+        (1.0, [0.0, np.nan], "theta"),
+        (1.0, [120.0], "theta"),
+        (1.0, [-90.5, 0.0], "theta"),
+    ])
+    @pytest.mark.parametrize("evaluate", [lf.farfield_pressure, lf.beam_pattern])
+    def test_rejects_bad_range_and_angles(self, std_air, evaluate, r, theta, match):
+        # unchecked, the far-field kernel of this 25 mm piston returns NaN
+        # at r = 0, r = NaN and a NaN angle, 0 at r = inf, and finite
+        # pressures at r = -1 m and beyond 90 deg
+        piston = rad.piston_profile(rad.PistonSpec(0.025, 0.1), 201)
+        with pytest.raises(ParameterDomainError, match=match):
+            evaluate(piston, std_air, 60e3, r, theta)
+
     def test_stepped_plate_quarter_power_width(self, std_air, stepped_60k):
         th = np.linspace(0.0, 12.0, 481)
         bp = lf.beam_pattern(stepped_60k, std_air, 60e3, 1.0, th)

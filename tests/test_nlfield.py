@@ -272,9 +272,9 @@ class TestSpectralPath:
         assert not caplog.records
         blocks, block = [], nl.QuasilinearSolver._block
 
-        def recording(self, k_b, jac_b, points):
+        def recording(self, k_b, *args):
             blocks.append(k_b)
-            return block(self, k_b, jac_b, points)
+            return block(self, k_b, *args)
 
         monkeypatch.setattr(nl.QuasilinearSolver, "_block", recording)
         z = np.array([0.08, 0.05])
@@ -434,11 +434,12 @@ class TestConcurrentBlocks:
         kr, jac = _quad.wavenumber_nodes(desk_solver._k_audio.real, 24)
         points = nl._PlanePoints.locate(desk_solver.grid.z_nodes, np.zeros(30),
                                         np.linspace(0.01, 0.3, 30))
-        (band,), blocks = desk_solver._band([(kr, jac)], points)
+        (band,), plan = desk_solver._band([(kr, jac)], points)
+        assert [k_b.tolist() for _, k_b, *_ in plan] == [
+            kr[s:s + 64].tolist() for s in range(0, kr.size, 64)]
         want = np.zeros(30, dtype=complex)
-        for s in range(0, kr.size, 64):
-            want += desk_solver._block(kr[s:s + 64], jac[s:s + 64], points)
-        assert blocks == 10
+        for _, k_b, jac_b, planes, k_e, _ in plan:
+            want += desk_solver._block(k_b, jac_b, planes, k_e, points)
         assert np.array_equal(band, want)
 
     def test_later_bands_retire_points(self, lossless_air, monkeypatch):
@@ -452,9 +453,9 @@ class TestConcurrentBlocks:
         rounds, band = [], nl.QuasilinearSolver._band
 
         def recording(self, bands, points):
-            sums, blocks = band(self, bands, points)
-            rounds.append((len(bands), blocks, points.rho.size))
-            return sums, blocks
+            sums, plan = band(self, bands, points)
+            rounds.append((len(bands), len(plan), points.rho.size))
+            return sums, plan
 
         monkeypatch.setattr(nl.QuasilinearSolver, "_band", recording)
         rho, z = [0.001, 0.0, 0.001, 0.002, 0.0], [0.023, 0.021, 0.0205, 0.0198, 0.0202]
@@ -551,7 +552,7 @@ class TestPlaneWindow:
         points = nl._PlanePoints.locate(zn, np.zeros(4), np.array([0.04, 0.05, 1.9, 2.0]))
         k_a = reference_solver._k_audio.real
         kr, _ = _quad.wavenumber_nodes(k_a, 4, (float(np.arccosh(4.0)), float(np.arccosh(8.0))))
-        planes = reference_solver._window(kr, points)
+        planes = reference_solver._window(reference_solver._kappa_min(kr), points)
         runs = np.split(planes, np.flatnonzero(np.diff(planes) > 1) + 1)
         assert len(runs) == 2
         assert zn[runs[1][0]] - zn[runs[0][-1]] > 0.5
@@ -663,6 +664,32 @@ class TestChebyshevBlocks:
                                      msg).groups()
         assert int(nodes) == 6752
         assert int(evaluated) <= 0.50 * int(nodes)
+
+
+@pytest.mark.parametrize("rho, z", [
+    # audio-pc's 60 on-axis points and audio-bp's 3 angles at 1 m
+    (np.zeros(60), np.geomspace(0.05, 2.0, 60)),
+    (np.abs(np.sin(_BP_ANGLES)), np.cos(_BP_ANGLES)),
+])
+def test_each_block_planned_once(reference_solver, monkeypatch, rho, z):
+    # 9 blocks of k_r nodes; each once through the window, the evaluated
+    # wavenumbers and kappa_min (27, 27 and 48 calls when every block was
+    # planned three times)
+    calls = {name: 0 for name in ("_window", "_evaluated", "_kappa_min", "_block")}
+
+    def counting(name, method):
+        def wrapped(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(nl.QuasilinearSolver, name,
+                            counting(name, getattr(nl.QuasilinearSolver, name)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationTailWarning)
+        reference_solver.pressures(rho, z)
+    assert calls == dict.fromkeys(calls, 9)
 
 
 def test_in_turn_runs_each_task_once():

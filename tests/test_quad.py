@@ -37,9 +37,11 @@ def test_no_public_surface_that_nothing_calls():
     # every public function, class, method and property of the package is
     # named, as a word, somewhere outside the definitions of that name: in
     # src/sppal, a demo, the README or the benchmark's tracer
-    # (bench/spans.py).  What only the tests call lives under tests/
+    # (bench/spans.py); and every field of a public dataclass is read as
+    # an attribute there.  What only the tests call lives under tests/
     sources = {path: path.read_text().splitlines() for path in sorted(SRC.glob("*.py"))}
     definitions = {}  # name -> [(path, first line, last line)]
+    fields = []  # (path, line, class, field)
     for path, lines in sources.items():
         bodies = [ast.parse("\n".join(lines), filename=str(path)).body]
         while bodies:
@@ -51,6 +53,13 @@ def test_no_public_surface_that_nothing_calls():
                         (path, node.lineno, node.end_lineno))
                 if isinstance(node, ast.ClassDef):
                     bodies.append(node.body)
+                    if not node.name.startswith("_") and any(
+                            ast.unparse(d).split("(")[0] == "dataclass"
+                            for d in node.decorator_list):
+                        fields += [(path, f.lineno, node.name, f.target.id) for f in node.body
+                                   if isinstance(f, ast.AnnAssign)
+                                   and isinstance(f.target, ast.Name)
+                                   and not f.target.id.startswith("_")]
     elsewhere = "\n".join([(ROOT / "README.md").read_text(),
                            (ROOT / "bench" / "spans.py").read_text(),
                            *(p.read_text() for p in sorted((ROOT / "demos").glob("*.py")))])
@@ -62,6 +71,9 @@ def test_no_public_surface_that_nothing_calls():
                 for path, lines in sources.items() for i, line in enumerate(lines, 1)):
             continue
         unnamed += [f"{path.name}:{lo} {name}" for path, lo, _ in defs]
+    text = "\n".join([elsewhere, *("\n".join(lines) for lines in sources.values())])
+    unnamed += [f"{path.name}:{line} {cls}.{name}" for path, line, cls, name in fields
+                if not re.search(rf"\.{name}\b", text)]
     assert not unnamed, unnamed
 
 
