@@ -9,8 +9,9 @@ product into kernel and direct columns, the three-point parabolic peak
 refinement, the ``REFINE_DB`` refinement test, and the adaptive
 azimuthal ladder that evaluates axisymmetric integrals over phi in
 [0, pi] at doubling Gauss-Legendre orders until successive estimates
-pass that test; the check of the (rho, z) observation points that both
-field engines take (:func:`observation_points`); and the one scalar
+pass that test; the checks of both field engines' observation points,
+curve grids and beam ranges and angles (:func:`observation_points`,
+:func:`axial_grid`, :func:`range_and_angles`); and the one scalar
 root finder, Brent's method (:func:`brentq`), which the plate
 eigenvalues, nodal radii and thickness sizing share.
 """
@@ -286,6 +287,31 @@ def observation_points(rho, z) -> tuple:
     if np.any(z < 0):
         raise ParameterDomainError("observation points need z >= 0")
     return rho, z
+
+
+def axial_grid(z_grid) -> np.ndarray:
+    """The abscissa ``z_grid`` of an on-axis curve as a float array; raises
+    :class:`ParameterDomainError` unless non-empty, finite, positive and
+    strictly increasing."""
+    z = np.asarray(z_grid, dtype=float)
+    if (z.size == 0 or not np.all(np.isfinite(z) & (z > 0))
+            or (z.size > 1 and np.any(np.diff(z) <= 0))):
+        raise ParameterDomainError(
+            "z grid must be non-empty, finite, positive and strictly increasing")
+    return z
+
+
+def range_and_angles(r: float, theta_deg) -> np.ndarray:
+    """The polar angles ``theta_deg`` of a curve at range ``r`` as a float
+    array; raises :class:`ParameterDomainError` unless ``r`` is finite and
+    positive and the angles non-empty, finite and within [-90, 90] degrees."""
+    if not 0 < r < np.inf:
+        raise ParameterDomainError("range r must be positive and finite")
+    theta = np.asarray(theta_deg, dtype=float)
+    if theta.size == 0 or not np.all(np.abs(theta) <= 90.0):
+        raise ParameterDomainError(
+            "theta must be non-empty, finite and within [-90, 90] degrees")
+    return theta
 
 
 def refined(step, value, abs_floor: float = 0.0):

@@ -44,8 +44,7 @@ def _build_source_profile(cfg: RunConfig, medium: Medium, f: float):
     v = complex(*src["velocity_ms"])
     policy = radiator.StepPolicy(src["steps"])
     n = radiator.radial_sample_count(plate.radius_a, f, medium)
-    return radiator.stepped_profile(mode, v, policy,
-                                    n_samples=max(n, radiator.MIN_PLATE_SAMPLES))
+    return radiator.stepped_profile(mode, v, policy, n_samples=n)
 
 
 def _solver_settings(cfg: RunConfig) -> nlfield.SolverSettings:

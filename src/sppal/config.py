@@ -15,9 +15,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
-from .medium import Medium, build_medium
+from .medium import ABSORPTION_MODELS, Medium, build_medium
 from .nlfield import SolverSettings
 from .optimizer import DEFAULT_SWEEP_GRID, F_DIST_WINDOW, NsgaConfig, design_sweep
+from .radiator import Boundary, StepPolicy
+from .transducer import PzgKind, StackConfig
 
 _REQUIRED = object()
 _SWEEP_ARGS = inspect.signature(design_sweep).parameters
@@ -167,6 +169,13 @@ def _is_complex_pair(v) -> bool:
                     for c in v))
 
 
+def _check_choice(errors: list, name: str, value, allowed) -> None:
+    """Report ``value`` unless it is one of ``allowed``, values or enum members."""
+    allowed = [getattr(v, "value", v) for v in allowed]
+    if value not in allowed:
+        errors.append(f"{name}: must be " + " or ".join(map(repr, allowed)))
+
+
 def _semantic_checks(resolved: dict, errors: list, provided=()):
     med = resolved["medium"]
     if not -20.0 <= med["temperature_c"] <= 50.0:
@@ -175,12 +184,10 @@ def _semantic_checks(resolved: dict, errors: list, provided=()):
         errors.append("medium.relative_humidity: outside [0, 1]")
     if not 0.0 < med["pressure_kpa"] <= 200.0:
         errors.append("medium.pressure_kpa: outside (0, 200]")
-    if med["absorption"] not in ("iso9613-1", "none"):
-        errors.append("medium.absorption: must be 'iso9613-1' or 'none'")
+    _check_choice(errors, "medium.absorption", med["absorption"], ABSORPTION_MODELS)
 
     src = resolved["source"]
-    if src["kind"] not in ("piston", "plate"):
-        errors.append("source.kind: must be 'piston' or 'plate'")
+    _check_choice(errors, "source.kind", src["kind"], ("piston", "plate"))
     if "source" in provided:
         if src["kind"] == "plate":
             for k in ("d_uc_m", "f_u0_hz"):
@@ -188,10 +195,8 @@ def _semantic_checks(resolved: dict, errors: list, provided=()):
                     errors.append(f"source.{k}: required for plate sources")
             if src["mode_m"] < 1:
                 errors.append("source.mode_m: must be >= 1")
-            if src["boundary"] not in ("free", "clamped"):
-                errors.append("source.boundary: must be 'free' or 'clamped'")
-            if src["steps"] not in ("standard", "none"):
-                errors.append("source.steps: must be 'standard' or 'none'")
+            _check_choice(errors, "source.boundary", src["boundary"], Boundary)
+            _check_choice(errors, "source.steps", src["steps"], StepPolicy)
         if src["kind"] == "piston" and src["radius_m"] is None:
             if src["d_uc_m"] is None or src["f_u0_hz"] is None:
                 errors.append("source.radius_m: required (or give d_uc_m + f_u0_hz)")
@@ -205,8 +210,7 @@ def _semantic_checks(resolved: dict, errors: list, provided=()):
     sur = pair.get("surrogate")
     if sur is not None:
         sub = _validate_block("pair.surrogate", _SURROGATE_SCHEMA, sur, errors)
-        if sub["kind"] not in ("SR", "DR"):
-            errors.append("pair.surrogate.kind: must be 'SR' or 'DR'")
+        _check_choice(errors, "pair.surrogate.kind", sub["kind"], PzgKind)
         if sub["kind"] == "DR":
             for k in ("f_r1_hz", "f_anti_hz"):
                 if sub.get(k) is None:
@@ -220,8 +224,7 @@ def _semantic_checks(resolved: dict, errors: list, provided=()):
         errors.append("optimizer.pop: must be even and >= 8")
     if opt["generations"] < 1:
         errors.append("optimizer.generations: must be >= 1")
-    if opt["config"] not in ("half", "full"):
-        errors.append("optimizer.config: must be 'half' or 'full'")
+    _check_choice(errors, "optimizer.config", opt["config"], StackConfig)
     w = opt["f_dist_window_hz"]
     if not (isinstance(w, (list, tuple)) and len(w) == 2 and w[0] < w[1]):
         errors.append("optimizer.f_dist_window_hz: must be [lo, hi] with lo < hi")

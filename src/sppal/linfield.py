@@ -20,9 +20,10 @@ from itertools import groupby
 import numpy as np
 from scipy import special
 
-from ._quad import (azimuthal_ladder, barycentric_rows, chebyshev_count,
+from ._quad import (axial_grid, azimuthal_ladder, barycentric_rows, chebyshev_count,
                     chebyshev_interpolate, chebyshev_points, kernel_split,
-                    observation_points, plane_steps, simpson_weights, wavenumber_nodes)
+                    observation_points, plane_steps, range_and_angles, simpson_weights,
+                    wavenumber_nodes)
 from .errors import NumericalFailureError, ParameterDomainError
 from .medium import Medium, absorption_coeff
 from .radiator import SourceKind, SourceProfile, first_local_max, piston_profile, PistonSpec
@@ -59,14 +60,11 @@ def spl_db(p):
 
 @dataclass(frozen=True)
 class FieldPoint:
-    """Observation point in cylindrical coordinates (rho, z), z >= 0."""
+    """Observation point in cylindrical coordinates (rho, z); the field
+    functions check it (:func:`_quad.observation_points`)."""
 
     rho: float
     z: float
-
-    def __post_init__(self):
-        if self.z < 0:
-            raise ParameterDomainError("field points must have z >= 0")
 
 
 @dataclass
@@ -238,27 +236,10 @@ def axial_piston_pressure(spec: PistonSpec, medium: Medium, f: float, z):
 def propagation_curve(profile: SourceProfile, medium: Medium, f: float,
                       z_grid) -> FieldCurve:
     """On-axis pressure over an increasing positive axial grid."""
-    z = np.asarray(z_grid, dtype=float)
-    if z.size == 0:
-        raise ParameterDomainError("z grid must be non-empty")
-    if not np.all(np.isfinite(z) & (z > 0)) or (z.size > 1 and np.any(np.diff(z) <= 0)):
-        raise ParameterDomainError(
-            "z grid must be finite, positive and strictly increasing")
+    z = axial_grid(z_grid)
     p = _rayleigh_onaxis(profile, medium, f, z)
     return FieldCurve(z, p, f, kind="propagation",
                       meta={"source": profile.descriptor()})
-
-
-def _range_and_angles(r: float, theta_deg) -> np.ndarray:
-    """``theta_deg`` as a float array, once the range ``r`` is finite and
-    positive and every angle finite and within [-90, 90] degrees
-    (:class:`ParameterDomainError` otherwise)."""
-    if not 0 < r < np.inf:
-        raise ParameterDomainError("range r must be positive and finite")
-    theta = np.asarray(theta_deg, dtype=float)
-    if not np.all(np.abs(theta) <= 90.0):
-        raise ParameterDomainError("theta must be finite and within [-90, 90] degrees")
-    return theta
 
 
 def farfield_pressure(profile: SourceProfile, medium: Medium, f: float,
@@ -269,9 +250,9 @@ def farfield_pressure(profile: SourceProfile, medium: Medium, f: float,
                   * Int v(r') J0(k r' sin(theta)) r' dr'.
 
     Raises :class:`ParameterDomainError` unless r is finite and positive
-    and every angle is finite and within [-90, 90] degrees.
+    and the angles non-empty, finite and within [-90, 90] degrees.
     """
-    theta = np.deg2rad(_range_and_angles(r, theta_deg))
+    theta = np.deg2rad(range_and_angles(r, theta_deg))
     kc = medium.complex_wavenumber(f)
     k = medium.wavenumber(f)
     omega = 2.0 * np.pi * f
@@ -288,12 +269,9 @@ def beam_pattern(profile: SourceProfile, medium: Medium, f: float, r: float,
     beyond ``FARFIELD_RANGE_FACTOR`` times the ultrasonic critical
     distance of a source larger than half a wavelength, where the
     analytic directivity kernel (:func:`farfield_pressure`) does.  The
-    range and angles get :func:`farfield_pressure`'s checks, and the
-    angles must be non-empty.
+    range and angles get :func:`farfield_pressure`'s checks.
     """
-    theta = _range_and_angles(r, theta_grid)
-    if theta.size == 0:
-        raise ParameterDomainError("theta grid must be non-empty")
+    theta = range_and_angles(r, theta_grid)
 
     far = (profile.radius_a > medium.wavelength(f) / 2.0
            and r > FARFIELD_RANGE_FACTOR * first_local_max(profile.radius_a, f, medium))
@@ -435,8 +413,8 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
     :func:`rayleigh_pressure` pointwise; intended for the dense volume
     grids of the nonlinear solver where pointwise quadrature would be
     prohibitive.  Absorption enters through the complex wavenumber.
-    ``rho_obs`` must be finite and >= 0, ``z_obs`` non-empty, finite and
-    > 0 (:class:`ParameterDomainError` otherwise).
+    ``rho_obs`` must be ascending, finite and >= 0, ``z_obs`` non-empty,
+    ascending, finite and > 0 (:class:`ParameterDomainError` otherwise).
 
     Cost controls: z planes are processed in blocks of doubling axial
     extent so the quadrature order tracks each block's oscillation
@@ -491,11 +469,9 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
         raise ParameterDomainError("grid evaluator needs rho >= 0")
     if np.any(z_obs <= 0):
         raise ParameterDomainError("grid evaluator needs z > 0")
-    if np.all(z_obs[1:] >= z_obs[:-1]):
-        order, z_sorted = None, z_obs
-    else:
-        order = np.argsort(z_obs, kind="stable")
-        z_sorted = z_obs[order]
+    # ascending, so that each block's columns rho <= rho_cut are a prefix
+    if np.any(rho_obs[1:] < rho_obs[:-1]) or np.any(z_obs[1:] < z_obs[:-1]):
+        raise ParameterDomainError("grid evaluator needs ascending rho and z")
     k0 = medium.wavenumber(f)
     kc = medium.complex_wavenumber(f)
     omega = 2.0 * np.pi * f
@@ -514,26 +490,18 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
         x_cut = (1.6 * 10.0 ** (skirt_cut_db / 20.0)) ** (2.0 / 3.0)
         sin_cut = min(1.0, x_cut / (k0 * a))
 
-    # columns in ascending rho, so that each block's selection rho <= rho_cut
-    # is a prefix of them
-    if np.all(rho_obs[1:] >= rho_obs[:-1]):
-        col_order, rho_s = None, rho_obs
-    else:
-        col_order = np.argsort(rho_obs, kind="stable")
-        rho_s = rho_obs[col_order]
-
     def n_cols(rho_cut):
-        return int(np.searchsorted(rho_s, rho_cut * (1.0 + 1e-12), side="right"))
+        return int(np.searchsorted(rho_obs, rho_cut * (1.0 + 1e-12), side="right"))
 
-    out = np.zeros((z_sorted.size, rho_obs.size), dtype=complex)
+    out = np.zeros((z_obs.size, rho_obs.size), dtype=complex)
     # J0 and barycentric slabs, source transforms and kernels fill one fixed
     # buffer, plane chunks another
     work = np.empty(_buffer_values(rho_obs.size, r_src.size))
     planes = np.empty_like(work)
 
     # geometric z blocks: [z_max/2, z_max], [z_max/4, z_max/2], ...
-    edges = [float(z_sorted[-1])]
-    while edges[-1] > max(2.0 * lam, float(z_sorted[0]) * 1.5):
+    edges = [float(z_obs[-1])]
+    while edges[-1] > max(2.0 * lam, float(z_obs[0]) * 1.5):
         edges.append(edges[-1] / 2.0)
     edges.append(0.0)
     edges = edges[::-1]
@@ -542,7 +510,7 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
         lo_idx = 0
         for b in range(len(edges) - 1):
             hi = edges[b + 1]
-            hi_idx = int(np.searchsorted(z_sorted, hi, side="right"))
+            hi_idx = int(np.searchsorted(z_obs, hi, side="right"))
             if hi_idx > lo_idx:
                 yield lo_idx, hi_idx, hi
             lo_idx = hi_idx
@@ -578,7 +546,7 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
     u_cap = float(np.arccosh(4.0))
     blocks = []
     for lo_idx, hi_idx, _ in block_slices():
-        z_lo = z_sorted[lo_idx]
+        z_lo = z_obs[lo_idx]
         u_max = min(u_cap, float(np.arcsinh(18.0 / (k0 * max(z_lo, 1e-9)))))
         if u_max <= 1e-6:
             continue
@@ -620,7 +588,7 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
         # accumulates its spectra on the barycentric rows l_c and adds the
         # product with the kernel J0(k_c rho) at the end; the other columns
         # are direct
-        n_in, n_c = kernel_split(krho.size, float(krho[-1] - krho[0]), rho_s, run)
+        n_in, n_c = kernel_split(krho.size, float(krho[-1] - krho[0]), rho_obs, run)
         n_u = max(n for _, _, n in run)
         n_row = n_c + n_u - n_in
         n_j0 += n_c * n_in + (n_u - n_in) * krho.size
@@ -636,17 +604,17 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
             bmat = work[:n_row * k_s.size].reshape(n_row, k_s.size)
             if n_c:
                 barycentric_rows(k_c, k_s, bmat[:n_c])
-            _j0_outer(rho_s[n_in:n_u], k_s, bmat[n_c:])
+            _j0_outer(rho_obs[n_in:n_u], k_s, bmat[n_c:])
             for (lo, hi, n), acc in zip(run, accs):
                 if n:
                     _add_spectrum(acc, out[lo:hi, n_in:n] if n > n_in else None,
                                   wk[s0:s0 + n_slab], kz[s0:s0 + n_slab],
-                                  bmat[:n_c + max(0, n - n_in)], z_sorted[lo:hi], planes)
+                                  bmat[:n_c + max(0, n - n_in)], z_obs[lo:hi], planes)
         # the kernel J0(k_c rho) in slabs of columns that fill ``work``
         n_slab = work.size // max(n_c, 1)
         for c0 in range(0, n_in, n_slab):
             c1 = min(c0 + n_slab, n_in)
-            kern = _j0_outer(rho_s[c0:c1], k_c, work[:(c1 - c0) * n_c].reshape(c1 - c0, n_c))
+            kern = _j0_outer(rho_obs[c0:c1], k_c, work[:(c1 - c0) * n_c].reshape(c1 - c0, n_c))
             for (lo, hi, n), acc in zip(run, accs):
                 if n > c0:
                     _add_kernel(out[lo:hi, c0:min(n, c1)], acc, kern[:min(n, c1) - c0], planes)
@@ -656,9 +624,4 @@ def pressure_grid(profile: SourceProfile, medium: Medium, f: float,
                "%d J0 values, %d Chebyshev points, kernel on %d columns at rank <= %d, "
                "%.3f s", z_obs.size, rho_obs.size, len(runs), k_all.size, n_j0,
                k_cheb.size, n_kern, rank, time.perf_counter() - t0)
-    if order is None and col_order is None:
-        return out
-    unsorted = np.empty_like(out)
-    unsorted[np.ix_(np.arange(z_obs.size) if order is None else order,
-                    np.arange(rho_obs.size) if col_order is None else col_order)] = out
-    return unsorted
+    return out

@@ -25,6 +25,8 @@ _R_DRY_AIR = 287.058  # specific gas constant of dry air [J/(kg K)]
 
 #: conversion between attenuation in dB/m and Np/m (20/ln 10)
 DB_PER_NEPER = 8.685889638065037
+#: the values of :attr:`Medium.absorption_model`; "none" is a lossless medium
+ABSORPTION_MODELS = ("iso9613-1", "none")
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,7 @@ class Medium:
     absorption_model: str = "iso9613-1"
 
     def __post_init__(self):
-        if self.absorption_model not in ("iso9613-1", "none"):
+        if self.absorption_model not in ABSORPTION_MODELS:
             raise ParameterDomainError(
                 f"unknown absorption model {self.absorption_model!r}"
             )

@@ -68,18 +68,19 @@ from functools import partial
 import numpy as np
 from scipy import special
 
-from ._quad import (REFINE_DB, barycentric_rows, chebyshev_count, chebyshev_points,
+from ._quad import (REFINE_DB, axial_grid, barycentric_rows, chebyshev_count, chebyshev_points,
                     kernel_split, observation_points, parabolic_peak, plane_steps,
-                    refined, simpson_weights, wavenumber_nodes)
+                    range_and_angles, refined, simpson_weights, wavenumber_nodes)
 from .errors import (
     BoundaryPeakWarning,
+    InfeasibleDesignError,
     NumericalFailureError,
     ParameterDomainError,
     TruncationTailWarning,
 )
 from .linfield import FieldCurve, grid_workspace_bytes, pressure_grid
 from .medium import Medium, absorption_coeff
-from .radiator import SourceKind, SourceProfile
+from .radiator import SourceKind, SourceProfile, first_local_max
 
 #: the product's interference beat reaches ~2 k a r'/z^2
 #: at the beam edge (r' ~ a), twice the on-axis rate, hence the factor
@@ -147,6 +148,14 @@ class PrimaryPair:
         return self.profile_1.radius_a
 
 
+def _carrier_z1(pair: PrimaryPair, medium: Medium) -> float:
+    """The carrier's z1 (:func:`radiator.first_local_max`), or 0 if there is none."""
+    try:
+        return first_local_max(pair.radius_a, pair.f_u2, medium)
+    except InfeasibleDesignError:
+        return 0.0
+
+
 @dataclass(frozen=True)
 class AudioCd:
     """Audio critical distance: location and level of the on-axis maximum."""
@@ -187,7 +196,7 @@ class VolumeGrid:
 
     ``weight(z_i, r_j)`` is ``wz[i] * wr[j] * r[j]``; the azimuthal
     integral is left to the solver, whose Hankel transform carries it
-    for every observation point.
+    for every observation point.  The nodes strictly increase.
     """
 
     z_nodes: np.ndarray
@@ -203,6 +212,8 @@ class VolumeGrid:
             raise ParameterDomainError("volume grid weights must be non-negative")
         if self.z_nodes.size != self.wz.size or self.r_nodes.size != self.wr.size:
             raise ParameterDomainError("node and weight arrays must align")
+        if np.any(np.diff(self.z_nodes) <= 0) or np.any(np.diff(self.r_nodes) <= 0):
+            raise ParameterDomainError("volume grid nodes must strictly increase")
 
     @property
     def n_cells(self) -> int:
@@ -229,7 +240,7 @@ def build_volume_grid(pair: PrimaryPair, medium: Medium,
     k_u = 2.0 * np.pi / lam_u
     k_a = 2.0 * np.pi / lam_a
 
-    z1 = a * a / lam_u - lam_u / 4.0 if a > lam_u / 2.0 else 0.0
+    z1 = _carrier_z1(pair, medium)
     z_near = max(z1, 2.0 * a, 4.0 * lam_u)
     dz_near = lam_u / st.ppw_axial
 
@@ -626,21 +637,13 @@ class QuasilinearSolver:
         return spec.sum(axis=1)
 
     def propagation_curve(self, z_grid) -> FieldCurve:
-        z = np.asarray(z_grid, dtype=float)
-        if z.size == 0:
-            raise ParameterDomainError("z grid must be non-empty")
-        if np.any(z <= 0) or (z.size > 1 and np.any(np.diff(z) <= 0)):
-            raise ParameterDomainError("z grid must be positive and strictly increasing")
+        z = axial_grid(z_grid)
         p = self.pressures(np.zeros_like(z), z)
         return FieldCurve(z, p, self.pair.f_a, kind="audio_propagation",
                           meta={"f_u1": self.pair.f_u1, "f_u2": self.pair.f_u2})
 
     def beam_pattern(self, r: float, theta_grid) -> FieldCurve:
-        if r <= 0:
-            raise ParameterDomainError("range r must be positive")
-        theta = np.asarray(theta_grid, dtype=float)
-        if theta.size == 0 or np.any(np.abs(theta) > 90.0):
-            raise ParameterDomainError("theta grid must be within [-90, 90] deg")
+        theta = range_and_angles(r, theta_grid)
         th = np.deg2rad(theta)
         p = self.pressures(r * np.abs(np.sin(th)), r * np.cos(th))
         return FieldCurve(theta, p, self.pair.f_a, kind="audio_beam",
@@ -828,8 +831,7 @@ def berktay_farfield(pair: PrimaryPair, medium: Medium, z: float) -> float:
     """
     a = pair.radius_a
     c0 = medium.sound_speed
-    lam2 = c0 / pair.f_u2
-    z1 = a * a / lam2 - lam2 / 4.0 if a > lam2 / 2.0 else 0.0
+    z1 = _carrier_z1(pair, medium)
     if z <= 5.0 * z1:
         raise ParameterDomainError(
             f"Berktay far-field form needs z well beyond the collimation "

@@ -119,8 +119,7 @@ class DesignContext:
                                              medium)
         self.mode = radiator.plate_mode_shape(self.plate)
         n = radiator.radial_sample_count(self.plate.radius_a, params.f_u0, medium)
-        self.sp_profile = radiator.stepped_profile(
-            self.mode, 1.0, n_samples=max(n, radiator.MIN_PLATE_SAMPLES))
+        self.sp_profile = radiator.stepped_profile(self.mode, 1.0, n_samples=n)
         self.er = linfield.equivalence_ratio(self.sp_profile, medium,
                                              params.f_u0, params.d_uc)
         # peak search band around the nominal frequency
@@ -412,14 +411,17 @@ def _archive_update(arch_x, arch_f, new_x, new_f):
 
     The archive is unbounded, so its dominated hypervolume never
     decreases between generations.  Of exact duplicates the first is
-    kept; survivors stay in input order.
+    kept; survivors stay in input order.  One sweep in (F1, F2) order, ties
+    in input order: a point survives iff its F2 is below every F2 before it.
     """
     xs = list(arch_x) + list(new_x)
     fs = list(arch_f) + list(new_f)
     f = np.array(fs)
-    same = np.all(f[:, None, :] == f[None, :, :], axis=2)
-    keep = ~_dominance(f).any(axis=0) & ~np.tril(same, -1).any(axis=1)
-    idx = np.flatnonzero(keep)
+    order = np.lexsort((f[:, 1], f[:, 0]))
+    f2 = f[order, 1]
+    keep = np.ones(f2.size, dtype=bool)
+    keep[1:] = f2[1:] < np.minimum.accumulate(f2)[:-1]
+    idx = np.sort(order[keep])
     return [xs[i] for i in idx], [fs[i] for i in idx]
 
 

@@ -345,10 +345,12 @@ def stepped_profile(mode: ModeShape, center_velocity: complex,
     sign of its radiated contribution (the ideal half-wavelength path
     difference), except that odd-mode designs leave the outermost zone
     bare; the central zone is always bare.  ``StepPolicy.NONE`` returns
-    the uncompensated flat-plate profile.
+    the uncompensated flat-plate profile.  It takes ``n_samples`` radii, at
+    least ``MIN_PLATE_SAMPLES``, or for None the mode's own samples.
     """
-    if n_samples is not None and n_samples != len(mode.radii):
-        r = np.linspace(0.0, mode.radius_a, int(n_samples))
+    n = len(mode.radii) if n_samples is None else max(int(n_samples), MIN_PLATE_SAMPLES)
+    if n != len(mode.radii):
+        r = np.linspace(0.0, mode.radius_a, n)
         w = np.interp(r, mode.radii, mode.deflection)
     else:
         r = mode.radii

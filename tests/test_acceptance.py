@@ -243,7 +243,7 @@ def stepped_design(air):
     plate = rad.size_plate_for(60e3, 0.45, 8, "aluminum", air)
     mode = rad.plate_mode_shape(plate)
     n = rad.radial_sample_count(plate.radius_a, 60e3, air)
-    return rad.stepped_profile(mode, 1.0, n_samples=max(n, 513))
+    return rad.stepped_profile(mode, 1.0, n_samples=n)
 
 
 def test_07_equivalence_ratio_anchor(air, stepped_design):

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sppal import cli, nlfield, optimizer
+from sppal import cli, medium, nlfield, optimizer
+from sppal import radiator as rad
 from sppal import transducer as td
 from sppal.cli import main
 from sppal.config import load_config, validate_config
@@ -78,6 +79,36 @@ class TestConfig:
         assert opt["l_p_m"] == sweep["l_p"].default
         assert opt["drive_voltage_v"] == sweep["drive_voltage"].default
         assert tuple(opt["sweep_f_a_hz"]) == tuple(sweep["f_a_grid"].default)
+
+    @pytest.mark.parametrize("path, allowed", [
+        (("medium", "absorption"), medium.ABSORPTION_MODELS),
+        (("source", "boundary"), [b.value for b in rad.Boundary]),
+        (("source", "steps"), [s.value for s in rad.StepPolicy]),
+        (("pair", "surrogate", "kind"), [k.value for k in td.PzgKind]),
+        (("optimizer", "config"), [c.value for c in td.StackConfig]),
+    ])
+    def test_enumerations_are_the_library_values(self, path, allowed):
+        # the config accepts exactly the library's values of each enumerated
+        # field, and names them when it rejects another
+        def errors(value):
+            raw = {"source": {"kind": "plate", "d_uc_m": 0.45, "f_u0_hz": 60e3},
+                   "pair": {"f_carrier_hz": 60e3,
+                            "surrogate": {"kind": "DR", "f_r1_hz": 50e3,
+                                          "f_r2_hz": 60e3, "f_anti_hz": 55e3}}}
+            block = raw.setdefault(path[0], {})
+            for key in path[1:-1]:
+                block = block[key]
+            block[path[-1]] = value
+            try:
+                validate_config(raw)
+            except ConfigError as e:
+                return str(e)
+            return ""
+
+        for value in allowed:
+            assert errors(value) == ""
+        name = ".".join(path)
+        assert f"{name}: must be {' or '.join(map(repr, allowed))}" in errors("other")
 
     def test_unknown_block_rejected(self):
         with pytest.raises(ConfigError, match="unknown block"):

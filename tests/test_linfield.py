@@ -24,7 +24,7 @@ def stepped_60k(std_air):
     plate = rad.size_plate_for(60e3, 0.45, 8, "aluminum", std_air)
     mode = rad.plate_mode_shape(plate)
     n = rad.radial_sample_count(plate.radius_a, 60e3, std_air)
-    return rad.stepped_profile(mode, 1.0, n_samples=max(n, 513))
+    return rad.stepped_profile(mode, 1.0, n_samples=n)
 
 
 def rayleigh_at_range(profile, medium, f, r, theta_deg):
@@ -392,10 +392,10 @@ class TestPressureGridRecursion:
     """The plane recursion, the stacked product and the shared node sets
     against the per-plane evaluation they replace."""
 
-    # one-plane blocks (0.05, 0.4), a duplicate plane (0.41), planes out of
-    # order, a uniform run of repeated gaps and, past 2.5 m, a far block
-    # of 300 planes on about 7600 nodes, which takes three plane chunks
-    Z = np.concatenate([[0.41, 0.003, 0.0031, 0.05, 0.4, 0.41, 0.42],
+    # one-plane blocks (0.05, 0.4), a duplicate plane (0.41), a uniform run
+    # of repeated gaps and, past 2.5 m, a far block of 300 planes on about
+    # 7600 nodes, which takes three plane chunks
+    Z = np.concatenate([[0.003, 0.0031, 0.05, 0.4, 0.41, 0.41, 0.42],
                         np.linspace(0.6, 0.8, 41), np.linspace(2.6, 5.0, 300)])
     RHO = np.array([0.0, 0.004, 0.011, 0.02, 0.035, 0.06, 0.15, 0.4])
 
@@ -409,7 +409,7 @@ class TestPressureGridRecursion:
         assert got.shape == want.shape
         col_max = np.max(np.abs(want), axis=0)
         assert np.all(np.abs(got - want) <= 1e-12 * col_max)
-        assert np.array_equal(got[0], got[5])  # the duplicate plane
+        assert np.array_equal(got[4], got[5])  # the duplicate plane
 
     @pytest.mark.parametrize("skirt", [None, 40.0])
     def test_matches_refined_oracle(self, std_air, piston_60k, skirt):
@@ -424,7 +424,7 @@ class TestPressureGridRecursion:
         assert np.all(np.abs(got - want) <= 1e-12 * col_max)
 
     def test_kernel_matches_per_plane_evaluation(self, std_air, piston_60k, monkeypatch):
-        # dense columns, in no order, take most runs through a kernel; under
+        # dense columns take most runs through a kernel; under
         # the skirt some blocks select fewer columns than their run's kernel
         # holds (measured 1.4e-13)
         splits, kernel_split = [], lf.kernel_split
@@ -434,7 +434,7 @@ class TestPressureGridRecursion:
             return splits[-1][1]
 
         monkeypatch.setattr(lf, "kernel_split", split)
-        rho = np.random.default_rng(5).permutation(np.linspace(0.0, 0.2, 300))
+        rho = np.linspace(0.0, 0.2, 300)
         got = lf.pressure_grid(piston_60k, std_air, 60e3, rho, self.Z, 40.0)
         assert any(0 < n < n_in for n_sel, (n_in, _) in splits for n in n_sel)
         want = _parent_pressure_grid(piston_60k, std_air, 60e3, rho, self.Z, 40.0)
@@ -492,9 +492,8 @@ class TestPressureGridRecursion:
         monkeypatch.setattr(lf, "wavenumber_nodes", nodes)
         monkeypatch.setattr(lf, "chebyshev_points", points)
         monkeypatch.setattr(lf, "kernel_split", split)
-        # columns in a shuffled order, dense enough near the axis for kernels
-        rho = np.random.default_rng(3).permutation(np.linspace(0.0, 0.15, 200))
-        rho_s = np.sort(rho)
+        # columns dense enough near the axis for kernels
+        rho = np.linspace(0.0, 0.15, 200)
         r_src = piston_60k.radii
         for z, skirt in (
             # every propagating block at the 24-panel floor: six blocks
@@ -523,8 +522,8 @@ class TestPressureGridRecursion:
                     k_c = k_kern.pop(0)
                     assert k_c.size == n_c < n_in <= n_u
                     assert k_c[0] == krho[0] and k_c[-1] == krho[-1]
-                    want.append(np.outer(rho_s[:n_in], k_c).ravel())
-                want.append(np.outer(rho_s[n_in:n_u], krho).ravel())
+                    want.append(np.outer(rho[:n_in], k_c).ravel())
+                want.append(np.outer(rho[n_in:n_u], krho).ravel())
             assert not k_kern
             assert any(n_in for *_, (n_in, _) in splits)
             # under the skirt, blocks whose selection ends inside the kernel's
@@ -562,6 +561,10 @@ class TestPressureGridRecursion:
         ([0.0, 0.01], []),
         ([0.0, -0.01], [0.1, 0.2]),
         ([0.0, 0.01], [0.0, 0.2]),
+        # the blocks take ascending planes, their selections a prefix of the
+        # columns
+        ([0.01, 0.0], [0.1, 0.2]),
+        ([0.0, 0.01], [0.2, 0.1]),
     ])
     def test_rejects_bad_points(self, std_air, piston_60k, rho, z):
         with pytest.raises(ParameterDomainError):

@@ -136,9 +136,18 @@ class TestVolumeGrid:
         g = nl.build_volume_grid(desk_pair(std_air), std_air, nl.SolverSettings())
         assert np.sum(g.wz) == pytest.approx(g.z_nodes[-1], rel=0.02)
 
-    def test_validation(self):
+    def test_validation(self, std_air):
         with pytest.raises(ParameterDomainError):
             nl.VolumeGrid([0.1], [0.01], [-1.0], [0.1])
+        # the solver locates points among the planes by bisection and steps
+        # between neighbours, so the nodes must strictly increase
+        g = nl.build_volume_grid(desk_pair(std_air), std_air)
+        rng = np.random.default_rng(2)
+        for nodes in ({"z_nodes": rng.permutation(g.z_nodes)},
+                      {"r_nodes": rng.permutation(g.r_nodes)},
+                      {"z_nodes": np.sort(np.r_[g.z_nodes[1:], g.z_nodes[1]])}):
+            with pytest.raises(ParameterDomainError, match="strictly increase"):
+                replace(g, **nodes)
 
 
 class TestQuasilinearBasics:
@@ -829,11 +838,32 @@ class TestAudioCurves:
                for s in (base, fine)]
         assert abs(spl[1] - spl[0]) <= 0.15
 
-    def test_curve_grid_validation(self, desk_solver):
-        with pytest.raises(ParameterDomainError):
-            desk_solver.propagation_curve([])
-        with pytest.raises(ParameterDomainError):
-            desk_solver.propagation_curve([0.3, 0.1])
+    def test_curve_grid_validation(self, std_air, desk_solver):
+        # both engines' on-axis curves check their grid in _quad: the same
+        # grids fail with the same message
+        prof, f = desk_solver.pair.profile_2, desk_solver.pair.f_u2
+        for z in ([], [0.3, 0.1], [0.0, 0.1], [np.nan], [0.05, np.nan], [0.05, np.inf]):
+            messages = []
+            for curve in (partial(lf.propagation_curve, prof, std_air, f),
+                          desk_solver.propagation_curve):
+                with pytest.raises(ParameterDomainError) as err:
+                    curve(z)
+                messages.append(str(err.value))
+            assert messages[0] == messages[1], z
+
+    @pytest.mark.parametrize("r, theta", [
+        (0.0, [0.0]), (np.nan, [0.0]), (np.inf, [0.0]),
+        (1.0, []), (1.0, [0.0, np.nan]), (1.0, [np.inf]), (1.0, [-90.5]),
+    ])
+    def test_beam_range_and_angle_validation(self, std_air, desk_solver, r, theta):
+        # both engines' beam patterns check range and angles in _quad
+        prof, f = desk_solver.pair.profile_2, desk_solver.pair.f_u2
+        messages = []
+        for beam in (partial(lf.beam_pattern, prof, std_air, f), desk_solver.beam_pattern):
+            with pytest.raises(ParameterDomainError) as err:
+                beam(r, theta)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
     @pytest.mark.slow
     def test_tail_decays_beyond_critical_distance(self, std_air):

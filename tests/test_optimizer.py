@@ -14,7 +14,7 @@ from sppal.errors import (
     ParameterDomainError,
 )
 
-from pareto_oracle import hypervolume_2d
+from pareto_oracle import archive_update, hypervolume_2d
 
 
 def bi_objective(x):
@@ -188,6 +188,26 @@ class TestNsga2:
             cells = sum(any(p[0] <= cx and p[1] <= cy for p in f)
                         for cx in range(int(ref[0])) for cy in range(int(ref[1])))
             assert hypervolume_2d(f, ref) == float(cells)
+
+    def test_archive_matches_matrix_oracle(self):
+        # the sweep keeps the points the n x n dominance and equality
+        # matrices keep, in the same order, with the same bits: half the
+        # sets on an integer lattice (ties in one objective, duplicates,
+        # signed zeros), half continuous, every split into archive and new
+        rng = np.random.default_rng(11)
+        for trial in range(2400):
+            n = int(rng.integers(1, 120))
+            if trial % 2:
+                f = rng.normal(size=(n, 2))
+            else:
+                f = rng.integers(0, 8, size=(n, 2)) * rng.choice([-1.0, 1.0], size=(n, 2))
+            k = int(rng.integers(0, n + 1))
+            x = [np.array([float(i)]) for i in range(n)]
+            got = opt._archive_update(x[:k], list(f[:k]), x[k:], list(f[k:]))
+            want = archive_update(x[:k], list(f[:k]), x[k:], list(f[k:]))
+            assert len(got[0]) == len(want[0])
+            assert all(v is w for v, w in zip(got[0], want[0]))
+            assert np.array_equal(np.array(got[1]), np.array(want[1]))
 
     @pytest.mark.parametrize("bad", ["short", "one column", "nan", "inf", "ragged",
                                      "text"])

@@ -170,6 +170,13 @@ class TestSteppedProfile:
         np.testing.assert_allclose(prof.velocity.real, 2.0 * mode8.deflection,
                                    atol=1e-14)
 
+    def test_sample_floor(self, mode8):
+        # a requested count gets at least MIN_PLATE_SAMPLES radii; None keeps
+        # the mode's own samples
+        for n, size in ((None, mode8.radii.size), (65, rad.MIN_PLATE_SAMPLES),
+                        (1025, 1025)):
+            assert rad.stepped_profile(mode8, 1.0, n_samples=n).radii.size == size
+
     def test_center_zone_bare(self, mode8):
         prof = rad.stepped_profile(mode8, 1.0)
         inner = prof.radii < mode8.nodal_radii[0]
