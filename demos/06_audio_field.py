@@ -16,13 +16,9 @@ from sppal.medium import build_medium
 air = build_medium()
 f_carrier, f_a = 60e3, 1e3
 a = radiator.aperture_for_cd(0.45, f_carrier, air)
-n = radiator.radial_sample_count(a, f_carrier, air)
 f1, f2 = nlfield.lsb_am_pair(f_carrier, f_a)
-pair = nlfield.PrimaryPair(
-    f1, f2,
-    radiator.piston_profile(radiator.PistonSpec(a, 0.1), n),
-    radiator.piston_profile(radiator.PistonSpec(a, 0.1), n),
-)
+# one piston of radius a drives both primaries at 0.1 m/s
+pair = nlfield.PrimaryPair(f1, f2, a, 0.1, 0.1)
 
 solver = nlfield.QuasilinearSolver(pair, air)
 g = solver.grid
@@ -43,10 +39,8 @@ mags = []
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
     for fa in (500.0, 1000.0, 2000.0):
-        p = nlfield.PrimaryPair(
-            *nlfield.lsb_am_pair(f_carrier, fa),
-            radiator.piston_profile(radiator.PistonSpec(a, 0.1), n),
-            radiator.piston_profile(radiator.PistonSpec(a, 0.1), n))
+        f1, f2 = nlfield.lsb_am_pair(f_carrier, fa)
+        p = nlfield.PrimaryPair(f1, f2, a, 0.1, 0.1)
         s = nlfield.QuasilinearSolver(p, air)
         mag = abs(s.pressures([0.0], [6.0])[0])
         bk = nlfield.berktay_farfield(p, air, 6.0)

@@ -86,12 +86,7 @@ def _pair_from_config(cfg: RunConfig, medium: Medium, f_a: float):
         d_uc = src["d_uc_m"] if src["d_uc_m"] is not None else 0.45
         f_u0 = src["f_u0_hz"] if src["f_u0_hz"] is not None else p["f_carrier_hz"]
         a = radiator.aperture_for_cd(d_uc, f_u0, medium)
-    n = radiator.radial_sample_count(a, f_u2, medium)
-    return nlfield.PrimaryPair(
-        f_u1, f_u2,
-        radiator.piston_profile(radiator.PistonSpec(a, v1), n),
-        radiator.piston_profile(radiator.PistonSpec(a, v2), n),
-    )
+    return nlfield.PrimaryPair(f_u1, f_u2, a, v1, v2)
 
 
 def _audio_freq_grid(cfg: RunConfig) -> np.ndarray:
@@ -220,17 +215,16 @@ def _opt_params(cfg: RunConfig) -> optimizer.DesignParams:
     )
 
 
-def _nsga_config(cfg: RunConfig, seed_override=None) -> optimizer.NsgaConfig:
+def _nsga_config(cfg: RunConfig, meta: dict) -> optimizer.NsgaConfig:
+    """The NSGA-II settings, with the seed :func:`dispatch` resolved into ``meta``."""
     o = cfg.block("optimizer")
-    seed = seed_override if seed_override is not None else o["seed"]
     return optimizer.NsgaConfig(pop=o["pop"], generations=o["generations"],
-                                seed=int(seed))
+                                seed=meta["seed"])
 
 
-def _cmd_pareto(cfg: RunConfig, out: Path, meta: dict, formats,
-                seed=None) -> list:
+def _cmd_pareto(cfg: RunConfig, out: Path, meta: dict, formats) -> list:
     ctx = optimizer.DesignContext(_opt_params(cfg), cfg.medium())
-    front = optimizer.optimize_lengths(ctx, _nsga_config(cfg, seed))
+    front = optimizer.optimize_lengths(ctx, _nsga_config(cfg, meta))
     pts = front.sorted_by_f2()
     cols = {
         "f1_ms": [p.objectives[0] for p in pts],
@@ -242,8 +236,7 @@ def _cmd_pareto(cfg: RunConfig, out: Path, meta: dict, formats,
     return io.write_columns(out / "pareto", cols, meta, formats)
 
 
-def _cmd_sweep(cfg: RunConfig, out: Path, meta: dict, formats,
-               seed=None) -> list:
+def _cmd_sweep(cfg: RunConfig, out: Path, meta: dict, formats) -> list:
     medium = cfg.medium()
     o = cfg.block("optimizer")
     grid = {
@@ -252,7 +245,7 @@ def _cmd_sweep(cfg: RunConfig, out: Path, meta: dict, formats,
         "r_p": o["sweep_r_p_m"], "r_h": o["sweep_r_h_m"],
     }
     window = tuple(o["f_dist_window_hz"])
-    result = optimizer.design_sweep(grid, medium, _nsga_config(cfg, seed),
+    result = optimizer.design_sweep(grid, medium, _nsga_config(cfg, meta),
                                     l_p=o["l_p_m"],
                                     f_a_grid=o["sweep_f_a_hz"],
                                     drive_voltage=o["drive_voltage_v"],
@@ -315,11 +308,7 @@ def dispatch(command: str, cfg: RunConfig, out_dir, formats=("csv", "json"),
     caught = []
     with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always", TruncationTailWarning)
-        fn = _COMMANDS[command]
-        if command in ("pareto", "sweep"):
-            written = fn(cfg, out, meta, formats, seed=seed)
-        else:
-            written = fn(cfg, out, meta, formats)
+        written = _COMMANDS[command](cfg, out, meta, formats)
         caught = [str(w.message) for w in wlist
                   if issubclass(w.category, TruncationTailWarning)]
     status = 0 if not caught else 3

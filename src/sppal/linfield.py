@@ -221,10 +221,11 @@ def axial_piston_pressure(spec: PistonSpec, medium: Medium, f: float, z):
 
     Lossless form: p = rho0*c0*v * (exp(-ikz) - exp(-ik*sqrt(z^2+a^2))),
     whose magnitude is 2*rho0*c0*|v|*|sin(k/2*(sqrt(z^2+a^2)-z))|.
+    ``z`` of any shape is checked as on-axis points
+    (:func:`_quad.observation_points`); a scalar gives a complex.
     """
     z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z) & (z >= 0)):
-        raise ParameterDomainError("z must be finite and >= 0")
+    observation_points(np.zeros(z.shape), z)
     k = medium.wavenumber(f)
     alpha = absorption_coeff(medium, f)
     ra = np.sqrt(z ** 2 + spec.radius_a ** 2)

@@ -80,7 +80,7 @@ from .errors import (
 )
 from .linfield import FieldCurve, grid_workspace_bytes, pressure_grid
 from .medium import Medium, absorption_coeff
-from .radiator import SourceKind, SourceProfile, first_local_max
+from .radiator import PistonSpec, first_local_max, piston_profile, radial_sample_count
 
 #: the product's interference beat reaches ~2 k a r'/z^2
 #: at the beam edge (r' ~ a), twice the on-axis rate, hence the factor
@@ -120,32 +120,33 @@ class PrimaryPair:
     """Two primary beams radiated from one rigid-piston aperture.
 
     ``f_u1`` is the (lower) sideband, ``f_u2`` the carrier; the audio
-    frequency is their difference.  Both profiles must be pistons: a
-    plate enters through its equivalence-ratio piston.
+    frequency is their difference.  One piston of radius ``radius_a``
+    radiates both, at complex normal velocity ``v1`` (sideband) and ``v2``
+    (carrier): a plate enters through its equivalence-ratio piston.
     """
 
     f_u1: float
     f_u2: float
-    profile_1: SourceProfile
-    profile_2: SourceProfile
+    radius_a: float
+    v1: complex
+    v2: complex
 
     def __post_init__(self):
         if not 0.0 < self.f_u1 < self.f_u2:
             raise ParameterDomainError("primary pair needs f_u2 > f_u1 > 0")
-        for prof in (self.profile_1, self.profile_2):
-            if prof.kind is not SourceKind.PISTON:
-                raise ParameterDomainError(
-                    f"primary profiles must be pistons, got {prof.kind.value}")
-        if not np.isclose(self.profile_1.radius_a, self.profile_2.radius_a):
-            raise ParameterDomainError("primary profiles must share one aperture")
+        if not 0.0 < self.radius_a < np.inf:
+            raise ParameterDomainError("primary pair needs a finite radius_a > 0")
 
     @property
     def f_a(self) -> float:
         return self.f_u2 - self.f_u1
 
-    @property
-    def radius_a(self) -> float:
-        return self.profile_1.radius_a
+    def pistons(self, medium: Medium) -> tuple:
+        """(sideband, carrier) piston profiles, both with the
+        :func:`radiator.radial_sample_count` of the carrier."""
+        n = radial_sample_count(self.radius_a, self.f_u2, medium)
+        return (piston_profile(PistonSpec(self.radius_a, self.v1), n),
+                piston_profile(PistonSpec(self.radius_a, self.v2), n))
 
 
 def _carrier_z1(pair: PrimaryPair, medium: Medium) -> float:
@@ -290,7 +291,7 @@ def build_volume_grid(pair: PrimaryPair, medium: Medium,
 
     return VolumeGrid(
         z_nodes=z_nodes, r_nodes=r_nodes, wz=wz, wr=wr,
-        meta={"z1": z1, "z_max": z_max, "lam_u": lam_u, "lam_a": lam_a},
+        meta={"lam_a": lam_a},
     )
 
 
@@ -320,21 +321,21 @@ class QuasilinearSolver:
             p = pressure_grid(profile, medium, f, g.r_nodes, g.z_nodes, skirt_cut_db=skirt)
             return p, time.perf_counter() - t0
 
+        profile_1, profile_2 = pair.pistons(medium)
         t0 = time.perf_counter()
         if primary_carrier is None:
             # independent fields: the sideband on a worker thread while this
             # thread evaluates the carrier, each by the code a serial call runs
-            (p1, t1), (p2, t2) = _in_parallel(lambda: primary(pair.profile_1, pair.f_u1),
-                                              lambda: primary(pair.profile_2, pair.f_u2))
+            (p1, t1), (p2, t2) = _in_parallel(lambda: primary(profile_1, pair.f_u1),
+                                              lambda: primary(profile_2, pair.f_u2))
             carrier = f"{t2:.3f} s"
         else:
-            p1, t1 = primary(pair.profile_1, pair.f_u1)
+            p1, t1 = primary(profile_1, pair.f_u1)
             p2, carrier = primary_carrier, "given"
         _log.debug("primaries: grid %d x %d (n_z x n_r), sideband %.3f s, carrier %s, "
                    "pair %.3f s, workspace <= %d B per primary", g.z_nodes.size,
                    g.r_nodes.size, t1, carrier, time.perf_counter() - t0,
-                   grid_workspace_bytes(g.z_nodes.size, g.r_nodes.size,
-                                        pair.profile_1.radii.size))
+                   grid_workspace_bytes(g.z_nodes.size, g.r_nodes.size, profile_1.radii.size))
         self.primary_carrier = p2
 
         omega_a = 2.0 * np.pi * pair.f_a
@@ -838,8 +839,8 @@ def berktay_farfield(pair: PrimaryPair, medium: Medium, z: float) -> float:
             f"zone (z > {5.0 * z1:.3g} m)"
         )
     rho_c = medium.density * c0
-    p1 = rho_c * abs(pair.profile_1.center_velocity)
-    p2 = rho_c * abs(pair.profile_2.center_velocity)
+    p1 = rho_c * abs(pair.v1)
+    p2 = rho_c * abs(pair.v2)
     alpha_t = (absorption_coeff(medium, pair.f_u1)
                + absorption_coeff(medium, pair.f_u2))
     alpha_t = max(alpha_t, 1e-12)

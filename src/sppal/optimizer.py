@@ -587,7 +587,6 @@ def audio_capability(design: DesignPoint, ctx: DesignContext, f_a_grid,
 
     f_carrier = feats.f_r2  # higher resonance carries the LSB-AM carrier
     a = ctx.plate.radius_a
-    n = radiator.radial_sample_count(a, design.params.f_u0, medium)
     v2_center = frf.interp(f_carrier)
     er2 = linfield.equivalence_ratio(ctx.sp_profile, medium, f_carrier,
                                      design.params.d_uc)
@@ -597,16 +596,13 @@ def audio_capability(design: DesignPoint, ctx: DesignContext, f_a_grid,
 
     spl = np.empty(f_a_grid.size)
     d_ac = np.empty(f_a_grid.size)
-    carrier_profile = radiator.piston_profile(radiator.PistonSpec(a, v2_eff), n)
     # one volume grid shared by all audio frequencies (sized by the
     # largest f_a, whose audio wavelength caps the far-zone step most
-    # tightly) so the carrier field is computed once
+    # tightly; the grid reads no drive velocity) so the carrier field is
+    # computed once
     f_a_max = float(np.max(f_a_grid))
-    pair_ref = nlfield.PrimaryPair(
-        f_carrier - f_a_max, f_carrier,
-        radiator.piston_profile(radiator.PistonSpec(a, 1.0), n),
-        carrier_profile)
-    shared_grid = nlfield.build_volume_grid(pair_ref, medium, settings)
+    shared_grid = nlfield.build_volume_grid(
+        nlfield.PrimaryPair(f_carrier - f_a_max, f_carrier, a, 1.0, v2_eff), medium, settings)
     carrier_field = None
     for i, f_a in enumerate(f_a_grid):
         f_u1, f_u2 = nlfield.lsb_am_pair(f_carrier, f_a)
@@ -618,11 +614,7 @@ def audio_capability(design: DesignPoint, ctx: DesignContext, f_a_grid,
             spl[i] = -np.inf
             d_ac[i] = design.params.d_uc
             continue
-        pair = nlfield.PrimaryPair(
-            f_u1, f_u2,
-            radiator.piston_profile(radiator.PistonSpec(a, v1_eff), n),
-            carrier_profile,
-        )
+        pair = nlfield.PrimaryPair(f_u1, f_u2, a, v1_eff, v2_eff)
         solver = nlfield.QuasilinearSolver(pair, medium, settings=settings,
                                            grid=shared_grid,
                                            primary_carrier=carrier_field)
@@ -790,9 +782,7 @@ def audio_cd_contour(d_uc_grid, f_u2_grid, f_a: float, v1: float, v2: float,
     for i, duc in enumerate(d_uc_grid):
         for j, fu2 in enumerate(f_u2_grid):
             a = radiator.aperture_for_cd(duc, fu2, medium)
-            n = radiator.radial_sample_count(a, fu2, medium)
-            unit = radiator.piston_profile(radiator.PistonSpec(a, 1.0), n)
-            pair = nlfield.PrimaryPair(*nlfield.lsb_am_pair(fu2, f_a), unit, unit)
+            pair = nlfield.PrimaryPair(*nlfield.lsb_am_pair(fu2, f_a), a, 1.0, 1.0)
             solver = nlfield.QuasilinearSolver(pair, medium, settings=settings)
             z = np.geomspace(0.05, max(3.0, 2.5 * duc), 40)
             with warnings.catch_warnings():

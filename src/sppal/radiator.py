@@ -104,7 +104,8 @@ class ModeShape:
 
     ``radii``/``deflection`` sample w(r) on [0, a]; ``nodal_radii`` are
     the m interior zeros; ``eigenvalue`` is the frequency parameter
-    lambda = k_plate * a of the characteristic equation.
+    lambda = k_plate * a of the characteristic equation of the
+    ``boundary`` edge, which together fix w(r) at any radius.
     """
 
     radii: np.ndarray
@@ -114,6 +115,7 @@ class ModeShape:
     eigenvalue: float
     mode_m: int
     radius_a: float
+    boundary: Boundary
 
     def __post_init__(self):
         nr = np.asarray(self.nodal_radii)
@@ -301,7 +303,7 @@ def plate_mode_shape(spec: PlateSpec) -> ModeShape:
 
     return ModeShape(radii=r, deflection=w, nodal_radii=tuple(nodal),
                      natural_frequency=f_nat, eigenvalue=float(lam_sel),
-                     mode_m=spec.mode_m, radius_a=a)
+                     mode_m=spec.mode_m, radius_a=a, boundary=spec.boundary)
 
 
 def size_plate_for(f_u0: float, d_uc: float, mode_m: int, material,
@@ -340,37 +342,31 @@ def stepped_profile(mode: ModeShape, center_velocity: complex,
                     n_samples: int | None = None) -> SourceProfile:
     """Velocity profile of a plate mode with phase-compensating steps.
 
-    The raw profile is ``center_velocity * w(r)``.  Under the standard
-    policy every zone where w < 0 carries an annular step that flips the
+    The raw profile is ``center_velocity * w(r)``, with w evaluated from
+    the mode's eigenvalue and edge condition.  Under the standard policy
+    every zone where w < 0 (every other zone from the centre: w changes
+    sign at each nodal circle) carries an annular step that flips the
     sign of its radiated contribution (the ideal half-wavelength path
     difference), except that odd-mode designs leave the outermost zone
     bare; the central zone is always bare.  ``StepPolicy.NONE`` returns
     the uncompensated flat-plate profile.  It takes ``n_samples`` radii, at
-    least ``MIN_PLATE_SAMPLES``, or for None the mode's own samples.
+    least ``MIN_PLATE_SAMPLES``, or for None as many as the mode's own
+    samples, at which the values are the mode's.
     """
     n = len(mode.radii) if n_samples is None else max(int(n_samples), MIN_PLATE_SAMPLES)
-    if n != len(mode.radii):
-        r = np.linspace(0.0, mode.radius_a, n)
-        w = np.interp(r, mode.radii, mode.deflection)
-    else:
-        r = mode.radii
-        w = mode.deflection.copy()
+    r = np.linspace(0.0, mode.radius_a, n)
+    w = _mode_profile(mode.eigenvalue, mode.boundary, r / mode.radius_a)
 
-    v = np.asarray(w, dtype=complex) * complex(center_velocity)
+    v = w.astype(complex) * complex(center_velocity)
     if step_policy is StepPolicy.NONE:
         return SourceProfile(mode.radius_a, r, v, SourceKind.FLAT_PLATE)
 
     bounds = np.concatenate(([0.0], np.asarray(mode.nodal_radii), [mode.radius_a]))
     n_zones = len(bounds) - 1
-    for zone in range(n_zones):
-        lo, hi = bounds[zone], bounds[zone + 1]
-        mid = 0.5 * (lo + hi)
-        w_mid = np.interp(mid, mode.radii, mode.deflection)
-        if w_mid >= 0.0:
-            continue  # in-phase zone, bare
+    for zone in range(1, n_zones, 2):  # the zones where w < 0
         if mode.mode_m % 2 == 1 and zone == n_zones - 1:
             continue  # odd mode: outermost step omitted
-        sel = (r >= lo) & (r <= hi)
+        sel = (r >= bounds[zone]) & (r <= bounds[zone + 1])
         v[sel] = -v[sel]
     return SourceProfile(mode.radius_a, r, v, SourceKind.STEPPED_PLATE)
 

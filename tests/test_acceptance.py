@@ -108,16 +108,13 @@ def test_04_berktay_slope(air):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for f_a in f_as:
-            pair = nl.PrimaryPair(*nl.lsb_am_pair(60e3, f_a),
-                                  piston(a, 0.1, 60e3, air),
-                                  piston(a, 0.1, 60e3, air))
+            pair = nl.PrimaryPair(*nl.lsb_am_pair(60e3, f_a), a, 0.1, 0.1)
             solver = nl.QuasilinearSolver(pair, air)
             mags.append(abs(solver.pressures([0.0], [z_far])[0]))
     slope = float(np.polyfit(np.log2(f_as), 20 * np.log10(mags), 1)[0])
-    bk = [nl.berktay_farfield(
-        nl.PrimaryPair(*nl.lsb_am_pair(60e3, f_a), piston(a, 0.1, 60e3, air),
-                       piston(a, 0.1, 60e3, air)), air, z_far)
-        for f_a in f_as]
+    bk = [nl.berktay_farfield(nl.PrimaryPair(*nl.lsb_am_pair(60e3, f_a), a, 0.1, 0.1),
+                              air, z_far)
+          for f_a in f_as]
     slope_bk = float(np.polyfit(np.log2(f_as), 20 * np.log10(bk), 1)[0])
     ok = abs(slope - 12.04) <= 1.0
     verdict(4, "far-field audio slope", ok,
@@ -127,7 +124,6 @@ def test_04_berktay_slope(air):
 
 def test_05_bilinearity(air):
     a, f2, f_a = 0.012, 60e3, 2e3
-    n = rad.radial_sample_count(a, f2, air)
     f1 = f2 - f_a
     dz = air.wavelength(f2) / 12.0
     z_nodes = np.arange(dz / 2.0, 0.1, dz)
@@ -136,11 +132,7 @@ def test_05_bilinearity(air):
                          _quad.simpson_weights(r_nodes))
 
     def audio(v1, v2):
-        pair = nl.PrimaryPair(
-            f1, f2,
-            rad.piston_profile(rad.PistonSpec(a, v1), n),
-            rad.piston_profile(rad.PistonSpec(a, v2), n))
-        s = nl.QuasilinearSolver(pair, air, grid=grid)
+        s = nl.QuasilinearSolver(nl.PrimaryPair(f1, f2, a, v1, v2), air, grid=grid)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             return s.pressures([0.0], [0.06])[0]
@@ -181,8 +173,7 @@ def test_06_quasilinear_oracle(air):
     wr[0] += r_nodes[0]
     wr[-1] += r_cap - r_nodes[-1]
     grid = nl.VolumeGrid(z_nodes, r_nodes, wz, wr)
-    pair = nl.PrimaryPair(f1, f2, piston(a, 0.1, f2, air),
-                          piston(a, 0.1, f2, air))
+    pair = nl.PrimaryPair(f1, f2, a, 0.1, 0.1)
     solver = nl.QuasilinearSolver(pair, air, grid=grid)
     rho_p = np.array([0.0, 0.0, 0.0, 0.008, 0.016])
     z_p = np.array([0.03, 0.06, 0.10, 0.05, 0.08])
@@ -482,10 +473,7 @@ def test_12_dual_resonance_benefit(air, monkeypatch):
             for name, frf in (("dr", dr), ("sr", sr)):
                 v1 = frf.interp(f_r2 - f_a)
                 v2 = frf.interp(f_r2)
-                pair = nl.PrimaryPair(
-                    f_r2 - f_a, f_r2,
-                    rad.piston_profile(rad.PistonSpec(a, v1), 145),
-                    rad.piston_profile(rad.PistonSpec(a, v2), 145))
+                pair = nl.PrimaryPair(f_r2 - f_a, f_r2, a, v1, v2)
                 solver = nl.QuasilinearSolver(pair, air, settings=st)
                 spl[name] = nl.find_audio_cd(solver.propagation_curve(z)).spl
             lift.append(spl["dr"] - spl["sr"])

@@ -273,10 +273,10 @@ class TestCommands:
         cfg = validate_config({"pair": {"f_carrier_hz": 60e3, "surrogate": sur}})
         pair = cli._pair_from_config(cfg, cfg.medium(), 1234.5)
         assert pair.f_u1 == 60e3 - 1234.5
-        for f, prof in ((pair.f_u1, pair.profile_1), (pair.f_u2, pair.profile_2)):
+        for f, v in ((pair.f_u1, pair.v1), (pair.f_u2, pair.v2)):
             (want,) = td.pzg_frf(td.PzgKind.DR, 4e11, 58.6e3, 60e3, 59.3e3,
                                  0.05, [f]).center_velocity
-            assert prof.velocity[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert v == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_cr_screen(self, tmp_path):
         cfg = write_cfg(tmp_path, {

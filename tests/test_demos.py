@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
@@ -59,3 +60,27 @@ def test_demos_use_only_existing_sppal_names():
             except (AttributeError, ImportError):
                 missing.append(f"{path.name}:{lineno} {dotted}")
     assert DEMOS.is_dir() and not missing, missing
+
+
+def test_demo_calls_bind_to_sppal_signatures():
+    # each call of an sppal name in the demos must bind to the callee's
+    # signature; calls that unpack * or ** arguments are not checked
+    bad, checked = [], 0
+    for path in sorted(DEMOS.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound = _sppal_imports(tree)
+        for node in ast.walk(tree):
+            chain = _attribute_chain(node.func) if isinstance(node, ast.Call) else None
+            if not chain or chain[0] not in bound:
+                continue
+            if (any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg is None for k in node.keywords)):
+                continue
+            callee = _resolve(".".join([bound[chain[0]]] + chain[1:]))
+            try:
+                inspect.signature(callee).bind(*node.args,
+                                               **{k.arg: k.value for k in node.keywords})
+            except TypeError as e:
+                bad.append(f"{path.name}:{node.lineno} {'.'.join(chain)}: {e}")
+            checked += 1
+    assert checked > 0 and not bad, bad

@@ -128,8 +128,18 @@ class TestAxialPiston:
 
     @pytest.mark.parametrize("z", [np.nan, np.inf, -0.1, [0.2, np.nan]])
     def test_rejects_bad_z(self, std_air, z):
-        with pytest.raises(ParameterDomainError, match="finite and >= 0"):
+        # the check the field engines share for their points, with its message
+        with pytest.raises(ParameterDomainError) as shared:
+            _quad.observation_points(np.zeros(np.shape(z)), z)
+        with pytest.raises(ParameterDomainError) as err:
             lf.axial_piston_pressure(rad.PistonSpec(0.03, 0.1), std_air, 40e3, z)
+        assert str(err.value) == str(shared.value)
+
+    def test_scalar_z_gives_complex(self, std_air):
+        spec = rad.PistonSpec(0.03, 0.1)
+        p = lf.axial_piston_pressure(spec, std_air, 40e3, 0.2)
+        assert isinstance(p, complex)
+        assert p == lf.axial_piston_pressure(spec, std_air, 40e3, [0.2])[0]
 
 
 class TestPropagationCurve:
@@ -447,17 +457,15 @@ class TestPressureGridRecursion:
         # (measured 6.3e-13, as without kernels: the shared node sets)
         f = 90e3
         a = rad.aperture_for_cd(0.45, f, std_air)
-        n = rad.radial_sample_count(a, f, std_air)
-        f1, f2 = nl.lsb_am_pair(f, 1e3)
-        pair = nl.PrimaryPair(f1, f2, rad.piston_profile(rad.PistonSpec(a, 0.1), n),
-                              rad.piston_profile(rad.PistonSpec(a, 0.1), n))
+        pair = nl.PrimaryPair(*nl.lsb_am_pair(f, 1e3), a, 0.1, 0.1)
+        carrier = pair.pistons(std_air)[1]
         g = nl.build_volume_grid(pair, std_air)
         z = g.z_nodes[::4]
         with caplog.at_level(logging.DEBUG, logger="sppal.linfield"):
-            got = lf.pressure_grid(pair.profile_2, std_air, f, g.r_nodes, z, 40.0)
+            got = lf.pressure_grid(carrier, std_air, f, g.r_nodes, z, 40.0)
         n_kern = int(re.search(r"kernel on (\d+) columns", caplog.records[0].getMessage())[1])
         assert n_kern > g.r_nodes.size // 2
-        want = _parent_pressure_grid(pair.profile_2, std_air, f, g.r_nodes, z, 40.0)
+        want = _parent_pressure_grid(carrier, std_air, f, g.r_nodes, z, 40.0)
         col_max = np.max(np.abs(want), axis=0)
         assert np.all(np.abs(got - want) <= 1e-12 * col_max)
 

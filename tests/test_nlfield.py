@@ -28,13 +28,7 @@ SPL_TOL_DB = 0.01
 
 
 def desk_pair(medium, v1=0.1, v2=0.1, f2=60e3, f_a=2e3, a=0.012):
-    n = rad.radial_sample_count(a, f2, medium)
-    f1, f2 = nl.lsb_am_pair(f2, f_a)
-    return nl.PrimaryPair(
-        f1, f2,
-        rad.piston_profile(rad.PistonSpec(a, v1), n),
-        rad.piston_profile(rad.PistonSpec(a, v2), n),
-    )
+    return nl.PrimaryPair(*nl.lsb_am_pair(f2, f_a), a, v1, v2)
 
 
 #: axial extent of the desk-scale volume grid (m): the truncated domain
@@ -99,26 +93,37 @@ class TestLsbAm:
 
 class TestPrimaryPair:
     def test_ordering(self, std_air):
-        prof = rad.piston_profile(rad.PistonSpec(0.01, 0.1), 65)
         with pytest.raises(ParameterDomainError):
-            nl.PrimaryPair(60e3, 59e3, prof, prof)
+            nl.PrimaryPair(60e3, 59e3, 0.01, 0.1, 0.1)
 
-    def test_shared_aperture(self):
-        p1 = rad.piston_profile(rad.PistonSpec(0.01, 0.1), 65)
-        p2 = rad.piston_profile(rad.PistonSpec(0.02, 0.1), 65)
-        with pytest.raises(ParameterDomainError):
-            nl.PrimaryPair(59e3, 60e3, p1, p2)
+    @pytest.mark.parametrize("a", [0.0, -0.01, np.nan, np.inf])
+    def test_radius_rejected(self, a):
+        with pytest.raises(ParameterDomainError, match="radius_a"):
+            nl.PrimaryPair(59e3, 60e3, a, 0.1, 0.1)
 
-    @pytest.mark.parametrize("policy", [rad.StepPolicy.STANDARD, rad.StepPolicy.NONE])
-    def test_plate_profiles_rejected(self, policy):
-        # the audio field is that of the equivalence-ratio piston: a
-        # stepped- or flat-plate profile is refused, on either primary
-        mode = rad.plate_mode_shape(rad.PlateSpec(0.0508, 0.00099, 70e9, 0.33, 2700, 8))
-        plate = rad.stepped_profile(mode, 0.1, policy)
-        piston = rad.piston_profile(rad.PistonSpec(mode.radius_a, 0.1), 65)
-        for p1, p2 in ((plate, piston), (piston, plate)):
-            with pytest.raises(ParameterDomainError, match="pistons"):
-                nl.PrimaryPair(59e3, 60e3, p1, p2)
+    def test_pistons_sampled_at_the_carrier(self, std_air):
+        pair = nl.PrimaryPair(59e3, 64.5e3, 0.05, 0.1 + 0.2j, 0.3)
+        n = rad.radial_sample_count(0.05, 64.5e3, std_air)
+        assert n > rad.radial_sample_count(0.05, 59e3, std_air)
+        for prof, v in zip(pair.pistons(std_air), (pair.v1, pair.v2)):
+            assert prof.kind is rad.SourceKind.PISTON
+            assert prof.radius_a == 0.05 and prof.radii.size == n
+            assert np.all(prof.velocity == v)
+
+    def test_solver_samples_both_pistons_at_the_carrier(self, std_air, desk_settings,
+                                                         monkeypatch):
+        calls = []
+
+        def recording(spec, n_samples):
+            calls.append((spec, n_samples))
+            return rad.piston_profile(spec, n_samples)
+
+        monkeypatch.setattr(nl, "piston_profile", recording)
+        pair = desk_pair(std_air, v1=0.1j, v2=0.2)
+        nl.QuasilinearSolver(pair, std_air, desk_settings)
+        n = rad.radial_sample_count(pair.radius_a, pair.f_u2, std_air)
+        assert calls == [(rad.PistonSpec(pair.radius_a, 0.1j), n),
+                         (rad.PistonSpec(pair.radius_a, 0.2), n)]
 
 
 class TestVolumeGrid:
@@ -191,9 +196,10 @@ class TestQuasilinearBasics:
         pair = desk_pair(lossless_air)
         g = nl.VolumeGrid([0.02], [0.002], [1e-3], [1e-4])
         s = nl.QuasilinearSolver(pair, lossless_air, grid=g)
-        p1 = lf.pressure_grid(pair.profile_1, lossless_air, pair.f_u1,
+        prof_1, prof_2 = pair.pistons(lossless_air)
+        p1 = lf.pressure_grid(prof_1, lossless_air, pair.f_u1,
                               g.r_nodes, g.z_nodes)[0, 0]
-        p2 = lf.pressure_grid(pair.profile_2, lossless_air, pair.f_u2,
+        p2 = lf.pressure_grid(prof_2, lossless_air, pair.f_u2,
                               g.r_nodes, g.z_nodes)[0, 0]
         wa = 2 * np.pi * pair.f_a
         coef = lossless_air.beta * wa ** 2 / (lossless_air.density
@@ -355,7 +361,7 @@ class TestConcurrentPrimaries:
         assert [fields[f][0] for f in (pair.f_u1, pair.f_u2)] == [False, True]
         monkeypatch.undo()
         g, skirt = solver.grid, solver.settings.truncation_db / 2.0 + 10.0
-        for profile, f in ((pair.profile_1, pair.f_u1), (pair.profile_2, pair.f_u2)):
+        for profile, f in zip(pair.pistons(std_air), (pair.f_u1, pair.f_u2)):
             alone = lf.pressure_grid(profile, std_air, f, g.r_nodes, g.z_nodes, skirt)
             assert np.array_equal(fields[f][1], alone)
         monkeypatch.setattr(nl, "_in_parallel", _serial)
@@ -401,7 +407,7 @@ class TestConcurrentPrimaries:
         assert rec.levelno == logging.DEBUG
         assert grid in msg
         assert "sideband" in msg and "carrier" in msg and "pair" in msg
-        n_src = s.pair.profile_1.radii.size
+        n_src = rad.radial_sample_count(s.pair.radius_a, s.pair.f_u2, std_air)
         workspace = lf.grid_workspace_bytes(s.grid.z_nodes.size, s.grid.r_nodes.size, n_src)
         assert workspace == (2 * 8 * lf.GRID_WORKSPACE_VALUES
                              + 16 * s.grid.z_nodes.size * s.grid.r_nodes.size)
@@ -597,12 +603,10 @@ def _per_node(solver, rho, z, monkeypatch):
 def sweep_request(std_air):
     """The on-axis request of the benchmark sweep's selected design: the
     reference aperture at a 64.67 kHz carrier, 1 kHz audio, and the 33
-    points of ``audio_capability`` (grid 934 x 465)."""
+    points of ``audio_capability`` (grid 934 x 465, pistons of 155 samples)."""
     a = rad.aperture_for_cd(0.45, 60e3, std_air)
-    n = rad.radial_sample_count(a, 60e3, std_air)
     f2 = 64666.81294779269
-    pair = nl.PrimaryPair(f2 - 1e3, f2, rad.piston_profile(rad.PistonSpec(a, 0.1), n),
-                          rad.piston_profile(rad.PistonSpec(a, 0.1), n))
+    pair = nl.PrimaryPair(f2 - 1e3, f2, a, 0.1, 0.1)
     return nl.QuasilinearSolver(pair, std_air), np.zeros(33), np.geomspace(0.05, 1.35, 33)
 
 
@@ -760,9 +764,10 @@ def test_pressure_grid_peak_memory(std_air, reference_pair):
     # block held all its J0 rows (8384 nodes) and a 16 MB plane buffer at once
     pair = reference_pair
     g = nl.build_volume_grid(pair, std_air)
+    carrier = pair.pistons(std_air)[1]
     tracemalloc.start()
     try:
-        lf.pressure_grid(pair.profile_2, std_air, pair.f_u2, g.r_nodes, g.z_nodes, 40.0)
+        lf.pressure_grid(carrier, std_air, pair.f_u2, g.r_nodes, g.z_nodes, 40.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -782,7 +787,8 @@ def test_pressure_grid_j0_budget(std_air, reference_pair, monkeypatch):
         return special.j0(x, **kwargs)
 
     monkeypatch.setattr(lf, "special", type("Special", (), {"j0": staticmethod(j0)}))
-    lf.pressure_grid(pair.profile_2, std_air, pair.f_u2, g.r_nodes, g.z_nodes, 40.0)
+    lf.pressure_grid(pair.pistons(std_air)[1], std_air, pair.f_u2, g.r_nodes, g.z_nodes,
+                     40.0)
     assert count[0] <= 1.015e6
 
 
@@ -841,7 +847,7 @@ class TestAudioCurves:
     def test_curve_grid_validation(self, std_air, desk_solver):
         # both engines' on-axis curves check their grid in _quad: the same
         # grids fail with the same message
-        prof, f = desk_solver.pair.profile_2, desk_solver.pair.f_u2
+        prof, f = desk_solver.pair.pistons(std_air)[1], desk_solver.pair.f_u2
         for z in ([], [0.3, 0.1], [0.0, 0.1], [np.nan], [0.05, np.nan], [0.05, np.inf]):
             messages = []
             for curve in (partial(lf.propagation_curve, prof, std_air, f),
@@ -857,7 +863,7 @@ class TestAudioCurves:
     ])
     def test_beam_range_and_angle_validation(self, std_air, desk_solver, r, theta):
         # both engines' beam patterns check range and angles in _quad
-        prof, f = desk_solver.pair.profile_2, desk_solver.pair.f_u2
+        prof, f = desk_solver.pair.pistons(std_air)[1], desk_solver.pair.f_u2
         messages = []
         for beam in (partial(lf.beam_pattern, prof, std_air, f), desk_solver.beam_pattern):
             with pytest.raises(ParameterDomainError) as err:

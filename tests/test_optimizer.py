@@ -7,6 +7,7 @@ import pytest
 
 from sppal import nlfield as nl
 from sppal import optimizer as opt
+from sppal import radiator as rad
 from sppal import transducer as td
 from sppal.errors import (
     InfeasibleDesignError,
@@ -696,6 +697,24 @@ class TestDesignPipeline:
         assert cap.carrier_hz == pytest.approx(f_r2, rel=1e-6)
         assert np.isfinite(cap.peak_spl)
         assert cap.d_ac_at_peak > 0
+
+    def test_audio_capability_samples_pistons_at_the_carrier(self, cell_ctx, coarse,
+                                                              monkeypatch):
+        # every audio frequency's pair samples both pistons by the rule at
+        # the carrier, not at the cell's nominal f_u0
+        knee = opt.select_knee(opt.optimize_lengths(cell_ctx, opt.NsgaConfig(
+            pop=12, generations=4, seed=3)), (800.0, 8000.0))
+        calls = []
+
+        def recording(spec, n_samples):
+            calls.append(n_samples)
+            return rad.piston_profile(spec, n_samples)
+
+        monkeypatch.setattr(nl, "piston_profile", recording)
+        cap = opt.audio_capability(knee, cell_ctx, [500.0, 1000.0], settings=coarse)
+        n = rad.radial_sample_count(cell_ctx.plate.radius_a, cap.carrier_hz, cell_ctx.medium)
+        assert n != rad.radial_sample_count(cell_ctx.plate.radius_a, 60e3, cell_ctx.medium)
+        assert calls == [n] * 4
 
     def test_vanishing_drive_guard(self, cell_ctx, coarse):
         # effective velocities below the guard floor produce -inf SPL

@@ -165,10 +165,11 @@ class TestSteppedProfile:
         assert np.min(prof.velocity[outer].real) < 0
 
     def test_none_policy_is_raw_mode(self, mode8):
+        # without n_samples the profile is the mode's own samples, bit for bit
         prof = rad.stepped_profile(mode8, 2.0, rad.StepPolicy.NONE)
         assert prof.kind is rad.SourceKind.FLAT_PLATE
-        np.testing.assert_allclose(prof.velocity.real, 2.0 * mode8.deflection,
-                                   atol=1e-14)
+        assert np.array_equal(prof.radii, mode8.radii)
+        assert np.array_equal(prof.velocity.real, 2.0 * mode8.deflection)
 
     def test_sample_floor(self, mode8):
         # a requested count gets at least MIN_PLATE_SAMPLES radii; None keeps
@@ -176,6 +177,21 @@ class TestSteppedProfile:
         for n, size in ((None, mode8.radii.size), (65, rad.MIN_PLATE_SAMPLES),
                         (1025, 1025)):
             assert rad.stepped_profile(mode8, 1.0, n_samples=n).radii.size == size
+
+    @pytest.mark.parametrize("boundary", list(rad.Boundary))
+    def test_resampled_profile_is_the_analytic_mode(self, boundary):
+        # w = J0(lam rho) + c I0(lam rho) at the requested radii, not an
+        # interpolation of the mode's samples (off by ~1e-4 at 1025)
+        mode = rad.plate_mode_shape(rad.PlateSpec(0.0508, 0.00099, 70e9, 0.33, 2700, 8,
+                                                  boundary=boundary))
+        prof = rad.stepped_profile(mode, 1.0, rad.StepPolicy.NONE, n_samples=1025)
+        lam, rho = mode.eigenvalue, prof.radii / mode.radius_a
+        if boundary is rad.Boundary.FREE:
+            c = -special.j1(lam) / special.i1(lam)
+        else:
+            c = -special.j0(lam) / special.i0(lam)
+        w = special.j0(lam * rho) + c * special.i0(lam * rho)
+        np.testing.assert_allclose(prof.velocity.real, w / w[0], rtol=0, atol=1e-10)
 
     def test_center_zone_bare(self, mode8):
         prof = rad.stepped_profile(mode8, 1.0)
