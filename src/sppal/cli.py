@@ -27,13 +27,18 @@ def _medium_state(cfg: RunConfig) -> dict:
     return dict(cfg.block("medium"))
 
 
+def _piston_radius(cfg: RunConfig, medium: Medium) -> float:
+    """``source.radius_m``, or the aperture of ``source.d_uc_m`` at ``source.f_u0_hz``."""
+    src = cfg.block("source")
+    if src["radius_m"] is not None:
+        return float(src["radius_m"])
+    return radiator.aperture_for_cd(src["d_uc_m"], src["f_u0_hz"], medium)
+
+
 def _build_source_profile(cfg: RunConfig, medium: Medium, f: float):
     src = cfg.block("source")
     if src["kind"] == "piston":
-        if src["radius_m"] is not None:
-            a = float(src["radius_m"])
-        else:
-            a = radiator.aperture_for_cd(src["d_uc_m"], src["f_u0_hz"], medium)
+        a = _piston_radius(cfg, medium)
         v = complex(*src["velocity_ms"])
         n = radiator.radial_sample_count(a, f, medium)
         return radiator.piston_profile(radiator.PistonSpec(a, v), n)
@@ -79,14 +84,7 @@ def _pair_from_config(cfg: RunConfig, medium: Medium, f_a: float):
     else:
         v1 = complex(*p["v1_ms"])
         v2 = complex(*p["v2_ms"])
-    src = cfg.block("source")
-    if src["radius_m"] is not None:
-        a = float(src["radius_m"])
-    else:
-        d_uc = src["d_uc_m"] if src["d_uc_m"] is not None else 0.45
-        f_u0 = src["f_u0_hz"] if src["f_u0_hz"] is not None else p["f_carrier_hz"]
-        a = radiator.aperture_for_cd(d_uc, f_u0, medium)
-    return nlfield.PrimaryPair(f_u1, f_u2, a, v1, v2)
+    return nlfield.PrimaryPair(f_u1, f_u2, _piston_radius(cfg, medium), v1, v2)
 
 
 def _audio_freq_grid(cfg: RunConfig) -> np.ndarray:
@@ -167,15 +165,10 @@ def _cmd_audio_fr(cfg: RunConfig, out: Path, meta: dict, formats) -> list:
     medium = cfg.medium()
     f_grid = _audio_freq_grid(cfg)
     settings = _solver_settings(cfg)
-    spl = np.empty(f_grid.size)
-    d_ac = np.empty(f_grid.size)
-    for i, f_a in enumerate(f_grid):
-        pair = _pair_from_config(cfg, medium, float(f_a))
-        solver = nlfield.QuasilinearSolver(pair, medium, settings)
-        cd = nlfield.find_audio_cd(solver.propagation_curve(_z_grid(cfg)))
-        spl[i] = cd.spl
-        d_ac[i] = cd.distance
-    cols = {"f_a_hz": f_grid, "spl_db": spl, "d_ac_m": d_ac}
+    cds = [nlfield.critical_point(_pair_from_config(cfg, medium, float(f_a)), medium, settings)
+           for f_a in f_grid]
+    cols = {"f_a_hz": f_grid, "spl_db": np.array([cd.spl for cd in cds]),
+            "d_ac_m": np.array([cd.distance for cd in cds])}
     return io.write_columns(out / "audio_fr", cols, meta, formats)
 
 

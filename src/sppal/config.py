@@ -58,6 +58,8 @@ _SCHEMA = {
         "audio_ppw": SolverSettings.audio_ppw,
         "truncation_db": SolverSettings.truncation_db,
         "tail_warn_fraction": SolverSettings.tail_warn_fraction,
+        # z_* feed only pc and audio-pc: audio-fr and cd-contour locate the
+        # maximum on each pair's own grid (nlfield.critical_point)
         "z_start_m": 0.05,
         "z_stop_m": 2.0,
         "z_points": 60,
@@ -114,9 +116,9 @@ COMMAND_BLOCKS = {
     "pc": ("source",),
     "bp": ("source",),
     "er": ("source",),
-    "audio-pc": ("pair",),
-    "audio-bp": ("pair",),
-    "audio-fr": ("pair",),
+    "audio-pc": ("pair", "source"),
+    "audio-bp": ("pair", "source"),
+    "audio-fr": ("pair", "source"),
     "cd-contour": (),
     "pareto": ("optimizer",),
     "sweep": ("optimizer",),

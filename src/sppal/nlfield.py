@@ -62,7 +62,7 @@ import logging
 import threading
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -102,6 +102,14 @@ _WINDOW_NEPERS = 40.0
 #: Chebyshev points (:meth:`QuasilinearSolver._evaluated`).  Kept apart from
 #: ``_WINDOW_NEPERS``, so that moving the window moves no evaluation point
 _ROUNDING_NEPERS = 40.0
+#: on-axis points on which :func:`critical_point` locates the audio maximum
+_CP_POINTS = 33
+#: the critical point's z grid starts at the carrier's z1 or at
+#: ``_CP_Z_START``, whichever is nearer the source, and ends at
+#: ``_CP_Z1_SPAN`` z1 or at ``_CP_Z_STOP``, whichever is farther (m)
+_CP_Z_START = 0.05
+_CP_Z_STOP = 0.6
+_CP_Z1_SPAN = 3.0
 
 _log = logging.getLogger(__name__)
 
@@ -306,8 +314,7 @@ class QuasilinearSolver:
 
     def __init__(self, pair: PrimaryPair, medium: Medium,
                  settings: SolverSettings | None = None,
-                 grid: VolumeGrid | None = None,
-                 primary_carrier: np.ndarray | None = None):
+                 grid: VolumeGrid | None = None):
         self.pair = pair
         self.medium = medium
         self.settings = settings or SolverSettings()
@@ -323,20 +330,14 @@ class QuasilinearSolver:
 
         profile_1, profile_2 = pair.pistons(medium)
         t0 = time.perf_counter()
-        if primary_carrier is None:
-            # independent fields: the sideband on a worker thread while this
-            # thread evaluates the carrier, each by the code a serial call runs
-            (p1, t1), (p2, t2) = _in_parallel(lambda: primary(profile_1, pair.f_u1),
-                                              lambda: primary(profile_2, pair.f_u2))
-            carrier = f"{t2:.3f} s"
-        else:
-            p1, t1 = primary(profile_1, pair.f_u1)
-            p2, carrier = primary_carrier, "given"
-        _log.debug("primaries: grid %d x %d (n_z x n_r), sideband %.3f s, carrier %s, "
+        # independent fields: the sideband on a worker thread while this
+        # thread evaluates the carrier, each by the code a serial call runs
+        (p1, t1), (p2, t2) = _in_parallel(lambda: primary(profile_1, pair.f_u1),
+                                          lambda: primary(profile_2, pair.f_u2))
+        _log.debug("primaries: grid %d x %d (n_z x n_r), sideband %.3f s, carrier %.3f s, "
                    "pair %.3f s, workspace <= %d B per primary", g.z_nodes.size,
-                   g.r_nodes.size, t1, carrier, time.perf_counter() - t0,
+                   g.r_nodes.size, t1, t2, time.perf_counter() - t0,
                    grid_workspace_bytes(g.z_nodes.size, g.r_nodes.size, profile_1.radii.size))
-        self.primary_carrier = p2
 
         omega_a = 2.0 * np.pi * pair.f_a
         coef = medium.beta * omega_a ** 2 / (medium.density * medium.sound_speed ** 4)
@@ -818,6 +819,33 @@ def find_audio_cd(curve: FieldCurve) -> AudioCd:
         return AudioCd(distance=float(z[i]), spl=float(spl[i]))
     z_pk, s_pk = parabolic_peak(z, spl, i)
     return AudioCd(distance=z_pk, spl=s_pk)
+
+
+def _critical_z_grid(pair: PrimaryPair, medium: Medium) -> np.ndarray:
+    """The on-axis grid of :func:`critical_point`, from the carrier's z1 alone
+    (the default start where the carrier has no on-axis maximum)."""
+    z1 = _carrier_z1(pair, medium)
+    start = min(_CP_Z_START, z1) if z1 > 0 else _CP_Z_START
+    return np.geomspace(start, max(_CP_Z1_SPAN * z1, _CP_Z_STOP), _CP_POINTS)
+
+
+def critical_point(pair: PrimaryPair, medium: Medium,
+                   settings: SolverSettings | None = None) -> AudioCd:
+    """The pair's audio critical point: location and level of its on-axis maximum.
+
+    The pair is solved once at unit drive on its own volume grid, and the
+    maximum located (:func:`find_audio_cd`) on ``_CP_POINTS`` geometric
+    points from min(``_CP_Z_START``, z1) to max(``_CP_Z1_SPAN`` z1,
+    ``_CP_Z_STOP``), z1 the carrier's.  The audio amplitude is |v1 v2|
+    times that of the unit drive, so the level is then raised by
+    20 log10|v1 v2| dB and the distance does not depend on the drive
+    (-inf dB at zero drive).
+    """
+    unit = QuasilinearSolver(replace(pair, v1=1.0, v2=1.0), medium, settings)
+    cd = find_audio_cd(unit.propagation_curve(_critical_z_grid(pair, medium)))
+    with np.errstate(divide="ignore"):
+        drive_db = 20.0 * np.log10(abs(pair.v1 * pair.v2))
+    return AudioCd(distance=cd.distance, spl=float(cd.spl + drive_db))
 
 
 def berktay_farfield(pair: PrimaryPair, medium: Medium, z: float) -> float:

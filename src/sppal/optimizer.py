@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import time
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -571,7 +570,7 @@ def audio_capability(design: DesignPoint, ctx: DesignContext, f_a_grid,
     frequency: transducer centre velocities at the LSB-AM primaries
     (carrier at the upper resonance), converted to effective piston
     velocities through the equivalence ratio at each primary frequency,
-    then the quasilinear field and its critical distance.
+    then the pair's critical point (:func:`nlfield.critical_point`).
     """
     if design.params != ctx.params:
         raise ParameterDomainError(
@@ -586,41 +585,23 @@ def audio_capability(design: DesignPoint, ctx: DesignContext, f_a_grid,
         raise type(e)(f"design {design.params}: {e}") from e
 
     f_carrier = feats.f_r2  # higher resonance carries the LSB-AM carrier
-    a = ctx.plate.radius_a
-    v2_center = frf.interp(f_carrier)
     er2 = linfield.equivalence_ratio(ctx.sp_profile, medium, f_carrier,
                                      design.params.d_uc)
-    v2_eff = er2.effective_velocity(v2_center)
-    z1 = radiator.first_local_max(a, f_carrier, medium)
-    z_grid = np.geomspace(0.05, max(3.0 * design.params.d_uc, 2.0 * z1), 33)
+    v2_eff = er2.effective_velocity(frf.interp(f_carrier))
 
     spl = np.empty(f_a_grid.size)
     d_ac = np.empty(f_a_grid.size)
-    # one volume grid shared by all audio frequencies (sized by the
-    # largest f_a, whose audio wavelength caps the far-zone step most
-    # tightly; the grid reads no drive velocity) so the carrier field is
-    # computed once
-    f_a_max = float(np.max(f_a_grid))
-    shared_grid = nlfield.build_volume_grid(
-        nlfield.PrimaryPair(f_carrier - f_a_max, f_carrier, a, 1.0, v2_eff), medium, settings)
-    carrier_field = None
     for i, f_a in enumerate(f_a_grid):
         f_u1, f_u2 = nlfield.lsb_am_pair(f_carrier, f_a)
-        v1_center = frf.interp(f_u1)
         er1 = linfield.equivalence_ratio(ctx.sp_profile, medium, f_u1,
                                          design.params.d_uc)
-        v1_eff = er1.effective_velocity(v1_center)
+        v1_eff = er1.effective_velocity(frf.interp(f_u1))
         if abs(v1_eff) < 1e-15 or abs(v2_eff) < 1e-15:
             spl[i] = -np.inf
             d_ac[i] = design.params.d_uc
             continue
-        pair = nlfield.PrimaryPair(f_u1, f_u2, a, v1_eff, v2_eff)
-        solver = nlfield.QuasilinearSolver(pair, medium, settings=settings,
-                                           grid=shared_grid,
-                                           primary_carrier=carrier_field)
-        carrier_field = solver.primary_carrier
-        curve = solver.propagation_curve(z_grid)
-        cd = nlfield.find_audio_cd(curve)
+        pair = nlfield.PrimaryPair(f_u1, f_u2, ctx.plate.radius_a, v1_eff, v2_eff)
+        cd = nlfield.critical_point(pair, medium, settings)
         spl[i] = cd.spl
         d_ac[i] = cd.distance
 
@@ -766,10 +747,9 @@ def audio_cd_contour(d_uc_grid, f_u2_grid, f_a: float, v1: float, v2: float,
 
     The sideband f_u2 - f_a is driven at velocity ``v1``, the carrier
     f_u2 at ``v2``; the aperture of each cell follows from its
-    critical-distance relation.  The audio pressure is v1 * v2 times
-    that of a unit drive, so each cell is solved once at unit drive:
-    the critical distance is then exactly independent of the drive
-    levels, which only lift the level by 20 log10|v1 v2| dB.
+    critical-distance relation, and its critical point from
+    :func:`nlfield.critical_point`, so the critical distance does not
+    depend on the drive levels.
     """
     d_uc_grid = np.asarray(d_uc_grid, dtype=float)
     f_u2_grid = np.asarray(f_u2_grid, dtype=float)
@@ -777,18 +757,12 @@ def audio_cd_contour(d_uc_grid, f_u2_grid, f_a: float, v1: float, v2: float,
     l_pa = np.empty(shape)
     d_ac = np.empty(shape)
     ap = np.empty(shape)
-    with np.errstate(divide="ignore"):
-        drive_db = 20.0 * np.log10(abs(v1 * v2))
     for i, duc in enumerate(d_uc_grid):
         for j, fu2 in enumerate(f_u2_grid):
             a = radiator.aperture_for_cd(duc, fu2, medium)
-            pair = nlfield.PrimaryPair(*nlfield.lsb_am_pair(fu2, f_a), a, 1.0, 1.0)
-            solver = nlfield.QuasilinearSolver(pair, medium, settings=settings)
-            z = np.geomspace(0.05, max(3.0, 2.5 * duc), 40)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", nlfield.BoundaryPeakWarning)
-                cd = nlfield.find_audio_cd(solver.propagation_curve(z))
-            l_pa[i, j] = cd.spl + drive_db
+            pair = nlfield.PrimaryPair(*nlfield.lsb_am_pair(fu2, f_a), a, v1, v2)
+            cd = nlfield.critical_point(pair, medium, settings)
+            l_pa[i, j] = cd.spl
             d_ac[i, j] = cd.distance
             ap[i, j] = a
     return CdContour(d_uc=d_uc_grid, f_u2=f_u2_grid, l_pa_c=l_pa,

@@ -147,6 +147,14 @@ class TestConfig:
         rc = main(["pc", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_audio_commands_need_the_source_block(self, tmp_path, capsys):
+        # the aperture comes from source.radius_m or source.d_uc_m and
+        # f_u0_hz; no command picks one that no config key shows
+        cfg = write_cfg(tmp_path, {"pair": {"f_carrier_hz": 60e3, "f_audio_hz": 1e3}})
+        rc = main(["audio-pc", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "needs config block(s): source" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_runtime_error_exits_1(self, tmp_path, capsys):
@@ -270,7 +278,8 @@ class TestCommands:
         # closed-form pole-zero response at both primaries
         sur = {"kind": "DR", "gain": 4e11, "f_r1_hz": 58.6e3, "f_r2_hz": 60e3,
                "f_anti_hz": 59.3e3, "loss_factor": 0.05}
-        cfg = validate_config({"pair": {"f_carrier_hz": 60e3, "surrogate": sur}})
+        cfg = validate_config({"pair": {"f_carrier_hz": 60e3, "surrogate": sur},
+                               "source": {"kind": "piston", "radius_m": 0.012}})
         pair = cli._pair_from_config(cfg, cfg.medium(), 1234.5)
         assert pair.f_u1 == 60e3 - 1234.5
         for f, v in ((pair.f_u1, pair.v1), (pair.f_u2, pair.v2)):

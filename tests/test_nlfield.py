@@ -18,6 +18,7 @@ from sppal import nlfield as nl
 from sppal import radiator as rad
 from sppal.errors import (
     BoundaryPeakWarning,
+    InfeasibleDesignError,
     NumericalFailureError,
     ParameterDomainError,
     TruncationTailWarning,
@@ -366,19 +367,7 @@ class TestConcurrentPrimaries:
             assert np.array_equal(fields[f][1], alone)
         monkeypatch.setattr(nl, "_in_parallel", _serial)
         serial = nl.QuasilinearSolver(pair, std_air, grid=g)
-        assert np.array_equal(serial.primary_carrier, solver.primary_carrier)
         assert np.array_equal(serial._sw_ri, solver._sw_ri)
-
-    def test_given_carrier_starts_no_worker(self, std_air, desk_settings, desk_solver,
-                                            monkeypatch):
-        def no_worker(first, second):
-            raise AssertionError("a worker thread was started")
-
-        monkeypatch.setattr(nl, "_in_parallel", no_worker)
-        s = nl.QuasilinearSolver(desk_solver.pair, std_air, desk_settings,
-                                 grid=desk_solver.grid,
-                                 primary_carrier=desk_solver.primary_carrier)
-        assert np.array_equal(s._sw_ri, desk_solver._sw_ri)
 
     @pytest.mark.parametrize("on_worker", [True, False])
     def test_typed_error_reaches_the_caller(self, std_air, desk_settings, monkeypatch,
@@ -603,11 +592,11 @@ def _per_node(solver, rho, z, monkeypatch):
 def sweep_request(std_air):
     """The on-axis request of the benchmark sweep's selected design: the
     reference aperture at a 64.67 kHz carrier, 1 kHz audio, and the 33
-    points of ``audio_capability`` (grid 934 x 465, pistons of 155 samples)."""
+    points of ``critical_point`` (grid 934 x 465, pistons of 155 samples)."""
     a = rad.aperture_for_cd(0.45, 60e3, std_air)
     f2 = 64666.81294779269
     pair = nl.PrimaryPair(f2 - 1e3, f2, a, 0.1, 0.1)
-    return nl.QuasilinearSolver(pair, std_air), np.zeros(33), np.geomspace(0.05, 1.35, 33)
+    return nl.QuasilinearSolver(pair, std_air), np.zeros(33), nl._critical_z_grid(pair, std_air)
 
 
 class TestChebyshevBlocks:
@@ -948,6 +937,62 @@ class TestFindAudioCd:
         curve = lf.FieldCurve(z, mag.astype(complex), 1e3)
         cd = nl.find_audio_cd(curve)
         assert cd.distance < 0.3
+
+
+#: the golden audio-fr case's solver settings
+GOLDEN_FR_SETTINGS = nl.SolverSettings(ppw_axial=8.0, ppw_radial=8.0, audio_ppw=12.0,
+                                       truncation_db=45.0, tail_warn_fraction=0.25)
+
+
+class TestCriticalPoint:
+    """``critical_point`` solves a pair once at unit drive on its own grid
+    and locates the on-axis maximum on a z grid of the carrier's z1."""
+
+    @pytest.mark.parametrize("a", [0.008, 0.012])
+    @pytest.mark.parametrize("f_a", [700.0, 1400.0, 2000.0, 4000.0])
+    def test_small_apertures_find_the_dense_maximum(self, std_air, a, f_a):
+        # measured at most 0.124 dB (12 mm, 700 Hz) from the maximum of a
+        # 200-point curve over 1 mm - 1 m; the golden audio-fr case's own
+        # 25 points over 0.05 - 0.6 m missed by up to 1.76 dB (8 mm, 4 kHz)
+        pair = desk_pair(std_air, v1=1.0, v2=1.0, f2=60e3, f_a=f_a, a=a)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cd = nl.critical_point(pair, std_air, GOLDEN_FR_SETTINGS)
+        assert not [w for w in caught if issubclass(w.category, BoundaryPeakWarning)]
+        dense = nl.QuasilinearSolver(pair, std_air, GOLDEN_FR_SETTINGS).propagation_curve(
+            np.geomspace(1e-3, 1.0, 200))
+        assert abs(cd.spl - np.max(dense.spl)) <= 0.15
+
+    def test_drive_only_raises_the_level(self, std_air):
+        pair = desk_pair(std_air, v1=1.0, v2=1.0)
+        unit = nl.critical_point(pair, std_air, GOLDEN_FR_SETTINGS)
+        v1, v2 = 0.1 + 0.02j, 0.08 - 0.03j
+        driven = nl.critical_point(replace(pair, v1=v1, v2=v2), std_air, GOLDEN_FR_SETTINGS)
+        assert driven.distance == unit.distance
+        assert driven.spl == unit.spl + 20.0 * np.log10(abs(v1 * v2))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            silent = nl.critical_point(replace(pair, v1=0.0), std_air, GOLDEN_FR_SETTINGS)
+        assert not caught
+        assert silent.spl == -np.inf and silent.distance == unit.distance
+
+    def test_z_grid_from_the_carrier_z1(self, std_air):
+        for a, start, stop in ((0.012, None, 0.6), (0.0508, 0.05, None)):
+            pair = desk_pair(std_air, a=a)
+            z1 = rad.first_local_max(a, pair.f_u2, std_air)
+            z = nl._critical_z_grid(pair, std_air)
+            assert z.size == 33 and np.all(np.diff(z) > 0)
+            assert z[0] == (z1 if start is None else start)
+            assert z[-1] == pytest.approx(3.0 * z1 if stop is None else stop, rel=1e-12)
+
+    def test_z_grid_without_a_carrier_maximum(self, std_air):
+        # a <= lambda/2 at 60 kHz: the carrier has no on-axis maximum, z1 = 0
+        pair = desk_pair(std_air, a=0.002)
+        with pytest.raises(InfeasibleDesignError):
+            rad.first_local_max(pair.radius_a, pair.f_u2, std_air)
+        z = nl._critical_z_grid(pair, std_air)
+        assert z.size == 33 and np.all(np.isfinite(z)) and np.all(np.diff(z) > 0)
+        assert (z[0], z[-1]) == pytest.approx((0.05, 0.6), rel=1e-12)
 
 
 class TestBerktay:

@@ -1,3 +1,4 @@
+import json
 import logging
 import re
 from dataclasses import replace
@@ -5,10 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sppal import cli
 from sppal import nlfield as nl
 from sppal import optimizer as opt
 from sppal import radiator as rad
 from sppal import transducer as td
+from sppal.config import validate_config
 from sppal.errors import (
     InfeasibleDesignError,
     NoDualResonanceError,
@@ -715,6 +718,39 @@ class TestDesignPipeline:
         n = rad.radial_sample_count(cell_ctx.plate.radius_a, cap.carrier_hz, cell_ctx.medium)
         assert n != rad.radial_sample_count(cell_ctx.plate.radius_a, 60e3, cell_ctx.medium)
         assert calls == [n] * 4
+
+    @pytest.mark.filterwarnings("ignore::sppal.errors.TruncationTailWarning")
+    def test_audio_capability_is_the_pairs_critical_point(self, cell_ctx, coarse,
+                                                           monkeypatch, tmp_path):
+        # sweep and audio-fr score a pair by one path: audio_capability's
+        # level and distance are critical_point's on the pair it builds,
+        # and audio-fr given that aperture and those velocities writes the
+        # same bits
+        knee = opt.select_knee(opt.optimize_lengths(cell_ctx, opt.NsgaConfig(
+            pop=12, generations=4, seed=3)), (800.0, 8000.0))
+        pairs, critical_point = [], nl.critical_point
+
+        def recording(pair, medium, settings=None):
+            pairs.append(pair)
+            return critical_point(pair, medium, settings)
+
+        with monkeypatch.context() as m:
+            m.setattr(nl, "critical_point", recording)
+            cap = opt.audio_capability(knee, cell_ctx, [1000.0], settings=coarse)
+        (pair,) = pairs
+        cd = nl.critical_point(pair, cell_ctx.medium, coarse)
+        assert (cap.spl_at_cd[0], cap.d_ac[0]) == (cd.spl, cd.distance)
+        cfg = validate_config({
+            "source": {"kind": "piston", "radius_m": pair.radius_a},
+            "pair": {"f_carrier_hz": pair.f_u2, "f_audio_hz": 1000.0,
+                     "v1_ms": [float(pair.v1.real), float(pair.v1.imag)],
+                     "v2_ms": [float(pair.v2.real), float(pair.v2.imag)]},
+            "solver": {"ppw_axial": coarse.ppw_axial, "ppw_radial": coarse.ppw_radial,
+                       "audio_ppw": coarse.audio_ppw, "truncation_db": coarse.truncation_db},
+        })
+        _, (path,), _ = cli.dispatch("audio-fr", cfg, tmp_path, ("json",))
+        doc = json.loads(path.read_text())
+        assert (doc["spl_db"], doc["d_ac_m"]) == ([cd.spl], [cd.distance])
 
     def test_vanishing_drive_guard(self, cell_ctx, coarse):
         # effective velocities below the guard floor produce -inf SPL

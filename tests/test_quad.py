@@ -77,6 +77,22 @@ def test_no_public_surface_that_nothing_calls():
     assert not unnamed, unnamed
 
 
+def test_one_critical_point_path():
+    # outside nlfield, a pair's audio maximum comes only from
+    # nlfield.critical_point: no other module builds a solver or locates a
+    # curve's maximum, so no second audio-response loop can return
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "nlfield.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in ("QuasilinearSolver", "find_audio_cd"):
+                    calls.append(f"{path.name}:{node.lineno} {name}")
+    assert not calls, calls
+
+
 @pytest.mark.parametrize("n", [3, 4, 9, 10])
 def test_simpson_weights_on_nonuniform_grid(n):
     # adjacent spacing ratio stays below 2, as the grid builders guarantee
