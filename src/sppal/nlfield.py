@@ -50,19 +50,23 @@ every block takes the transform's columns nearest the axis through
 Chebyshev rows, as many as :func:`_quad.kernel_split` says pay.  Against
 the evaluation at every node no point moves by more than rounding.
 
-The k_r nodes go in fixed blocks, and the calling thread and one worker
-thread evaluate the blocks; each band adds its blocks' per-point sums in
-node order, so the audio field's bits do not depend on the number of
-threads or cores.  The two primaries run the same way, one per thread.
+The k_r nodes go in fixed blocks, and the calling thread and one pool
+worker evaluate the blocks (:func:`_in_turn`); each band adds its
+blocks' per-point sums in node order, so the audio field's bits do not
+depend on the number of threads or cores.  The two primaries run the
+same way, one per thread.
 """
 
 from __future__ import annotations
 
 import logging
+import os
+import sys
 import threading
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -212,7 +216,6 @@ class VolumeGrid:
     r_nodes: np.ndarray
     wz: np.ndarray
     wr: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("z_nodes", "r_nodes", "wz", "wr"):
@@ -297,10 +300,7 @@ def build_volume_grid(pair: PrimaryPair, medium: Medium,
     wr[0] += r_nodes[0]
     wr[-1] += drr / 2.0
 
-    return VolumeGrid(
-        z_nodes=z_nodes, r_nodes=r_nodes, wz=wz, wr=wr,
-        meta={"lam_a": lam_a},
-    )
+    return VolumeGrid(z_nodes=z_nodes, r_nodes=r_nodes, wz=wz, wr=wr)
 
 
 class QuasilinearSolver:
@@ -330,10 +330,9 @@ class QuasilinearSolver:
 
         profile_1, profile_2 = pair.pistons(medium)
         t0 = time.perf_counter()
-        # independent fields: the sideband on a worker thread while this
-        # thread evaluates the carrier, each by the code a serial call runs
-        (p1, t1), (p2, t2) = _in_parallel(lambda: primary(profile_1, pair.f_u1),
-                                          lambda: primary(profile_2, pair.f_u2))
+        # independent fields, one per thread, each by the code a serial call runs
+        (p1, t1), (p2, t2) = _in_turn([partial(primary, profile_1, pair.f_u1),
+                                       partial(primary, profile_2, pair.f_u2)])
         _log.debug("primaries: grid %d x %d (n_z x n_r), sideband %.3f s, carrier %.3f s, "
                    "pair %.3f s, workspace <= %d B per primary", g.z_nodes.size,
                    g.r_nodes.size, t1, t2, time.perf_counter() - t0,
@@ -373,17 +372,12 @@ class QuasilinearSolver:
         return float(last * 2.0 * np.pi * decay_len)
 
     def _check_tail(self, p_ref: float, z_obs: float):
-        g = self.grid
-        dist = max(abs(g.z_nodes[-1] - z_obs), g.meta.get("lam_a", 0.1))
+        dist = max(abs(self.grid.z_nodes[-1] - z_obs), self.medium.wavelength(self.pair.f_a))
         tail = self._tail_scale / (4.0 * np.pi * dist)
         if p_ref > 0 and tail / p_ref > self.settings.tail_warn_fraction:
-            warnings.warn(
-                f"volume truncation tail estimated at {tail / p_ref:.1%} of the "
-                f"audio pressure (budget {self.settings.tail_warn_fraction:.0%}); "
-                "increase truncation_db",
-                TruncationTailWarning,
-                stacklevel=3,
-            )
+            _warn(f"volume truncation tail estimated at {tail / p_ref:.1%} of the "
+                  f"audio pressure (budget {self.settings.tail_warn_fraction:.0%}); "
+                  "increase truncation_db", TruncationTailWarning)
 
     def pressures(self, rho, z) -> np.ndarray:
         """Audio pressure at (rho, z) observation arrays of one shape.
@@ -487,12 +481,12 @@ class QuasilinearSolver:
         the forward sweep's, with no propagation factor.
 
         Nodes go in fixed blocks of ``_BLOCK_VALUES`` / n_z per band
-        (:meth:`_plan`, :meth:`_block`); the calling thread and one worker
-        evaluate them, most work (kept planes times evaluated wavenumbers)
-        first (:func:`_in_turn`), and each band sums its blocks' row sums in
-        node order.  So a point's value depends neither on the other points
-        nor on which thread or core evaluated a block.  Returns the band
-        sums and the plan.
+        (:meth:`_plan`, :meth:`_block`); :func:`_in_turn` evaluates them on
+        the calling thread and one pool worker, most work (kept planes times
+        evaluated wavenumbers) first, and each band sums its blocks' row
+        sums in node order.  So a point's value depends neither on the
+        other points nor on which thread or core evaluated a block.
+        Returns the band sums and the plan.
         """
         plan = self._plan(bands, points)
         # most work first, so the two threads run out of blocks close together
@@ -653,40 +647,14 @@ class QuasilinearSolver:
                                 "f_u2": self.pair.f_u2})
 
 
-def _in_parallel(first, second) -> tuple:
-    """``(first(), second())``, ``first`` on a worker thread meanwhile.
-
-    The calling thread runs ``second`` and then waits for the worker.  An
-    exception raised by either reaches the caller as it was raised (the
-    calling thread's first); no thread outlives the call.
-    """
-    result = {}
-
-    def work():
-        try:
-            result["value"] = first()
-        except BaseException as exc:  # handed to the calling thread
-            result["error"] = exc
-
-    worker = threading.Thread(target=work, name="sppal-worker")
-    worker.start()
-    try:
-        other = second()
-    finally:
-        worker.join()
-    if "error" in result:
-        raise result["error"]
-    return result["value"], other
-
-
 def _in_turn(tasks) -> list:
     """Results of the callables ``tasks``, in order, evaluated on two threads.
 
-    The calling thread and one worker (:func:`_in_parallel`) each take the
-    next task in list order until none is left, so at most two run at
-    once.  Once a task has raised, neither thread starts another, and the
-    exception reaches the caller as it was raised; no thread outlives the
-    call.
+    The calling thread and one pool worker each take the next task in list
+    order until none is left, so at most two run at once.  Once a task has
+    raised, neither thread starts another, and the exception reaches the
+    caller as it was raised (the calling thread's first); no thread
+    outlives the call.
     """
     results, lock, failed = [None] * len(tasks), threading.Lock(), []
     queue = iter(enumerate(tasks))
@@ -703,8 +671,19 @@ def _in_turn(tasks) -> list:
                 failed.append(i)
                 raise
 
-    _in_parallel(drain, drain)
+    with ThreadPoolExecutor(1, thread_name_prefix="sppal-worker") as pool:
+        worker = pool.submit(drain)
+        drain()
+    worker.result()
     return results
+
+
+def _warn(message: str, category: type[Warning]) -> None:
+    """:func:`warnings.warn` on the first frame outside the sppal package."""
+    package, frame, level = os.path.dirname(__file__) + os.sep, sys._getframe(1), 2
+    while frame.f_back is not None and frame.f_code.co_filename.startswith(package):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
 
 
 @dataclass(frozen=True)
@@ -811,11 +790,8 @@ def find_audio_cd(curve: FieldCurve) -> AudioCd:
     i = int(np.argmax(spl))
     z = curve.abscissa
     if i == 0 or i == spl.size - 1:
-        warnings.warn(
-            "curve maximum lies on the grid boundary; extend the z grid",
-            BoundaryPeakWarning,
-            stacklevel=2,
-        )
+        _warn("curve maximum lies on the grid boundary; extend the z grid",
+              BoundaryPeakWarning)
         return AudioCd(distance=float(z[i]), spl=float(spl[i]))
     z_pk, s_pk = parabolic_peak(z, spl, i)
     return AudioCd(distance=z_pk, spl=s_pk)

@@ -222,6 +222,23 @@ class TestQuasilinearBasics:
         with pytest.warns(TruncationTailWarning):
             s.pressures([0.0], [0.05])
 
+    @pytest.mark.parametrize("call", [
+        lambda pair, air, st, z: nl.QuasilinearSolver(pair, air, st).pressures([0.0], [0.05]),
+        lambda pair, air, st, z: nl.QuasilinearSolver(pair, air, st).propagation_curve(z),
+        lambda pair, air, st, z: nl.QuasilinearSolver(pair, air, st).beam_pattern(
+            0.1, [-30.0, 0.0, 30.0]),
+        lambda pair, air, st, z: nl.audio_propagation_curve(pair, air, z, st),
+        lambda pair, air, st, z: nl.critical_point(pair, air, st),
+        lambda pair, air, st, z: nl.find_audio_cd(lf.FieldCurve(z[:3], 1e-3 / z[:3], 2e3)),
+    ], ids=["pressures", "propagation_curve", "beam_pattern", "audio_propagation_curve",
+            "critical_point", "find_audio_cd"])
+    def test_warnings_name_the_calling_line(self, std_air, desk_settings, call):
+        # however deep in sppal a warning rises, it names the caller's line
+        st = replace(desk_settings, truncation_db=20)
+        with pytest.warns((TruncationTailWarning, BoundaryPeakWarning)) as record:
+            call(desk_pair(std_air), std_air, st, np.geomspace(0.02, 0.2, 9))
+        assert {w.filename for w in record} == {__file__}
+
     def test_deterministic_across_batching(self, desk_solver):
         z = np.array([0.05, 0.08, 0.11])
         batch = desk_solver.pressures(np.zeros(3), z)
@@ -341,31 +358,29 @@ def reference_pair(std_air):
     return desk_pair(std_air, f2=60e3, f_a=1e3, a=a)
 
 
-def _serial(first, second):
-    return first(), second()
+def _serial(tasks):
+    return [task() for task in tasks]
 
 
 class TestConcurrentPrimaries:
-    """The solver evaluates its sideband on a worker thread while the
-    calling thread evaluates the carrier."""
+    """The solver evaluates its two primaries on the calling thread and
+    one worker, with the bits of one thread."""
 
     def test_bits_equal_serial_evaluation(self, std_air, reference_pair, monkeypatch):
         pair, fields = reference_pair, {}
 
         def recording(profile, medium, f, *args, **kwargs):
-            on_main = threading.current_thread() is threading.main_thread()
-            fields[f] = on_main, lf.pressure_grid(profile, medium, f, *args, **kwargs)
-            return fields[f][1]
+            fields[f] = lf.pressure_grid(profile, medium, f, *args, **kwargs)
+            return fields[f]
 
         monkeypatch.setattr(nl, "pressure_grid", recording)
         solver = nl.QuasilinearSolver(pair, std_air)
-        assert [fields[f][0] for f in (pair.f_u1, pair.f_u2)] == [False, True]
         monkeypatch.undo()
         g, skirt = solver.grid, solver.settings.truncation_db / 2.0 + 10.0
         for profile, f in zip(pair.pistons(std_air), (pair.f_u1, pair.f_u2)):
             alone = lf.pressure_grid(profile, std_air, f, g.r_nodes, g.z_nodes, skirt)
-            assert np.array_equal(fields[f][1], alone)
-        monkeypatch.setattr(nl, "_in_parallel", _serial)
+            assert np.array_equal(fields[f], alone)
+        monkeypatch.setattr(nl, "_in_turn", _serial)
         serial = nl.QuasilinearSolver(pair, std_air, grid=g)
         assert np.array_equal(serial._sw_ri, solver._sw_ri)
 
@@ -429,7 +444,7 @@ class TestConcurrentBlocks:
     ])
     def test_bits_equal_serial_evaluation(self, reference_solver, monkeypatch, rho, z):
         threaded = reference_solver.pressures(rho, z)
-        monkeypatch.setattr(nl, "_in_parallel", _serial)
+        monkeypatch.setattr(nl, "_in_turn", _serial)
         assert np.array_equal(reference_solver.pressures(rho, z), threaded)
 
     def test_blocks_add_in_node_order(self, desk_solver, monkeypatch):
@@ -467,7 +482,7 @@ class TestConcurrentBlocks:
             warnings.simplefilter("ignore", TruncationTailWarning)
             threaded = s.pressures(rho, z)
             assert rounds == [(7, 104, 5), (1, 2, 3), (1, 4, 1)]
-            monkeypatch.setattr(nl, "_in_parallel", _serial)
+            monkeypatch.setattr(nl, "_in_turn", _serial)
             assert np.array_equal(s.pressures(rho, z), threaded)
 
     def test_typed_error_from_a_worker_block(self, desk_solver, monkeypatch):
@@ -710,6 +725,25 @@ def test_in_turn_runs_each_task_once():
     assert results == list(range(100))
     assert sorted(i for i, _ in ran) == list(range(100))
     assert len({name for _, name in ran}) == 2
+    assert threading.active_count() == 1
+
+
+def test_in_turn_stops_at_the_first_error():
+    err, started, raised = NumericalFailureError("task 0 failed"), [], threading.Event()
+
+    def task(i):
+        started.append(i)
+        if i == 0:
+            raised.set()
+            raise err
+        raised.wait(10.0)
+        time.sleep(0.1)  # the failing thread records its error meanwhile
+        return i
+
+    with pytest.raises(NumericalFailureError) as info:
+        nl._in_turn([partial(task, i) for i in range(100)])
+    assert info.value is err
+    assert 0 in started and len(started) <= 2
     assert threading.active_count() == 1
 
 

@@ -93,6 +93,25 @@ def test_one_critical_point_path():
     assert not calls, calls
 
 
+def test_one_concurrency_site():
+    # threads start only in nlfield._in_turn, on one pool worker: no module
+    # starts a bare thread or a second pool of its own
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name == "nlfield.py":
+            (helper,) = [node for node in tree.body
+                         if isinstance(node, ast.FunctionDef) and node.name == "_in_turn"]
+            allowed = set(ast.walk(helper))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name == "Thread" or (name == "ThreadPoolExecutor" and node not in allowed):
+                    calls.append(f"{path.name}:{node.lineno} {name}")
+    assert not calls, calls
+
+
 @pytest.mark.parametrize("n", [3, 4, 9, 10])
 def test_simpson_weights_on_nonuniform_grid(n):
     # adjacent spacing ratio stays below 2, as the grid builders guarantee
