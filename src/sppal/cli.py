@@ -74,6 +74,8 @@ def _theta_grid(cfg: RunConfig) -> np.ndarray:
 
 def _pair_from_config(cfg: RunConfig, medium: Medium, f_a: float):
     p = cfg.block("pair")
+    if p["f_carrier_hz"] is None:
+        raise ConfigError("pair.f_carrier_hz is required")
     f_u1, f_u2 = nlfield.lsb_am_pair(p["f_carrier_hz"], f_a)
     sur = p["surrogate"]
     if sur is not None:
@@ -89,11 +91,21 @@ def _pair_from_config(cfg: RunConfig, medium: Medium, f_a: float):
 
 def _audio_freq_grid(cfg: RunConfig) -> np.ndarray:
     p = cfg.block("pair")
+    if p["f_audio_grid_hz"] is not None and p["f_audio_hz"] is not None:
+        raise ConfigError("pair.f_audio_hz and pair.f_audio_grid_hz exclude each other")
     if p["f_audio_grid_hz"] is not None:
         return np.asarray(p["f_audio_grid_hz"], dtype=float)
     if p["f_audio_hz"] is not None:
         return np.asarray([p["f_audio_hz"]], dtype=float)
     raise ConfigError("pair.f_audio_hz or pair.f_audio_grid_hz is required")
+
+
+def _audio_freq(cfg: RunConfig, command: str) -> float:
+    """The one audio frequency of an ``audio-pc`` or ``audio-bp`` run."""
+    f_grid = _audio_freq_grid(cfg)
+    if f_grid.size != 1:
+        raise ConfigError(f"'{command}' takes one audio frequency, got {f_grid.size}")
+    return float(f_grid[0])
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +154,7 @@ def _cmd_er(cfg: RunConfig, out: Path, meta: dict, formats) -> list:
 
 def _cmd_audio_pc(cfg: RunConfig, out: Path, meta: dict, formats) -> list:
     medium = cfg.medium()
-    f_a = float(_audio_freq_grid(cfg)[0])
-    pair = _pair_from_config(cfg, medium, f_a)
+    pair = _pair_from_config(cfg, medium, _audio_freq(cfg, "audio-pc"))
     curve = nlfield.audio_propagation_curve(pair, medium, _z_grid(cfg),
                                             _solver_settings(cfg))
     return io.write_curve(out / "audio_pc", curve, _medium_state(cfg),
@@ -152,8 +163,7 @@ def _cmd_audio_pc(cfg: RunConfig, out: Path, meta: dict, formats) -> list:
 
 def _cmd_audio_bp(cfg: RunConfig, out: Path, meta: dict, formats) -> list:
     medium = cfg.medium()
-    f_a = float(_audio_freq_grid(cfg)[0])
-    pair = _pair_from_config(cfg, medium, f_a)
+    pair = _pair_from_config(cfg, medium, _audio_freq(cfg, "audio-bp"))
     r = cfg.block("solver")["range_m"]
     curve = nlfield.audio_beam_pattern(pair, medium, r, _theta_grid(cfg),
                                        _solver_settings(cfg))

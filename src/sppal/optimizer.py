@@ -38,7 +38,6 @@ class DesignParams:
     r_p: float         # piezo stack radius [m]
     l_p: float         # piezo stack length [m]
     r_h: float         # horn end radius [m]
-    plate_material: str = "aluminum"
 
 
 @dataclass
@@ -102,20 +101,20 @@ class DesignContext:
     Everything that depends only on the discrete parameters and the
     medium (plate sizing, mode shape, equivalence ratio, load impedance,
     frequency grid, length bounds, transducer chain terms, the piezo
-    radial-band check) is computed once; only the segment lengths and the
-    drive voltage vary.  The caller builds one context per cell and passes
-    it to ``evaluate_designs``, ``optimize_lengths`` and
-    ``audio_capability``.  ``lattice_points``, ``fallbacks`` and
-    ``chain_calls`` count the frequencies :meth:`features` evaluated, its
-    full-lattice fallbacks and its ``StackChain.velocity`` calls.
+    radial-band check) is computed once; only the segment lengths vary,
+    and every response is per volt of drive.  The caller builds one
+    context per cell and passes it to ``evaluate_designs``,
+    ``optimize_lengths`` and ``audio_capability``.  ``lattice_points``,
+    ``fallbacks`` and ``chain_calls`` count the frequencies
+    :meth:`features` evaluated, its full-lattice fallbacks and its
+    ``StackChain.velocity`` calls.
     """
 
     def __init__(self, params: DesignParams, medium: Medium):
         self.params = params
         self.medium = medium
         self.plate = radiator.size_plate_for(params.f_u0, params.d_uc,
-                                             params.mode_m, params.plate_material,
-                                             medium)
+                                             params.mode_m, "aluminum", medium)
         self.mode = radiator.plate_mode_shape(self.plate)
         n = radiator.radial_sample_count(self.plate.radius_a, params.f_u0, medium)
         self.sp_profile = radiator.stepped_profile(self.mode, 1.0, n_samples=n)
@@ -129,17 +128,16 @@ class DesignContext:
         self.band_width = float(self.freqs[-1] - self.freqs[0])
         x0, self.bounds = transducer.langevin_initial_lengths(
             params.f_u0, params.config, params.l_p)
-        # the chain terms of the cell's layout, built without f_u0: the
-        # radial band depends on the cell alone, so every candidate shares
-        # its verdict
+        # the chain terms of the cell's layout; the radial band depends on
+        # the cell alone, so every candidate shares its verdict
         layout = transducer.build_stack(params.config, params.r_p, params.l_p,
                                         params.r_h, x0)
         self.chain = transducer.StackChain(layout.segments, self.freqs)
         try:
             transducer.check_radial_band(params.r_p, params.f_u0)
-            self._band_error = None
+            self._band_message = None
         except InfeasibleDesignError as e:
-            self._band_error = e.with_traceback(None)
+            self._band_message = str(e)
         # the coarse scan's terms and load, gathered once
         coarse = np.arange(0, self.freqs.size, _COARSE_STRIDE)
         self._coarse_chain = self.chain.subset(coarse)
@@ -148,21 +146,31 @@ class DesignContext:
         self.fallbacks = 0
         self.chain_calls = 0
 
-    def _spec(self, x, drive_voltage: float = 1.0) -> transducer.TransducerSpec:
-        return transducer.build_stack(self.params.config, self.params.r_p,
-                                      self.params.l_p, self.params.r_h, x,
-                                      drive_voltage=drive_voltage,
-                                      f_u0=self.params.f_u0)
+    def _checked(self, xs) -> tuple:
+        """The elastic lengths of the rows of ``xs`` (a wrong count raises)
+        and per row the error that rejects it, or None: a non-positive
+        length, else a piezo radius outside its radial band."""
+        lengths = transducer.elastic_lengths(self.params.config, xs)
+        return lengths, [
+            ParameterDomainError("segment lengths must be positive") if short
+            else None if self._band_message is None
+            else InfeasibleDesignError(self._band_message)
+            for short in np.any(lengths <= 0, axis=1)]
 
-    def frf(self, x, drive_voltage: float = 1.0) -> transducer.Frf:
-        return self.chain.frf(self._spec(x, drive_voltage), self.load)
+    def frf(self, x) -> transducer.Frf:
+        """Plate-centre velocity per volt of the design vector ``x`` over
+        the cell's frequency grid, singular frequencies filled."""
+        lengths, (error,) = self._checked([x])
+        if error is not None:
+            raise error
+        return self.chain.frf(lengths[0], self.load)
 
     def features(self, xs) -> list:
         """Per row x of the (candidates, n_var) matrix ``xs``:
         ``extract_dr_features(self.frf(x))`` bit for bit, or the exception
         that raises, from at most three chain calls for the whole batch.
 
-        The rows first get ``build_stack``'s checks, once for the batch: a
+        The rows first get :meth:`frf`'s checks, once for the batch: a
         wrong number of lengths or a non-positive length is a
         ``ParameterDomainError``, and a piezo radius outside its band an
         ``InfeasibleDesignError``.  The other rows are scored by
@@ -182,14 +190,10 @@ class DesignContext:
         when the minimum between the chosen peaks lacks an evaluated
         neighbour.
         """
-        xs = np.asarray(xs, dtype=float)
         try:
-            lengths = transducer.elastic_lengths(self.params.config, xs)
+            lengths, out = self._checked(xs)
         except ParameterDomainError as e:
             return [e.with_traceback(None)] * len(xs)
-        out = [ParameterDomainError("segment lengths must be positive")
-               if short else self._band_error
-               for short in np.any(lengths <= 0, axis=1)]
         live = [i for i, o in enumerate(out) if o is None]
         if not live:
             return out
@@ -568,7 +572,8 @@ def audio_capability(design: DesignPoint, ctx: DesignContext, f_a_grid,
 
     ``ctx`` is the context of the design's own cell.  Per audio
     frequency: transducer centre velocities at the LSB-AM primaries
-    (carrier at the upper resonance), converted to effective piston
+    (carrier at the upper resonance of the per-volt response, which
+    ``drive_voltage`` then scales), converted to effective piston
     velocities through the equivalence ratio at each primary frequency,
     then the pair's critical point (:func:`nlfield.critical_point`).
     """
@@ -579,11 +584,12 @@ def audio_capability(design: DesignPoint, ctx: DesignContext, f_a_grid,
     medium = ctx.medium
     f_a_grid = np.atleast_1d(np.asarray(f_a_grid, dtype=float))
     try:
-        frf = ctx.frf(design.x, drive_voltage)
-        feats = transducer.extract_dr_features(frf)
+        per_volt = ctx.frf(design.x)
+        feats = transducer.extract_dr_features(per_volt)
     except (NoDualResonanceError, InfeasibleDesignError, ParameterDomainError) as e:
         raise type(e)(f"design {design.params}: {e}") from e
 
+    frf = per_volt.scaled(drive_voltage)
     f_carrier = feats.f_r2  # higher resonance carries the LSB-AM carrier
     er2 = linfield.equivalence_ratio(ctx.sp_profile, medium, f_carrier,
                                      design.params.d_uc)

@@ -79,7 +79,6 @@ class TransducerSpec:
 
     config: StackConfig
     segments: tuple
-    drive_voltage: float = 1.0
 
     def __post_init__(self):
         n_piezo = sum(1 for s in self.segments if s.is_piezo)
@@ -221,24 +220,20 @@ def check_radial_band(r_p: float, f_u0: float) -> None:
 
 
 def build_stack(config: StackConfig, r_p: float, l_p: float, r_h: float,
-                x, drive_voltage: float = 1.0,
-                f_u0: float | None = None) -> TransducerSpec:
+                x) -> TransducerSpec:
     """Assemble the segment stack of a half- or full-wavelength transducer.
 
     ``x`` holds the variable segment lengths: (back, front, horn) for the
     half-wavelength single-stack layout, (back, middle, front, horn) for
     the full-wavelength cascaded double stack.  The stepped horn is
     realized as two sections with a geometric-mean intermediate radius,
-    ending at ``r_h`` (see :func:`elastic_lengths`).  The piezo radius
-    must stay inside its radial-wavelength band when ``f_u0`` is given
-    (see :func:`check_radial_band`).
+    ending at ``r_h`` (see :func:`elastic_lengths`).  Whether the piezo
+    radius suits a frequency is :func:`check_radial_band`'s question.
     """
     mats = _default_materials()
     lengths = [float(v) for v in elastic_lengths(config, np.atleast_1d(x))]
     if any(v <= 0 for v in lengths):
         raise ParameterDomainError("segment lengths must be positive")
-    if f_u0 is not None:
-        check_radial_band(r_p, f_u0)
 
     r_mid = float(np.sqrt(r_p * r_h))  # geometric area schedule
     pz = mats["piezo"]
@@ -260,8 +255,7 @@ def build_stack(config: StackConfig, r_p: float, l_p: float, r_h: float,
             Segment(rods[2], r_p, mats["front"]),
             *horn,
         ]
-    return TransducerSpec(config=config, segments=tuple(segs),
-                          drive_voltage=drive_voltage)
+    return TransducerSpec(config=config, segments=tuple(segs))
 
 
 def langevin_initial_lengths(f_u0: float, config: StackConfig,
@@ -364,12 +358,6 @@ def _piezo_chain(seg: Segment, omega: np.ndarray) -> tuple:
 _BLOCK_VALUES = 4800
 
 
-def _layout(seg: Segment) -> tuple:
-    """What a segment's chain terms depend on, besides an elastic length."""
-    return (seg.material, seg.radius, seg.is_piezo, seg.drive_sign,
-            seg.length if seg.is_piezo else None)
-
-
 class StackChain:
     """Length-independent chain terms of one segment layout on one grid.
 
@@ -383,13 +371,12 @@ class StackChain:
 
     :meth:`velocity` is the one kernel: it evaluates a batch of stacks,
     given by their elastic lengths, over (candidates x frequencies), and
-    :meth:`frf` is a batch of one.
+    :meth:`frf` is a batch of one.  Both are per volt of drive.
     """
 
     def __init__(self, segments, freqs):
         self.freqs = np.asarray(freqs, dtype=float)
         omega = 2.0 * np.pi * self.freqs
-        self._layouts = tuple(_layout(s) for s in segments)
         # per segment: its first row and, for an elastic rod, (i*Zc, i/Zc);
         # rods of one material share their wavenumber row
         rows, wave_row, self._steps = [], {}, []
@@ -413,18 +400,18 @@ class StackChain:
         sub.freqs, sub._terms = self.freqs[index], self._terms.take(index, axis=1)
         return sub
 
-    def velocity(self, lengths, z_load, index=None, rows=None,
-                 drive_voltage: float = 1.0) -> np.ndarray:
-        """Plate-interface velocity of a batch of stacks of this layout.
+    def velocity(self, lengths, z_load, index=None, rows=None) -> np.ndarray:
+        """Plate-interface velocity per volt of a batch of stacks of this layout.
 
         Row c of ``lengths`` holds candidate c's elastic segment lengths,
-        back first.  ``z_load`` is the load impedance, a scalar or an
-        array over the grid.  The result is (candidates, frequencies) on
-        the whole grid, the terms broadcast over the candidates, not
-        tiled; a subset of the grid is a :meth:`subset` chain.  With
-        ``index`` and ``rows``, which pair up element by element, the
-        result is flat: value i is candidate ``rows[i]`` at grid index
-        ``index[i]``.
+        back first, one column per elastic segment (else a
+        ``ParameterDomainError``).  ``z_load`` is the load impedance, a
+        scalar or an array over the grid.  The result is (candidates,
+        frequencies) on the whole grid, the terms broadcast over the
+        candidates, not tiled; a subset of the grid is a :meth:`subset`
+        chain.  With ``index`` and ``rows``, which pair up element by
+        element, the result is flat: value i is candidate ``rows[i]`` at
+        grid index ``index[i]``.
 
         Each value has the bits of a one-candidate call at that frequency.
         A singular frequency is returned as it comes out, not finite; see
@@ -435,10 +422,13 @@ class StackChain:
         if (index is None) != (rows is None):
             raise ParameterDomainError("index and rows go together")
         lengths = np.asarray(lengths, dtype=float)
+        elastic = [row for row, impedances in self._steps if impedances is not None]
+        if lengths.ndim != 2 or lengths.shape[1] != len(elastic):
+            raise ParameterDomainError(f"the chain takes rows of {len(elastic)} "
+                                       f"elastic lengths, got shape {lengths.shape}")
         # one angle per distinct (wavenumber, length column): the two horn
         # halves share theirs
         angle, which = {}, []
-        elastic = [row for row, impedances in self._steps if impedances is not None]
         for col, row in enumerate(elastic):
             which.append(angle.setdefault((row, lengths[:, col].tobytes()),
                                           (len(angle), row, col))[0])
@@ -451,7 +441,7 @@ class StackChain:
             for lo in range(0, len(lengths), step):
                 v[lo:lo + step] = self._block(
                     self._terms[:, None, :], wave_rows, per_angle[:, lo:lo + step, None],
-                    which, z_load, drive_voltage)
+                    which, z_load)
             return v
         index, rows = np.asarray(index), np.asarray(rows)
         v = np.empty(index.size, dtype=complex)
@@ -460,12 +450,10 @@ class StackChain:
             v[part] = self._block(
                 self._terms.take(index[part], axis=1), wave_rows,
                 per_angle[:, rows[part]], which,
-                np.take(z_load, index[part]) if np.ndim(z_load) else z_load,
-                drive_voltage)
+                np.take(z_load, index[part]) if np.ndim(z_load) else z_load)
         return v
 
-    def _block(self, terms, wave_rows, per_angle, which, z_load,
-               drive_voltage) -> np.ndarray:
+    def _block(self, terms, wave_rows, per_angle, which, z_load) -> np.ndarray:
         """The row-0 chain of one block: ``terms`` and ``per_angle``
         (each angle's elastic lengths) broadcast to the block's values.
         An angle's cos and sin are computed where first needed and dropped
@@ -500,14 +488,13 @@ class StackChain:
                       np.add(np.multiply(r0, np.multiply(sin, i_zc)),
                              np.multiply(r1, cos)))
 
-        # 0 = F_back = (T00 Z_L + T01) v_front + s0 * V
+        # 0 = F_back = (T00 Z_L + T01) v_front + s0 * V, at V = 1 volt
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.multiply(
-                np.divide(np.negative(s0), np.add(np.multiply(r0, z_load), r1)),
-                drive_voltage)
+            return np.divide(np.negative(s0), np.add(np.multiply(r0, z_load), r1))
 
-    def frf(self, spec: TransducerSpec, z_load) -> Frf:
-        """Plate-interface velocity of ``spec`` (this chain's layout) under
+    def frf(self, lengths, z_load) -> Frf:
+        """Plate-interface velocity per volt of the stack of this layout
+        with the elastic lengths ``lengths`` (one row, back first), under
         the load impedance ``z_load`` (scalar or array over the grid).
 
         The back face is free (F = 0) and the front face feeds the load
@@ -516,10 +503,7 @@ class StackChain:
         Frequencies where the chain is numerically singular are filled by
         interpolation from their neighbours.
         """
-        if tuple(_layout(s) for s in spec.segments) != self._layouts:
-            raise ParameterDomainError("stack layout differs from the chain's")
-        lengths = [[s.length for s in spec.segments if not s.is_piezo]]
-        v = self.velocity(lengths, z_load, drive_voltage=spec.drive_voltage)[0]
+        v = self.velocity(np.asarray(lengths, dtype=float)[None], z_load)[0]
         return Frf(self.freqs, fill_singular(self.freqs, v))
 
 
@@ -539,19 +523,18 @@ def fill_singular(freqs: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def frf_transfer_matrix(spec: TransducerSpec, load, freqs) -> Frf:
-    """Plate-interface velocity of the stack under voltage drive.
+    """Plate-interface velocity per volt of the stack's drive.
 
     ``load`` is a scalar or an array over ``freqs``.  See
-    :meth:`StackChain.frf`; a design loop that varies only the elastic
-    lengths builds its :class:`StackChain` once instead, and nothing in
-    the package calls this one-call form.  It is the oracle API of the
-    tests, which compare the design loop's chain with it.  The
+    :meth:`StackChain.frf`.  Nothing in the package calls this one-call
+    form; the tests compare the design loop's chain with it, and the
     benchmark's tracer (``bench/spans.py``) patches it by name, so it
-    stays in this module while the benchmark traces it.
+    stays while the benchmark traces it.
     """
     freqs = np.asarray(freqs, dtype=float)
     z_load = np.asarray(load, dtype=complex)
-    return StackChain(spec.segments, freqs).frf(spec, z_load)
+    lengths = [s.length for s in spec.segments if not s.is_piezo]
+    return StackChain(spec.segments, freqs).frf(lengths, z_load)
 
 
 def plate_load_impedance(plate: PlateSpec, mode: ModeShape, er: EquivalenceRatio,

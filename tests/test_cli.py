@@ -155,6 +155,39 @@ class TestConfig:
         assert rc == 2
         assert "needs config block(s): source" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["audio-pc", "audio-bp", "audio-fr"])
+    def test_audio_commands_need_the_carrier(self, tmp_path, capsys, command):
+        # a pair without f_carrier_hz is reported as the configuration
+        # error it is, like a missing audio frequency, not as a traceback
+        cfg = write_cfg(tmp_path, {"pair": {"f_audio_hz": 1000.0},
+                                   "source": {"kind": "piston", "radius_m": 0.012}})
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert (capsys.readouterr().err
+                == f"error [{command}]: pair.f_carrier_hz is required\n")
+        with pytest.raises(ConfigError, match="pair.f_carrier_hz is required"):
+            cli.dispatch(command, load_config(cfg), tmp_path / "o")
+
+    @pytest.mark.parametrize("command", ["audio-pc", "audio-bp", "audio-fr"])
+    def test_audio_frequency_keys_exclude_each_other(self, tmp_path, command):
+        # neither key silently wins over the other
+        cfg = validate_config({
+            "pair": {"f_carrier_hz": 60e3, "f_audio_hz": 2000.0,
+                     "f_audio_grid_hz": [700.0, 1400.0]},
+            "source": {"kind": "piston", "radius_m": 0.012}})
+        with pytest.raises(ConfigError, match="exclude each other"):
+            cli.dispatch(command, cfg, tmp_path / "o")
+
+    @pytest.mark.parametrize("command", ["audio-pc", "audio-bp"])
+    def test_curve_commands_take_one_audio_frequency(self, tmp_path, command):
+        # a curve is drawn at one audio frequency: a longer grid is
+        # rejected rather than cut to its first entry
+        cfg = validate_config({
+            "pair": {"f_carrier_hz": 60e3, "f_audio_grid_hz": [700.0, 1400.0]},
+            "source": {"kind": "piston", "radius_m": 0.012}})
+        with pytest.raises(ConfigError, match="takes one audio frequency, got 2"):
+            cli.dispatch(command, cfg, tmp_path / "o")
+        assert not (tmp_path / "o").exists()
+
 
 class TestCommands:
     def test_runtime_error_exits_1(self, tmp_path, capsys):

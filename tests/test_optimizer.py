@@ -97,7 +97,7 @@ def oracle_segment(seg, omega):
 
 
 def oracle_frf(spec, z_load, freqs):
-    """Plate velocity from the full 2x2 chain product: F_back = 0."""
+    """Plate velocity per volt from the full 2x2 chain product: F_back = 0."""
     omega = 2.0 * np.pi * freqs
     t_tot = np.broadcast_to(np.eye(2, dtype=complex), (freqs.size, 2, 2))
     s_tot = np.zeros((freqs.size, 2), dtype=complex)
@@ -107,7 +107,7 @@ def oracle_frf(spec, z_load, freqs):
         t_tot = np.einsum("nij,njk->nik", t_tot, t_seg)
     v = -s_tot[:, 0] / (t_tot[:, 0, 0] * z_load + t_tot[:, 0, 1])
     assert np.all(np.isfinite(v))
-    return td.Frf(freqs, v * spec.drive_voltage)
+    return td.Frf(freqs, v)
 
 
 @pytest.fixture
@@ -311,15 +311,19 @@ class TestEvaluateDesign:
             if p.flags:
                 with pytest.raises(ParameterDomainError):
                     TestRow0Chain.stack(cell_params, cell_params.config, x)
+                with pytest.raises(ParameterDomainError, match="positive"):
+                    cell_ctx.frf(x)
             alone = opt.evaluate_design(cell_ctx, x)
             assert (alone.objectives, alone.flags) == (p.objectives, p.flags)
         assert got[3].objectives == got[0].objectives
         calls = cell_ctx.chain_calls
         short = opt.evaluate_designs(cell_ctx, xs[:, :3])
         assert [p.flags for p in short] == [("infeasible",)] * 4
+        with pytest.raises(ParameterDomainError, match="segment lengths"):
+            cell_ctx.frf(x0[:3])
         ctx = opt.DesignContext(replace(cell_params, f_u0=40e3), std_air)
-        with pytest.raises(InfeasibleDesignError):
-            ctx._spec(ctx.bounds[0])
+        with pytest.raises(InfeasibleDesignError, match="radial band"):
+            ctx.frf(ctx.bounds[0])
         assert [p.flags for p in opt.evaluate_designs(ctx, [ctx.bounds[0]] * 3)] == [
             ("infeasible",)] * 3
         assert cell_ctx.chain_calls == calls and ctx.chain_calls == 0
@@ -362,16 +366,15 @@ class TestRow0Chain:
     """The row-0 chain against the full 2x2 matrix product."""
 
     @staticmethod
-    def stack(params, config, x, drive_voltage=1.0):
-        return td.build_stack(config, params.r_p, params.l_p, params.r_h, x,
-                              drive_voltage=drive_voltage, f_u0=params.f_u0)
+    def stack(params, config, x):
+        return td.build_stack(config, params.r_p, params.l_p, params.r_h, x)
 
     @pytest.mark.parametrize("config", list(td.StackConfig))
     def test_matches_full_matrix_oracle(self, cell_ctx, cell_params, config):
         _, (lo, hi) = td.langevin_initial_lengths(60e3, config, 8e-3)
         rng = np.random.default_rng(5)
         for x in lo + (hi - lo) * rng.random((4, lo.size)):
-            spec = self.stack(cell_params, config, x, drive_voltage=1.7)
+            spec = self.stack(cell_params, config, x)
             want = oracle_frf(spec, cell_ctx.load, cell_ctx.freqs).center_velocity
             got = td.frf_transfer_matrix(spec, cell_ctx.load,
                                          cell_ctx.freqs).center_velocity
@@ -380,21 +383,11 @@ class TestRow0Chain:
     def test_context_frf_is_frf_transfer_matrix(self, cell_ctx, cell_params):
         lo, hi = cell_ctx.bounds
         for x in (lo, hi, 0.5 * (lo + hi)):
-            spec = self.stack(cell_params, cell_params.config, x, 2.5)
+            spec = self.stack(cell_params, cell_params.config, x)
             want = td.frf_transfer_matrix(spec, cell_ctx.load, cell_ctx.freqs)
-            got = cell_ctx.frf(x, 2.5)
+            got = cell_ctx.frf(x)
             assert np.array_equal(got.freqs, want.freqs)
             assert np.array_equal(got.center_velocity, want.center_velocity)
-
-    def test_chain_rejects_other_layout(self, cell_ctx, cell_params):
-        x0, _ = td.langevin_initial_lengths(60e3, td.StackConfig.HALF, 8e-3)
-        half = self.stack(cell_params, td.StackConfig.HALF, x0)
-        with pytest.raises(ParameterDomainError, match="layout"):
-            cell_ctx.chain.frf(half, cell_ctx.load)
-        wider = self.stack(replace(cell_params, r_p=11e-3), cell_params.config,
-                           cell_ctx.bounds[0])
-        with pytest.raises(ParameterDomainError, match="layout"):
-            cell_ctx.chain.frf(wider, cell_ctx.load)
 
     def test_seeded_front_matches_oracle_evaluator(self, cell_ctx, cell_params):
         # the reference cell and NSGA-II run of acceptance criterion 11
@@ -442,7 +435,7 @@ class LatticeCurve:
     def subset(self, index):
         return LatticeCurve(self.freqs[index], self.v[index])
 
-    def velocity(self, lengths, z_load, index=None, rows=None, drive_voltage=1.0):
+    def velocity(self, lengths, z_load, index=None, rows=None):
         v = self.v if index is None else self.v[index]
         return v.copy() if rows is not None else np.tile(v, (len(lengths), 1))
 
@@ -751,6 +744,21 @@ class TestDesignPipeline:
         _, (path,), _ = cli.dispatch("audio-fr", cfg, tmp_path, ("json",))
         doc = json.loads(path.read_text())
         assert (doc["spl_db"], doc["d_ac_m"]) == ([cd.spl], [cd.distance])
+
+    def test_drive_voltage_scales_the_level_only(self, cell_ctx, coarse):
+        # the voltage scales the per-volt response once: the carrier and
+        # the critical distances keep their bits, and the level rises by
+        # 20 log10 V for each of the two primaries
+        knee = opt.select_knee(opt.optimize_lengths(cell_ctx, opt.NsgaConfig(
+            pop=12, generations=4, seed=3)), (800.0, 8000.0))
+        one = opt.audio_capability(knee, cell_ctx, [500.0, 1000.0], settings=coarse)
+        cap = opt.audio_capability(knee, cell_ctx, [500.0, 1000.0],
+                                   drive_voltage=1.7, settings=coarse)
+        assert cap.carrier_hz == one.carrier_hz
+        assert np.array_equal(cap.d_ac, one.d_ac)
+        assert cap.d_ac_at_peak == one.d_ac_at_peak
+        assert cap.peak_spl - one.peak_spl == pytest.approx(40.0 * np.log10(1.7),
+                                                            rel=0.0, abs=1e-9)
 
     def test_vanishing_drive_guard(self, cell_ctx, coarse):
         # effective velocities below the guard floor produce -inf SPL

@@ -77,6 +77,104 @@ def test_no_public_surface_that_nothing_calls():
     assert not unnamed, unnamed
 
 
+#: defaulted arguments that no call in src/sppal, a demo, the README or
+#: bench/spans.py passes, each kept for the reason given
+_UNPASSED_DEFAULTS = {
+    "cli.main(argv)": "entry point: argparse reads sys.argv when it is None",
+    "__main__.main(argv)": "entry point of the sppal script and python -m sppal",
+    "nlfield.QuasilinearSolver(grid)": "the tests build their grids by hand",
+    "transducer.cr_screen(f_a_grid)": "its grid form waits on ROADMAP item 15",
+}
+
+
+def _python_sources() -> list:
+    """Syntax trees of src/sppal, the demos, bench/spans.py, the README's
+    python blocks and every backticked README span that parses."""
+    trees = [ast.parse(path.read_text())
+             for path in [*sorted(SRC.glob("*.py")), *sorted((ROOT / "demos").glob("*.py")),
+                          ROOT / "bench" / "spans.py"]]
+    readme = (ROOT / "README.md").read_text()
+    spans = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    for span in spans + re.findall(r"`([^`\n]+)`", readme):
+        try:
+            trees.append(ast.parse(span))
+        except SyntaxError:
+            pass
+    return trees
+
+
+def _defaulted_parameters(path: Path, tree) -> list:
+    """(label, name, parameters in call order, defaulted parameters,
+    whether they are dataclass fields) of every public function, method
+    and class of a module; a dataclass without its own ``__init__`` takes
+    its fields."""
+
+    def signature(fn, bound: bool) -> tuple:
+        a = fn.args
+        positional = [p.arg for p in a.posonlyargs + a.args][1 if bound else 0:]
+        defaulted = positional[len(positional) - len(a.defaults):] if a.defaults else []
+        defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        return positional, defaulted, False
+
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            out.append((f"{path.stem}.{node.name}", node.name, *signature(node, False)))
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        methods = {m.name: m for m in node.body if isinstance(m, ast.FunctionDef)}
+        if "__init__" in methods:
+            out.append((f"{path.stem}.{node.name}", node.name,
+                        *signature(methods["__init__"], True)))
+        elif any(ast.unparse(d).split("(")[0] == "dataclass" for d in node.decorator_list):
+            fields = [f for f in node.body
+                      if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+            out.append((f"{path.stem}.{node.name}", node.name,
+                        [f.target.id for f in fields],
+                        [f.target.id for f in fields if f.value is not None], True))
+        for name, fn in methods.items():
+            if not name.startswith("_"):
+                static = any(ast.unparse(d) == "staticmethod" for d in fn.decorator_list)
+                out.append((f"{path.stem}.{node.name}.{name}", name,
+                            *signature(fn, not static)))
+    return out
+
+
+def test_every_default_is_passed_somewhere():
+    # a defaulted argument of a public function, method or class, or a
+    # defaulted field of a public dataclass, is a settable value; one that
+    # no call in src/sppal, a demo, the README or the benchmark's tracer
+    # passes (by keyword, by position or through dataclasses.replace) is a
+    # setting nothing needs, unless it is named with its reason above
+    calls = {}  # callee name -> [(positional count, keywords, star, double star)]
+    replaced = set()
+    for tree in _python_sources():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            keywords = {k.arg for k in node.keywords}
+            if name == "replace":
+                replaced |= keywords
+            calls.setdefault(name, []).append((
+                sum(not isinstance(a, ast.Starred) for a in node.args), keywords,
+                any(isinstance(a, ast.Starred) for a in node.args), None in keywords))
+    unpassed = []
+    for path in sorted(SRC.glob("*.py")):
+        for label, name, params, defaulted, fields in _defaulted_parameters(
+                path, ast.parse(path.read_text())):
+            for p in defaulted:
+                i = params.index(p) if p in params else len(params)
+                if not (fields and p in replaced) and not any(
+                        p in kw or n > i or (star and i < len(params)) or double
+                        for n, kw, star, double in calls.get(name, ())):
+                    unpassed.append(f"{label}({p})")
+    unneeded = sorted(set(unpassed) - set(_UNPASSED_DEFAULTS))
+    assert not unneeded, unneeded
+    stale = sorted(set(_UNPASSED_DEFAULTS) - set(unpassed))
+    assert not stale, f"exemptions that a call now passes: {stale}"
+
+
 def test_one_critical_point_path():
     # outside nlfield, a pair's audio maximum comes only from
     # nlfield.critical_point: no other module builds a solver or locates a

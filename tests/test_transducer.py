@@ -10,7 +10,7 @@ from sppal.errors import (
 )
 from sppal.linfield import EquivalenceRatio
 from sppal.materials import Material, PiezoProps, get_material
-from sppal.transducer import Frf, _cos_sin, _layout
+from sppal.transducer import Frf, _cos_sin
 
 from chain_oracle import segment_matrix, split
 
@@ -27,10 +27,9 @@ def quiet_pzt(loss=0.0):
 
 
 def _parent_frf(self, spec, z_load, index=None):
-    """``StackChain.frf`` as it was before the batch kernel, one candidate
-    per call, written with operators (``self`` is the chain)."""
-    if tuple(_layout(s) for s in spec.segments) != self._layouts:
-        raise ParameterDomainError("stack layout differs from the chain's")
+    """``StackChain.frf`` per volt as it was before the batch kernel, one
+    candidate per call, written with operators (``self`` is the chain of
+    ``spec``'s layout)."""
     terms, freqs = self._terms, self.freqs
     if index is not None:
         terms, freqs = terms.take(index, axis=1), freqs[index]
@@ -63,7 +62,7 @@ def _parent_frf(self, spec, z_load, index=None):
 
     # 0 = F_back = (T00 Z_L + T01) v_front + s0 * V
     with np.errstate(divide="ignore", invalid="ignore"):
-        v = -s0 / (r0 * z_load + r1) * spec.drive_voltage
+        v = -s0 / (r0 * z_load + r1)
     if index is None:
         bad = ~np.isfinite(v)
         if np.any(bad):
@@ -115,18 +114,16 @@ class TestBuildStack:
 
     def test_reference_design_valid(self):
         spec = td.build_stack(td.StackConfig.FULL, 9e-3, 8e-3, 0.75e-3,
-                              [0.015, 0.015, 0.02, 0.02], f_u0=60e3)
+                              [0.015, 0.015, 0.02, 0.02])
+        td.check_radial_band(9e-3, 60e3)
         assert spec.segments[-1].radius == 0.75e-3
         assert sum(1 for s in spec.segments if s.is_piezo) == 2
 
     def test_piezo_radius_band(self):
         lam_r = get_material("pzt").radial_speed() / 60e3
-        with pytest.raises(InfeasibleDesignError):
-            td.build_stack(td.StackConfig.HALF, lam_r / 10.0, 8e-3, 0.75e-3,
-                           [0.02] * 3, f_u0=60e3)
-        with pytest.raises(InfeasibleDesignError):
-            td.build_stack(td.StackConfig.HALF, lam_r / 3.0, 8e-3, 0.75e-3,
-                           [0.02] * 3, f_u0=60e3)
+        for r_p in (lam_r / 10.0, lam_r / 3.0):
+            with pytest.raises(InfeasibleDesignError, match="radial band"):
+                td.check_radial_band(r_p, 60e3)
 
 
     @pytest.mark.parametrize("config", list(td.StackConfig))
@@ -226,28 +223,45 @@ class TestTransferMatrix:
         np.testing.assert_allclose(det, 1.0, atol=1e-10)
 
     def test_voltage_linearity(self):
-        spec1 = td.build_stack(td.StackConfig.HALF, 9e-3, 8e-3, 1e-3,
-                               [0.015, 0.015, 0.02], drive_voltage=1.0)
-        spec2 = td.build_stack(td.StackConfig.HALF, 9e-3, 8e-3, 1e-3,
-                               [0.015, 0.015, 0.02], drive_voltage=2.0)
+        # the response is per volt; a drive voltage scales it once, value
+        # by value (Frf.scaled, as audio_capability applies it)
+        spec = td.build_stack(td.StackConfig.HALF, 9e-3, 8e-3, 1e-3,
+                              [0.015, 0.015, 0.02])
         freqs = np.arange(45e3, 75e3, 50.0)
-        v1 = td.frf_transfer_matrix(spec1, 0.0, freqs).center_velocity
-        v2 = td.frf_transfer_matrix(spec2, 0.0, freqs).center_velocity
-        np.testing.assert_allclose(v2, 2.0 * v1, rtol=1e-12)
+        v1 = td.frf_transfer_matrix(spec, 0.0, freqs)
+        v2 = v1.scaled(2.0)
+        assert np.array_equal(v2.freqs, v1.freqs)
+        np.testing.assert_allclose(v2.center_velocity, 2.0 * v1.center_velocity,
+                                   rtol=1e-12)
 
     def test_singular_frequency_filled_from_neighbours(self):
         spec = td.build_stack(td.StackConfig.HALF, 9e-3, 8e-3, 1e-3,
                               [0.015, 0.015, 0.02])
+        (lengths,) = td.elastic_lengths(td.StackConfig.HALF, [[0.015, 0.015, 0.02]])
         freqs = np.linspace(55e3, 55.4e3, 5)
         chain = td.StackChain(spec.segments, freqs)
         load = np.full(freqs.size, 50.0 + 20.0j)
-        clean = chain.frf(spec, load).center_velocity
+        clean = chain.frf(lengths, load).center_velocity
         load[2] = np.nan
-        v = chain.frf(spec, load).center_velocity
+        v = chain.frf(lengths, load).center_velocity
         assert np.array_equal(np.delete(v, 2), np.delete(clean, 2))
         assert v[2] == pytest.approx(0.5 * (clean[1] + clean[3]), rel=1e-12)
         with pytest.raises(ParameterDomainError, match="singular everywhere"):
-            chain.frf(spec, np.full(freqs.size, np.nan + 0j))
+            chain.frf(lengths, np.full(freqs.size, np.nan + 0j))
+
+    @pytest.mark.parametrize("columns", [3, 5])
+    def test_velocity_rejects_other_column_counts(self, columns):
+        # a half-wavelength chain takes rows of exactly four elastic
+        # lengths: a short row, or an extra column (a negative one here),
+        # is rejected rather than indexed past or ignored
+        spec = td.build_stack(td.StackConfig.HALF, 9e-3, 8e-3, 1e-3,
+                              [0.015, 0.015, 0.02])
+        chain = td.StackChain(spec.segments, np.linspace(55e3, 55.4e3, 5))
+        row = [0.015, 0.015, 0.01, 0.01, -0.01][:columns]
+        with pytest.raises(ParameterDomainError, match="rows of 4 elastic lengths"):
+            chain.velocity([row, row], 50.0)
+        with pytest.raises(ParameterDomainError, match="rows of 4 elastic lengths"):
+            chain.frf(row, 50.0)
 
     @pytest.mark.parametrize("config", list(td.StackConfig))
     def test_subset_equals_whole_lattice(self, config):
@@ -255,8 +269,7 @@ class TestTransferMatrix:
         # to the bits of the whole-lattice call, as does a chain built on
         # every 8th frequency (the design loop's coarse scan)
         x0, _ = td.langevin_initial_lengths(60e3, config, 8e-3)
-        spec = td.build_stack(config, 9e-3, 8e-3, 0.75e-3, 1.03 * x0,
-                              drive_voltage=1.7)
+        spec = td.build_stack(config, 9e-3, 8e-3, 0.75e-3, 1.03 * x0)
         lengths = td.elastic_lengths(config, [1.03 * x0])
         freqs = np.arange(48e3, 72e3, td.PEAK_GRID_STEP)
         load = (40.0 + 3e-4 * freqs) + 1j * (freqs - 60e3) * 1e-3
@@ -267,17 +280,17 @@ class TestTransferMatrix:
         subsets += [np.arange(a, a + 19) for a in (0, 1181, freqs.size - 19)]
         subsets.append(np.arange(0, freqs.size, 8))
         for z_load in (load, 35.0 + 2.0j):
-            whole = chain.frf(spec, z_load).center_velocity
+            whole = chain.frf(lengths[0], z_load).center_velocity
             assert np.all(np.isfinite(whole))
             for index in subsets:
                 sub = chain.subset(index)
                 part = sub.velocity(lengths, np.take(z_load, index) if np.ndim(z_load)
-                                    else z_load, drive_voltage=1.7)
+                                    else z_load)
                 assert np.array_equal(sub.freqs, freqs[index])
                 assert np.array_equal(part[0], whole[index])
         coarse = td.StackChain(spec.segments, freqs[::8])
-        assert np.array_equal(coarse.frf(spec, load[::8]).center_velocity,
-                              chain.frf(spec, load).center_velocity[::8])
+        assert np.array_equal(coarse.frf(lengths[0], load[::8]).center_velocity,
+                              chain.frf(lengths[0], load).center_velocity[::8])
 
     def test_subset_reports_singular_frequency(self):
         # the whole lattice fills a singular frequency from its neighbours;
@@ -290,7 +303,7 @@ class TestTransferMatrix:
         chain = td.StackChain(spec.segments, freqs)
         load = np.full(freqs.size, 50.0 + 20.0j)
         load[2] = np.nan
-        whole = chain.frf(spec, load).center_velocity
+        whole = chain.frf(lengths[0], load).center_velocity
         part = chain.subset([1, 2, 3]).velocity(lengths, load[[1, 2, 3]])[0]
         assert np.isfinite(whole[2]) and not np.isfinite(part[1])
         assert np.array_equal(part[[0, 2]], whole[[1, 3]])
@@ -347,16 +360,16 @@ class TestTransferMatrix:
             assert all(np.array_equal(
                 parts[c], _parent_frf(chain, specs[c], load, windows[c]).center_velocity)
                 for c in range(k))
-        # a batch of one is ``frf``, at any drive voltage and load, on the
-        # whole lattice and on a subset chain
-        spec = td.build_stack(config, 9e-3, 8e-3, 0.75e-3, xs[0], drive_voltage=1.7)
+        # a batch of one is ``frf``, at any load, on the whole lattice and
+        # on a subset chain
+        (lengths,) = td.elastic_lengths(config, xs[:1])
         for z_load in (load, 35.0 + 2.0j):
             for index in (None, coarse, windows[0]):
                 sub = chain if index is None else chain.subset(index)
                 sub_load = (np.take(z_load, index) if index is not None and np.ndim(z_load)
                             else z_load)
-                got = sub.frf(spec, sub_load)
-                want = _parent_frf(chain, spec, z_load, index)
+                got = sub.frf(lengths, sub_load)
+                want = _parent_frf(chain, specs[0], z_load, index)
                 assert np.array_equal(got.freqs, want.freqs)
                 assert np.array_equal(got.center_velocity, want.center_velocity)
 
@@ -373,7 +386,7 @@ class TestTransferMatrix:
         v = chain.velocity(lengths, load)
         assert v.shape == (3, 5) and not np.any(np.isfinite(v[:, 2]))
         assert np.array_equal(td.fill_singular(freqs, v[1]),
-                              chain.frf(spec, load).center_velocity)
+                              chain.frf(lengths[1], load).center_velocity)
         with pytest.raises(ParameterDomainError, match="singular everywhere"):
             td.fill_singular(freqs, np.full(freqs.size, np.nan + 0j))
 
