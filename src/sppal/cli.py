@@ -35,14 +35,18 @@ def _piston_radius(cfg: RunConfig, medium: Medium) -> float:
     return radiator.aperture_for_cd(src["d_uc_m"], src["f_u0_hz"], medium)
 
 
-def _build_source_profile(cfg: RunConfig, medium: Medium, f: float):
+def _build_source_profile(cfg: RunConfig, medium: Medium):
+    """The source sampled at ``source.f_u0_hz``, the one frequency of ``pc``, ``bp`` and ``er``."""
     src = cfg.block("source")
+    f = src["f_u0_hz"]
+    if f is None:
+        raise ConfigError("source.f_u0_hz is required")
     if src["kind"] == "piston":
         a = _piston_radius(cfg, medium)
         v = complex(*src["velocity_ms"])
         n = radiator.radial_sample_count(a, f, medium)
         return radiator.piston_profile(radiator.PistonSpec(a, v), n)
-    plate = radiator.size_plate_for(src["f_u0_hz"], src["d_uc_m"], src["mode_m"],
+    plate = radiator.size_plate_for(f, src["d_uc_m"], src["mode_m"],
                                     src["material"], medium,
                                     radiator.Boundary(src["boundary"]))
     mode = radiator.plate_mode_shape(plate)
@@ -90,18 +94,16 @@ def _pair_from_config(cfg: RunConfig, medium: Medium, f_a: float):
 
 
 def _audio_freq_grid(cfg: RunConfig) -> np.ndarray:
-    p = cfg.block("pair")
-    if p["f_audio_grid_hz"] is not None and p["f_audio_hz"] is not None:
-        raise ConfigError("pair.f_audio_hz and pair.f_audio_grid_hz exclude each other")
-    if p["f_audio_grid_hz"] is not None:
-        return np.asarray(p["f_audio_grid_hz"], dtype=float)
-    if p["f_audio_hz"] is not None:
-        return np.asarray([p["f_audio_hz"]], dtype=float)
-    raise ConfigError("pair.f_audio_hz or pair.f_audio_grid_hz is required")
+    """``pair.f_audio_hz``, one frequency or a list, as a non-empty array."""
+    f = cfg.block("pair")["f_audio_hz"]
+    grid = f if isinstance(f, list) else [f]
+    if not grid or any(type(v) not in (int, float) for v in grid):  # bool is no number
+        raise ConfigError("pair.f_audio_hz must be a number or a non-empty list of numbers")
+    return np.asarray(grid, dtype=float)
 
 
 def _audio_freq(cfg: RunConfig, command: str) -> float:
-    """The one audio frequency of an ``audio-pc`` or ``audio-bp`` run."""
+    """The one audio frequency of an ``audio-pc``, ``audio-bp`` or ``cd-contour`` run."""
     f_grid = _audio_freq_grid(cfg)
     if f_grid.size != 1:
         raise ConfigError(f"'{command}' takes one audio frequency, got {f_grid.size}")
@@ -114,24 +116,16 @@ def _audio_freq(cfg: RunConfig, command: str) -> float:
 
 def _cmd_pc(cfg: RunConfig, out: Path, meta: dict, formats) -> list:
     medium = cfg.medium()
-    src = cfg.block("source")
-    f = src["f_u0_hz"] or cfg.block("pair").get("f_carrier_hz")
-    if f is None:
-        raise ConfigError("source.f_u0_hz is required for 'pc'")
-    profile = _build_source_profile(cfg, medium, f)
-    curve = linfield.propagation_curve(profile, medium, f, _z_grid(cfg))
+    curve = linfield.propagation_curve(_build_source_profile(cfg, medium), medium,
+                                       cfg.block("source")["f_u0_hz"], _z_grid(cfg))
     return io.write_curve(out / "pc", curve, _medium_state(cfg), meta, formats)
 
 
 def _cmd_bp(cfg: RunConfig, out: Path, meta: dict, formats) -> list:
     medium = cfg.medium()
-    src = cfg.block("source")
-    f = src["f_u0_hz"] or cfg.block("pair").get("f_carrier_hz")
-    if f is None:
-        raise ConfigError("source.f_u0_hz is required for 'bp'")
-    profile = _build_source_profile(cfg, medium, f)
     r = cfg.block("solver")["range_m"]
-    curve = linfield.beam_pattern(profile, medium, f, r, _theta_grid(cfg))
+    curve = linfield.beam_pattern(_build_source_profile(cfg, medium), medium,
+                                  cfg.block("source")["f_u0_hz"], r, _theta_grid(cfg))
     return io.write_curve(out / "bp", curve, _medium_state(cfg), meta, formats)
 
 
@@ -145,7 +139,7 @@ def _cmd_er(cfg: RunConfig, out: Path, meta: dict, formats) -> list:
     f_lo = s["f_lo_hz"] if s["f_lo_hz"] is not None else f0 - 10e3
     f_hi = s["f_hi_hz"] if s["f_hi_hz"] is not None else f0
     freqs = np.linspace(f_lo, f_hi, int(s["f_points"]))
-    profile = _build_source_profile(cfg, medium, f0)
+    profile = _build_source_profile(cfg, medium)
     er = [linfield.equivalence_ratio(profile, medium, f, src["d_uc_m"]).er_db
           for f in freqs]
     cols = {"f_hz": freqs, "er_db": np.asarray(er)}
@@ -183,15 +177,16 @@ def _cmd_audio_fr(cfg: RunConfig, out: Path, meta: dict, formats) -> list:
 
 
 def _cmd_cd_contour(cfg: RunConfig, out: Path, meta: dict, formats) -> list:
-    medium = cfg.medium()
     opt = cfg.block("optimizer")
     pairb = cfg.block("pair")
-    f_a = pairb["f_audio_hz"] if pairb["f_audio_hz"] is not None else 1000.0
-    contour = optimizer.audio_cd_contour(opt["sweep_d_uc_m"],
-                                         opt["sweep_f_u0_hz"], f_a,
+    if pairb["surrogate"] is not None:
+        raise ConfigError("'cd-contour' takes no pair.surrogate, which is centred on one "
+                          "carrier: it drives each carrier of its map at |v1_ms|, |v2_ms|")
+    contour = optimizer.audio_cd_contour(opt["sweep_d_uc_m"], opt["sweep_f_u0_hz"],
+                                         _audio_freq(cfg, "cd-contour"),
                                          abs(complex(*pairb["v1_ms"])),
                                          abs(complex(*pairb["v2_ms"])),
-                                         medium, _solver_settings(cfg))
+                                         cfg.medium(), _solver_settings(cfg))
     written = []
     if "csv" in formats:
         for name, mat in (("l_pa_c_db", contour.l_pa_c),
@@ -308,7 +303,6 @@ def dispatch(command: str, cfg: RunConfig, out_dir, formats=("csv", "json"),
     meta = io.metadata_block(cfg.echo(),
                              seed=seed if seed is not None
                              else cfg.block("optimizer")["seed"])
-    caught = []
     with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always", TruncationTailWarning)
         written = _COMMANDS[command](cfg, out, meta, formats)

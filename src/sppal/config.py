@@ -46,8 +46,7 @@ _SCHEMA = {
     },
     "pair": {
         "f_carrier_hz": _REQUIRED,
-        "f_audio_hz": None,
-        "f_audio_grid_hz": None,
+        "f_audio_hz": 1000.0,        # one frequency or a list (audio-fr)
         "v1_ms": [0.1, 0.0],
         "v2_ms": [0.1, 0.0],
         "surrogate": None,           # nested block, see _SURROGATE_SCHEMA

@@ -335,21 +335,19 @@ class NsgaResult:
 
 
 def _non_dominated_sort(f: np.ndarray) -> list:
-    """Fronts of indices, best first (standard fast sort, minimization)."""
+    """Fronts of indices, best first (standard fast sort, minimization), each
+    ordered by its points' last dominators in the front before, then by index."""
     d = _dominance(f)
-    dominated_by = [np.flatnonzero(row).tolist() for row in d]
     domination_count = d.sum(axis=0)
     fronts = []
-    current = [i for i in range(f.shape[0]) if domination_count[i] == 0]
-    while current:
-        fronts.append(current)
-        nxt = []
-        for i in current:
-            for j in dominated_by[i]:
-                domination_count[j] -= 1
-                if domination_count[j] == 0:
-                    nxt.append(j)
-        current = nxt
+    current = np.flatnonzero(domination_count == 0)
+    while current.size:
+        fronts.append(current.tolist())
+        by_current = d[current]
+        domination_count -= by_current.sum(axis=0)
+        nxt = np.flatnonzero((domination_count == 0) & by_current.any(axis=0))
+        last = current.size - 1 - np.argmax(by_current[::-1, nxt], axis=0)
+        current = nxt[np.argsort(last, kind="stable")]
     return fronts
 
 
@@ -565,6 +563,14 @@ class AudioCapability:
     carrier_hz: float
 
 
+def _audio_grid(f_a_grid) -> np.ndarray:
+    """``f_a_grid`` as an array, if it is non-empty, finite and positive."""
+    grid = np.atleast_1d(np.asarray(f_a_grid, dtype=float))
+    if not (grid.size and np.all(np.isfinite(grid) & (grid > 0))):
+        raise ParameterDomainError(f"audio grid {grid.tolist()} must be non-empty, finite and > 0")
+    return grid
+
+
 def audio_capability(design: DesignPoint, ctx: DesignContext, f_a_grid,
                      drive_voltage: float = 1.0,
                      settings: nlfield.SolverSettings | None = None) -> AudioCapability:
@@ -582,7 +588,7 @@ def audio_capability(design: DesignPoint, ctx: DesignContext, f_a_grid,
             f"design {design.params} does not belong to the context of "
             f"{ctx.params}")
     medium = ctx.medium
-    f_a_grid = np.atleast_1d(np.asarray(f_a_grid, dtype=float))
+    f_a_grid = _audio_grid(f_a_grid)
     try:
         per_volt = ctx.frf(design.x)
         feats = transducer.extract_dr_features(per_volt)
@@ -663,7 +669,6 @@ class SweepRow:
 @dataclass
 class SweepResult:
     rows: list
-    seed: int
 
     def table(self) -> list:
         """Rows as flat dictionaries (CSV-ready)."""
@@ -699,6 +704,7 @@ def design_sweep(grid: dict | None, medium: Medium, nsga: NsgaConfig,
     than aborting the sweep.  Deterministic for a fixed seed: cell
     seeds derive from the base seed by cell index.
     """
+    f_a_grid = _audio_grid(f_a_grid)
     g = dict(DEFAULT_SWEEP_GRID)
     if grid:
         g.update(grid)
@@ -731,7 +737,7 @@ def design_sweep(grid: dict | None, medium: Medium, nsga: NsgaConfig,
             continue
         rows.append(SweepRow(params, knee.x, knee.objectives,
                              cap.peak_spl, cap.d_ac_at_peak, knee.flags))
-    return SweepResult(rows=rows, seed=nsga.seed)
+    return SweepResult(rows=rows)
 
 
 @dataclass

@@ -53,9 +53,14 @@ class TestConfig:
                            ("solver", "refine_db"), ("optimizer", "crossover_rate"),
                            ("optimizer", "eta_crossover"),
                            ("optimizer", "eta_mutation"),
-                           ("optimizer", "mutation_rate")):
+                           ("optimizer", "mutation_rate"),
+                           ("pair", "f_audio_grid_hz")):
             with pytest.raises(ConfigError, match=rf"{block}\.{key}: unknown field"):
                 validate_config({block: {key: 1.0}})
+
+    def test_audio_frequency_default_is_in_the_schema(self):
+        # the 1 kHz default is a schema value, so every config echo shows it
+        assert validate_config({}).echo()["pair"]["f_audio_hz"] == 1000.0
 
     def test_defaults_are_the_library_defaults(self):
         cfg = validate_config({})
@@ -167,26 +172,37 @@ class TestConfig:
         with pytest.raises(ConfigError, match="pair.f_carrier_hz is required"):
             cli.dispatch(command, load_config(cfg), tmp_path / "o")
 
-    @pytest.mark.parametrize("command", ["audio-pc", "audio-bp", "audio-fr"])
-    def test_audio_frequency_keys_exclude_each_other(self, tmp_path, command):
-        # neither key silently wins over the other
-        cfg = validate_config({
-            "pair": {"f_carrier_hz": 60e3, "f_audio_hz": 2000.0,
-                     "f_audio_grid_hz": [700.0, 1400.0]},
-            "source": {"kind": "piston", "radius_m": 0.012}})
-        with pytest.raises(ConfigError, match="exclude each other"):
-            cli.dispatch(command, cfg, tmp_path / "o")
-
-    @pytest.mark.parametrize("command", ["audio-pc", "audio-bp"])
+    @pytest.mark.parametrize("command", ["audio-pc", "audio-bp", "cd-contour"])
     def test_curve_commands_take_one_audio_frequency(self, tmp_path, command):
-        # a curve is drawn at one audio frequency: a longer grid is
+        # a curve or a map is drawn at one audio frequency: a longer list is
         # rejected rather than cut to its first entry
         cfg = validate_config({
-            "pair": {"f_carrier_hz": 60e3, "f_audio_grid_hz": [700.0, 1400.0]},
-            "source": {"kind": "piston", "radius_m": 0.012}})
+            "pair": {"f_carrier_hz": 60e3, "f_audio_hz": [700.0, 1400.0]},
+            "source": {"kind": "piston", "radius_m": 0.012},
+            "optimizer": {"sweep_d_uc_m": [0.45], "sweep_f_u0_hz": [60e3]}})
         with pytest.raises(ConfigError, match="takes one audio frequency, got 2"):
             cli.dispatch(command, cfg, tmp_path / "o")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("f_a", [[], None, "1 kHz", [700.0, "1400"], [True]])
+    def test_audio_frequency_must_be_numbers(self, tmp_path, capsys, f_a):
+        # an empty band is an error, not a header-only table
+        cfg = write_cfg(tmp_path, {"pair": {"f_carrier_hz": 60e3, "f_audio_hz": f_a},
+                                   "source": {"kind": "piston", "radius_m": 0.012}})
+        assert main(["audio-fr", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error [audio-fr]: pair.f_audio_hz must be a number or a non-empty list")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["pc", "bp"])
+    def test_ultrasonic_commands_read_only_source_frequency(self, tmp_path, command):
+        # pc and bp declare only the source block: a pair's carrier is not
+        # their frequency
+        cfg = validate_config({
+            "source": {"kind": "piston", "radius_m": 0.0508},
+            "pair": {"f_carrier_hz": 60e3}})
+        with pytest.raises(ConfigError, match="source.f_u0_hz is required"):
+            cli.dispatch(command, cfg, tmp_path / "o")
 
 
 class TestCommands:
@@ -232,6 +248,49 @@ class TestCommands:
         assert lift == pytest.approx(20.0 * np.log10(5.0), abs=1e-6)
         assert docs[1]["d_ac_m"] == docs[0]["d_ac_m"]
 
+    def test_cd_contour_runs_at_its_one_audio_frequency(self, tmp_path):
+        # a number and a one-entry list are the same frequency, and it
+        # moves the map away from the 1 kHz default
+        maps = []
+        for f_a in (None, 2000.0, [2000.0]):
+            pair = {} if f_a is None else {"f_audio_hz": f_a}
+            cfg = write_cfg(tmp_path, {
+                "pair": pair,
+                "optimizer": {"sweep_d_uc_m": [0.45], "sweep_f_u0_hz": [60e3]},
+                "solver": COARSE_SOLVER,
+            })
+            out = tmp_path / f"cd{len(maps)}"
+            assert main(["cd-contour", "--config", str(cfg), "--out", str(out)]) == 0
+            doc = json.loads((out / "cd_contour.json").read_text())
+            maps.append((doc["f_a_hz"], doc["l_pa_c_db"], doc["d_ac_m"]))
+        assert maps[0][0] == 1000.0
+        assert maps[1] == maps[2] and maps[1][0] == 2000.0
+        assert maps[1][1] != maps[0][1]
+
+    def test_cd_contour_rejects_a_surrogate(self, tmp_path):
+        # a surrogate is centred on one carrier and cannot drive the map's
+        # carrier grid
+        cfg = validate_config({"pair": {"f_carrier_hz": 60e3, "surrogate": {
+            "kind": "SR", "f_r2_hz": 60e3}}})
+        with pytest.raises(ConfigError, match="'cd-contour' takes no pair.surrogate"):
+            cli.dispatch("cd-contour", cfg, tmp_path / "o")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("f_a", [[], [-500.0]])
+    def test_sweep_checks_its_audio_grid_first(self, tmp_path, capsys, monkeypatch, f_a):
+        # a grid no cell can be scored on ends the run before any cell's
+        # NSGA-II work, as a run-time error and not a traceback
+        def no_cell(*args):
+            raise AssertionError("a cell was built")
+
+        monkeypatch.setattr(optimizer, "DesignContext", no_cell)
+        raw = json.loads((ROOT / "tests" / "golden" / "sweep" / "config.json").read_text())
+        raw["optimizer"]["sweep_f_a_hz"] = f_a
+        cfg = write_cfg(tmp_path, raw)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error [sweep]: audio grid {f_a} must be non-empty, finite and > 0")
+
     def test_pc_piston_peak_near_cd(self, tmp_path):
         cfg = write_cfg(tmp_path, {
             "medium": {"absorption": "none"},
@@ -273,7 +332,7 @@ class TestCommands:
     def test_audio_fr_surrogates(self, tmp_path):
         base = {
             "source": {"kind": "piston", "radius_m": 0.012},
-            "pair": {"f_carrier_hz": 60e3, "f_audio_grid_hz": [700.0, 1400.0],
+            "pair": {"f_carrier_hz": 60e3, "f_audio_hz": [700.0, 1400.0],
                      "surrogate": {"kind": "DR", "gain": 4e11,
                                    "f_r1_hz": 58.6e3, "f_r2_hz": 60e3,
                                    "f_anti_hz": 59.3e3, "loss_factor": 0.05}},

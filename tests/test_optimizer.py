@@ -817,3 +817,16 @@ class TestDesignPipeline:
         res = opt.design_sweep({"d_uc": (), "f_u0": (60e3,)}, std_air,
                                opt.NsgaConfig(pop=8, generations=1, seed=0))
         assert res.rows == []
+
+
+@pytest.mark.parametrize("f_a", [[], [-500.0], [0.0], [np.nan], [1000.0, np.inf]])
+def test_audio_grid_checked_before_any_work(std_air, cell_ctx, monkeypatch, f_a):
+    # an audio grid no design can be scored on is rejected by
+    # audio_capability before the stack response, and by the sweep before
+    # its first cell's context
+    design = opt.DesignPoint(cell_ctx.params, np.zeros(0), ())
+    with pytest.raises(ParameterDomainError, match="non-empty, finite and > 0"):
+        opt.audio_capability(design, cell_ctx, f_a)
+    monkeypatch.setattr(opt, "DesignContext", None)
+    with pytest.raises(ParameterDomainError, match="non-empty, finite and > 0"):
+        opt.design_sweep(None, std_air, opt.NsgaConfig(pop=8, generations=1), f_a_grid=f_a)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import optimize, special
 
-from sppal import _quad
+from sppal import _quad, config
 from sppal import radiator as rad
 from sppal.errors import InfeasibleDesignError, NumericalFailureError, ParameterDomainError
 from sppal.materials import BUILTIN_MATERIALS
@@ -208,6 +208,25 @@ def test_one_concurrency_site():
                 if name == "Thread" or (name == "ThreadPoolExecutor" and node not in allowed):
                     calls.append(f"{path.name}:{node.lineno} {name}")
     assert not calls, calls
+
+
+def test_every_config_key_is_read():
+    # a key of the config schema that neither cli.py nor config.py names
+    # as a string outside the schema tables is a setting that changes
+    # nothing (a key with no reader is still echoed and hashed)
+    read = set()
+    for name in ("cli.py", "config.py"):
+        tree = ast.parse((SRC / name).read_text())
+        schemas = {id(n) for node in tree.body if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) in ("_SCHEMA", "_SURROGATE_SCHEMA")
+                           for t in node.targets)
+                   for n in ast.walk(node)}
+        read |= {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)
+                 and isinstance(n.value, str) and id(n) not in schemas}
+    keys = [*(f"{block}.{key}" for block, schema in config._SCHEMA.items() for key in schema),
+            *(f"pair.surrogate.{key}" for key in config._SURROGATE_SCHEMA)]
+    unread = [key for key in keys if key.rsplit(".", 1)[1] not in read]
+    assert not unread, unread
 
 
 @pytest.mark.parametrize("n", [3, 4, 9, 10])
