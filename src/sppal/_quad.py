@@ -2,18 +2,21 @@
 
 One home for each rule: trapezoid and non-uniform composite Simpson
 weights, the cached Gauss-Legendre node table, the radial-wavenumber
-nodes of the Hankel-domain field integrals and their plane-to-plane
-propagation factors, Chebyshev points with their point-count rule,
-barycentric interpolation rows and the cost rule that splits a J0
-product into kernel and direct columns, the three-point parabolic peak
-refinement, the ``REFINE_DB`` refinement test, and the adaptive
-azimuthal ladder that evaluates axisymmetric integrals over phi in
-[0, pi] at doubling Gauss-Legendre orders until successive estimates
-pass that test; the checks of both field engines' observation points,
-curve grids and beam ranges and angles (:func:`observation_points`,
-:func:`axial_grid`, :func:`range_and_angles`); and the one scalar
-root finder, Brent's method (:func:`brentq`), which the plate
-eigenvalues, nodal radii and thickness sizing share.
+nodes of the Hankel-domain field integrals (64-point Gauss-Legendre
+panels on the propagating branch, whose count :func:`propagating_panels`
+sets for both field engines, and 16-point panels at its tip and on the
+evanescent branch) and their plane-to-plane propagation factors,
+Chebyshev points with their point-count rule, barycentric interpolation
+rows and the cost rule that splits a J0 product into kernel and direct
+columns, the three-point parabolic peak refinement, the ``REFINE_DB``
+refinement test, and the adaptive azimuthal ladder that evaluates
+axisymmetric integrals over phi in [0, pi] at doubling Gauss-Legendre
+orders until successive estimates pass that test; the checks of both
+field engines' observation points, curve grids and beam ranges and
+angles (:func:`observation_points`, :func:`axial_grid`,
+:func:`range_and_angles`); and the one scalar root finder, Brent's
+method (:func:`brentq`), which the plate eigenvalues, nodal radii and
+thickness sizing share.
 """
 
 from __future__ import annotations
@@ -40,6 +43,16 @@ _BRENT_MAXITER = 100
 #: 2.8 ns per row entry, 0.032 ns per multiply-add
 _J0_COST = 1100
 _ROW_COST = 90
+#: the propagating branch of the Hankel-domain field integrals: panels of
+#: ``_PROP_ORDER`` Gauss-Legendre points, one per ``_PROP_PHASE`` rad of the
+#: branch's phase scale, and never fewer than ``_PROP_FLOOR`` points
+#: (:func:`propagating_panels`)
+_PROP_ORDER = 64
+_PROP_PHASE = 88.0
+_PROP_FLOOR = 384
+#: Gauss-Legendre order of the propagating branch's tip panels and of the
+#: evanescent branch
+_PANEL_ORDER = 16
 
 
 def trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -83,9 +96,9 @@ def gauss_legendre(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _panel_nodes(edges: np.ndarray):
-    """Composite 16-point Gauss-Legendre nodes/weights over consecutive panels."""
-    x, w = gauss_legendre(16)
+def _panel_nodes(edges: np.ndarray, order: int):
+    """Composite ``order``-point Gauss-Legendre nodes/weights over consecutive panels."""
+    x, w = gauss_legendre(order)
     lo = edges[:-1][:, None]
     hi = edges[1:][:, None]
     nodes = 0.5 * (hi - lo) * (x[None, :] + 1.0) + lo
@@ -93,24 +106,51 @@ def _panel_nodes(edges: np.ndarray):
     return nodes.ravel(), wts.ravel()
 
 
+def propagating_panels(phase_scale):
+    """Panels of the propagating branch for a phase scale x (an array of
+    counts for an array of scales).
+
+    The branch k_r = k0 sin(theta) integrates J0(k_r rho) e^{-i k_z z},
+    whose phase over the branch is of the order of x = k0 times the
+    largest distance hypot(z, rho) it serves.  ceil(x / ``_PROP_PHASE``)
+    panels of ``_PROP_ORDER`` points, at least ``_PROP_FLOOR`` points: 0.73
+    points per rad of x, where 16-point panels of 12 rad took 1.33.  A
+    Gauss rule of high order needs few points per wavelength of an
+    oscillatory integrand (Trefethen, SIAM Rev. 50, 2008): a panel spans
+    at most 0.98 (pi/2) ``_PROP_PHASE`` rad of phase, and one 64-point
+    panel integrates e^{iat} on [-1, 1] to 3.3e-15 at that half-phase, a =
+    68, the rounding floor of the rule, but only to 8.9e-14 at a = 85 and
+    to 7.7e-8 at a = 99.  At 96 rad per panel, one block's node set and
+    the shared node sets of :func:`linfield.pressure_grid` part by up to
+    1.2e-12 of a column's maximum on the 90 kHz reference grid (8.1e-13
+    at 88).
+    """
+    n = np.maximum(_PROP_FLOOR // _PROP_ORDER,
+                   np.ceil(np.asarray(phase_scale, dtype=float) / _PROP_PHASE)).astype(int)
+    return int(n) if n.ndim == 0 else n
+
+
 def wavenumber_nodes(k0: float, n_panels: int, u_span=None) -> tuple:
     """Radial wavenumbers k_r and their integration weights dk_r.
 
     The two substitutions of the Hankel-domain (angular-spectrum) field
-    integrals, each on 16-point Gauss-Legendre panels:
+    integrals, on Gauss-Legendre panels:
 
     * ``u_span`` None: the propagating branch k_r = k0 sin(theta), theta
-      in [0, pi/2], on ``n_panels`` panels up to 0.98 pi/2 and 16 finer
-      tip panels beyond, where k_r/k_z peaks;
+      in [0, pi/2], on ``n_panels`` 64-point panels up to 0.98 pi/2
+      (:func:`propagating_panels` counts them) and 16 finer 16-point tip
+      panels beyond, where k_r/k_z peaks;
     * ``u_span = (u_lo, u_hi)``: the evanescent branch k_r = k0 cosh(u)
-      on ``n_panels`` panels over [u_lo, u_hi]; a branch that starts at
-      u = 0 gets six finer panels up to min(0.06, u_hi/2) first, since
-      under absorption k_z turns complex just past k_r = k0.
+      on ``n_panels`` 16-point panels over [u_lo, u_hi]; a branch that
+      starts at u = 0 gets six finer panels up to min(0.06, u_hi/2) first,
+      since under absorption k_z turns complex just past k_r = k0.
     """
     if u_span is None:
         main = np.linspace(0.0, 0.98 * np.pi / 2.0, n_panels + 1)
-        tip = np.linspace(0.98 * np.pi / 2.0, np.pi / 2.0, 17)[1:]
-        theta, w_th = _panel_nodes(np.concatenate([main, tip]))
+        tip = np.linspace(0.98 * np.pi / 2.0, np.pi / 2.0, 17)
+        (th_main, w_main), (th_tip, w_tip) = (_panel_nodes(main, _PROP_ORDER),
+                                              _panel_nodes(tip, _PANEL_ORDER))
+        theta, w_th = np.concatenate([th_main, th_tip]), np.concatenate([w_main, w_tip])
         return k0 * np.sin(theta), k0 * np.cos(theta) * w_th
     u_lo, u_hi = u_span
     if u_lo == 0.0:
@@ -121,7 +161,7 @@ def wavenumber_nodes(k0: float, n_panels: int, u_span=None) -> tuple:
         ])
     else:
         edges = np.linspace(u_lo, u_hi, n_panels + 1)
-    u, w_u = _panel_nodes(edges)
+    u, w_u = _panel_nodes(edges, _PANEL_ORDER)
     return k0 * np.cosh(u), k0 * np.sinh(u) * w_u
 
 

@@ -163,11 +163,33 @@ def _validate_block(name: str, schema: dict, given: dict, errors: list) -> dict:
     return out
 
 
+#: (block, key) of every value that is a list of numbers
+_NUMBER_LISTS = (
+    ("optimizer", "f_dist_window_hz"),
+    ("optimizer", "sweep_d_uc_m"),
+    ("optimizer", "sweep_f_u0_hz"),
+    ("optimizer", "sweep_mode_m"),
+    ("optimizer", "sweep_r_p_m"),
+    ("optimizer", "sweep_r_h_m"),
+    ("optimizer", "sweep_f_a_hz"),
+    ("cr", "modal_freqs_hz"),
+    ("cr", "audio_band_hz"),
+)
+
+
+def _is_number(v) -> bool:
+    """A number: an int or a float, not a bool; on JSON values the test
+    ``cli._audio_freq_grid`` applies to ``pair.f_audio_hz``."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_number_list(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(map(_is_number, v))
+
+
 def _is_complex_pair(v) -> bool:
     """A complex value given as [re, im]: two numbers, not booleans."""
-    return (isinstance(v, (list, tuple)) and len(v) == 2
-            and all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                    for c in v))
+    return _is_number_list(v) and len(v) == 2
 
 
 def _check_choice(errors: list, name: str, value, allowed) -> None:
@@ -220,6 +242,13 @@ def _semantic_checks(resolved: dict, errors: list, provided=()):
             errors.append("pair.surrogate.f_r2_hz: required")
         pair["surrogate"] = sub
 
+    # a list that is no list of numbers fails here, and no later rule reads it
+    not_numbers = set()
+    for block, key in _NUMBER_LISTS:
+        if not _is_number_list(resolved[block][key]):
+            errors.append(f"{block}.{key}: must be a list of numbers")
+            not_numbers.add(key)
+
     opt = resolved["optimizer"]
     if opt["pop"] < 8 or opt["pop"] % 2:
         errors.append("optimizer.pop: must be even and >= 8")
@@ -227,12 +256,12 @@ def _semantic_checks(resolved: dict, errors: list, provided=()):
         errors.append("optimizer.generations: must be >= 1")
     _check_choice(errors, "optimizer.config", opt["config"], StackConfig)
     w = opt["f_dist_window_hz"]
-    if not (isinstance(w, (list, tuple)) and len(w) == 2 and w[0] < w[1]):
+    if "f_dist_window_hz" not in not_numbers and not (len(w) == 2 and w[0] < w[1]):
         errors.append("optimizer.f_dist_window_hz: must be [lo, hi] with lo < hi")
 
     cr = resolved["cr"]
     band = cr["audio_band_hz"]
-    if not (isinstance(band, (list, tuple)) and len(band) == 2 and band[0] < band[1]):
+    if "audio_band_hz" not in not_numbers and not (len(band) == 2 and band[0] < band[1]):
         errors.append("cr.audio_band_hz: must be [lo, hi] with lo < hi")
     if cr["tol_hz"] <= 0:
         errors.append("cr.tol_hz: must be positive")

@@ -74,7 +74,8 @@ from scipy import special
 
 from ._quad import (REFINE_DB, axial_grid, barycentric_rows, chebyshev_count, chebyshev_points,
                     kernel_split, observation_points, parabolic_peak, plane_steps,
-                    range_and_angles, refined, simpson_weights, wavenumber_nodes)
+                    propagating_panels, range_and_angles, refined, simpson_weights,
+                    wavenumber_nodes)
 from .errors import (
     BoundaryPeakWarning,
     InfeasibleDesignError,
@@ -393,7 +394,7 @@ class QuasilinearSolver:
         # node sets are sized from the grid and each point's own extent
         reach = np.maximum(rho_f, g.r_nodes[-1]) + g.r_nodes[-1]
         extent = np.hypot(np.maximum(z_f, g.z_nodes[-1]), reach)
-        n_prop = np.maximum(24, np.ceil(self._k_audio.real * extent / 12.0)).astype(int)
+        n_prop = propagating_panels(self._k_audio.real * extent)
         nodes, cutoff, bands, blocks, values, evaluated = 0, 0.0, 0, 0, 0, 0
         t0 = time.perf_counter()
         for key in sorted(set(zip(n_prop.tolist(), reach.tolist()))):
@@ -604,7 +605,8 @@ class QuasilinearSolver:
         points, each point's spectrum is interpolated to the nodes through
         their barycentric rows, one real product per point, so that its
         bits do not depend on the other points.  The node factors k_r /
-        (i k_z) jac J0(k_r rho) and the node sum follow at the nodes.
+        (i k_z) jac J0(k_r rho) and the node sum follow at the nodes; a
+        point on the axis, where J0 is 1, takes k_r / (i k_z) jac alone.
         Reads only what the solver fixes at its build, so any thread may
         evaluate a block.
         """
@@ -629,7 +631,10 @@ class QuasilinearSolver:
             parts = np.matmul(np.stack([spec.real, spec.imag], axis=1), rows)
             spec = parts[:, 0] + 1j * parts[:, 1]
             kz = -1j * np.sqrt(k_b.astype(complex) ** 2 - kc * kc)
-        spec *= 0.5 * k_b / (1j * kz) * jac_b * special.j0(np.outer(points.rho, k_b))
+        node = 0.5 * k_b / (1j * kz) * jac_b
+        off = points.rho > 0.0
+        spec[~off] *= node  # J0(0) == 1.0 exactly, so these keep their bits
+        spec[off] *= node * special.j0(np.outer(points.rho[off], k_b))
         return spec.sum(axis=1)
 
     def propagation_curve(self, z_grid) -> FieldCurve:

@@ -147,6 +147,41 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"{block}\.{key}: must be \[re, im\]"):
             validate_config(raw)
 
+    @pytest.mark.parametrize("key, value", [
+        ("sweep_f_a_hz", ["1 kHz"]),
+        ("sweep_d_uc_m", ["0.45"]),
+        ("f_dist_window_hz", ["800", "8000"]),
+        ("sweep_f_a_hz", [True]),
+    ])
+    def test_sweep_lists_must_be_numbers(self, tmp_path, capsys, key, value):
+        # a string or a bool in a numeric list is a configuration error,
+        # not a traceback or an audio frequency of 1 Hz
+        raw = json.loads((ROOT / "tests" / "golden" / "sweep" / "config.json").read_text())
+        raw["optimizer"][key] = value
+        cfg = write_cfg(tmp_path, raw)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"optimizer.{key}: must be a list of numbers" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_audio_band_must_be_numbers(self):
+        # two strings in order passed the lo < hi rule
+        with pytest.raises(ConfigError, match=r"cr\.audio_band_hz: must be a list of numbers"):
+            validate_config({"cr": {"audio_band_hz": ["100", "6000"]}})
+
+    def test_every_numeric_list_reported_at_once(self):
+        keys = {"optimizer": ["f_dist_window_hz", "sweep_d_uc_m", "sweep_f_u0_hz",
+                              "sweep_mode_m", "sweep_r_p_m", "sweep_r_h_m", "sweep_f_a_hz"],
+                "cr": ["modal_freqs_hz", "audio_band_hz"]}
+        raw = {block: {key: [1.0, "2"] for key in names} for block, names in keys.items()}
+        raw["cr"]["modal_freqs_hz"] = 5e3
+        with pytest.raises(ConfigError) as info:
+            validate_config(raw)
+        msg = str(info.value)
+        for block, names in keys.items():
+            for key in names:
+                assert f"{block}.{key}: must be a list of numbers" in msg
+        assert "lo < hi" not in msg
+
     def test_missing_block_for_command(self, tmp_path):
         cfg = write_cfg(tmp_path, {"pair": {"f_carrier_hz": 60e3}})
         rc = main(["pc", "--config", str(cfg), "--out", str(tmp_path / "o")])

@@ -338,8 +338,11 @@ def _parent_pressure_grid(profile, medium, f, rho_obs, z_obs, skirt_cut_db=None,
     """The dense-grid evaluator as it was before the plane recursion: every
     block evaluates its own node set, its source transform by direct J0
     sums and exp(-i k_z z) on every plane, and sums it with two products on
-    the real and imaginary parts.  ``refine`` multiplies the panel counts of
-    both branches (floors and rates), for a reference of higher order."""
+    the real and imaginary parts.  The propagating branch takes its panel
+    count from the rule of :func:`_quad.propagating_panels`, so that the
+    evaluator and its oracle integrate on one node set per block.
+    ``refine`` multiplies the panel counts of both branches (floors and
+    rates), for a reference of higher order."""
     rho_obs = np.asarray(rho_obs, dtype=float)
     z_obs = np.asarray(z_obs, dtype=float)
     order = np.argsort(z_obs, kind="stable")
@@ -378,7 +381,7 @@ def _parent_pressure_grid(profile, medium, f, rho_obs, z_obs, skirt_cut_db=None,
         if sin_cut < 1.0:
             rho_cut = min(rho_max, a + z_hi * sin_cut / np.sqrt(1.0 - sin_cut ** 2))
         sel = rho_obs <= rho_cut * (1.0 + 1e-12)
-        n_pan = refine * max(24, int(np.ceil(k0 * np.hypot(z_hi, rho_cut) / 12.0)))
+        n_pan = refine * _quad.propagating_panels(k0 * np.hypot(z_hi, rho_cut))
         out[lo_idx:hi_idx, sel] = spectrum(lo_idx, hi_idx, sel,
                                            *_quad.wavenumber_nodes(k0, n_pan))
     for lo_idx, hi_idx, _ in blocks:
@@ -425,8 +428,8 @@ class TestPressureGridRecursion:
     def test_matches_refined_oracle(self, std_air, piston_60k, skirt):
         # against the per-plane evaluator on 4x the panels of both branches:
         # the shared node sets and the interpolated source transform buy no
-        # speed with accuracy (measured 3.3e-13; the per-block node sets of
-        # the oracle itself are 5.4e-13 off without the skirt)
+        # speed with accuracy (measured 2.3e-13; the per-block node sets of
+        # the oracle itself are 3.2e-13 off)
         got = lf.pressure_grid(piston_60k, std_air, 60e3, self.RHO, self.Z, skirt)
         want = _parent_pressure_grid(piston_60k, std_air, 60e3, self.RHO, self.Z, skirt,
                                      refine=4)
@@ -436,7 +439,7 @@ class TestPressureGridRecursion:
     def test_kernel_matches_per_plane_evaluation(self, std_air, piston_60k, monkeypatch):
         # dense columns take most runs through a kernel; under
         # the skirt some blocks select fewer columns than their run's kernel
-        # holds (measured 1.4e-13)
+        # holds (measured 2.6e-13)
         splits, kernel_split = [], lf.kernel_split
 
         def split(n_k, k_top, rho_s, run):
@@ -454,7 +457,8 @@ class TestPressureGridRecursion:
     def test_90khz_grid_matches_per_plane_evaluation(self, std_air, caplog):
         # the reference piston at 90 kHz on every column and every fourth
         # plane of its volume grid, where kernels carry most columns
-        # (measured 6.3e-13, as without kernels: the shared node sets)
+        # (measured 8.1e-13, as without kernels: the shared node sets; 1.2e-12
+        # at 96 rad per propagating panel)
         f = 90e3
         a = rad.aperture_for_cd(0.45, f, std_air)
         pair = nl.PrimaryPair(*nl.lsb_am_pair(f, 1e3), a, 0.1, 0.1)
@@ -468,6 +472,37 @@ class TestPressureGridRecursion:
         want = _parent_pressure_grid(carrier, std_air, f, g.r_nodes, z, 40.0)
         col_max = np.max(np.abs(want), axis=0)
         assert np.all(np.abs(got - want) <= 1e-12 * col_max)
+
+    def test_reference_carrier_node_count(self, std_air, caplog):
+        # the reference carrier on its 901 x 438 volume grid: 8880 nodes on
+        # 64-point propagating panels, against 13136 on 16-point panels of
+        # 12 rad
+        a = rad.aperture_for_cd(0.45, 60e3, std_air)
+        pair = nl.PrimaryPair(*nl.lsb_am_pair(60e3, 1e3), a, 0.1, 0.1)
+        g = nl.build_volume_grid(pair, std_air)
+        with caplog.at_level(logging.DEBUG, logger="sppal.linfield"):
+            lf.pressure_grid(pair.pistons(std_air)[1], std_air, 60e3, g.r_nodes, g.z_nodes,
+                             40.0)
+        (msg,) = [r.getMessage() for r in caplog.records]
+        assert "grid 901 x 438" in msg
+        assert int(re.search(r"(\d+) nodes", msg)[1]) <= 9000
+
+    @pytest.mark.parametrize("f, dev", [(60e3, 2.16e-11), (90e3, 1.16e-10)])
+    def test_volume_grid_matches_refined_oracle(self, std_air, f, dev):
+        # the reference piston on every fourth plane of its volume grid,
+        # against the per-plane evaluator on 4x the panels of both branches:
+        # the deviation is the evanescent branch's, which the 64-point
+        # propagating panels leave where 16-point panels of 12 rad had it
+        # (dev, measured with both rules)
+        a = rad.aperture_for_cd(0.45, f, std_air)
+        pair = nl.PrimaryPair(*nl.lsb_am_pair(f, 1e3), a, 0.1, 0.1)
+        carrier = pair.pistons(std_air)[1]
+        g = nl.build_volume_grid(pair, std_air)
+        z = g.z_nodes[::4]
+        got = lf.pressure_grid(carrier, std_air, f, g.r_nodes, z, 40.0)
+        want = _parent_pressure_grid(carrier, std_air, f, g.r_nodes, z, 40.0, refine=4)
+        col_max = np.max(np.abs(want), axis=0)
+        assert np.all(np.abs(got - want) <= 1.05 * dev * col_max)
 
     def test_each_bessel_pair_evaluated_once(self, std_air, piston_60k, monkeypatch,
                                              caplog):
@@ -504,7 +539,7 @@ class TestPressureGridRecursion:
         rho = np.linspace(0.0, 0.15, 200)
         r_src = piston_60k.radii
         for z, skirt in (
-            # every propagating block at the 24-panel floor: six blocks
+            # every propagating block at the 384-node floor: six blocks
             # share one node set
             (np.concatenate([[0.004], np.geomspace(0.008, 0.2, 12)]), None),
             # node sets of different sizes, skirt selections of several widths

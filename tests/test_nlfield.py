@@ -287,6 +287,33 @@ class TestSpectralPath:
                                       [0.08, 0.05, 0.1, 0.12])
         np.testing.assert_array_equal(alone, mixed[1:2])
 
+    def test_no_j0_on_the_axis(self, desk_solver, monkeypatch):
+        # J0(0) == 1.0 exactly, so an on-axis point takes the node factor
+        # alone, with the bits of its product with J0: a point at the
+        # subnormal radius 5e-324, where J0 is 1.0 as well, takes that
+        # product
+        rho = np.array([0.0, 0.02, 0.0, 0.005])
+        z = np.array([0.08, 0.05, 0.3, 0.1])
+        args = []
+
+        def j0(x, **kwargs):
+            args.append(np.array(x, copy=True))
+            return special.j0(x, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(nl, "special", type("Special", (), {"j0": staticmethod(j0)}))
+            got = desk_solver.pressures(rho, z)
+        # no J0 argument has a row of zeros, the row of a point on the axis
+        assert args and not any(np.all(x == 0.0, axis=-1).any() for x in args)
+        locate = nl._PlanePoints.locate
+
+        def near_axis(zn, r, zz):
+            return replace(locate(zn, r, zz), rho=np.where(r == 0.0, 5e-324, r))
+
+        monkeypatch.setattr(nl._PlanePoints, "locate", near_axis)
+        assert special.j0(5e-324 * desk_solver._k_sampling) == 1.0
+        assert np.array_equal(got, desk_solver.pressures(rho, z))
+
     def test_unresolved_point_raises(self, lossless_air):
         # a point on the ring of a one-cell grid: every band of the
         # doubling cutoff adds about as much as the last
@@ -448,9 +475,11 @@ class TestConcurrentBlocks:
         assert np.array_equal(reference_solver.pressures(rho, z), threaded)
 
     def test_blocks_add_in_node_order(self, desk_solver, monkeypatch):
-        # 64-node blocks: the propagating band's 640 nodes make 10 of them
+        # 64-node blocks: the propagating band's 640 nodes at the floor make
+        # 10 of them
         monkeypatch.setattr(nl, "_BLOCK_VALUES", 64 * desk_solver.grid.z_nodes.size)
-        kr, jac = _quad.wavenumber_nodes(desk_solver._k_audio.real, 24)
+        kr, jac = _quad.wavenumber_nodes(desk_solver._k_audio.real,
+                                         _quad.propagating_panels(0.0))
         points = nl._PlanePoints.locate(desk_solver.grid.z_nodes, np.zeros(30),
                                         np.linspace(0.01, 0.3, 30))
         (band,), plan = desk_solver._band([(kr, jac)], points)

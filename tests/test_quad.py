@@ -210,6 +210,22 @@ def test_one_concurrency_site():
     assert not calls, calls
 
 
+def test_one_panel_rule():
+    # Gauss-Legendre panels are laid only in sppal._quad (wavenumber_nodes,
+    # azimuthal_ladder): no other module lays a k_r branch of its own, so
+    # the propagating-panel rule has one home
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "_quad.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in ("gauss_legendre", "_panel_nodes"):
+                    calls.append(f"{path.name}:{node.lineno} {name}")
+    assert not calls, calls
+
+
 def test_every_config_key_is_read():
     # a key of the config schema that neither cli.py nor config.py names
     # as a string outside the schema tables is a setting that changes
@@ -271,8 +287,24 @@ def test_wavenumber_nodes_cover_their_branch(u_span):
                                                k0 * np.cosh(u_span[1]))
     assert np.all(np.diff(kr) > 0) and lo <= kr[0] and kr[-1] <= hi
     assert w.sum() == pytest.approx(hi - lo, rel=1e-13)
-    # 16-point panels: a smooth integrand such as k_r^3 is exact
+    # Gauss-Legendre panels: a smooth integrand such as k_r^3 is exact
     assert w @ kr ** 3 == pytest.approx((hi ** 4 - lo ** 4) / 4.0, rel=1e-12)
+
+
+def test_propagating_panel_resolves_its_phase():
+    # a panel of the propagating branch spans 0.98 (pi/2) / n of theta
+    # for n = propagating_panels(x), so at most 0.98 (pi/2) _PROP_PHASE rad
+    # of the phase x sin(theta): one panel integrates e^{iat} on [-1, 1] at
+    # that half-phase, a = 68, to the rounding floor of the float64 rule
+    # (measured 3.3e-15; 2.2-3.3e-15 for a from 60 to 80, 8.9e-14 at 85)
+    x, w = _quad.gauss_legendre(_quad._PROP_ORDER)
+    a = 0.98 * np.pi / 4.0 * _quad._PROP_PHASE
+    assert abs(w @ np.exp(1j * a * x) - 2.0 * np.sin(a) / a) <= 4e-15
+    assert _quad.propagating_panels(0.0) * _quad._PROP_ORDER == _quad._PROP_FLOOR
+    n = _quad.propagating_panels(np.array([0.0, 1e3, 1e4]))
+    assert n.tolist() == [6, math.ceil(1e3 / _quad._PROP_PHASE),
+                          math.ceil(1e4 / _quad._PROP_PHASE)]
+    assert _quad.propagating_panels(1e4) == n[-1]
 
 
 def test_plane_steps_one_exponential_per_gap():
