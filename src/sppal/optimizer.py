@@ -10,7 +10,9 @@ whole parameter space can be swept into contour-ready tables.
 from __future__ import annotations
 
 import logging
+import math
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -203,34 +205,41 @@ class DesignContext:
         coarse = np.abs(self._coarse_chain.velocity(lengths, self._coarse_load))
         self.chain_calls += 1
         self.lattice_points += coarse.size
-        windows, fallback = {}, []
+        coarse_ok = np.isfinite(coarse).all(axis=1).tolist()
+        windowed = np.zeros((len(lengths), n), dtype=bool)
+        centres, fallback = {}, []
         for r, mag in enumerate(coarse):
             peaks = transducer.interior_peaks(mag)
-            if peaks.size < 2 or not np.all(np.isfinite(mag)):
+            if peaks.size < 2 or not coarse_ok[r]:
                 fallback.append(r)
                 continue
-            c1, c2 = sorted(peaks[:2])
-            centres = _COARSE_STRIDE * np.append(
-                peaks[:3], c1 + np.argmin(mag[c1:c2 + 1]))
-            windowed = np.zeros(n, dtype=bool)
-            for c in centres:
-                windowed[max(c - _WINDOW_HALF, 0):c + _WINDOW_HALF + 1] = True
-            windows[r] = (np.flatnonzero(windowed), centres)
+            c1, c2 = sorted(peaks[:2].tolist())
+            centres[r] = [_COARSE_STRIDE * int(c) for c in peaks[:3]] + [
+                _COARSE_STRIDE * (c1 + int(np.argmin(mag[c1:c2 + 1])))]
+            for c in centres[r]:
+                windowed[r, max(c - _WINDOW_HALF, 0):c + _WINDOW_HALF + 1] = True
 
-        if windows:
-            sizes = [index.size for index, _ in windows.values()]
-            index = np.concatenate([index for index, _ in windows.values()])
-            v = self.chain.velocity(lengths, self.load, index,
-                                    rows=np.repeat(list(windows), sizes))
+        if centres:
+            rows, index = np.nonzero(windowed)
+            v = self.chain.velocity(lengths, self.load, index, rows=rows)
             self.chain_calls += 1
             self.lattice_points += index.size
-            for (r, (index, centres)), part in zip(
-                    windows.items(), np.split(v, np.cumsum(sizes)[:-1])):
-                if np.all(np.isfinite(part)):
+            window_mag = np.abs(v)
+            window_ok = np.ones(len(lengths), dtype=bool)
+            window_ok[rows[~np.isfinite(v)]] = False
+            stop = np.cumsum(windowed.sum(axis=1)).tolist()
+            for r, cs in centres.items():
+                if window_ok[r]:
+                    part = slice(stop[r - 1] if r else 0, stop[r])
                     mag = np.full(n, np.nan)
                     mag[::_COARSE_STRIDE] = coarse[r]
-                    mag[index] = np.abs(part)
-                    feats = _window_features(self.freqs, mag, centres[:-1])
+                    mag[index[part]] = window_mag[part]
+                    # a lattice peak needs both neighbours evaluated, and
+                    # two coarse samples are never neighbours, so every
+                    # peak lies on the hull of the windows
+                    span = (max(min(cs) - _WINDOW_HALF - 1, 0),
+                            min(max(cs) + _WINDOW_HALF + 2, n))
+                    feats = _window_features(self.freqs, mag, cs[:-1], span)
                     if feats is not None:
                         out[live[r]] = feats
                         continue
@@ -253,17 +262,18 @@ class DesignContext:
         return out
 
 
-def _window_features(freqs, mag, peak_centres) -> transducer.DrFeatures | None:
+def _window_features(freqs, mag, peak_centres, span) -> transducer.DrFeatures | None:
     """Dual-resonance features of the evaluated samples (NaN elsewhere),
-    or None unless every peak window's largest sample is a lattice peak
-    and the minimum between the chosen peaks has both neighbours."""
+    peaks sought in ``span``, or None unless every peak window's largest
+    sample is a lattice peak and the minimum between the chosen peaks has
+    both neighbours."""
     for c in peak_centres:
         lo = max(c - _WINDOW_HALF, 0)
         j = lo + int(np.argmax(mag[lo:c + _WINDOW_HALF + 1]))
         if not (0 < j < mag.size - 1 and mag[j - 1] <= mag[j] > mag[j + 1]):
             return None
     try:
-        feats, (_, _, im) = transducer.lattice_dr_features(freqs, mag)
+        feats, (_, _, im) = transducer.lattice_dr_features(freqs, mag, span)
     except (NoDualResonanceError, ParameterDomainError):
         return None
     return feats if np.isfinite(mag[im - 1]) and np.isfinite(mag[im + 1]) else None
@@ -336,37 +346,68 @@ class NsgaResult:
 
 def _non_dominated_sort(f: np.ndarray) -> list:
     """Fronts of indices, best first (standard fast sort, minimization), each
-    ordered by its points' last dominators in the front before, then by index."""
-    d = _dominance(f)
-    domination_count = d.sum(axis=0)
-    fronts = []
-    current = np.flatnonzero(domination_count == 0)
-    while current.size:
-        fronts.append(current.tolist())
-        by_current = d[current]
-        domination_count -= by_current.sum(axis=0)
-        nxt = np.flatnonzero((domination_count == 0) & by_current.any(axis=0))
-        last = current.size - 1 - np.argmax(by_current[::-1, nxt], axis=0)
-        current = nxt[np.argsort(last, kind="stable")]
+    ordered by its points' last dominators in the front before, then by index.
+
+    Two objectives need no dominance matrix (Jensen, IEEE TEC 7(5), 2003).
+    Swept in (F1, F2) order, a front's latest point has its least F2, and it
+    dominates the next point iff its (F2, F1) is below the point's, so a
+    bisection over the fronts' latest points ranks each point.  A point's
+    dominators in the front before form a run of that front in (F1, F2)
+    order: F1 no greater than the point's, F2 no greater either.
+    """
+    f1s, f2s = f[:, 0].tolist(), f[:, 1].tolist()
+    latest, swept = [], []
+    for i in np.lexsort((f[:, 1], f[:, 0])).tolist():
+        key = (f2s[i], f1s[i])
+        k = bisect_left(latest, key)
+        if k == len(latest):
+            latest.append(key)
+            swept.append([i])
+        else:
+            latest[k] = key
+            swept[k].append(i)
+    fronts = [sorted(swept[0])] if swept else []
+    for before, members in zip(swept, swept[1:]):
+        place = {i: n for n, i in enumerate(fronts[-1])}
+        at = [place[i] for i in before]
+        f1 = [f1s[i] for i in before]
+        neg_f2 = [-f2s[i] for i in before]
+        last = {j: max(at[bisect_left(neg_f2, -f2s[j]):bisect_right(f1, f1s[j])])
+                for j in members}
+        fronts.append(sorted(members, key=lambda j: (last[j], j)))
     return fronts
 
 
-def _crowding_distance(f: np.ndarray) -> np.ndarray:
-    n = f.shape[0]
-    d = np.zeros(n)
-    for m in range(f.shape[1]):
-        order = np.argsort(f[:, m], kind="stable")
-        d[order[0]] = d[order[-1]] = np.inf
-        span = f[order[-1], m] - f[order[0], m]
+def _crowding_distance(f: list) -> list:
+    """Crowding distance of each point of ``f``, a list of objective pairs:
+    the boundary points of each objective get inf, and the others the sum
+    over objectives of their neighbours' spacing over the objective's
+    range, ties in input order."""
+    n = len(f)
+    d = [0.0] * n
+    for m in range(2):
+        order = sorted(range(n), key=lambda i: f[i][m])
+        d[order[0]] = d[order[-1]] = math.inf
+        span = f[order[-1]][m] - f[order[0]][m]
         if span > 0 and n > 2:
-            d[order[1:-1]] += (f[order[2:], m] - f[order[:-2], m]) / span
+            for lo, i, hi in zip(order, order[1:-1], order[2:]):
+                d[i] += (f[hi][m] - f[lo][m]) / span
     return d
 
 
+def _clipped(x, lo, hi) -> list:
+    """``np.clip(x, lo, hi)`` on lists of floats, value for value."""
+    out = []
+    for v, low, high in zip(x, lo, hi):
+        v = v if v > low else low
+        out.append(v if v < high else high)
+    return out
+
+
 def _sbx_crossover(p1, p2, lo, hi, eta, rng):
-    """Simulated binary crossover, per-variable."""
-    c1, c2 = p1.copy(), p2.copy()
-    for k in range(p1.size):
+    """Simulated binary crossover, per-variable, on lists of floats."""
+    c1, c2 = list(p1), list(p2)
+    for k in range(len(p1)):
         if rng.random() > 0.5 or abs(p1[k] - p2[k]) < 1e-14:
             continue
         x1, x2 = sorted((p1[k], p2[k]))
@@ -383,12 +424,13 @@ def _sbx_crossover(p1, p2, lo, hi, eta, rng):
         c2[k] = 0.5 * ((x1 + x2) + bq * (x2 - x1))
         if rng.random() < 0.5:
             c1[k], c2[k] = c2[k], c1[k]
-    return np.clip(c1, lo, hi), np.clip(c2, lo, hi)
+    return _clipped(c1, lo, hi), _clipped(c2, lo, hi)
 
 
 def _polynomial_mutation(x, lo, hi, eta, rate, rng):
-    y = x.copy()
-    for k in range(x.size):
+    """Polynomial mutation, per-variable, on a list of floats."""
+    y = list(x)
+    for k in range(len(x)):
         if rng.random() >= rate:
             continue
         delta1 = (y[k] - lo[k]) / (hi[k] - lo[k])
@@ -404,7 +446,7 @@ def _polynomial_mutation(x, lo, hi, eta, rate, rng):
             val = 2.0 * (1.0 - u) + 2.0 * (u - 0.5) * xy ** (eta + 1.0)
             deltaq = 1.0 - val ** mut_pow
         y[k] += deltaq * (hi[k] - lo[k])
-    return np.clip(y, lo, hi)
+    return _clipped(y, lo, hi)
 
 
 def _archive_update(arch_x, arch_f, new_x, new_f):
@@ -462,31 +504,33 @@ def nsga2(evaluate, bounds, config: NsgaConfig) -> NsgaResult:
     n_eval = config.pop
     arch_x, arch_f = _archive_update([], [], pop_x, pop_f)
 
+    # the variation operators draw from ``rng`` on Python floats
+    lo_list, hi_list = lo.tolist(), hi.tolist()
     for _ in range(config.generations):
-        fronts = _non_dominated_sort(pop_f)
-        rank = np.empty(config.pop, dtype=int)
-        crowd = np.empty(config.pop)
-        for fi, front in enumerate(fronts):
-            rank[front] = fi
-            crowd[front] = _crowding_distance(pop_f[front])
+        objs = pop_f.tolist()
+        rank, crowd = [0] * config.pop, [0.0] * config.pop
+        for fi, front in enumerate(_non_dominated_sort(pop_f)):
+            for i, d in zip(front, _crowding_distance([objs[i] for i in front])):
+                rank[i], crowd[i] = fi, d
 
         def tourney():
-            i, j = rng.integers(0, config.pop, 2)
+            i, j = rng.integers(0, config.pop, 2).tolist()
             if rank[i] < rank[j]:
                 return i
             if rank[j] < rank[i]:
                 return j
             return i if crowd[i] >= crowd[j] else j
 
+        parents = pop_x.tolist()
         child_x = []
         while len(child_x) < config.pop:
-            pa, pb = pop_x[tourney()], pop_x[tourney()]
+            pa, pb = parents[tourney()], parents[tourney()]
             if rng.random() < _CROSSOVER_RATE:
-                c1, c2 = _sbx_crossover(pa, pb, lo, hi, _ETA_CROSSOVER, rng)
+                c1, c2 = _sbx_crossover(pa, pb, lo_list, hi_list, _ETA_CROSSOVER, rng)
             else:
-                c1, c2 = pa.copy(), pb.copy()
-            c1 = _polynomial_mutation(c1, lo, hi, _ETA_MUTATION, rate, rng)
-            c2 = _polynomial_mutation(c2, lo, hi, _ETA_MUTATION, rate, rng)
+                c1, c2 = pa, pb
+            c1 = _polynomial_mutation(c1, lo_list, hi_list, _ETA_MUTATION, rate, rng)
+            c2 = _polynomial_mutation(c2, lo_list, hi_list, _ETA_MUTATION, rate, rng)
             child_x.extend([c1, c2])
         child_x = np.array(child_x[:config.pop])
         child_f = scored(child_x)
@@ -496,14 +540,15 @@ def nsga2(evaluate, bounds, config: NsgaConfig) -> NsgaResult:
         # environmental selection on the combined population
         all_x = np.vstack([pop_x, child_x])
         all_f = np.vstack([pop_f, child_f])
-        fronts = _non_dominated_sort(all_f)
+        objs = all_f.tolist()
         chosen = []
-        for front in fronts:
+        for front in _non_dominated_sort(all_f):
             if len(chosen) + len(front) <= config.pop:
                 chosen.extend(front)
             else:
-                d = _crowding_distance(all_f[front])
-                order = np.argsort(d, kind="stable")[::-1]
+                d = _crowding_distance([objs[i] for i in front])
+                # largest distance first, of equal ones the later point first
+                order = sorted(range(len(front)), key=d.__getitem__)[::-1]
                 chosen.extend(front[i] for i in order[:config.pop - len(chosen)])
                 break
         pop_x = all_x[chosen]
@@ -515,10 +560,13 @@ def nsga2(evaluate, bounds, config: NsgaConfig) -> NsgaResult:
 def optimize_lengths(ctx: DesignContext, config: NsgaConfig) -> ParetoFront:
     """NSGA-II over the segment lengths of one design-parameter cell.
 
-    Each generation is one :func:`evaluate_designs` batch.  The archive
-    NSGA-II returns is already mutually non-dominated and free of
-    duplicates, and so is any subset of it.  Its points are the
-    ``DesignPoint``s of NSGA-II's own evaluations, keyed by design vector.
+    Each distinct design vector is scored once per run: a generation's
+    vectors that no earlier batch scored go to :func:`evaluate_designs` as
+    one batch, and a repeat takes its earlier ``DesignPoint`` (a row's
+    features do not depend on its batch).  The archive NSGA-II returns is
+    already mutually non-dominated and free of duplicates, and so is any
+    subset of it.  Its points are those ``DesignPoint``s, keyed by design
+    vector.
     """
     points = {}
     flagged = {"infeasible": 0, "no_dual_resonance": 0}
@@ -527,21 +575,27 @@ def optimize_lengths(ctx: DesignContext, config: NsgaConfig) -> ParetoFront:
                                               ctx.chain_calls)
 
     def evaluate(xs):
-        batch = evaluate_designs(ctx, xs)
-        for x, p in zip(xs, batch):
-            points[x.tobytes()] = p
+        keys = [x.tobytes() for x in xs]
+        fresh = {}
+        for key, x in zip(keys, xs):
+            if key not in points:
+                fresh.setdefault(key, x)
+        if fresh:
+            points.update(zip(fresh, evaluate_designs(ctx, list(fresh.values()))))
+        batch = [points[key] for key in keys]
+        for p in batch:
             for flag in p.flags:
                 flagged[flag] += 1
         return [p.objectives for p in batch]
 
     result = nsga2(evaluate, ctx.bounds, config)
-    _log.debug("optimize_lengths: %d evaluations, %d infeasible, %d without dual "
-               "resonance, %d full-lattice fallbacks, %d lattice points, "
-               "%d chain calls, %.3f s",
-               result.n_evaluations, flagged["infeasible"],
-               flagged["no_dual_resonance"], ctx.fallbacks - fallbacks,
-               ctx.lattice_points - lattice_points, ctx.chain_calls - chain_calls,
-               time.perf_counter() - t0)
+    _log.debug("optimize_lengths: %d evaluations, %d distinct candidates scored, "
+               "%d repeats skipped, %d infeasible, %d without dual resonance, "
+               "%d full-lattice fallbacks, %d lattice points, %d chain calls, %.3f s",
+               result.n_evaluations, len(points), result.n_evaluations - len(points),
+               flagged["infeasible"], flagged["no_dual_resonance"],
+               ctx.fallbacks - fallbacks, ctx.lattice_points - lattice_points,
+               ctx.chain_calls - chain_calls, time.perf_counter() - t0)
     pts = [points[x.tobytes()] for x in result.x]
     feasible = [p for p in pts if p.feasible]
     return ParetoFront(feasible if feasible else pts)
@@ -719,12 +773,15 @@ def design_sweep(grid: dict | None, medium: Medium, nsga: NsgaConfig,
         cell_cfg = replace(nsga, seed=nsga.seed + i_cell)
         try:
             ctx = DesignContext(params, medium)
-            front = optimize_lengths(ctx, cell_cfg)
+            # outside its radial band a cell rejects every candidate, so
+            # NSGA-II could return only penalty points, none in the window
+            front = (None if ctx._band_message is not None
+                     else optimize_lengths(ctx, cell_cfg))
         except (InfeasibleDesignError, ParameterDomainError) as e:
             rows.append(SweepRow(params, None, None, None, None,
                                  ("cell_infeasible", str(type(e).__name__))))
             continue
-        knee = select_knee(front, f_dist_window)
+        knee = None if front is None else select_knee(front, f_dist_window)
         if knee is None:
             rows.append(SweepRow(params, None, None, None, None,
                                  ("no_design_in_window",)))

@@ -578,17 +578,20 @@ def interior_peaks(mag: np.ndarray) -> np.ndarray:
     return interior[np.argsort(mag[interior], kind="stable")[::-1]]
 
 
-def lattice_dr_features(f: np.ndarray, mag: np.ndarray) -> tuple:
+def lattice_dr_features(f: np.ndarray, mag: np.ndarray, span=None) -> tuple:
     """:func:`extract_dr_features` on the samples ``mag`` of |v| at ``f``,
     and the indices (i1, i2, im) of the two peaks and the minimum it used.
 
     NaN marks a sample that was not evaluated: it is never a peak or the
     minimum, and the caller decides whether the evaluated samples
-    determine the result.
+    determine the result.  Peaks are sought in ``mag[lo:hi]`` for
+    ``span = (lo, hi)``, the whole lattice by default; the caller
+    guarantees that every interior peak of ``mag`` lies strictly inside it.
     """
     if f.size < 5:
         raise NoDualResonanceError("frequency grid too short for peak search")
-    peaks = interior_peaks(mag)
+    lo, hi = (0, mag.size) if span is None else span
+    peaks = lo + interior_peaks(mag[lo:hi])
     if peaks.size < 2:
         raise NoDualResonanceError(
             f"found {peaks.size} interior peak(s); dual resonance needs two"
@@ -596,8 +599,11 @@ def lattice_dr_features(f: np.ndarray, mag: np.ndarray) -> tuple:
     i1, i2 = (int(i) for i in sorted(peaks[:2]))
     f_r1, v_r1 = parabolic_peak(f, mag, i1)
     f_r2, v_r2 = parabolic_peak(f, mag, i2)
-    im = i1 + int(np.nanargmin(mag[i1:i2 + 1]))
-    f_m, v_m = parabolic_peak(f, -mag, im)
+    # the first least sample between the peaks, NaN read as +inf
+    between = mag[i1:i2 + 1]
+    im = i1 + int(np.argmax(between == np.fmin.reduce(between)))
+    # im lies between two interior peaks, so its three samples exist
+    f_m, v_m = parabolic_peak(f[im - 1:im + 2], -mag[im - 1:im + 2], 1)
     v_m = -v_m
     v_m = min(v_m, v_r1, v_r2)
     if not f_r1 < f_m < f_r2:

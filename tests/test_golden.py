@@ -9,7 +9,8 @@ and a tolerance per file).  The check compares parsed values, not bytes,
 so that a different BLAS build can be judged by the declared tolerance:
 
 * metadata lines must match exactly, except ``config``/``config_hash``
-  (the echo of the configuration) and ``versions``;
+  (the echo of the configuration) and ``versions``; the echo and its hash
+  are checked apart, against the case's ``config.json`` as loaded now;
 * a cell that is not a number must match exactly;
 * a numeric cell must match exactly unless the file's tolerance names
   its column (or ``*`` for every column): ``["abs", t]`` allows
@@ -30,6 +31,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(GOLDEN))
 from golden_csv import deviations, format_deviations, parse_csv  # noqa: E402
 from sppal.__main__ import BLAS_THREAD_VARS  # noqa: E402
+from sppal.config import load_config  # noqa: E402
+from sppal.io import config_hash  # noqa: E402
 
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
 CASES = sorted(MANIFEST["cases"])
@@ -96,6 +99,25 @@ def test_golden_case(name, golden_run):
                           parse_csv((out / name / fname).read_text()),
                           case["tolerance"].get(fname, {}))
         assert not diff, f"{name}/{fname}: " + "; ".join(diff)
+
+
+def header(text: str) -> dict:
+    """The ``# key: value`` metadata lines of a CSV file, values parsed as JSON."""
+    return {k: json.loads(v) for k, v in (ln[2:].split(": ", 1) for ln in text.splitlines()
+                                          if ln.startswith("# "))}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_golden_header_echoes_the_config(name):
+    """Every committed file of a case echoes the configuration its
+    ``config.json`` resolves to now, and the hash of that echo: a header
+    left stale by a change of the schema or its defaults fails here, even
+    where the numbers kept their bits."""
+    echo = json.loads(json.dumps(load_config(GOLDEN / name / "config.json").echo()))
+    for fname in expected_files(name):
+        meta = header((GOLDEN / name / fname).read_text())
+        assert meta["config"] == echo, f"{name}/{fname}: stale config echo"
+        assert meta["config_hash"] == config_hash(echo), f"{name}/{fname}: stale config_hash"
 
 
 def test_cli_entry_pins_blas_threads(tmp_path):

@@ -341,21 +341,32 @@ class TestEvaluateDesign:
             opt.ParetoFront([good, bad])
 
     def test_front_reuses_nsga2_evaluations(self, cell_ctx, monkeypatch):
-        # every candidate is evaluated once, by NSGA-II itself; the front
-        # is built from those evaluations, not from a second pass
-        # in one batch per generation
-        calls = []
-        evaluate = opt.evaluate_designs
+        # each distinct design vector NSGA-II proposes is scored once, in
+        # the order it is first proposed, in at most one batch per
+        # generation; the front is built from those scores, not from a
+        # second pass
+        batches, proposed = [], []
+        evaluate, nsga2 = opt.evaluate_designs, opt.nsga2
 
         def counting(ctx, xs):
-            calls.append(len(xs))
+            batches.append(np.array(xs))
             return evaluate(ctx, xs)
 
+        def proposing(objectives, bounds, config):
+            def seen(xs):
+                proposed.extend(x.tobytes() for x in xs)
+                return objectives(xs)
+            return nsga2(seen, bounds, config)
+
         monkeypatch.setattr(opt, "evaluate_designs", counting)
+        monkeypatch.setattr(opt, "nsga2", proposing)
         cfg = opt.NsgaConfig(pop=8, generations=3, seed=5)
         front = opt.optimize_lengths(cell_ctx, cfg)
-        assert calls == [cfg.pop] * (cfg.generations + 1)
-        assert sum(calls) == 32
+        scored = [x.tobytes() for xs in batches for x in xs]
+        assert len(proposed) == 32 and len(batches) <= cfg.generations + 1
+        assert scored == list(dict.fromkeys(proposed))
+        # seed 5 proposes a repeat, so the skip is exercised
+        assert len(scored) < len(proposed)
         monkeypatch.undo()
         for p in front.points:
             again = opt.evaluate_design(cell_ctx, p.x)
@@ -496,10 +507,11 @@ class TestCoarseSearch:
 
     def test_reference_cell_lattice_budget(self, std_air, cell_params, monkeypatch):
         # deterministic gate: on the reference cell (pop 24, 10 generations,
-        # seed 1) a candidate needs a median of 357 of the 2400 lattice
-        # points, and 6 of the 264 candidates fall back to the whole lattice.
-        # The rows of each batch are counted, and each row's points come
-        # from evaluating it alone, which adds up to the batches' points
+        # seed 1) NSGA-II proposes 264 candidates, 246 of them distinct; a
+        # distinct candidate needs a median of 357 of the 2400 lattice
+        # points, and 6 of them fall back to the whole lattice.  Each
+        # distinct row is scored once, and its points come from evaluating
+        # it alone, which adds up to the batches' points
         ctx = opt.DesignContext(cell_params, std_air)
         batches = []
         evaluate = opt.evaluate_designs
@@ -511,21 +523,22 @@ class TestCoarseSearch:
         monkeypatch.setattr(opt, "evaluate_designs", counting)
         opt.optimize_lengths(ctx, opt.NsgaConfig(pop=24, generations=10, seed=1))
         monkeypatch.undo()
-        assert [len(xs) for xs in batches] == [24] * 11 and ctx.freqs.size == 2400
+        rows = np.vstack(batches)
+        assert len(batches) <= 11 and ctx.freqs.size == 2400
+        assert len({x.tobytes() for x in rows}) == len(rows) <= 264
         alone = opt.DesignContext(cell_params, std_air)
         per_candidate = []
-        for x in np.vstack(batches):
+        for x in rows:
             before = alone.lattice_points
             opt.evaluate_design(alone, x)
             per_candidate.append(alone.lattice_points - before)
-        assert len(per_candidate) == 264
         assert sum(per_candidate) == ctx.lattice_points
         assert alone.fallbacks == ctx.fallbacks
         assert np.median(per_candidate) <= 376
         assert ctx.fallbacks <= 13
         # at most three chain calls a generation, against two or three a
         # candidate one at a time
-        assert ctx.chain_calls <= 3 * 11 and alone.chain_calls >= 2 * 264
+        assert ctx.chain_calls <= 3 * 11 and alone.chain_calls >= 2 * len(rows)
 
     @staticmethod
     def synthetic(ctx, mag):
@@ -637,6 +650,9 @@ class TestCoarseSearch:
         assert rec.levelno == logging.DEBUG
         msg = rec.getMessage()
         assert msg.startswith("optimize_lengths: 24 evaluations, ")
+        distinct, repeats = map(int, re.search(
+            r"(\d+) distinct candidates scored, (\d+) repeats skipped", msg).groups())
+        assert distinct + repeats == 24 and distinct > 0
         calls = ctx.chain_calls - calls
         assert (f"{ctx.fallbacks - fallbacks} full-lattice fallbacks, "
                 f"{ctx.lattice_points - points} lattice points, "
@@ -812,6 +828,38 @@ class TestDesignPipeline:
                                settings=coarse, f_dist_window=(1.0, 2.0))
         assert res.rows[0].flags == ("no_design_in_window",)
         assert res.rows[0].l_pa_c is None
+
+    def test_sweep_skips_band_infeasible_cell(self, std_air, monkeypatch):
+        # a 9 mm piezo at 40 kHz lies outside its radial band, so every
+        # candidate would be rejected: the cell builds its context, runs
+        # no NSGA-II and no chain, and writes the row NSGA-II's penalty
+        # front gave
+        assert opt.DesignContext(opt.DesignParams(0.45, 40e3, 8, td.StackConfig.FULL,
+                                                  9e-3, 8e-3, 0.75e-3),
+                                 std_air)._band_message is not None
+        calls = []
+        velocity, optimize = td.StackChain.velocity, opt.optimize_lengths
+
+        def chain(self, *args, **kwargs):
+            calls.append("chain")
+            return velocity(self, *args, **kwargs)
+
+        def optimizing(*args):
+            calls.append("optimize_lengths")
+            return optimize(*args)
+
+        monkeypatch.setattr(td.StackChain, "velocity", chain)
+        monkeypatch.setattr(opt, "optimize_lengths", optimizing)
+        grid = {"d_uc": (0.45,), "f_u0": (40e3,), "mode_m": (8,),
+                "config": ("full",), "r_p": (9e-3,), "r_h": (0.75e-3,)}
+        res = opt.design_sweep(grid, std_air, opt.NsgaConfig(pop=12, generations=5),
+                               f_a_grid=[1000.0], f_dist_window=(800.0, 8000.0))
+        assert calls == []
+        assert res.table() == [{
+            "d_uc_m": 0.45, "f_u0_hz": 40e3, "mode_m": 8, "config": "full",
+            "r_p_m": 9e-3, "l_p_m": 8e-3, "r_h_m": 0.75e-3, "x_m": "", "f1_ms": "",
+            "f2_hz": "", "f_dist_hz": "", "l_pa_c_db": "", "d_ac_m": "",
+            "flags": "no_design_in_window"}]
 
     def test_empty_grid(self, std_air):
         res = opt.design_sweep({"d_uc": (), "f_u0": (60e3,)}, std_air,
